@@ -18,7 +18,7 @@ from .limits import LimitSet, ShapedBounds, apply_external_offset, shape_acceler
 from .tasks import TaskSpec, WaypointTracker, impedance_accel, octagon_waypoints, waypoint_accel
 from .qpcore import QpProblem, QpSolution
 from .solvers import (ControlOutput, SolverConfig, naive_saturate, solve_dcts_multi,
-                      solve_dcts_single, solve_osc, solve_qp_md, solve_qp_mt)
+                      solve_osc, solve_qp_md, solve_qp_mt)
 from .sim import Scenario, load_bundled_scenario, load_scenario, run_scenario
 
 __version__ = "0.1.0"
@@ -30,7 +30,6 @@ __all__ = [
     "shape_acceleration_bounds", "TaskSpec", "WaypointTracker",
     "impedance_accel", "octagon_waypoints", "waypoint_accel", "QpProblem",
     "QpSolution", "ControlOutput", "SolverConfig", "naive_saturate",
-    "solve_dcts_multi", "solve_dcts_single", "solve_osc", "solve_qp_md",
-    "solve_qp_mt", "Scenario", "load_bundled_scenario", "load_scenario",
-    "run_scenario",
+    "solve_dcts_multi", "solve_osc", "solve_qp_md", "solve_qp_mt", "Scenario",
+    "load_bundled_scenario", "load_scenario", "run_scenario",
 ]

@@ -147,10 +147,10 @@ def run(argv: list[str] | None = None) -> int:
             for job in jobs:
                 log.info("running %s with %s", job[0], job[1])
                 summaries.append(_run_one(job))
-    except (sim.SimulationError, Exception) as e:
-        if isinstance(e, (sim.ConfigError,)):
-            print(f"error: {e}", file=sys.stderr)
-            return 1
+    except sim.ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    except Exception as e:
         print(f"solver abort: {e}", file=sys.stderr)
         return 2
 

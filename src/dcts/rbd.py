@@ -180,7 +180,6 @@ class TaskDynamicsBundle:
     """Task-space dynamic quantities for one task Jacobian."""
 
     J: np.ndarray           # (m, n)
-    Jdot_qd: np.ndarray     # (m,)
     Lambda: np.ndarray      # (m, m)
     Jbar: np.ndarray        # (n, m)
     N: np.ndarray           # (n, n) torque null-space projector I - J^T Jbar^T
@@ -273,11 +272,6 @@ def jacobian_dot_qd(model: RobotModel, q: np.ndarray, qd: np.ndarray, frame: int
 
 # ---------------------------------------------------------------------------
 # dynamics
-
-
-def _shift(d: np.ndarray) -> np.ndarray:
-    """Parallel-axis inertia increment for a unit mass displaced by d."""
-    return np.dot(d, d) * np.eye(3) - np.outer(d, d)
 
 
 def mass_matrix(model: RobotModel, q: np.ndarray,
@@ -405,14 +399,14 @@ def forward_dynamics(model: RobotModel, q: np.ndarray, qd: np.ndarray,
 
 def task_dynamics(model: RobotModel, q: np.ndarray, J: np.ndarray,
                   epsilon: float = 1e-6,
-                  jdot_qd: np.ndarray | None = None,
-                  mass: np.ndarray | None = None) -> TaskDynamicsBundle:
+                  minv=None) -> TaskDynamicsBundle:
     """Task-space inertia, dynamically consistent pseudoinverse and projector.
 
     Lambda = (J M^-1 J^T + epsilon I)^-1 through Cholesky solves (no explicit
     inversion of an ill-conditioned matrix), Jbar = M^-1 J^T Lambda and
-    N = I - J^T Jbar^T. ``jdot_qd`` is stored in the bundle when the caller
-    has it (this routine sees no velocities); it defaults to zeros.
+    N = I - J^T Jbar^T. ``minv`` maps B to M^-1 B with an existing
+    factorization (``ChainDynamics.minv``); without it M(q) is built and
+    factorized here.
     """
     J = np.atleast_2d(np.asarray(J, dtype=float))
     m, n = J.shape
@@ -422,19 +416,17 @@ def task_dynamics(model: RobotModel, q: np.ndarray, J: np.ndarray,
         raise ValueError("epsilon must be >= 0")
     if not np.all(np.isfinite(J)):
         raise ValueError("task Jacobian has non-finite entries")
-    if mass is None:
-        mass = mass_matrix(model, q)
-    Minv_Jt = cho_solve(cho_factor(mass, lower=True), J.T)
+    if minv is None:
+        Minv_Jt = cho_solve(cho_factor(mass_matrix(model, q), lower=True), J.T)
+    else:
+        Minv_Jt = minv(J.T)
     A = J @ Minv_Jt
     A = 0.5 * (A + A.T) + epsilon * np.eye(m)
     Lambda = cho_solve(cho_factor(A, lower=True), np.eye(m))
     Lambda = 0.5 * (Lambda + Lambda.T)
     Jbar = Minv_Jt @ Lambda
     N = np.eye(n) - J.T @ Jbar.T
-    if jdot_qd is None:
-        jdot_qd = np.zeros(m)
-    return TaskDynamicsBundle(J=J, Jdot_qd=np.asarray(jdot_qd, float),
-                              Lambda=Lambda, Jbar=Jbar, N=N)
+    return TaskDynamicsBundle(J=J, Lambda=Lambda, Jbar=Jbar, N=N)
 
 
 @dataclass

@@ -1,15 +1,15 @@
 """Forward-dynamics simulation, external-force scripting, scenarios and metrics.
 
 The control loop runs at ``control_dt`` with zero-order-hold torque; the plant
-integrates semi-implicitly (qd += qdd h; q += qd h) at ``integrator_dt``
-substeps. External events:
+integrates semi-implicitly (qd += qdd h; q += qd h, ``step``) at
+``integrator_dt`` substeps. External events:
 
 - ``cartesian_force``: a world-frame force on a frame point, felt by the plant
   and measured by the controller as tau_ext = J^T f,
 - ``joint_torque``: a trapezoidal joint-torque profile, likewise measured,
 - ``unmodeled_mass``: a point mass rigidly attached to a frame; it enters only
-  the plant-side dynamics (the controller keeps the nominal model and its
-  tau_ext measurement reports nothing).
+  the plant-side dynamics (the controller keeps the nominal model and
+  measures the mass through ``payload_observer``).
 
 Energy bookkeeping per tick: acceleration energy 1/2 tau'^T M^-1 tau' of the
 command above compensation (the raw-command variant is logged too), total
@@ -22,7 +22,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +32,6 @@ from . import rbd, solvers, tasks as tasks_mod
 
 STATUS_CODE = {solvers.OPTIMAL: 0, solvers.DEGRADED: 1,
                solvers.INFEASIBLE: 2, solvers.MAX_ITER: 3}
-
-
-class SimulationError(RuntimeError):
-    """Raised when the plant state leaves the finite domain or a solver aborts."""
 
 
 class ConfigError(ValueError):
@@ -59,6 +55,7 @@ class Event:
     ramp: float = 0.0                      # [s]
     mass: float = 0.0                      # [kg]
     com_offset: np.ndarray | None = None   # in the attachment frame [m]
+    plant: rbd.RobotModel | None = None    # unmodeled_mass: augmented model, set by Scenario
 
     def active(self, t: float) -> bool:
         return self.start <= t < self.start + self.duration
@@ -83,8 +80,8 @@ def augment_with_point_mass(model: rbd.RobotModel, mass: float,
     com0 = model.coms[i]
     com1 = (m0 * com0 + mass * com_in_last_link) / m1
     inertia1 = (model.inertias[i]
-                + m0 * limits_shift(com0 - com1)
-                + mass * limits_shift(com_in_last_link - com1))
+                + m0 * _shift(com0 - com1)
+                + mass * _shift(com_in_last_link - com1))
     masses = model.masses.copy()
     coms = model.coms.copy()
     inertias = model.inertias.copy()
@@ -95,22 +92,19 @@ def augment_with_point_mass(model: rbd.RobotModel, mass: float,
                    name=model.name + "+payload")
 
 
-def limits_shift(d: np.ndarray) -> np.ndarray:
+def _shift(d: np.ndarray) -> np.ndarray:
+    """Parallel-axis inertia increment for a unit mass displaced by d."""
     return np.dot(d, d) * np.eye(3) - np.outer(d, d)
 
 
 def scripted_tau_ext(events: list[Event], t: float, model: rbd.RobotModel,
                      q: np.ndarray,
-                     transforms: np.ndarray | None = None,
-                     measure_payload: bool = False) -> np.ndarray:
-    """External joint torques from the active events at time t.
+                     transforms: np.ndarray | None = None) -> np.ndarray:
+    """Joint torques of the active scripted forces and torques at time t.
 
-    With ``measure_payload`` the quasi-static gravity wrench of any active
-    unmodeled mass is included, evaluated through the nominal kinematics: this
-    is what a joint-torque-sensor observer reports on the real system. The
-    plant-side caller leaves it off, because the augmented plant model already
-    carries the mass; the controller-side caller turns it on. Either way the
-    controller's dynamic model stays nominal.
+    An unmodeled mass contributes nothing here: the plant feels it through
+    its augmented model, and the controller measures it through
+    ``payload_observer``.
     """
     tau = np.zeros(model.n)
     for ev in events:
@@ -122,10 +116,6 @@ def scripted_tau_ext(events: list[Event], t: float, model: rbd.RobotModel,
             tau += J[:3].T @ (ev.profile(t) * ev.force)
         elif ev.kind == "joint_torque":
             tau[ev.joint] += ev.profile(t) * ev.amplitude
-        elif ev.kind == "unmodeled_mass" and measure_payload:
-            J = rbd.jacobian(model, q, model.tool_frame, point=ev.com_offset,
-                             transforms=transforms)
-            tau += J[:3].T @ (ev.mass * model.gravity)
     return tau
 
 
@@ -144,14 +134,16 @@ def payload_observer(nominal: rbd.RobotModel, plant: rbd.RobotModel,
 
 def apply_events(scenario: "Scenario", t: float, model: rbd.RobotModel,
                  state: rbd.JointState,
-                 qdd_prev: np.ndarray | None = None) -> np.ndarray:
+                 qdd_prev: np.ndarray | None = None,
+                 transforms: np.ndarray | None = None) -> np.ndarray:
     """Controller-side (measured) tau_ext at time t.
 
     Scripted forces and torques are measured directly; an active unmodeled
     mass is measured through the observer (quasi-static at rest when no
-    previous acceleration is available).
+    previous acceleration is available). ``transforms`` are the link
+    transforms of ``model`` at ``state.q`` when the caller has them.
     """
-    tau = scripted_tau_ext(scenario.events, t, model, state.q)
+    tau = scripted_tau_ext(scenario.events, t, model, state.q, transforms)
     plant = scenario.plant_model(t)
     if plant is not model:
         tau = tau + payload_observer(
@@ -165,16 +157,20 @@ def apply_events(scenario: "Scenario", t: float, model: rbd.RobotModel,
 
 
 def step(model: rbd.RobotModel, state: rbd.JointState, tau: np.ndarray,
-         tau_ext: np.ndarray | None, dt: float) -> rbd.JointState:
-    """One semi-implicit Euler step of the forward dynamics."""
+         tau_ext: np.ndarray | None, dt: float,
+         transforms: np.ndarray | None = None) -> tuple[rbd.JointState, np.ndarray]:
+    """One semi-implicit Euler step of the forward dynamics.
+
+    Returns the new state and the acceleration qdd the step used;
+    ``transforms`` are the link transforms at ``state.q`` when the caller has
+    them. ``run_scenario`` integrates the plant with this step; a non-finite
+    result raises ValueError from the new ``JointState``.
+    """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    qdd = rbd.forward_dynamics(model, state.q, state.qd, tau, tau_ext)
+    qdd = rbd.forward_dynamics(model, state.q, state.qd, tau, tau_ext, transforms)
     qd = state.qd + qdd * dt
-    q = state.q + qd * dt
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qd))):
-        raise SimulationError("state became non-finite during integration")
-    return rbd.JointState(q, qd)
+    return rbd.JointState(state.q + qd * dt, qd), qdd
 
 
 def rk4_step(model: rbd.RobotModel, state: rbd.JointState, tau: np.ndarray,
@@ -213,7 +209,7 @@ def energy_metrics(model: rbd.RobotModel, state: rbd.JointState,
     if J is None:
         e_task = 0.0
     else:
-        bundle = rbd.task_dynamics(model, dyn.q, J, epsilon=epsilon, mass=dyn.M)
+        bundle = rbd.task_dynamics(model, dyn.q, J, epsilon=epsilon, minv=dyn.minv)
         xd = J @ dyn.qd
         e_task = 0.5 * float(xd @ bundle.Lambda @ xd)
     return e_acc, e_total, e_task, e_total - e_task
@@ -262,6 +258,10 @@ class Scenario:
         if self.solver not in solvers.SOLVER_NAMES:
             raise ConfigError(f"{self.source}: unknown solver {self.solver!r}; "
                               f"valid: {', '.join(solvers.SOLVER_NAMES)}")
+        for ev in self.events:
+            if ev.kind == "unmodeled_mass":
+                com = self.model.tool[:3, :3] @ ev.com_offset + self.model.tool[:3, 3]
+                ev.plant = augment_with_point_mass(self.model, ev.mass, com)
 
     def limit_set(self) -> limits_mod.LimitSet:
         lc = self.limit_config
@@ -275,10 +275,7 @@ class Scenario:
     def plant_model(self, t: float) -> rbd.RobotModel:
         for ev in self.events:
             if ev.kind == "unmodeled_mass" and ev.active(t):
-                if not hasattr(ev, "_plant"):
-                    com = self.model.tool[:3, :3] @ ev.com_offset + self.model.tool[:3, 3]
-                    ev._plant = augment_with_point_mass(self.model, ev.mass, com)
-                return ev._plant
+                return ev.plant
         return self.model
 
     def make_tasks(self, state0: rbd.JointState) -> list[tasks_mod.TaskSpec]:
@@ -353,8 +350,7 @@ def _build_tracker(tc: dict, T_tool: np.ndarray, where: str) -> tasks_mod.Waypoi
         raise ConfigError(f"{where}: unknown waypoint set type {kind!r}")
     return tasks_mod.WaypointTracker(
         waypoints=points, tolerance=float(tc["tolerance_m"]), kp=float(tc["kp"]),
-        kv=float(tc["kv"]), v_sat=float(tc["v_sat"]),
-        saturation_exponent=tc.get("saturation_exponent", "squared"))
+        kv=float(tc["kv"]), v_sat=float(tc["v_sat"]))
 
 
 # ---------------------------------------------------------------------------
@@ -363,31 +359,58 @@ def _build_tracker(tc: dict, T_tool: np.ndarray, where: str) -> tasks_mod.Waypoi
 
 @dataclass
 class Trace:
+    """Per-tick record of one run: arrays of ``ticks`` rows, zero-filled at
+    construction and filled in by ``run_scenario``."""
+
     scenario: str
     solver: str
     n: int
     k: int
-    t: np.ndarray
-    q: np.ndarray
-    qd: np.ndarray
-    qdd: np.ndarray
-    tau: np.ndarray
-    tau_ext: np.ndarray
-    s: np.ndarray
-    e_acc: np.ndarray
-    e_acc_raw: np.ndarray
-    e_kin_total: np.ndarray
-    e_kin_task: np.ndarray
-    e_kin_null: np.ndarray
-    viol_q: np.ndarray            # (-1, 0, +1) per joint: which side is violated
-    viol_v: np.ndarray
-    viol_tau: np.ndarray
-    saturated: np.ndarray         # bool, naive clamp active (projector baseline)
-    pos_err: np.ndarray           # priority-1 task position error [m or rad]
-    acc_err: np.ndarray           # priority-1 task acceleration error
-    status: np.ndarray            # int codes, see STATUS_CODE
-    repaired: np.ndarray          # bool, bound repair active on some direction
-    model_limits: dict = field(default_factory=dict)
+    ticks: InitVar[int]
+    t: np.ndarray = field(init=False)
+    q: np.ndarray = field(init=False)
+    qd: np.ndarray = field(init=False)
+    qdd: np.ndarray = field(init=False)
+    tau: np.ndarray = field(init=False)
+    tau_ext: np.ndarray = field(init=False)
+    s: np.ndarray = field(init=False)             # task scales, 1 when unscaled
+    e_acc: np.ndarray = field(init=False)
+    e_acc_raw: np.ndarray = field(init=False)
+    e_kin_total: np.ndarray = field(init=False)
+    e_kin_task: np.ndarray = field(init=False)
+    e_kin_null: np.ndarray = field(init=False)
+    viol_q: np.ndarray = field(init=False)        # (-1, 0, +1) per joint: which side is violated
+    viol_v: np.ndarray = field(init=False)
+    viol_tau: np.ndarray = field(init=False)
+    saturated: np.ndarray = field(init=False)     # bool, naive clamp active (projector baseline)
+    pos_err: np.ndarray = field(init=False)       # priority-1 task position error [m or rad]
+    acc_err: np.ndarray = field(init=False)       # priority-1 task acceleration error
+    status: np.ndarray = field(init=False)        # int codes, see STATUS_CODE
+    repaired: np.ndarray = field(init=False)      # bool, bound repair active on some direction
+
+    def __post_init__(self, ticks: int):
+        per_joint = lambda dtype=float: np.zeros((ticks, self.n), dtype)
+        per_tick = lambda dtype=float: np.zeros(ticks, dtype)
+        self.t = per_tick()
+        self.q = per_joint()
+        self.qd = per_joint()
+        self.qdd = per_joint()
+        self.tau = per_joint()
+        self.tau_ext = per_joint()
+        self.s = np.ones((ticks, self.k))
+        self.e_acc = per_tick()
+        self.e_acc_raw = per_tick()
+        self.e_kin_total = per_tick()
+        self.e_kin_task = per_tick()
+        self.e_kin_null = per_tick()
+        self.viol_q = per_joint(np.int8)
+        self.viol_v = per_joint(np.int8)
+        self.viol_tau = per_joint(np.int8)
+        self.saturated = per_joint(bool)
+        self.pos_err = per_tick()
+        self.acc_err = per_tick()
+        self.status = per_tick(int)
+        self.repaired = per_tick(bool)
 
     def summary(self) -> dict:
         ticks = len(self.t)
@@ -482,6 +505,13 @@ def _segment_distance(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 # the control loop
 
 
+def task_count_error(solver: str, k: int) -> str | None:
+    """Why ``solver`` cannot run a stack of k tasks, or None when it can."""
+    if k > 1 and solver in solvers.SINGLE_TASK_SOLVERS:
+        return f"solver {solver!r} takes one task, the scenario has {k}"
+    return None
+
+
 def run_scenario(scenario: Scenario, solver: str | None = None,
                  ext_force_in_bounds: bool | None = None,
                  ext_force_in_task: bool | None = None,
@@ -496,6 +526,9 @@ def run_scenario(scenario: Scenario, solver: str | None = None,
     name = solver or scenario.solver
     if name not in solvers.SOLVER_NAMES:
         raise ConfigError(f"unknown solver {name!r}; valid: {', '.join(solvers.SOLVER_NAMES)}")
+    problem = task_count_error(name, len(scenario.task_configs))
+    if problem is not None:
+        raise ConfigError(f"{scenario.source}: {problem}")
     cfg = replace(scenario.solver_config)
     if ext_force_in_bounds is not None:
         cfg.ext_force_in_bounds = ext_force_in_bounds
@@ -506,7 +539,7 @@ def run_scenario(scenario: Scenario, solver: str | None = None,
 
     state = rbd.JointState(scenario.q0.copy(), scenario.qd0.copy())
     specs = scenario.make_tasks(state)
-    k = len(specs)
+    lead_spec = specs[0]
     lset = scenario.limit_set()
     rng = np.random.default_rng(scenario.seed)
     noise = scenario.tau_ext_noise_std
@@ -514,130 +547,88 @@ def run_scenario(scenario: Scenario, solver: str | None = None,
     n_ticks = int(round(scenario.duration / scenario.control_dt))
     substeps = max(1, int(round(scenario.control_dt / scenario.integrator_dt)))
     h = scenario.control_dt / substeps
-
-    rec = {key: [] for key in ("t", "q", "qd", "qdd", "tau", "tau_ext", "s",
-                               "e_acc", "e_acc_raw", "e_kin_total", "e_kin_task",
-                               "e_kin_null", "viol_q", "viol_v", "viol_tau",
-                               "saturated", "pos_err", "acc_err", "status",
-                               "repaired")}
+    trace = Trace(scenario=scenario.name, solver=name, n=model.n, k=len(specs),
+                  ticks=n_ticks)
 
     qdd_prev = np.zeros(model.n)
     for tick in range(n_ticks):
         t = tick * scenario.control_dt
         dyn = rbd.compute_dynamics(model, state)
-        tau_ext = scripted_tau_ext(scenario.events, t, model, state.q, dyn.transforms)
-        plant_now = scenario.plant_model(t)
-        if plant_now is not model:
-            tau_ext = tau_ext + payload_observer(model, plant_now, state, qdd_prev)
+        tau_ext = apply_events(scenario, t, model, state, qdd_prev, dyn.transforms)
         if noise > 0:
             tau_ext = tau_ext + rng.normal(0.0, noise, model.n)
         realized = [tasks_mod.realize_task(sp, dyn) for sp in specs]
-        have_ext = bool(np.any(tau_ext))
+        ext = tau_ext if np.any(tau_ext) else None
 
         if name == "dcts":
-            offset = dyn.minv(tau_ext) if (have_ext and cfg.ext_force_in_bounds) else None
+            offset = dyn.minv(tau_ext) if (ext is not None and cfg.ext_force_in_bounds) else None
             limit_real = limits_mod.realize_joint_limits(lset, state.q, state.qd, offset)
-            out = solvers.solve_dcts_multi(model, state, realized, limit_real,
-                                           tau_ext if have_ext else None, cfg, dyn)
+            out = solvers.solve_dcts_multi(model, state, realized, limit_real, ext, cfg, dyn)
         elif name == "osc":
             limit_real = limits_mod.realize_joint_limits(lset, state.q, state.qd)
             out = solvers.solve_osc_saturated(model, state, realized[0], limit_real,
-                                              tau_ext if have_ext else None, cfg, dyn)
-        elif name == "qp-mt":
-            limit_real = None
-            out = solvers.solve_qp_mt(model, state, realized[0], cfg=cfg, dyn=dyn)
+                                              ext, cfg, dyn)
         else:
             limit_real = None
-            out = solvers.solve_qp_md(model, state, realized[0], cfg=cfg, dyn=dyn)
+            solve = solvers.solve_qp_mt if name == "qp-mt" else solvers.solve_qp_md
+            out = solve(model, state, realized[0], cfg=cfg, dyn=dyn)
 
         tau_cmd = out.tau
+        lead = realized[0]
         e_acc, e_tot, e_task, e_null = energy_metrics(
-            model, state, tau_cmd, J=realized[0].J, epsilon=cfg.epsilon_lambda, dyn=dyn)
-        tau_raw = tau_cmd
-        e_acc_raw = 0.5 * float(tau_raw @ dyn.minv(tau_raw))
+            model, state, tau_cmd, J=lead.J, epsilon=cfg.epsilon_lambda, dyn=dyn)
 
         # integrate the plant
-        plant = plant_now
-        qdd_first = None
+        plant = scenario.plant_model(t)
         sub = state
         for j in range(substeps):
             transforms = rbd.link_transforms(plant, sub.q)
             tau_ext_plant = scripted_tau_ext(scenario.events, t, plant, sub.q, transforms)
-            qdd = rbd.forward_dynamics(plant, sub.q, sub.qd, tau_cmd, tau_ext_plant,
-                                       transforms)
-            if qdd_first is None:
+            sub, qdd = step(plant, sub, tau_cmd, tau_ext_plant, h, transforms)
+            if j == 0:
                 qdd_first = qdd
-            qd = sub.qd + qdd * h
-            sub = rbd.JointState(sub.q + qd * h, qd)
-            if not np.all(np.isfinite(sub.q)):
-                raise SimulationError(
-                    f"{scenario.name}/{name}: non-finite state at t={t:.4f}s")
-        new_state = sub
 
         # metrics and flags at the tick
-        lead = realized[0]
-        if specs[0].mode == "waypoint_tracker":
-            seg = specs[0].tracker.segment()
+        if lead_spec.mode == "waypoint_tracker":
+            tracker = lead_spec.tracker
+            seg = tracker.segment()
             Ttool = dyn.transforms[model.tool_frame]
-            x = (Ttool[:3, 3] if specs[0].point is None
-                 else Ttool[:3, :3] @ specs[0].point + Ttool[:3, 3])
+            x = (Ttool[:3, 3] if lead_spec.point is None
+                 else Ttool[:3, :3] @ lead_spec.point + Ttool[:3, 3])
             if seg is not None:
                 pos_err = _segment_distance(x, seg[0], seg[1])
-            elif specs[0].tracker.done and len(specs[0].tracker.waypoints):
-                pos_err = float(np.linalg.norm(x - specs[0].tracker.waypoints[-1]))
+            elif tracker.current is not None:
+                pos_err = float(np.linalg.norm(x - tracker.current))
             else:
                 pos_err = 0.0
         else:
             pos_err = float(np.linalg.norm(lead.error)) if lead.error is not None else 0.0
-        acc_err = float(np.linalg.norm(lead.J @ qdd_first + lead.jdot_qd - lead.a_d))
 
-        s_vec = np.ones(k)
-        s_vec[:len(out.s)] = out.s[:k]
-        rec["t"].append(t)
-        rec["q"].append(state.q.copy())
-        rec["qd"].append(state.qd.copy())
-        rec["qdd"].append(qdd_first)
-        rec["tau"].append(tau_cmd.copy())
-        rec["tau_ext"].append(tau_ext.copy())
-        rec["s"].append(s_vec)
-        rec["e_acc"].append(e_acc)
-        rec["e_acc_raw"].append(e_acc_raw)
-        rec["e_kin_total"].append(e_tot)
-        rec["e_kin_task"].append(e_task)
-        rec["e_kin_null"].append(e_null)
-        rec["viol_q"].append(_violation_side(state.q, lset.c_min, lset.c_max))
-        rec["viol_v"].append(_violation_side(state.qd, lset.v_min, lset.v_max))
-        rec["viol_tau"].append(_violation_side(tau_cmd, model.tau_min, model.tau_max))
-        rec["saturated"].append(np.asarray(out.diagnostics.get(
-            "saturated", np.zeros(model.n, dtype=bool))))
-        rec["pos_err"].append(pos_err)
-        rec["acc_err"].append(acc_err)
-        rec["status"].append(STATUS_CODE.get(out.status, 3))
-        rec["repaired"].append(limit_real.bounds.any_repaired if limit_real else False)
+        trace.t[tick] = t
+        trace.q[tick] = state.q
+        trace.qd[tick] = state.qd
+        trace.qdd[tick] = qdd_first
+        trace.tau[tick] = tau_cmd
+        trace.tau_ext[tick] = tau_ext
+        trace.s[tick, :len(out.s)] = out.s[:trace.k]
+        trace.e_acc[tick] = e_acc
+        trace.e_acc_raw[tick] = 0.5 * float(tau_cmd @ dyn.minv(tau_cmd))
+        trace.e_kin_total[tick] = e_tot
+        trace.e_kin_task[tick] = e_task
+        trace.e_kin_null[tick] = e_null
+        trace.viol_q[tick] = _violation_side(state.q, lset.c_min, lset.c_max)
+        trace.viol_v[tick] = _violation_side(state.qd, lset.v_min, lset.v_max)
+        trace.viol_tau[tick] = _violation_side(tau_cmd, model.tau_min, model.tau_max)
+        trace.saturated[tick] = out.diagnostics.get("saturated", False)
+        trace.pos_err[tick] = pos_err
+        trace.acc_err[tick] = float(np.linalg.norm(lead.J @ qdd_first + lead.jdot_qd - lead.a_d))
+        trace.status[tick] = STATUS_CODE.get(out.status, 3)
+        trace.repaired[tick] = limit_real is not None and limit_real.bounds.any_repaired
         if record_hook is not None:
             record_hook(tick, state, dyn, realized, out)
-        state = new_state
+        state = sub
         qdd_prev = qdd_first
-
-    return Trace(scenario=scenario.name, solver=name, n=model.n, k=k,
-                 t=np.asarray(rec["t"]), q=np.asarray(rec["q"]),
-                 qd=np.asarray(rec["qd"]), qdd=np.asarray(rec["qdd"]),
-                 tau=np.asarray(rec["tau"]), tau_ext=np.asarray(rec["tau_ext"]),
-                 s=np.asarray(rec["s"]), e_acc=np.asarray(rec["e_acc"]),
-                 e_acc_raw=np.asarray(rec["e_acc_raw"]),
-                 e_kin_total=np.asarray(rec["e_kin_total"]),
-                 e_kin_task=np.asarray(rec["e_kin_task"]),
-                 e_kin_null=np.asarray(rec["e_kin_null"]),
-                 viol_q=np.asarray(rec["viol_q"]), viol_v=np.asarray(rec["viol_v"]),
-                 viol_tau=np.asarray(rec["viol_tau"]),
-                 saturated=np.asarray(rec["saturated"]),
-                 pos_err=np.asarray(rec["pos_err"]), acc_err=np.asarray(rec["acc_err"]),
-                 status=np.asarray(rec["status"]),
-                 repaired=np.asarray(rec["repaired"]),
-                 model_limits={"v_max": lset.v_max.tolist(),
-                               "q_min": lset.c_min.tolist(),
-                               "q_max": lset.c_max.tolist(),
-                               "tau_max": model.tau_max.tolist()})
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +673,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>",
     events = [_event_from_dict(e, f"{source}.events[{i}]")
               for i, e in enumerate(data.get("events", []))]
     sc = data.get("solver_config", {})
-    cfg = solvers.SolverConfig(**{k: tuple(v) if k == "task_weights" else v
-                                  for k, v in sc.items()})
+    cfg = solvers.SolverConfig(**sc)
     return Scenario(name=str(data.get("name", Path(source).stem)), model=model,
                     q0=q0, qd0=qd0,
                     duration=float(_require(data, "duration_s", source)),
@@ -799,6 +789,9 @@ def validate_scenario_dict(data: dict, source: str = "<dict>",
         priorities = [tc.get("priority") for tc in data["tasks"]]
         if len(set(priorities)) != len(priorities):
             err(f"{source}.tasks: duplicate priorities {priorities}")
+        problem = task_count_error(solver, len(data["tasks"]))
+        if problem is not None:
+            err(f"{source}.tasks: {problem}")
     lim = data.get("limits", {})
     acc_min = np.asarray(lim.get("acc_min_rad_s2", -10.0), float)
     acc_max = np.asarray(lim.get("acc_max_rad_s2", 10.0), float)

@@ -18,16 +18,15 @@ commanded torque with gravity/bias compensation included. Conventions:
   dynamically consistent null-space projectors of the augmented Jacobians,
   qdd = sum_i N_i qdd_i.
 
-Task scaling is resolved lexicographically by default ("exact" mode): first
-try all s_i = 1; on infeasibility maximize s_1, then s_2 given s_1, ..., and
-finally minimize the acceleration energy with all s_i fixed. This realizes
-the w_i >> w_{i-1} >> 1 penalty ordering in the limit; the finite-penalty
-single QP is available as scaling_mode="weighted".
+Task scaling is resolved lexicographically: first try all s_i = 1; on
+infeasibility maximize s_1, then s_2 given s_1, ..., and finally minimize the
+acceleration energy with all s_i fixed. This realizes the w_i >> w_{i-1} >> 1
+penalty ordering in the limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -39,17 +38,17 @@ from .tasks import TaskInstance
 OPTIMAL, DEGRADED, INFEASIBLE, MAX_ITER = "optimal", "degraded", "infeasible", "max_iter"
 
 SOLVER_NAMES = ("osc", "qp-mt", "qp-md", "dcts")
+# solvers that take the priority-1 task only
+SINGLE_TASK_SOLVERS = ("osc", "qp-mt", "qp-md")
 
 
 @dataclass
 class SolverConfig:
     """Tuning knobs shared by the torque solvers."""
 
-    task_weights: tuple = ()              # per level, highest priority first; () = auto
     epsilon_lambda: float = 1e-6          # damping for near-singular task inertia
     qp_tol: float = 1e-8
     qp_max_iter: int = 200
-    scaling_mode: str = "exact"           # "exact" (staged) | "weighted" (single QP)
     qp_mt_weight: float = 1e-3
     qp_md_weight: float = 1e-3
     qp_md_damping: float = 10.0           # [1/s]
@@ -60,23 +59,8 @@ class SolverConfig:
     dump_qp_path: str | None = None
 
     def __post_init__(self):
-        if self.scaling_mode not in ("exact", "weighted"):
-            raise ValueError(f"unknown scaling_mode {self.scaling_mode!r}")
         if self.torque_regularizer not in ("about_gravity", "plain"):
             raise ValueError(f"unknown torque_regularizer {self.torque_regularizer!r}")
-        w = tuple(float(v) for v in self.task_weights)
-        for a, b in zip(w, w[1:]):
-            if a < 10.0 * b:
-                raise ValueError("task_weights must decrease by a ratio >= 10 per level")
-        self.task_weights = w
-
-    def weights(self, k: int) -> np.ndarray:
-        """Per-level penalty weights, highest priority largest (ratio 100)."""
-        if self.task_weights:
-            if len(self.task_weights) != k:
-                raise ValueError(f"need {k} task weights, got {len(self.task_weights)}")
-            return np.asarray(self.task_weights)
-        return np.array([1e4 * 100.0 ** (k - i) for i in range(1, k + 1)])
 
 
 @dataclass
@@ -247,7 +231,7 @@ def _solve_qp_baseline(dyn: rbd.ChainDynamics, task: TaskInstance,
 
 
 def solve_qp_mt(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance,
-                tau_ext: np.ndarray | None = None, w_reg: float | None = None,
+                tau_ext: np.ndarray | None = None,
                 cfg: SolverConfig | None = None,
                 dyn: rbd.ChainDynamics | None = None) -> ControlOutput:
     """QP baseline with a minimum-torque regularizer.
@@ -260,24 +244,21 @@ def solve_qp_mt(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance
     cfg = cfg or SolverConfig()
     if dyn is None:
         dyn = rbd.compute_dynamics(model, state)
-    w = cfg.qp_mt_weight if w_reg is None else w_reg
     y = -dyn.nu if cfg.torque_regularizer == "about_gravity" else -(dyn.nu + dyn.g)
-    return _solve_qp_baseline(dyn, task, dyn.M, y, w, cfg)
+    return _solve_qp_baseline(dyn, task, dyn.M, y, cfg.qp_mt_weight, cfg)
 
 
 def solve_qp_md(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance,
-                tau_ext: np.ndarray | None = None, w_reg: float | None = None,
-                D_joint: float | np.ndarray | None = None,
+                tau_ext: np.ndarray | None = None,
                 cfg: SolverConfig | None = None,
                 dyn: rbd.ChainDynamics | None = None) -> ControlOutput:
     """QP baseline with a joint-space damping regularizer ||qdd + D qd||^2."""
     cfg = cfg or SolverConfig()
     if dyn is None:
         dyn = rbd.compute_dynamics(model, state)
-    w = cfg.qp_md_weight if w_reg is None else w_reg
-    D = cfg.qp_md_damping if D_joint is None else D_joint
-    D = D * np.eye(model.n) if np.isscalar(D) else np.asarray(D, float)
-    return _solve_qp_baseline(dyn, task, np.eye(model.n), -(D @ state.qd), w, cfg)
+    D = cfg.qp_md_damping * np.eye(model.n)
+    return _solve_qp_baseline(dyn, task, np.eye(model.n), -(D @ state.qd),
+                              cfg.qp_md_weight, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -380,64 +361,6 @@ def _level_qp(dyn, cfg, J_i, a_d, rhs0, N_i, frozen, tau_lo, tau_hi,
     return qpcore.solve(problem, tol=cfg.qp_tol, max_iter=cfg.qp_max_iter)
 
 
-def _dcts_weighted(tasks, projectors, limit_real, minv_tau_ext, cfg, dyn):
-    """The printed single-QP form: joint problem over (qdd_aug, s) with
-    penalty weights realizing the priority ordering approximately."""
-    n = dyn.model.n
-    k = len(tasks)
-    w = cfg.weights(k)
-    G = np.hstack(projectors)
-    nv = k * n + k
-    H = np.zeros((nv, nv))
-    f = np.zeros(nv)
-    H[:k * n, :k * n] = (G.T @ dyn.M @ G
-                         + (1e-9 * max(np.trace(dyn.M) / n, 1.0)) * np.eye(k * n))
-    eq_rows, eq_rhs = [], []
-    for i, t in enumerate(tasks):
-        c = k * n + i
-        H[c, c] = 2.0 * w[i]
-        f[c] = -2.0 * w[i]
-        m = t.J.shape[0]
-        rows = np.zeros((m, nv))
-        rows[:, i * n:(i + 1) * n] = t.J
-        rows[:, c] = -t.a_d
-        rhs0 = -t.jdot_qd
-        if minv_tau_ext is not None:
-            rhs0 = rhs0 - t.J @ minv_tau_ext
-        eq_rows.append(rows)
-        eq_rhs.append(rhs0)
-    comp = dyn.nu + dyn.g
-    MG = dyn.M @ G
-    ain = [np.hstack([MG, np.zeros((n, k))])]
-    lo = [dyn.model.tau_min - comp]
-    hi = [dyn.model.tau_max - comp]
-    if limit_real is not None:
-        JcG = limit_real.Jc @ G
-        ain.append(np.hstack([JcG, np.zeros((JcG.shape[0], k))]))
-        lo.append(limit_real.bounds.acc_min - limit_real.jdot_c_qd)
-        hi.append(limit_real.bounds.acc_max - limit_real.jdot_c_qd)
-    lb = np.full(nv, -np.inf)
-    ub = np.full(nv, np.inf)
-    lb[k * n:] = 0.0
-    ub[k * n:] = 1.0
-    problem = qpcore.QpProblem(H=H, f=f, Aeq=np.vstack(eq_rows),
-                               beq=np.concatenate(eq_rhs), Ain=np.vstack(ain),
-                               lower=np.concatenate(lo), upper=np.concatenate(hi),
-                               lb=lb, ub=ub)
-    sol = qpcore.solve(problem, tol=cfg.qp_tol, max_iter=cfg.qp_max_iter)
-    if sol.status != qpcore.OPTIMAL:
-        return _brake_fallback(dyn, cfg, INFEASIBLE,
-                               {"qp": sol.status, "stage": "weighted",
-                                "blocking": sol.infeasible_constraint})
-    qdd_aug = sol.x[:k * n]
-    qdd = G @ qdd_aug
-    tau = dyn.M @ qdd + comp
-    s = sol.x[k * n:].copy()
-    return ControlOutput(tau=tau, qdd=qdd, s=s, status=OPTIMAL,
-                         diagnostics={"stages": 1, "qp_iterations": sol.iterations,
-                                      "kkt": sol.kkt, "qdd_aug": qdd_aug})
-
-
 def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
                      tasks: list[TaskInstance],
                      limit_real: LimitRealization | None = None,
@@ -446,7 +369,7 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
                      dyn: rbd.ChainDynamics | None = None) -> ControlOutput:
     """Dynamically consistent constrained task hierarchy solve, k >= 1 tasks.
 
-    The default ("exact") mode resolves the hierarchy level by level: each
+    The hierarchy is resolved level by level: each
     priority level solves its own QP over (qdd_i, s_i) with the contributions
     of the higher levels frozen, the task equality on its own block, and the
     torque and shaped-bound rows applied to the accumulated acceleration.
@@ -468,9 +391,6 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
     minv_tau_ext = None
     if tau_ext is not None and np.any(tau_ext) and cfg.ext_force_in_task:
         minv_tau_ext = dyn.minv(np.asarray(tau_ext, float))
-
-    if cfg.scaling_mode == "weighted":
-        return _dcts_weighted(tasks, projectors, limit_real, minv_tau_ext, cfg, dyn)
 
     comp = dyn.nu + dyn.g
     tau_lo = model.tau_min - comp
@@ -556,12 +476,3 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
                                       "active": active, "kkt": last_sol.kkt,
                                       "qdd_aug": np.concatenate(qdd_blocks)})
 
-
-def solve_dcts_single(model: rbd.RobotModel, state: rbd.JointState,
-                      task: TaskInstance,
-                      limit_real: LimitRealization | None = None,
-                      tau_ext: np.ndarray | None = None,
-                      cfg: SolverConfig | None = None,
-                      dyn: rbd.ChainDynamics | None = None) -> ControlOutput:
-    """Single-task DCTS; identical to the k = 1 multi-task stack."""
-    return solve_dcts_multi(model, state, [task], limit_real, tau_ext, cfg, dyn)

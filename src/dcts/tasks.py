@@ -7,9 +7,8 @@ Three task modes are supported:
   impedance-without-inertia-shaping form that makes measuring task-space
   external forces unnecessary,
 - ``waypoint_tracker``: xdd_d = -kv (xd_c - v xd_d) with xd_d = (kp/kv) dx and
-  the saturation factor v = min(1, v_sat / ||xd_d||^2); the squared norm is
-  the published form, the linear form v = min(1, v_sat / ||xd_d||) is
-  available via ``saturation_exponent="linear"``.
+  the saturation factor v = min(1, v_sat / ||xd_d||^2), the published form.
+  Once the last waypoint is reached the same law holds the tool there.
 
 Selectors map joint state to task coordinates; the Jacobian rows and the
 error parameterization (axis-angle for orientation) live here so solvers only
@@ -19,7 +18,7 @@ ever see (J, jdot_qd, desired acceleration).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +50,6 @@ class WaypointTracker:
     kp: float
     kv: float
     v_sat: float
-    saturation_exponent: str = "squared"     # "squared" (published) | "linear"
     index: int = 0
     start: np.ndarray | None = None          # segment start for path-error metrics
 
@@ -59,8 +57,6 @@ class WaypointTracker:
         self.waypoints = [np.asarray(w, dtype=float) for w in self.waypoints]
         if self.tolerance <= 0 or self.kp <= 0 or self.kv <= 0 or self.v_sat <= 0:
             raise ValueError("tolerance, kp, kv, v_sat must all be > 0")
-        if self.saturation_exponent not in ("squared", "linear"):
-            raise ValueError(f"unknown saturation_exponent {self.saturation_exponent!r}")
 
     @property
     def done(self) -> bool:
@@ -68,7 +64,11 @@ class WaypointTracker:
 
     @property
     def current(self) -> np.ndarray | None:
-        return None if self.done else self.waypoints[self.index]
+        """The waypoint steered to: the active one, the last once done, None
+        for an empty list."""
+        if not self.waypoints:
+            return None
+        return self.waypoints[min(self.index, len(self.waypoints) - 1)]
 
     def segment(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Current straight-line leg (start, goal) for path-deviation metrics."""
@@ -81,27 +81,23 @@ def waypoint_accel(tracker: WaypointTracker, x: np.ndarray,
                    xd_c: np.ndarray) -> tuple[np.ndarray, str]:
     """Desired acceleration toward the active waypoint; advances on arrival.
 
-    Returns (acceleration, status); status is DONE with a zero command once
-    the list is exhausted.
+    Returns (acceleration, status). Once the list is exhausted the status is
+    DONE and the same law keeps regulating to the last waypoint; an empty
+    list commands zero.
     """
     x = np.asarray(x, dtype=float)
     xd_c = np.asarray(xd_c, dtype=float)
-    if tracker.done:
+    goal = tracker.current
+    if goal is None:
         return np.zeros_like(x), DONE
     if tracker.start is None:
         tracker.start = x.copy()
-    goal = tracker.waypoints[tracker.index]
     dx = goal - x
     xd_d = (tracker.kp / tracker.kv) * dx
     speed = float(np.linalg.norm(xd_d))
-    if speed < 1e-12:
-        v = 1.0
-    elif tracker.saturation_exponent == "squared":
-        v = min(1.0, tracker.v_sat / speed**2)
-    else:
-        v = min(1.0, tracker.v_sat / speed)
+    v = 1.0 if speed < 1e-12 else min(1.0, tracker.v_sat / speed**2)
     acc = -tracker.kv * (xd_c - v * xd_d)
-    if float(np.linalg.norm(dx)) < tracker.tolerance:
+    if not tracker.done and float(np.linalg.norm(dx)) < tracker.tolerance:
         tracker.start = goal.copy()
         tracker.index += 1
     return acc, DONE if tracker.done else TRACKING
@@ -171,11 +167,6 @@ class TaskSpec:
                     raise ValueError(f"{g} must be positive definite")
                 setattr(self, g, mat)
 
-    @property
-    def dim(self) -> int:
-        return {"tool_pos": 3, "tool_rot_xy": 2, "joint_posture": None}[self.selector] \
-            or len(self.target_q)
-
 
 @dataclass
 class TaskInstance:
@@ -216,8 +207,8 @@ def realize_task(spec: TaskSpec, dyn: rbd.ChainDynamics) -> TaskInstance:
             xd = J @ dyn.qd
             if spec.mode == "waypoint_tracker":
                 a_d, status = waypoint_accel(spec.tracker, x, xd)
-                err = (spec.tracker.current - x) if spec.tracker.current is not None \
-                    else np.zeros(3)
+                goal = spec.tracker.current
+                err = np.zeros(3) if goal is None else goal - x
                 return TaskInstance(J=J, jdot_qd=jdq, a_d=a_d, priority=spec.priority,
                                     name=spec.name, error=err, status=status)
             dx = spec.target_position - x

@@ -229,7 +229,7 @@ def test_criterion_6_gauss_principle(dcts_rotation_states, iiwa):
         M = rbd.mass_matrix(iiwa, state.q)
         tau_prime = tau - nu - g
         base = 0.5 * tau_prime @ np.linalg.solve(M, tau_prime)
-        bundle = rbd.task_dynamics(iiwa, state.q, J, epsilon=0.0, mass=M)
+        bundle = rbd.task_dynamics(iiwa, state.q, J, epsilon=0.0)
         Z = bundle.N @ rng.normal(size=(7, 1000))
         norms = np.linalg.norm(Z, axis=0)
         scale = 0.1 * max(np.linalg.norm(tau_prime), 1e-6)

@@ -98,3 +98,30 @@ def test_missing_file_is_config_error(capsys):
     rc = cli.run(["--scenario", "/nonexistent/path.json"])
     assert rc == 1
     assert "no such file" in capsys.readouterr().err
+
+
+def test_multi_task_stack_rejected_by_single_task_solvers(tmp_path, capsys):
+    """osc, qp-mt and qp-md take one task: a two-task stack is a config
+    error naming the solver and the task count, whether the scenario file
+    names the solver or --solver does."""
+    data = json.loads(sim.bundled_scenario_path("rotation_hold").read_text())
+    data["duration_s"] = 0.01
+    data["tasks"].append({"priority": 2, "mode": "impedance",
+                          "selector": "joint_posture", "stiffness": 10.0,
+                          "damping": 6.0})
+    for solver in ("osc", "qp-mt", "qp-md"):
+        data["solver"] = solver
+        path = tmp_path / f"two_{solver}.json"
+        path.write_text(json.dumps(data))
+        assert cli.run(["--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert repr(solver) in err and "2" in err
+    data["solver"] = "dcts"
+    path = tmp_path / "two_dcts.json"
+    path.write_text(json.dumps(data))
+    assert cli.run(["--scenario", str(path), "--validate"]) == 0
+    capsys.readouterr()
+    rc = cli.run(["--scenario", str(path), "--solver", "qp-md", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "'qp-md'" in err and "2" in err

@@ -23,7 +23,8 @@ def short_scenario(name="rotation_hold", duration=0.2):
 def test_step_holds_equilibrium(iiwa):
     state = rbd.JointState(Q_STAR, np.zeros(7))
     tau = rbd.gravity_forces(iiwa, Q_STAR)
-    out = sim.step(iiwa, state, tau, None, 1e-4)
+    out, qdd = sim.step(iiwa, state, tau, None, 1e-4)
+    np.testing.assert_allclose(qdd, 0.0, atol=1e-8)
     np.testing.assert_allclose(out.q, state.q, atol=1e-12)
     np.testing.assert_allclose(out.qd, 0.0, atol=1e-12)
 
@@ -45,7 +46,7 @@ def test_pendulum_energy_drift(pendulum):
     e0 = energy(state)
     drift = 0.0
     for _ in range(10000):
-        state = sim.step(pendulum, state, np.zeros(1), None, 1e-4)
+        state, _ = sim.step(pendulum, state, np.zeros(1), None, 1e-4)
         drift = max(drift, abs(energy(state) - e0))
     # energy scale of the swing is m g l = 9.81 J
     assert drift / 9.81 < 0.005
@@ -56,7 +57,7 @@ def test_step_first_order_convergence(pendulum):
     def final_q(dt, t_end=0.5):
         state = rbd.JointState(np.zeros(1), np.zeros(1))
         for _ in range(int(round(t_end / dt))):
-            state = sim.step(pendulum, state, np.zeros(1), None, dt)
+            state, _ = sim.step(pendulum, state, np.zeros(1), None, dt)
         return state.q[0]
 
     ref = final_q(1e-5)

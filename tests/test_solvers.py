@@ -60,7 +60,7 @@ def test_osc_gauss_principle_optimality(scene):
     out = solvers.solve_osc(model, state, task, None, dyn=dyn)
     tau_prime = out.diagnostics["tau_prime"]
     base = 0.5 * tau_prime @ dyn.minv(tau_prime)
-    bundle = rbd.task_dynamics(model, state.q, task.J, epsilon=0.0, mass=dyn.M)
+    bundle = rbd.task_dynamics(model, state.q, task.J, epsilon=0.0, minv=dyn.minv)
     rng = np.random.default_rng(4)
     scale = 0.1 * np.linalg.norm(tau_prime)
     for _ in range(1000):
@@ -120,7 +120,8 @@ def test_qp_mt_static_equilibrium(iiwa):
 def test_qp_mt_small_regularizer_tracks_task(scene):
     model, state, dyn = scene
     task = rotation_task(model, dyn)
-    out = solvers.solve_qp_mt(model, state, task, w_reg=1e-9, dyn=dyn)
+    out = solvers.solve_qp_mt(model, state, task,
+                              cfg=solvers.SolverConfig(qp_mt_weight=1e-9), dyn=dyn)
     err = task.J @ out.qdd - (task.a_d - task.jdot_qd)
     assert np.linalg.norm(err) < 1e-4
 
@@ -156,7 +157,7 @@ def test_dcts_equals_osc_unconstrained(scene):
     lr = limits.realize_joint_limits(wide_limits(model), state.q, state.qd,
                                      dyn.minv(tau_ext))
     out_osc = solvers.solve_osc(model, state, task, tau_ext, dyn=dyn)
-    out = solvers.solve_dcts_single(model, state, task, lr, tau_ext, dyn=dyn)
+    out = solvers.solve_dcts_multi(model, state, [task], lr, tau_ext, dyn=dyn)
     assert out.status == solvers.OPTIMAL
     np.testing.assert_allclose(out.s, [1.0])
     assert np.abs(out.tau - out_osc.tau).max() < 1e-6
@@ -175,20 +176,22 @@ def test_dcts_scalar_analytic_scaling():
                               a_d=np.array([100.0]), priority=1)
     ls = limits.limit_set([-10], [10], [-100], [100], [-1e6], [1e6], 1e-3)
     lr = limits.realize_joint_limits(ls, state.q, state.qd)
-    out = solvers.solve_dcts_single(model, state, task, lr, None)
+    out = solvers.solve_dcts_multi(model, state, [task], lr, None)
     np.testing.assert_allclose(out.qdd, [50.0], atol=1e-6)
     np.testing.assert_allclose(out.s, [0.5], atol=1e-6)
     np.testing.assert_allclose(out.tau, [100.0], atol=1e-6)
 
 
 def test_dcts_multi_k1_matches_single(scene):
+    """A one-task stack is the single-level solve: N_1 = I, so the stacked
+    level acceleration is the total one, bit for bit."""
     model, state, dyn = scene
     task = rotation_task(model, dyn)
     lr = limits.realize_joint_limits(wide_limits(model), state.q, state.qd)
-    a = solvers.solve_dcts_single(model, state, task, lr, None, dyn=dyn)
-    b = solvers.solve_dcts_multi(model, state, [task], lr, None, dyn=dyn)
-    np.testing.assert_array_equal(a.tau, b.tau)
-    np.testing.assert_array_equal(a.s, b.s)
+    out = solvers.solve_dcts_multi(model, state, [task], lr, None, dyn=dyn)
+    assert out.status == solvers.OPTIMAL
+    np.testing.assert_array_equal(out.s, [1.0])
+    np.testing.assert_array_equal(out.diagnostics["qdd_aug"], out.qdd)
 
 
 def two_task_set(model, dyn, a2=60.0):
@@ -232,7 +235,7 @@ def test_dcts_multi_null_space_consistency(scene):
     lr = limits.realize_joint_limits(wide_limits(model), state.q, state.qd)
     out = solvers.solve_dcts_multi(model, state, tk, lr, None, dyn=dyn)
     qdd_aug = out.diagnostics["qdd_aug"]
-    bundle = rbd.task_dynamics(model, state.q, tk[0].J, epsilon=0.0, mass=dyn.M)
+    bundle = rbd.task_dynamics(model, state.q, tk[0].J, epsilon=0.0, minv=dyn.minv)
     n_acc = np.eye(7) - bundle.Jbar @ tk[0].J      # acceleration-space projector
     tau2 = dyn.M @ (n_acc @ qdd_aug[7:])
     acc1 = tk[0].J @ dyn.minv(tau2)
@@ -245,24 +248,11 @@ def test_dcts_scaling_in_unit_interval(scene):
     ls = limits.joint_space_limits(model, 1e-3, a_min=np.full(7, -5.0),
                                    a_max=np.full(7, 5.0))
     lr = limits.realize_joint_limits(ls, state.q, state.qd)
-    out = solvers.solve_dcts_single(model, state, task, lr, None, dyn=dyn)
+    out = solvers.solve_dcts_multi(model, state, [task], lr, None, dyn=dyn)
     assert np.all(out.s >= 0.0) and np.all(out.s <= 1.0)
     if out.status == solvers.OPTIMAL:
         assert np.all(out.tau <= model.tau_max + 1e-6)
         assert np.all(out.tau >= model.tau_min - 1e-6)
-
-
-def test_dcts_weighted_mode_close_to_exact_when_loose(scene):
-    model, state, dyn = scene
-    task = rotation_task(model, dyn, a_d=(0.5, -0.2))
-    lr = limits.realize_joint_limits(wide_limits(model), state.q, state.qd)
-    cfg = solvers.SolverConfig(scaling_mode="weighted")
-    out_w = solvers.solve_dcts_single(model, state, task, lr, None, cfg, dyn)
-    out_e = solvers.solve_dcts_single(model, state, task, lr, None, dyn=dyn)
-    assert out_w.status == solvers.OPTIMAL
-    # finite penalty leaves s slightly below one; direction preserved
-    assert 0.99 < out_w.s[0] <= 1.0
-    assert np.abs(out_w.tau - out_e.tau).max() < 0.2
 
 
 def test_dcts_infeasible_falls_back_to_braking(scene):
@@ -275,22 +265,11 @@ def test_dcts_infeasible_falls_back_to_braking(scene):
     bounds.acc_min[:] = 1.9e4
     bounds.acc_max[:] = 1.9e4
     lr = limits.LimitRealization(Jc=np.eye(7), jdot_c_qd=np.zeros(7), bounds=bounds)
-    out = solvers.solve_dcts_single(model, state, task, lr, None, dyn=dyn)
+    out = solvers.solve_dcts_multi(model, state, [task], lr, None, dyn=dyn)
     assert out.status == solvers.INFEASIBLE
     assert out.diagnostics.get("fallback") == "braking"
     assert np.all(out.tau <= model.tau_max + 1e-9)
     assert np.all(out.tau >= model.tau_min - 1e-9)
-
-
-def test_solver_config_validation():
-    with pytest.raises(ValueError, match="ratio"):
-        solvers.SolverConfig(task_weights=(100.0, 50.0))
-    with pytest.raises(ValueError, match="scaling_mode"):
-        solvers.SolverConfig(scaling_mode="magic")
-    cfg = solvers.SolverConfig()
-    w = cfg.weights(3)
-    assert w[0] / w[1] == pytest.approx(100.0)
-    assert w[1] / w[2] == pytest.approx(100.0)
 
 
 def test_dcts_requires_sorted_tasks(scene):

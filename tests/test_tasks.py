@@ -94,21 +94,24 @@ def test_waypoint_unsaturated_reduces_to_pd():
                                atol=1e-12)
 
 
-def test_waypoint_exhausted_returns_zero_and_done():
+def test_waypoint_exhausted_holds_last_waypoint():
+    """A finished tracker stays DONE and keeps regulating to its last
+    waypoint with the same law; an empty list commands zero."""
     tr = make_tracker(waypoints=[np.array([0.0, 0.0, 0.0])], tolerance=0.5)
     acc, status = tasks.waypoint_accel(tr, np.array([0.1, 0.0, 0.0]), np.zeros(3))
     assert status == tasks.DONE
-    acc, status = tasks.waypoint_accel(tr, np.array([0.1, 0.0, 0.0]), np.zeros(3))
+    x, xd_c = np.array([0.01, 0.0, 0.0]), np.array([0.02, 0.0, 0.0])
+    acc, status = tasks.waypoint_accel(tr, x, xd_c)
     assert status == tasks.DONE
-    np.testing.assert_allclose(acc, 0.0)
-
-
-def test_waypoint_linear_saturation_mode():
-    tr = make_tracker(waypoints=[np.array([0.3, 0.0, 0.0])],
-                      saturation_exponent="linear")
-    acc, _ = tasks.waypoint_accel(tr, np.zeros(3), np.zeros(3))
-    # linear form: v = v_sat/||xd_d|| -> commanded velocity exactly v_sat
-    np.testing.assert_allclose(np.linalg.norm(acc / 40.0), 0.4, atol=1e-12)
+    assert tr.index == 1
+    # unsaturated here, so the law is the restoring PD kp (goal - x) - kv xd
+    np.testing.assert_allclose(acc, 400.0 * (0.0 - x) - 40.0 * xd_c, atol=1e-12)
+    np.testing.assert_array_equal(tr.current, tr.waypoints[-1])
+    assert tr.segment() is None
+    empty = make_tracker(waypoints=[])
+    acc, status = tasks.waypoint_accel(empty, x, xd_c)
+    assert status == tasks.DONE
+    np.testing.assert_array_equal(acc, 0.0)
 
 
 @given(st.floats(1e-4, 2.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
@@ -126,8 +129,6 @@ def test_waypoint_scale_always_in_unit_interval(dist, y, z):
 def test_tracker_validation():
     with pytest.raises(ValueError):
         make_tracker(tolerance=0.0)
-    with pytest.raises(ValueError):
-        make_tracker(saturation_exponent="cubic")
 
 
 # ---------------------------------------------------------------------------
