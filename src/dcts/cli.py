@@ -131,8 +131,13 @@ def run(argv: list[str] | None = None) -> int:
             for m in errors:
                 print(f"error: {m}", file=sys.stderr)
             return 1
-        solver_list = args.solver or [_load(path_arg).solver]
-        for solver in solver_list:
+        scenario = _load(path_arg)
+        for solver in args.solver or [scenario.solver]:
+            # reject before any run starts rather than after earlier solvers
+            problem = sim.task_count_error(solver, len(scenario.task_configs))
+            if problem is not None:
+                print(f"error: {scenario.source}: {problem}", file=sys.stderr)
+                return 1
             jobs.append((path_arg, solver, args.out, args.seed,
                          args.no_ext_force_bounds, args.no_ext_force_task,
                          args.dump_qp))

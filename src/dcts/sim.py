@@ -22,7 +22,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -759,6 +759,9 @@ def validate_scenario_dict(data: dict, source: str = "<dict>",
     solver = data.get("solver", "dcts")
     if solver not in solvers.SOLVER_NAMES:
         err(f"{source}.solver: unknown {solver!r}; valid: {', '.join(solvers.SOLVER_NAMES)}")
+    unknown = set(data.get("solver_config", {})) - {f.name for f in fields(solvers.SolverConfig)}
+    if unknown:
+        err(f"{source}.solver_config: unknown keys {sorted(unknown)}")
     if model is not None:
         q0 = data.get("q0_rad")
         if q0 is None:

@@ -121,7 +121,11 @@ def test_multi_task_stack_rejected_by_single_task_solvers(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert cli.run(["--scenario", str(path), "--validate"]) == 0
     capsys.readouterr()
-    rc = cli.run(["--scenario", str(path), "--solver", "qp-md", "--out", str(tmp_path / "o")])
+    out_dir = tmp_path / "override"
+    rc = cli.run(["--scenario", str(path), "--solver", "dcts", "qp-md", "--out", str(out_dir)])
     assert rc == 1
     err = capsys.readouterr().err
     assert "'qp-md'" in err and "2" in err
+    assert not out_dir.exists()          # rejected before the dcts run started
+    with pytest.raises(sim.ConfigError, match="'qp-md' takes one task"):
+        sim.run_scenario(sim.load_scenario(path), solver="qp-md")

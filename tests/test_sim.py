@@ -238,10 +238,12 @@ def test_validation_reports_all_errors():
     data["solver"] = "wrong"
     data["duration_s"] = -1.0
     data["tasks"][0].pop("stiffness")
+    data["solver_config"]["scaling_mode"] = "exact"
     issues = sim.validate_scenario_dict(data, source="s")
     messages = [m for level, m in issues if level == "error"]
-    assert len(messages) == 3
+    assert len(messages) == 4
     assert any("solver" in m for m in messages)
+    assert any("solver_config" in m and "scaling_mode" in m for m in messages)
     assert any("duration" in m for m in messages)
     assert any("stiffness" in m for m in messages)
 
