@@ -24,7 +24,8 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 class ModelError(ValueError):
@@ -69,20 +70,13 @@ def _transform(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
     return T
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.cross has high call overhead for 3-vectors; this path is hot
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def _bcross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched cross product over the last axis; avoids np.cross overhead."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    return out
+    return (a.take(_NEXT, -1) * b.take(_PREV, -1)
+            - a.take(_PREV, -1) * b.take(_NEXT, -1))
 
 
 @dataclass(frozen=True)
@@ -131,7 +125,7 @@ class RobotModel:
         q = np.asarray(q, dtype=float)
         if q.shape != (self.n,):
             raise ValueError(f"expected joint vector of shape ({self.n},), got {q.shape}")
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise ValueError("joint vector has non-finite entries")
         return q
 
@@ -153,7 +147,7 @@ class JointState:
         self.qd = np.asarray(self.qd, dtype=float)
         if self.q.shape != self.qd.shape or self.q.ndim != 1:
             raise ValueError("q and qd must be 1-d vectors of equal length")
-        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.qd))):
+        if not (np.isfinite(self.q).all() and np.isfinite(self.qd).all()):
             raise ValueError("joint state has non-finite entries")
 
     def copy(self) -> "JointState":
@@ -194,9 +188,9 @@ def link_transforms(model: RobotModel, q: np.ndarray) -> np.ndarray:
     q = model.check_q(q)
     out = np.empty((model.n + 1, 4, 4))
     T = np.eye(4)
-    for i in range(model.n):
+    for i, (axis, angle) in enumerate(zip(model.axes.tolist(), q.tolist())):
         T = T @ model.origins[i]
-        T[:3, :3] = T[:3, :3] @ axis_rotation(model.axes[i], q[i])
+        T[:3, :3] = T[:3, :3] @ axis_rotation(axis, angle)
         out[i] = T
     out[model.n] = T @ model.tool
     return out
@@ -265,8 +259,8 @@ def jacobian_dot_qd(model: RobotModel, q: np.ndarray, qd: np.ndarray, frame: int
     T = transforms[frame]
     x = T[:3, 3] if point is None else T[:3, :3] @ np.asarray(point, float) + T[:3, 3]
     r = x - kin.p[last]
-    a_point = (a_joint[last] + _cross(dw[last], r)
-               + _cross(w[last], _cross(w[last], r)))
+    a_point = (a_joint[last] + _bcross(dw[last], r)
+               + _bcross(w[last], _bcross(w[last], r)))
     return np.concatenate([a_point, dw[last]])
 
 
@@ -287,14 +281,14 @@ def mass_matrix(model: RobotModel, q: np.ndarray,
         kin = _KinData(model, transforms)
     n = model.n
     # V[i, j] = z_j x (c_i - p_j) for j <= i, else 0; W[i, j] = z_j for j <= i
-    mask = np.tril(np.ones((n, n)))[:, :, None]
+    mask = np.tri(n)[:, :, None]
     lever = kin.c[:, None, :] - kin.p[None, :, :]
     V = _bcross(kin.z[None, :, :], lever) * mask
-    W = np.broadcast_to(kin.z[None, :, :], (n, n, 3)) * mask
+    W = kin.z[None, :, :] * mask
     M = np.einsum("i,ija,ika->jk", model.masses, V, V)
     M += np.einsum("ija,iab,ikb->jk", W, kin.Iw, W)
     M = 0.5 * (M + M.T)
-    M[np.diag_indices_from(M)] += model.armature
+    M.flat[::n + 1] += model.armature            # the diagonal
     return M
 
 
@@ -307,10 +301,10 @@ def _velocity_recursion(kin: "_KinData", qd: np.ndarray, qdd: np.ndarray,
     """
     z, p, c = kin.z, kin.p, kin.c
     w = np.cumsum(z * qd[:, None], axis=0)
-    w_prev = np.vstack([np.zeros(3), w[:-1]])
+    w_prev = np.concatenate((np.zeros((1, 3)), w[:-1]))
     dw = np.cumsum(_bcross(w_prev, z) * qd[:, None] + z * qdd[:, None], axis=0)
-    dw_prev = np.vstack([np.zeros(3), dw[:-1]])
-    dp = np.vstack([p[0], np.diff(p, axis=0)])
+    dw_prev = np.concatenate((np.zeros((1, 3)), dw[:-1]))
+    dp = p - np.concatenate((np.zeros((1, 3)), p[:-1]))
     inc = _bcross(dw_prev, dp) + _bcross(w_prev, _bcross(w_prev, dp))
     a_joint = np.cumsum(inc, axis=0) + a_base
     rc = c - p
@@ -381,6 +375,20 @@ def bias_and_gravity(model: RobotModel, q: np.ndarray, qd: np.ndarray,
                  model.gravity, transforms, kin)
 
 
+def spd_factor(A: np.ndarray) -> tuple[np.ndarray, bool]:
+    """scipy's ``cho_factor(A, lower=True)``: the same LAPACK potrf call and
+    errors, without a wrapper that costs more than factorizing a 7x7 matrix."""
+    c, info = dpotrf(np.asarray_chkfinite(A, dtype=float), lower=1, clean=0)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return c, True
+
+
+def spd_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
+    """scipy's ``cho_solve(factor, b)`` as one direct LAPACK potrs call."""
+    return dpotrs(factor[0], np.asarray_chkfinite(b, dtype=float), lower=factor[1])[0]
+
+
 def forward_dynamics(model: RobotModel, q: np.ndarray, qd: np.ndarray,
                      tau: np.ndarray, tau_ext: np.ndarray | None = None,
                      transforms: np.ndarray | None = None,
@@ -393,8 +401,8 @@ def forward_dynamics(model: RobotModel, q: np.ndarray, qd: np.ndarray,
     if tau_ext is not None:
         rhs = rhs + tau_ext
     if M_cho is None:
-        M_cho = cho_factor(mass_matrix(model, q, transforms, kin), lower=True)
-    return cho_solve(M_cho, rhs)
+        M_cho = spd_factor(mass_matrix(model, q, transforms, kin))
+    return spd_solve(M_cho, rhs)
 
 
 def task_dynamics(model: RobotModel, q: np.ndarray, J: np.ndarray,
@@ -417,12 +425,12 @@ def task_dynamics(model: RobotModel, q: np.ndarray, J: np.ndarray,
     if not np.all(np.isfinite(J)):
         raise ValueError("task Jacobian has non-finite entries")
     if minv is None:
-        Minv_Jt = cho_solve(cho_factor(mass_matrix(model, q), lower=True), J.T)
+        Minv_Jt = spd_solve(spd_factor(mass_matrix(model, q)), J.T)
     else:
         Minv_Jt = minv(J.T)
     A = J @ Minv_Jt
     A = 0.5 * (A + A.T) + epsilon * np.eye(m)
-    Lambda = cho_solve(cho_factor(A, lower=True), np.eye(m))
+    Lambda = spd_solve(spd_factor(A), np.eye(m))
     Lambda = 0.5 * (Lambda + Lambda.T)
     Jbar = Minv_Jt @ Lambda
     N = np.eye(n) - J.T @ Jbar.T
@@ -443,7 +451,7 @@ class ChainDynamics:
     g: np.ndarray = None
 
     def minv(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self.M_cho, rhs)
+        return spd_solve(self.M_cho, rhs)
 
 
 def compute_dynamics(model: RobotModel, state: JointState) -> ChainDynamics:
@@ -454,7 +462,7 @@ def compute_dynamics(model: RobotModel, state: JointState) -> ChainDynamics:
     g = gravity_forces(model, state.q, transforms, kin)
     return ChainDynamics(model=model, q=state.q.copy(), qd=state.qd.copy(),
                          transforms=transforms, M=M,
-                         M_cho=cho_factor(M, lower=True), nu=nu, g=g)
+                         M_cho=spd_factor(M), nu=nu, g=g)
 
 
 # ---------------------------------------------------------------------------

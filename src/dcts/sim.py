@@ -158,17 +158,18 @@ def apply_events(scenario: "Scenario", t: float, model: rbd.RobotModel,
 
 def step(model: rbd.RobotModel, state: rbd.JointState, tau: np.ndarray,
          tau_ext: np.ndarray | None, dt: float,
-         transforms: np.ndarray | None = None) -> tuple[rbd.JointState, np.ndarray]:
+         transforms: np.ndarray | None = None,
+         M_cho=None) -> tuple[rbd.JointState, np.ndarray]:
     """One semi-implicit Euler step of the forward dynamics.
 
-    Returns the new state and the acceleration qdd the step used;
-    ``transforms`` are the link transforms at ``state.q`` when the caller has
-    them. ``run_scenario`` integrates the plant with this step; a non-finite
-    result raises ValueError from the new ``JointState``.
+    Returns the new state and the acceleration qdd the step used; the link
+    ``transforms`` and the factor ``M_cho`` of M at ``state.q`` are reused
+    when the caller has them. ``run_scenario`` integrates the plant with this
+    step; a non-finite result raises ValueError from the new ``JointState``.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    qdd = rbd.forward_dynamics(model, state.q, state.qd, tau, tau_ext, transforms)
+    qdd = rbd.forward_dynamics(model, state.q, state.qd, tau, tau_ext, transforms, M_cho)
     qd = state.qd + qdd * dt
     return rbd.JointState(state.q + qd * dt, qd), qdd
 
@@ -389,28 +390,17 @@ class Trace:
     repaired: np.ndarray = field(init=False)      # bool, bound repair active on some direction
 
     def __post_init__(self, ticks: int):
-        per_joint = lambda dtype=float: np.zeros((ticks, self.n), dtype)
-        per_tick = lambda dtype=float: np.zeros(ticks, dtype)
-        self.t = per_tick()
-        self.q = per_joint()
-        self.qd = per_joint()
-        self.qdd = per_joint()
-        self.tau = per_joint()
-        self.tau_ext = per_joint()
+        for name in ("q", "qd", "qdd", "tau", "tau_ext"):
+            setattr(self, name, np.zeros((ticks, self.n)))
+        for name in ("viol_q", "viol_v", "viol_tau"):
+            setattr(self, name, np.zeros((ticks, self.n), np.int8))
+        for name in ("t", "e_acc", "e_acc_raw", "e_kin_total", "e_kin_task",
+                     "e_kin_null", "pos_err", "acc_err"):
+            setattr(self, name, np.zeros(ticks))
         self.s = np.ones((ticks, self.k))
-        self.e_acc = per_tick()
-        self.e_acc_raw = per_tick()
-        self.e_kin_total = per_tick()
-        self.e_kin_task = per_tick()
-        self.e_kin_null = per_tick()
-        self.viol_q = per_joint(np.int8)
-        self.viol_v = per_joint(np.int8)
-        self.viol_tau = per_joint(np.int8)
-        self.saturated = per_joint(bool)
-        self.pos_err = per_tick()
-        self.acc_err = per_tick()
-        self.status = per_tick(int)
-        self.repaired = per_tick(bool)
+        self.saturated = np.zeros((ticks, self.n), bool)
+        self.status = np.zeros(ticks, int)
+        self.repaired = np.zeros(ticks, bool)
 
     def summary(self) -> dict:
         ticks = len(self.t)
@@ -582,9 +572,11 @@ def run_scenario(scenario: Scenario, solver: str | None = None,
         plant = scenario.plant_model(t)
         sub = state
         for j in range(substeps):
-            transforms = rbd.link_transforms(plant, sub.q)
+            reuse = j == 0 and plant is model       # the tick's own q: same bytes
+            transforms = dyn.transforms if reuse else rbd.link_transforms(plant, sub.q)
             tau_ext_plant = scripted_tau_ext(scenario.events, t, plant, sub.q, transforms)
-            sub, qdd = step(plant, sub, tau_cmd, tau_ext_plant, h, transforms)
+            sub, qdd = step(plant, sub, tau_cmd, tau_ext_plant, h, transforms,
+                            dyn.M_cho if reuse else None)
             if j == 0:
                 qdd_first = qdd
 

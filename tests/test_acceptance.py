@@ -49,8 +49,9 @@ def iiwa():
 
 @pytest.fixture(scope="module")
 def rotation_runs():
+    # the DCTS rotation-hold run is dcts_rotation_states
     return {name: run_bundled("rotation_hold", name)
-            for name in ("osc", "dcts", "qp-mt", "qp-md")}
+            for name in ("osc", "qp-mt", "qp-md")}
 
 
 @pytest.fixture(scope="module")
