@@ -24,7 +24,7 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     scenario = sim.load_bundled_scenario("limit_push")
-    lset = scenario.limit_set()
+    lset = scenario.limits
     for offsets in (True, False):
         tr = sim.run_scenario(scenario, solver="dcts", ext_force_in_bounds=offsets)
         tag = "with_offsets" if offsets else "without_offsets"

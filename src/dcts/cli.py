@@ -1,8 +1,11 @@
 """Command-line front end: run scenarios across solvers, write traces, compare.
 
-Exit codes: 0 all runs optimal at every tick, 1 configuration error,
-2 a solver aborted (infeasible/max-iteration ticks ended in the braking
-fallback). Input configs are never modified; everything lands under --out.
+Each scenario is read and checked once, and every check runs before any run
+starts; ``--validate`` runs the same checks and stops there. Exit codes: 0
+no tick fell back to braking, 1 a configuration error (nothing is run), 2 a
+tick of some run ended in the braking fallback (infeasible or out of QP
+iterations). Any other exception is a bug and propagates. Input configs are
+never modified; everything lands under --out.
 """
 
 from __future__ import annotations
@@ -38,39 +41,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-ext-force-task", action="store_true",
                    help="do not include external torques in the task constraint")
     p.add_argument("--dump-qp", action="store_true",
-                   help="dump the last assembled QP of each run to JSON")
+                   help="dump the last assembled QP of each dcts run to JSON "
+                        "(the other solvers write none)")
     p.add_argument("--validate", action="store_true",
-                   help="validate the configs and exit without running")
+                   help="check the configs as a run would, then exit without running")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel worker processes for batch runs")
     return p
 
 
-def _load(path_arg: str) -> sim.Scenario:
-    if path_arg.startswith("bundled:"):
-        return sim.load_bundled_scenario(path_arg.split(":", 1)[1])
-    return sim.load_scenario(path_arg)
-
-
-def _validate_one(path_arg: str) -> list[tuple[str, str]]:
-    if path_arg.startswith("bundled:"):
-        path = sim.bundled_scenario_path(path_arg.split(":", 1)[1])
-    else:
-        path = Path(path_arg)
-    if not path.exists():
-        return [("error", f"{path}: no such file")]
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        return [("error", f"{path}:{e.lineno}: invalid JSON ({e.msg})")]
-    return sim.validate_scenario_dict(data, source=str(path), model_dir=path.parent)
-
-
-def _run_one(args_tuple):
-    path_arg, solver, out_dir, seed, no_bounds, no_task, dump_qp = args_tuple
-    scenario = _load(path_arg)
-    if seed is not None:
-        scenario.seed = seed
+def _run_one(job) -> dict:
+    scenario, solver, out_dir, no_bounds, no_task, dump_qp = job
     stem = f"{scenario.name}__{solver}"
     dump = str(Path(out_dir) / f"{stem}.qp.json") if dump_qp else None
     trace = sim.run_scenario(scenario, solver=solver,
@@ -105,59 +86,38 @@ def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=os.environ.get("DCTS_LOG_LEVEL", "WARNING").upper())
 
-    if args.validate:
-        clean = True
-        for path_arg in args.scenario:
-            issues = _validate_one(path_arg)
-            if not issues:
-                print(f"{path_arg}: ok")
-            for level, msg in issues:
-                print(f"{level}: {msg}")
-                clean = clean and level != "error"
+    if args.seed is not None and args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return 1
+    jobs, clean = [], True
+    for ref in args.scenario:
+        scenario, issues = sim.read_scenario(ref)
+        if scenario is not None:
+            if args.seed is not None:
+                scenario.seed = args.seed
+            for solver in args.solver or [scenario.solver]:
+                problem = solvers.solver_error(solver, len(scenario.task_configs))
+                if problem is not None:
+                    issues.append(("error", f"{scenario.source}: {problem}"))
+                jobs.append((scenario, solver, args.out, args.no_ext_force_bounds,
+                             args.no_ext_force_task, args.dump_qp))
+        if args.validate and not issues:
+            print(f"{ref}: ok")
+        for level, msg in issues:
+            print(f"{level}: {msg}", file=sys.stdout if args.validate else sys.stderr)
+        clean = clean and all(level != "error" for level, _ in issues)
+    if args.validate or not clean:
         return 0 if clean else 1
 
-    if args.solver:
-        for name in args.solver:
-            if name not in solvers.SOLVER_NAMES:
-                print(f"error: unknown solver {name!r}; "
-                      f"valid: {', '.join(solvers.SOLVER_NAMES)}", file=sys.stderr)
-                return 1
-
-    jobs = []
-    for path_arg in args.scenario:
-        issues = _validate_one(path_arg)
-        errors = [m for level, m in issues if level == "error"]
-        if errors:
-            for m in errors:
-                print(f"error: {m}", file=sys.stderr)
-            return 1
-        scenario = _load(path_arg)
-        for solver in args.solver or [scenario.solver]:
-            # reject before any run starts rather than after earlier solvers
-            problem = sim.task_count_error(solver, len(scenario.task_configs))
-            if problem is not None:
-                print(f"error: {scenario.source}: {problem}", file=sys.stderr)
-                return 1
-            jobs.append((path_arg, solver, args.out, args.seed,
-                         args.no_ext_force_bounds, args.no_ext_force_task,
-                         args.dump_qp))
-
     Path(args.out).mkdir(parents=True, exist_ok=True)
-    summaries = []
-    try:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                summaries = list(pool.map(_run_one, jobs))
-        else:
-            for job in jobs:
-                log.info("running %s with %s", job[0], job[1])
-                summaries.append(_run_one(job))
-    except sim.ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except Exception as e:
-        print(f"solver abort: {e}", file=sys.stderr)
-        return 2
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            summaries = list(pool.map(_run_one, jobs))
+    else:
+        summaries = []
+        for job in jobs:
+            log.info("running %s with %s", job[0].source, job[1])
+            summaries.append(_run_one(job))
 
     table = comparison_table(summaries)
     print(table, end="")

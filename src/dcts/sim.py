@@ -22,7 +22,8 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import InitVar, dataclass, field, fields, replace
+from dataclasses import InitVar, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -221,22 +222,9 @@ def energy_metrics(model: rbd.RobotModel, state: rbd.JointState,
 
 
 @dataclass
-class LimitConfig:
-    """Per-scenario joint-space limit overrides; None falls back to the model."""
-
-    acc_min: np.ndarray
-    acc_max: np.ndarray
-    q_min: np.ndarray | None = None
-    q_max: np.ndarray | None = None
-    v_min: np.ndarray | None = None
-    v_max: np.ndarray | None = None
-    dt: float | None = None       # defaults to control_dt
-    brake_fraction: float = 0.4
-    viability_brake: np.ndarray | None = None
-
-
-@dataclass
 class Scenario:
+    """A checked scenario, built by ``load_scenario`` or ``scenario_from_dict``."""
+
     name: str
     model: rbd.RobotModel
     q0: np.ndarray
@@ -247,31 +235,17 @@ class Scenario:
     solver: str
     solver_config: solvers.SolverConfig
     task_configs: list[dict]
-    limit_config: LimitConfig
+    limits: limits_mod.LimitSet
     events: list[Event]
     seed: int = 0
     tau_ext_noise_std: float = 0.0
     source: str = "<memory>"
 
     def __post_init__(self):
-        if self.integrator_dt > self.control_dt + 1e-12:
-            raise ConfigError(f"{self.source}: integrator_dt must be <= control_dt")
-        if self.solver not in solvers.SOLVER_NAMES:
-            raise ConfigError(f"{self.source}: unknown solver {self.solver!r}; "
-                              f"valid: {', '.join(solvers.SOLVER_NAMES)}")
         for ev in self.events:
             if ev.kind == "unmodeled_mass":
                 com = self.model.tool[:3, :3] @ ev.com_offset + self.model.tool[:3, 3]
                 ev.plant = augment_with_point_mass(self.model, ev.mass, com)
-
-    def limit_set(self) -> limits_mod.LimitSet:
-        lc = self.limit_config
-        dt = lc.dt or self.control_dt
-        pick = lambda ov, default: default if ov is None else ov
-        return limits_mod.limit_set(
-            pick(lc.q_min, self.model.q_min), pick(lc.q_max, self.model.q_max),
-            pick(lc.v_min, self.model.v_min), pick(lc.v_max, self.model.v_max),
-            lc.acc_min, lc.acc_max, dt, lc.brake_fraction, lc.viability_brake)
 
     def plant_model(self, t: float) -> rbd.RobotModel:
         for ev in self.events:
@@ -280,78 +254,12 @@ class Scenario:
         return self.model
 
     def make_tasks(self, state0: rbd.JointState) -> list[tasks_mod.TaskSpec]:
-        """Fresh TaskSpec objects (trackers are stateful) with targets resolved at t0."""
-        dyn0 = rbd.compute_dynamics(self.model, state0)
-        T_tool = dyn0.transforms[self.model.tool_frame]
-        specs = []
-        for i, tc in enumerate(sorted(self.task_configs, key=lambda c: c["priority"])):
-            where = f"{self.source}.tasks[{i}]"
-            mode = tc["mode"]
-            selector = tc["selector"]
-            m = {"tool_pos": 3, "tool_rot_xy": 2,
-                 "joint_posture": self.model.n}[selector]
-            if mode == "waypoint_tracker":
-                specs.append(tasks_mod.TaskSpec(
-                    priority=tc["priority"], mode=mode, selector=selector,
-                    tracker=_build_tracker(tc, T_tool, where),
-                    point=(np.asarray(tc["point_m"], float) if "point_m" in tc else None),
-                    name=tc.get("name", f"task{i+1}")))
-                continue
-            K = _gain_matrix(tc["stiffness"], m)
-            D = _gain_matrix(tc["damping"], m)
-            target = tc.get("target", {"type": "initial"})
-            kind = target.get("type", "initial")
-            kwargs = dict(priority=tc["priority"], mode=mode, selector=selector,
-                          stiffness=K, damping=D, name=tc.get("name", f"task{i+1}"))
-            if "point_m" in tc:
-                kwargs["point"] = np.asarray(tc["point_m"], float)
-            if selector == "joint_posture":
-                kwargs["target_q"] = (state0.q.copy() if kind == "initial"
-                                      else np.asarray(target["q_rad"], float))
-            elif kind == "initial":
-                kwargs["target_position"] = T_tool[:3, 3].copy()
-                kwargs["target_rotation"] = T_tool[:3, :3].copy()
-            elif kind == "initial_rotated":
-                axis = np.asarray(target["axis"], float)
-                axis = axis / np.linalg.norm(axis)
-                ang = math.radians(float(target["angle_deg"]))
-                R = rbd.axis_rotation(axis, ang)
-                kwargs["target_position"] = T_tool[:3, 3].copy()
-                kwargs["target_rotation"] = R @ T_tool[:3, :3]
-            elif kind == "pose":
-                kwargs["target_position"] = np.asarray(target["position_m"], float)
-                kwargs["target_rotation"] = np.asarray(target["rotation"], float)
-            else:
-                raise ConfigError(f"{where}: unknown target type {kind!r}")
-            specs.append(tasks_mod.TaskSpec(**kwargs))
-        return specs
-
-
-def _gain_matrix(value, m: int) -> np.ndarray:
-    v = np.asarray(value, dtype=float)
-    if v.ndim == 0:
-        return float(v) * np.eye(m)
-    if v.ndim == 1:
-        return np.diag(v)
-    return v
-
-
-def _build_tracker(tc: dict, T_tool: np.ndarray, where: str) -> tasks_mod.WaypointTracker:
-    wp = tc["waypoints"]
-    kind = wp.get("type", "explicit")
-    if kind == "octagon_with_center":
-        center = np.asarray(wp["center_m"], float)
-        points = tasks_mod.octagon_waypoints(center, float(wp["radius_m"]),
-                                             phase=math.radians(wp.get("phase_deg", 0.0)))
-        if wp.get("lead_in", True):
-            points = [center.copy()] + points
-    elif kind == "explicit":
-        points = [np.asarray(p, float) for p in wp["points_m"]]
-    else:
-        raise ConfigError(f"{where}: unknown waypoint set type {kind!r}")
-    return tasks_mod.WaypointTracker(
-        waypoints=points, tolerance=float(tc["tolerance_m"]), kp=float(tc["kp"]),
-        kv=float(tc["kv"]), v_sat=float(tc["v_sat"]))
+        """Fresh TaskSpec objects (trackers are stateful) with targets resolved
+        at state0, sorted by priority."""
+        T_tool = rbd.link_transforms(self.model, state0.q)[self.model.tool_frame]
+        specs = [_build_task(tc, i, self.model, state0.q, T_tool)
+                 for i, tc in enumerate(self.task_configs)]
+        return sorted(specs, key=lambda spec: spec.priority)
 
 
 # ---------------------------------------------------------------------------
@@ -495,13 +403,6 @@ def _segment_distance(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 # the control loop
 
 
-def task_count_error(solver: str, k: int) -> str | None:
-    """Why ``solver`` cannot run a stack of k tasks, or None when it can."""
-    if k > 1 and solver in solvers.SINGLE_TASK_SOLVERS:
-        return f"solver {solver!r} takes one task, the scenario has {k}"
-    return None
-
-
 def run_scenario(scenario: Scenario, solver: str | None = None,
                  ext_force_in_bounds: bool | None = None,
                  ext_force_in_task: bool | None = None,
@@ -514,9 +415,7 @@ def run_scenario(scenario: Scenario, solver: str | None = None,
     """
     model = scenario.model
     name = solver or scenario.solver
-    if name not in solvers.SOLVER_NAMES:
-        raise ConfigError(f"unknown solver {name!r}; valid: {', '.join(solvers.SOLVER_NAMES)}")
-    problem = task_count_error(name, len(scenario.task_configs))
+    problem = solvers.solver_error(name, len(scenario.task_configs))
     if problem is not None:
         raise ConfigError(f"{scenario.source}: {problem}")
     cfg = replace(scenario.solver_config)
@@ -530,7 +429,7 @@ def run_scenario(scenario: Scenario, solver: str | None = None,
     state = rbd.JointState(scenario.q0.copy(), scenario.qd0.copy())
     specs = scenario.make_tasks(state)
     lead_spec = specs[0]
-    lset = scenario.limit_set()
+    lset = scenario.limits
     rng = np.random.default_rng(scenario.seed)
     noise = scenario.tau_ext_noise_std
 
@@ -624,77 +523,258 @@ def run_scenario(scenario: Scenario, solver: str | None = None,
 
 
 # ---------------------------------------------------------------------------
-# scenario files
+# scenario files: one parser converts and checks every field once. The
+# converters and builders raise KeyError, TypeError or ValueError; the parser
+# records each as an issue naming its field.
 
 
-def _require(d: dict, key: str, where: str):
+_REQUIRED = object()
+
+
+def _floats(value, shape: tuple = ()) -> np.ndarray:
+    """``value`` as a finite float array of ``shape``; a number fills it."""
+    v = np.asarray(value, dtype=float)
+    if v.shape != shape:
+        if v.ndim:
+            raise ValueError(f"expected shape {shape}, got {v.shape}")
+        v = np.full(shape, v)
+    if not np.isfinite(v).all():
+        raise ValueError("must be finite")
+    return v
+
+
+def _num(value, low: float = -math.inf, strict: bool = False) -> float:
+    """A finite number >= low, or > low when strict."""
+    v = float(_floats(value))
+    if v < low or (strict and v == low):
+        raise ValueError(f"must be {'>' if strict else '>='} {low:g}")
+    return v
+
+
+def _int(value, low: float = -math.inf, high: float = math.inf) -> int:
+    i = int(_num(value))
+    if not low <= i <= high:
+        raise ValueError(f"must be an integer in [{low}, {high}]")
+    return i
+
+
+def _obj(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("expected a JSON object")
+    return value
+
+
+def _list(value, nonempty: bool = False) -> list:
+    if not isinstance(value, list) or (nonempty and not value):
+        raise TypeError(f"expected a {'non-empty ' if nonempty else ''}list")
+    return value
+
+
+_positive = partial(_num, low=0.0, strict=True)
+_nonneg = partial(_num, low=0.0)
+_vec3 = partial(_floats, shape=(3,))
+
+
+def _get(d: dict, key: str, convert=None, default=_REQUIRED):
+    """``convert(d[key])``, or ``convert(default)`` when the key is absent
+    (None when the default is None). A missing required key raises
+    KeyError; a failed conversion raises ValueError naming the key."""
     if key not in d:
-        raise ConfigError(f"{where}: missing field '{key}'")
-    return d[key]
+        if default is _REQUIRED:
+            raise KeyError(key)
+        if default is None:
+            return None
+    value = d.get(key, default)
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OSError) as e:
+        raise ValueError(f"{key}: {e}") from e
+
+
+def _build_task(tc, i: int, model: rbd.RobotModel, q0: np.ndarray,
+                T_tool: np.ndarray) -> tasks_mod.TaskSpec:
+    """TaskSpec of the i-th task config with its target resolved at q0, where
+    the tool frame is at ``T_tool``."""
+    tc = _obj(tc)
+    mode, selector = tc["mode"], tc["selector"]
+    common = dict(priority=_get(tc, "priority", _int), mode=mode, selector=selector,
+                  point=_get(tc, "point_m", _vec3, None),
+                  name=str(tc.get("name", f"task{i+1}")))
+    if mode == "waypoint_tracker":
+        return tasks_mod.TaskSpec(**common, tracker=_build_tracker(tc))
+    m = {"tool_pos": 3, "tool_rot_xy": 2}.get(selector, model.n)   # TaskSpec rejects others
+    gain = lambda v: _floats(v, (m, m)) if np.ndim(v) == 2 else np.diag(_floats(v, (m,)))
+    common.update(stiffness=_get(tc, "stiffness", gain), damping=_get(tc, "damping", gain))
+    target = _get(tc, "target", _obj, {"type": "initial"})
+    kind = target.get("type", "initial")
+    if selector == "joint_posture":
+        q = (q0.copy() if kind == "initial"
+             else _get(target, "q_rad", partial(_floats, shape=(model.n,))))
+        return tasks_mod.TaskSpec(**common, target_q=q)
+    position, rotation = T_tool[:3, 3].copy(), T_tool[:3, :3].copy()
+    if kind == "initial_rotated":
+        axis = _get(target, "axis", _vec3)
+        if not axis.any():
+            raise ValueError("axis: must be nonzero")
+        angle = math.radians(_get(target, "angle_deg", _num))
+        rotation = rbd.axis_rotation(axis / np.linalg.norm(axis), angle) @ T_tool[:3, :3]
+    elif kind == "pose":
+        pose = rbd.FramePose(_get(target, "position_m", _vec3),
+                             _get(target, "rotation", partial(_floats, shape=(3, 3))))
+        position, rotation = pose.position, pose.rotation
+    elif kind != "initial":
+        raise ValueError(f"unknown target type {kind!r}")
+    return tasks_mod.TaskSpec(**common, target_position=position, target_rotation=rotation)
+
+
+def _build_tracker(tc: dict) -> tasks_mod.WaypointTracker:
+    wp = _get(tc, "waypoints", _obj)
+    kind = wp.get("type", "explicit")
+    if kind == "octagon_with_center":
+        center = _get(wp, "center_m", _vec3)
+        points = tasks_mod.octagon_waypoints(
+            center, _get(wp, "radius_m", _num),
+            phase=math.radians(_get(wp, "phase_deg", _num, 0.0)))
+        if wp.get("lead_in", True):
+            points = [center.copy()] + points
+    elif kind == "explicit":
+        points = list(_get(wp, "points_m", lambda v: _floats(v, (len(v), 3))))
+    else:
+        raise ValueError(f"unknown waypoint set type {kind!r}")
+    num = lambda key: _get(tc, key, _num)
+    return tasks_mod.WaypointTracker(waypoints=points, tolerance=num("tolerance_m"),
+                                     kp=num("kp"), kv=num("kv"), v_sat=num("v_sat"))
+
+
+def _build_event(e, n: int) -> Event:
+    e = _obj(e)
+    kind = e["kind"]
+    common = dict(kind=kind, start=_get(e, "start_s", _nonneg),
+                  duration=_get(e, "duration_s", _nonneg))
+    if kind == "cartesian_force":
+        return Event(**common, force=_get(e, "force_n", _vec3),
+                     frame=_get(e, "frame", partial(_int, low=0, high=n), None),
+                     point=_get(e, "point_m", _vec3, 0.0))
+    if kind == "joint_torque":
+        return Event(**common, joint=_get(e, "joint", partial(_int, low=1, high=n)) - 1,
+                     amplitude=_get(e, "amplitude_nm", _num),
+                     ramp=_get(e, "ramp_s", _nonneg, 0.0))
+    if kind == "unmodeled_mass":
+        return Event(**common, mass=_get(e, "mass_kg", _positive),
+                     com_offset=_get(e, "com_offset_m", _vec3, 0.0))
+    raise ValueError(f"unknown event kind {kind!r}")
+
+
+def _parse(data, source: str,
+           model_dir: Path | None) -> tuple[Scenario | None, list[tuple[str, str]]]:
+    """Convert and check a scenario dict in one pass.
+
+    Returns the Scenario and every (level, message) issue found, each naming
+    its field; the Scenario is None when any issue is an error.
+    """
+    issues: list[tuple[str, str]] = []
+    err = lambda m: issues.append(("error", m))
+
+    def get(where, build, *args):
+        """build(*args), or None with its error recorded under ``where``."""
+        try:
+            return build(*args)
+        except KeyError as e:
+            err(f"{where}: missing field {e}")
+        except (TypeError, ValueError) as e:
+            err(f"{where}: {e}")
+
+    def read(d, key, convert=None, default=_REQUIRED, where=source):
+        return get(where, _get, d, key, convert, default)
+
+    if not isinstance(data, dict):
+        return None, [("error", f"{source}: expected a JSON object")]
+    duration = read(data, "duration_s", _positive)
+    control_dt = read(data, "control_dt_s", _positive, 1e-3)
+    integrator_dt = read(data, "integrator_dt_s", _positive, 1e-4)
+    if control_dt and integrator_dt and integrator_dt > control_dt + 1e-12:
+        err(f"{source}: integrator_dt_s must be <= control_dt_s")
+    if duration and control_dt and round(duration / control_dt) < 1:
+        err(f"{source}: duration_s is shorter than one control tick")
+    cfg = read(data, "solver_config", lambda sc: solvers.SolverConfig(**_obj(sc)), {})
+    seed = read(data, "seed", partial(_int, low=0), 0)
+    noise = read(data, "tau_ext_noise_std", _nonneg, 0.0)
+    tasks = read(data, "tasks", partial(_list, nonempty=True))
+    events = read(data, "events", _list, []) or []
+    lim = read(data, "limits", _obj, {}) or {}
+    solver = data.get("solver", "dcts")
+    problem = solvers.solver_error(solver, len(tasks or ()))
+    if problem is not None:
+        err(f"{source}.solver: {problem}")
+    model = read(data, "model", partial(_resolve_model, model_dir=model_dir))
+    if model is None:
+        return None, issues
+
+    vec = partial(_floats, shape=(model.n,))
+    q0 = read(data, "q0_rad", vec)
+    qd0 = read(data, "qd0_rad", vec, 0.0)
+    where = f"{source}.limits"
+    b = {key: read(lim, key, vec, default, where) for key, default in (
+        ("q_min_rad", model.q_min), ("q_max_rad", model.q_max),
+        ("v_min_rad_s", model.v_min), ("v_max_rad_s", model.v_max),
+        ("acc_min_rad_s2", -10.0), ("acc_max_rad_s2", 10.0),
+        ("tau_min_nm", model.tau_min), ("tau_max_nm", model.tau_max),
+        ("viability_brake_rad_s2", None))}
+    for lo, hi in (("q_min_rad", "q_max_rad"), ("v_min_rad_s", "v_max_rad_s"),
+                   ("acc_min_rad_s2", "acc_max_rad_s2"), ("tau_min_nm", "tau_max_nm")):
+        if b[lo] is not None and b[hi] is not None and np.any(b[lo] >= b[hi]):
+            err(f"{where}: {lo} must be < {hi}")
+    limit_dt = read(lim, "dt_s", _positive, None, where) or control_dt
+    brake_fraction = read(lim, "brake_fraction", _num, 0.4, where)
+
+    if q0 is not None and tasks:
+        T_tool = rbd.link_transforms(model, q0)[model.tool_frame]
+        specs = [get(f"{source}.tasks[{i}]", _build_task, tc, i, model, q0, T_tool)
+                 for i, tc in enumerate(tasks)]
+        priorities = [spec.priority for spec in specs if spec is not None]
+        if len(set(priorities)) != len(priorities):
+            err(f"{source}.tasks: duplicate priorities {priorities}")
+    evs = [get(f"{source}.events[{i}]", _build_event, e, model.n) for i, e in enumerate(events)]
+    for i, ev in enumerate(evs):
+        if ev is not None and duration is not None and ev.start >= duration:
+            issues.append(("warning", f"{source}.events[{i}]: event starts at {ev.start}s, "
+                                      "beyond the scenario duration"))
+    if any(level == "error" for level, _ in issues):
+        return None, issues
+    lset = get(where, limits_mod.limit_set, b["q_min_rad"], b["q_max_rad"], b["v_min_rad_s"],
+               b["v_max_rad_s"], b["acc_min_rad_s2"], b["acc_max_rad_s2"], limit_dt,
+               brake_fraction, b["viability_brake_rad_s2"])
+    if lset is None:
+        return None, issues
+    model = replace(model, tau_min=b["tau_min_nm"], tau_max=b["tau_max_nm"])
+    return Scenario(name=str(data.get("name", Path(source).stem)), model=model, q0=q0,
+                    qd0=qd0, duration=duration, control_dt=control_dt,
+                    integrator_dt=integrator_dt, solver=solver, solver_config=cfg,
+                    task_configs=tasks, limits=lset, events=evs, seed=seed,
+                    tau_ext_noise_std=noise, source=source), issues
+
+
+def _checked(parsed: tuple[Scenario | None, list[tuple[str, str]]]) -> Scenario:
+    scenario, issues = parsed
+    errors = [m for level, m in issues if level == "error"]
+    if errors:
+        raise ConfigError("; ".join(errors))
+    return scenario
 
 
 def scenario_from_dict(data: dict, source: str = "<dict>",
                        model_dir: Path | None = None) -> Scenario:
-    issues = validate_scenario_dict(data, source, model_dir)
-    errors = [m for level, m in issues if level == "error"]
-    if errors:
-        raise ConfigError("; ".join(errors))
-    model = _resolve_model(data["model"], model_dir)
-    n = model.n
-    lim_over = data.get("limits", {})
-    if "tau_max_nm" in lim_over or "tau_min_nm" in lim_over:
-        tau_max = np.broadcast_to(np.asarray(
-            lim_over.get("tau_max_nm", model.tau_max), float), (n,)).copy()
-        tau_min = np.broadcast_to(np.asarray(
-            lim_over.get("tau_min_nm", -tau_max), float), (n,)).copy()
-        model = replace(model, tau_min=tau_min, tau_max=tau_max)
-    q0 = np.asarray(_require(data, "q0_rad", source), dtype=float)
-    qd0 = np.asarray(data.get("qd0_rad", np.zeros(n)), dtype=float)
-    lim = data.get("limits", {})
-    vec = lambda key, default: (None if default is None and key not in lim else
-                                np.broadcast_to(np.asarray(lim.get(key, default), float),
-                                                (n,)).copy())
-    acc_min = vec("acc_min_rad_s2", -10.0)
-    acc_max = vec("acc_max_rad_s2", 10.0)
-    limit_config = LimitConfig(acc_min=acc_min, acc_max=acc_max,
-                               q_min=vec("q_min_rad", None), q_max=vec("q_max_rad", None),
-                               v_min=vec("v_min_rad_s", None), v_max=vec("v_max_rad_s", None),
-                               dt=lim.get("dt_s"),
-                               brake_fraction=float(lim.get("brake_fraction", 0.4)),
-                               viability_brake=vec("viability_brake_rad_s2", None))
-    events = [_event_from_dict(e, f"{source}.events[{i}]")
-              for i, e in enumerate(data.get("events", []))]
-    sc = data.get("solver_config", {})
-    cfg = solvers.SolverConfig(**sc)
-    return Scenario(name=str(data.get("name", Path(source).stem)), model=model,
-                    q0=q0, qd0=qd0,
-                    duration=float(_require(data, "duration_s", source)),
-                    control_dt=float(data.get("control_dt_s", 1e-3)),
-                    integrator_dt=float(data.get("integrator_dt_s", 1e-4)),
-                    solver=str(data.get("solver", "dcts")),
-                    solver_config=cfg,
-                    task_configs=_require(data, "tasks", source),
-                    limit_config=limit_config,
-                    events=events, seed=int(data.get("seed", 0)),
-                    tau_ext_noise_std=float(data.get("tau_ext_noise_std", 0.0)),
-                    source=source)
+    """The Scenario of a dict; a ConfigError lists every error found."""
+    return _checked(_parse(data, source, model_dir))
 
 
-def _event_from_dict(e: dict, where: str) -> Event:
-    kind = _require(e, "kind", where)
-    common = dict(kind=kind, start=float(_require(e, "start_s", where)),
-                  duration=float(_require(e, "duration_s", where)))
-    if kind == "cartesian_force":
-        return Event(**common, force=np.asarray(_require(e, "force_n", where), float),
-                     frame=e.get("frame"), point=np.asarray(e.get("point_m", [0, 0, 0]), float))
-    if kind == "joint_torque":
-        return Event(**common, joint=int(_require(e, "joint", where)) - 1,
-                     amplitude=float(_require(e, "amplitude_nm", where)),
-                     ramp=float(e.get("ramp_s", 0.0)))
-    if kind == "unmodeled_mass":
-        return Event(**common, mass=float(_require(e, "mass_kg", where)),
-                     com_offset=np.asarray(e.get("com_offset_m", [0, 0, 0]), float))
-    raise ConfigError(f"{where}: unknown event kind {kind!r}")
+def validate_scenario_dict(data: dict, source: str = "<dict>",
+                           model_dir: Path | None = None) -> list[tuple[str, str]]:
+    """Every (level, message) issue of a scenario dict; errors are exactly
+    what makes ``scenario_from_dict`` raise."""
+    return _parse(data, source, model_dir)[1]
 
 
 def _resolve_model(ref: str, model_dir: Path | None) -> rbd.RobotModel:
@@ -706,105 +786,32 @@ def _resolve_model(ref: str, model_dir: Path | None) -> rbd.RobotModel:
     return rbd.load_model(path)
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}:{e.lineno}: invalid JSON ({e.msg})") from e
-    return scenario_from_dict(data, source=str(path), model_dir=path.parent)
-
-
 def bundled_scenario_path(name: str) -> Path:
     from importlib import resources
     return Path(resources.files("dcts").joinpath(f"data/scenarios/{name}.json"))
 
 
+def read_scenario(ref: str | Path) -> tuple[Scenario | None, list[tuple[str, str]]]:
+    """Read and parse a scenario file; ``bundled:<name>`` names a shipped one.
+
+    Returns the Scenario (None on any error) and the issues, an unreadable
+    file or invalid JSON among them.
+    """
+    ref = str(ref)
+    path = (bundled_scenario_path(ref.split(":", 1)[1]) if ref.startswith("bundled:")
+            else Path(ref))
+    try:
+        data = json.loads(path.read_text())
+    except OSError as e:
+        return None, [("error", f"{path}: {e.strerror.lower()}")]
+    except json.JSONDecodeError as e:
+        return None, [("error", f"{path}:{e.lineno}: invalid JSON ({e.msg})")]
+    return _parse(data, str(path), path.parent)
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    return _checked(read_scenario(path))
+
+
 def load_bundled_scenario(name: str) -> Scenario:
-    return load_scenario(bundled_scenario_path(name))
-
-
-def validate_scenario_dict(data: dict, source: str = "<dict>",
-                           model_dir: Path | None = None) -> list[tuple[str, str]]:
-    """All schema/invariant problems of a scenario dict as (level, message)."""
-    issues: list[tuple[str, str]] = []
-    err = lambda m: issues.append(("error", m))
-    warn = lambda m: issues.append(("warning", m))
-
-    model = None
-    if "model" not in data:
-        err(f"{source}: missing field 'model'")
-    else:
-        try:
-            model = _resolve_model(data["model"], model_dir)
-        except (rbd.ModelError, OSError) as e:
-            err(f"{source}.model: {e}")
-    duration = data.get("duration_s")
-    if duration is None:
-        err(f"{source}: missing field 'duration_s'")
-    elif duration <= 0:
-        err(f"{source}.duration_s: must be > 0")
-    control_dt = data.get("control_dt_s", 1e-3)
-    integ_dt = data.get("integrator_dt_s", 1e-4)
-    if integ_dt > control_dt:
-        err(f"{source}: integrator_dt_s must be <= control_dt_s")
-    solver = data.get("solver", "dcts")
-    if solver not in solvers.SOLVER_NAMES:
-        err(f"{source}.solver: unknown {solver!r}; valid: {', '.join(solvers.SOLVER_NAMES)}")
-    unknown = set(data.get("solver_config", {})) - {f.name for f in fields(solvers.SolverConfig)}
-    if unknown:
-        err(f"{source}.solver_config: unknown keys {sorted(unknown)}")
-    if model is not None:
-        q0 = data.get("q0_rad")
-        if q0 is None:
-            err(f"{source}: missing field 'q0_rad'")
-        elif len(q0) != model.n:
-            err(f"{source}.q0_rad: expected {model.n} entries, got {len(q0)}")
-    if not data.get("tasks"):
-        err(f"{source}: needs at least one task")
-    else:
-        for i, tc in enumerate(data["tasks"]):
-            where = f"{source}.tasks[{i}]"
-            for key in ("priority", "mode", "selector"):
-                if key not in tc:
-                    err(f"{where}: missing field '{key}'")
-            mode = tc.get("mode")
-            if mode == "waypoint_tracker":
-                for key in ("kp", "kv", "v_sat", "tolerance_m", "waypoints"):
-                    if key not in tc:
-                        err(f"{where}: missing field '{key}'")
-            elif mode in ("impedance", "force_impedance"):
-                for key in ("stiffness", "damping"):
-                    if key not in tc:
-                        err(f"{where}: missing field '{key}'")
-                    elif np.any(np.asarray(tc[key], float) <= 0):
-                        err(f"{where}.{key}: must be positive definite")
-            elif mode is not None:
-                err(f"{where}.mode: unknown {mode!r}")
-        priorities = [tc.get("priority") for tc in data["tasks"]]
-        if len(set(priorities)) != len(priorities):
-            err(f"{source}.tasks: duplicate priorities {priorities}")
-        problem = task_count_error(solver, len(data["tasks"]))
-        if problem is not None:
-            err(f"{source}.tasks: {problem}")
-    lim = data.get("limits", {})
-    acc_min = np.asarray(lim.get("acc_min_rad_s2", -10.0), float)
-    acc_max = np.asarray(lim.get("acc_max_rad_s2", 10.0), float)
-    if np.any(acc_min >= acc_max):
-        err(f"{source}.limits: acc_min must be < acc_max")
-    for i, e in enumerate(data.get("events", [])):
-        where = f"{source}.events[{i}]"
-        kind = e.get("kind")
-        if kind not in ("cartesian_force", "joint_torque", "unmodeled_mass"):
-            err(f"{where}.kind: unknown {kind!r}")
-            continue
-        try:
-            ev = _event_from_dict(e, where)
-        except ConfigError as ex:
-            err(str(ex))
-            continue
-        if duration is not None and ev.start >= duration:
-            warn(f"{where}: event starts at {ev.start}s, beyond the scenario duration")
-        if kind == "joint_torque" and model is not None and not (0 <= ev.joint < model.n):
-            err(f"{where}.joint: joint {ev.joint + 1} outside 1..{model.n}")
-    return issues
+    return load_scenario(f"bundled:{name}")

@@ -26,7 +26,7 @@ penalty ordering in the limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -38,8 +38,15 @@ from .tasks import TaskInstance
 OPTIMAL, DEGRADED, INFEASIBLE, MAX_ITER = "optimal", "degraded", "infeasible", "max_iter"
 
 SOLVER_NAMES = ("osc", "qp-mt", "qp-md", "dcts")
-# solvers that take the priority-1 task only
-SINGLE_TASK_SOLVERS = ("osc", "qp-mt", "qp-md")
+
+
+def solver_error(name: str, k: int) -> str | None:
+    """Why solver ``name`` cannot run k tasks, or None; only DCTS runs a stack."""
+    if name not in SOLVER_NAMES:
+        return f"unknown solver {name!r}; valid: {', '.join(SOLVER_NAMES)}"
+    if k > 1 and name != "dcts":
+        return f"solver {name!r} takes one task, the scenario has {k}"
+    return None
 
 
 @dataclass
@@ -59,6 +66,12 @@ class SolverConfig:
     dump_qp_path: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):      # the annotation picks the rule; numbers are >= 0
+            v = getattr(self, f.name)
+            if not {"float": isinstance(v, (int, float)) and 0 <= v < np.inf,
+                    "int": isinstance(v, int) and v > 0,
+                    "bool": isinstance(v, bool)}.get(f.type, v is None or isinstance(v, str)):
+                raise ValueError(f"{f.name}: invalid value {v!r}")
         if self.torque_regularizer not in ("about_gravity", "plain"):
             raise ValueError(f"unknown torque_regularizer {self.torque_regularizer!r}")
 

@@ -280,7 +280,7 @@ def test_criterion_8_external_torque_offsets(tmp_path):
         outs[tag] = trace_path
 
     scenario = sim.load_bundled_scenario("limit_push")
-    lset = scenario.limit_set()
+    lset = scenario.limits
 
     def overshoots(path):
         rows = np.loadtxt(path, delimiter=",", skiprows=1)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from dcts import cli, qpcore, sim
+from dcts import cli, qpcore, rbd, sim, solvers
 
 
 @pytest.fixture
@@ -129,3 +129,77 @@ def test_multi_task_stack_rejected_by_single_task_solvers(tmp_path, capsys):
     assert not out_dir.exists()          # rejected before the dcts run started
     with pytest.raises(sim.ConfigError, match="'qp-md' takes one task"):
         sim.run_scenario(sim.load_scenario(path), solver="qp-md")
+
+
+MALFORMED = {
+    # case: (path into rotation_hold, value set there, text the report must contain)
+    "unknown_selector": (("tasks", 0, "selector"), "tool_z",
+                         "tasks[0]: unknown selector 'tool_z'"),
+    "nan_q0": (("q0_rad", 1), float("nan"), "q0_rad: must be finite"),
+    "short_qd0": (("qd0_rad",), [0.0] * 6, "qd0_rad: expected shape (7,)"),
+    "zero_dt": (("integrator_dt_s",), 0.0, "integrator_dt_s: must be > 0"),
+    "short_q_max": (("limits", "q_max_rad"), [2.0] * 6, "limits: q_max_rad: expected shape"),
+    "bad_regularizer": (("solver_config", "torque_regularizer"), "cubic",
+                        "solver_config: unknown torque_regularizer 'cubic'"),
+    "unknown_target": (("tasks", 0, "target", "type"), "spline",
+                       "tasks[0]: unknown target type 'spline'"),
+    "negative_event_duration": (
+        ("events",), [{"kind": "joint_torque", "start_s": 0.0, "duration_s": -1.0,
+                       "joint": 2, "amplitude_nm": 5.0}],
+        "events[0]: duration_s: must be >= 0"),
+    "string_duration": (("duration_s",), "long", "duration_s: could not convert"),
+    "negative_noise": (("tau_ext_noise_std",), -0.1, "tau_ext_noise_std: must be >= 0"),
+    "string_qp_tol": (("solver_config", "qp_tol"), "tight",
+                      "solver_config: qp_tol: invalid value 'tight'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_a_config_error(case, tmp_path, capsys):
+    """--validate and a run apply the same checks: both exit 1, name the
+    field, and nothing is written."""
+    (*parents, last), value, expected = MALFORMED[case]
+    data = json.loads(sim.bundled_scenario_path("rotation_hold").read_text())
+    data["duration_s"] = 0.01
+    node = data
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert cli.run(["--scenario", str(path), "--validate"]) == 1
+    assert expected in capsys.readouterr().out
+    out_dir = tmp_path / "out"
+    assert cli.run(["--scenario", str(path), "--out", str(out_dir)]) == 1
+    assert expected in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_parallel_jobs_write_the_same_traces(tiny_scenario, tmp_path):
+    """Jobs carry the parsed Scenario to worker processes unchanged."""
+    for jobs in ("1", "2"):
+        assert cli.run(["--scenario", str(tiny_scenario), "--solver", "osc", "dcts",
+                        "--out", str(tmp_path / jobs), "--jobs", jobs]) == 0
+    for solver in ("osc", "dcts"):
+        name = f"tiny__{solver}.trace.csv"
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_two_solver_run_loads_the_model_once(tiny_scenario, tmp_path, monkeypatch):
+    loaded = []
+    load_model = rbd.load_model
+    monkeypatch.setattr(rbd, "load_model", lambda path: loaded.append(path) or load_model(path))
+    assert cli.run(["--scenario", str(tiny_scenario), "--solver", "osc", "dcts",
+                    "--out", str(tmp_path / "o")]) == 0
+    assert len(loaded) == 1
+
+
+def test_a_bug_during_a_run_propagates(tiny_scenario, tmp_path, monkeypatch):
+    """Only a braking fallback exits 2; any other failure is a bug and is
+    not reported as a solver abort."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken solver")
+    monkeypatch.setattr(solvers, "solve_osc_saturated", broken)
+    with pytest.raises(RuntimeError, match="broken solver"):
+        cli.run(["--scenario", str(tiny_scenario), "--solver", "osc",
+                 "--out", str(tmp_path / "o")])

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcts import rbd, sim
 
@@ -224,9 +225,11 @@ def test_unknown_solver_rejected():
 # scenario files and validation
 
 
+BUNDLED = ("rotation_hold", "push_recovery", "star_octagon", "limit_push", "payload_drop")
+
+
 def test_bundled_scenarios_validate_clean():
-    for name in ("rotation_hold", "push_recovery", "star_octagon",
-                 "limit_push", "payload_drop"):
+    for name in BUNDLED:
         path = sim.bundled_scenario_path(name)
         issues = sim.validate_scenario_dict(json.loads(path.read_text()),
                                             source=str(path), model_dir=path.parent)
@@ -259,5 +262,58 @@ def test_model_limit_overrides_apply():
     data = json.loads(sim.bundled_scenario_path("star_octagon").read_text())
     sc = sim.scenario_from_dict(data, source="s")
     np.testing.assert_allclose(sc.model.tau_max, 80.0)
-    ls = sc.limit_set()
+    ls = sc.limits
     assert ls.c_max[1] == pytest.approx(np.radians(168.0))
+
+
+def _paths(node, prefix=()):
+    """Every key or index path into a JSON tree, parents before children."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_scenario(draw):
+    """A bundled scenario dict with one entry dropped or set to NaN, a
+    negative number, a string or a list of the wrong length."""
+    name = draw(st.sampled_from(BUNDLED))
+    data = json.loads(sim.bundled_scenario_path(name).read_text())
+    *parents, last = draw(st.sampled_from(list(_paths(data))))
+    node = data
+    for key in parents:
+        node = node[key]
+    old = node[last]
+    mutation = draw(st.sampled_from(("drop", "nan", "negative", "string", "length")))
+    if mutation == "drop":
+        node.pop(last)
+    elif mutation == "nan":
+        node[last] = float("nan")
+    elif mutation == "negative":
+        node[last] = -draw(st.floats(1e-3, 1e3))
+    elif mutation == "string":
+        node[last] = "abc"
+    else:
+        size = len(old) if isinstance(old, list) else 1
+        node[last] = [0.5] * draw(st.integers(0, size + 2).filter(lambda k: k != size))
+    return name, data
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(mutated_scenario())
+def test_validation_agrees_with_loading_and_running(case):
+    """validate_scenario_dict reports an error exactly when loading raises
+    ConfigError; a scenario that validates runs 5 ticks."""
+    name, data = case
+    path = sim.bundled_scenario_path(name)
+    args = (data, str(path), path.parent)
+    if any(level == "error" for level, _ in sim.validate_scenario_dict(*args)):
+        with pytest.raises(sim.ConfigError):
+            sim.scenario_from_dict(*args)
+        return
+    sc = sim.scenario_from_dict(*args)
+    sc.duration = 5 * sc.control_dt
+    trace = sim.run_scenario(sc)
+    assert len(trace.t) == 5 and np.isfinite(trace.tau).all()
