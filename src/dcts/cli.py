@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-ext-force-task", action="store_true",
                    help="do not include external torques in the task constraint")
     p.add_argument("--dump-qp", action="store_true",
-                   help="dump the last assembled QP of each dcts run to JSON "
+                   help="dump the last QP each dcts run solved to JSON "
                         "(the other solvers write none)")
     p.add_argument("--validate", action="store_true",
                    help="check the configs as a run would, then exit without running")

@@ -29,12 +29,16 @@ with all inequality duals >= 0.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError
+
+from .rbd import spd_factor, spd_solve
 
 OPTIMAL, INFEASIBLE, MAX_ITER = "optimal", "infeasible", "max_iter"
 
@@ -45,6 +49,14 @@ class QpError(ValueError):
 
 @dataclass
 class QpProblem:
+    """A checked problem with its row table and Hessian factor built once.
+
+    ``solve`` uses the table and factor built at construction, so the fields
+    are not to be changed afterwards. ``with_beq`` gives the same problem with
+    another equality right side and shares both, so a cascade that only moves
+    ``beq`` builds them once.
+    """
+
     H: np.ndarray
     f: np.ndarray
     Aeq: np.ndarray | None = None
@@ -90,6 +102,22 @@ class QpProblem:
             raise QpError("lb/ub must match the variable dimension")
         if np.any(self.lb > self.ub):
             raise QpError("lb > ub on a variable")
+        self._rows = _build_rows(self)
+        self._factor = _factor_psd(self.H)
+
+    def with_beq(self, beq) -> "QpProblem":
+        """This problem with equality right side ``beq``, sharing the row table
+        and Hessian factor; only the normalized equality sides are recomputed."""
+        beq = np.asarray(beq, dtype=float)
+        if beq.shape != self.beq.shape:
+            raise QpError(f"beq must have shape {self.beq.shape}, got {beq.shape}")
+        rows = self._rows
+        b = rows.b.copy()
+        b[:rows.n_eq] = beq[rows.eq_index] / rows.eq_norm
+        problem = copy.copy(self)
+        problem.beq = beq
+        problem._rows = rows._replace(b=b)
+        return problem
 
     @property
     def dim(self) -> int:
@@ -140,37 +168,45 @@ class QpSolution:
 _EQ, _IN_LO, _IN_HI, _BD_LO, _BD_HI = range(5)
 
 
-def _build_rows(p: QpProblem):
-    """Flatten to normalized one-sided rows c x >= b; equalities keep c x = b."""
+class _Rows(NamedTuple):
+    """Normalized one-sided rows c x >= b; the first n_eq keep c x = b."""
+
+    C: np.ndarray
+    b: np.ndarray
+    kind: list                   # _EQ, _IN_LO, ... per row
+    ref: list                    # (source index, row norm) per row
+    n_eq: int
+    eq_index: np.ndarray         # source row of each equality row
+    eq_norm: np.ndarray
+
+
+def _build_rows(p: QpProblem) -> _Rows:
+    """Flatten to normalized one-sided rows c x >= b; equalities keep c x = b.
+
+    Order: equalities, then each Ain row's lower and upper side, then each
+    variable's lower and upper bound. Rows with zero norm or an infinite side
+    are left out. Each norm is one ``r.dot(r)`` and a square root, rounded
+    as ``np.linalg.norm`` rounds it; bound rows are unit rows.
+    """
     d = p.dim
-    rows_c, rows_b, kind, ref = [], [], [], []
-
-    def add(c, b, k, r):
-        s = float(np.linalg.norm(c))
-        if s <= 0.0:
-            return
-        rows_c.append(c / s)
-        rows_b.append(b / s)
-        kind.append(k)
-        ref.append((r, s))
-
-    for i in range(len(p.beq)):
-        add(p.Aeq[i], p.beq[i], _EQ, i)
-    n_eq = len(rows_c)
-    for i in range(len(p.lower)):
-        if np.isfinite(p.lower[i]):
-            add(p.Ain[i], p.lower[i], _IN_LO, i)
-        if np.isfinite(p.upper[i]):
-            add(-p.Ain[i], -p.upper[i], _IN_HI, i)
-    for j in range(d):
-        if np.isfinite(p.lb[j]):
-            e = np.zeros(d); e[j] = 1.0
-            add(e, p.lb[j], _BD_LO, j)
-        if np.isfinite(p.ub[j]):
-            e = np.zeros(d); e[j] = -1.0
-            add(e, -p.ub[j], _BD_HI, j)
-    C = np.asarray(rows_c) if rows_c else np.zeros((0, d))
-    return C, np.asarray(rows_b), kind, ref, n_eq
+    eq_norm = np.sqrt([r.dot(r) for r in p.Aeq])
+    in_norm = np.sqrt([r.dot(r) for r in p.Ain])
+    eq_index = np.flatnonzero(~(eq_norm <= 0.0))
+    eq_norm = eq_norm[eq_index]
+    in_i, in_side = np.nonzero(np.isfinite([p.lower, p.upper]).T & ~(in_norm <= 0.0)[:, None])
+    bd_j, bd_side = np.nonzero(np.isfinite([p.lb, p.ub]).T)
+    in_scale = in_norm[in_i]
+    eye = np.eye(d)
+    C = np.concatenate([p.Aeq[eq_index] / eq_norm[:, None],
+                        np.array([p.Ain, -p.Ain])[in_side, in_i] / in_scale[:, None],
+                        np.array([eye, 0.0 - eye])[bd_side, bd_j]])
+    b = np.concatenate([p.beq[eq_index] / eq_norm,
+                        np.array([p.lower, -p.upper])[in_side, in_i] / in_scale,
+                        np.array([p.lb, -p.ub])[bd_side, bd_j]])
+    kind = [_EQ] * len(eq_index) + (_IN_LO + in_side).tolist() + (_BD_LO + bd_side).tolist()
+    ref = list(zip(np.concatenate([eq_index, in_i, bd_j]).tolist(),
+                   np.concatenate([eq_norm, in_scale, np.ones(len(bd_j))]).tolist()))
+    return _Rows(C, b, kind, ref, len(eq_index), eq_index, eq_norm)
 
 
 def _label(kind: int, ref) -> str:
@@ -184,14 +220,14 @@ def _factor_psd(H: np.ndarray):
     """Cholesky of H, regularizing a semidefinite Hessian by sigma = 1e-9 tr/d."""
     d = H.shape[0]
     try:
-        return cho_factor(H, lower=True), H, 0.0
+        return spd_factor(H), H, 0.0
     except LinAlgError:
         pass
     sigma = 1e-9 * max(np.trace(H) / d, 1e-3)
     for _ in range(6):
         try:
             Hr = H + sigma * np.eye(d)
-            return cho_factor(Hr, lower=True), Hr, sigma
+            return spd_factor(Hr), Hr, sigma
         except LinAlgError:
             sigma *= 10.0
     raise QpError("Hessian is not positive semidefinite (regularization failed)")
@@ -200,11 +236,14 @@ def _factor_psd(H: np.ndarray):
 def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
     """Dual active-set solve. See the module docstring for conventions."""
     d = p.dim
-    C, b, kind, ref, n_eq = _build_rows(p)
+    rows = p._rows
+    # the equality flip below must not reach the table other stages share
+    C, b, ref = rows.C.copy(), rows.b.copy(), list(rows.ref)
+    kind, n_eq = rows.kind, rows.n_eq
     n_rows = len(b)
-    cho, Hs, _sigma = _factor_psd(p.H)
+    cho, Hs, _sigma = p._factor
 
-    x = cho_solve(cho, -p.f)
+    x = spd_solve(cho, -p.f)
     active: list[int] = []
     duals: list[float] = []
     iterations = 0
@@ -212,7 +251,7 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
     def direction(c: np.ndarray):
         """Solve [H N; N^T 0][z; -r] ... returns z (primal) and r (dual rates)."""
         if not active:
-            return cho_solve(cho, c), np.zeros(0)
+            return spd_solve(cho, c), np.zeros(0)
         N = C[active].T
         na = len(active)
         K = np.zeros((d + na, d + na))

@@ -575,6 +575,13 @@ _nonneg = partial(_num, low=0.0)
 _vec3 = partial(_floats, shape=(3,))
 
 
+def _solver_config(value) -> solvers.SolverConfig:
+    sc = _obj(value)
+    if "dump_qp_path" in sc:      # a file path would land outside --out
+        raise ValueError("dump_qp_path: only --dump-qp sets it, under --out")
+    return solvers.SolverConfig(**sc)
+
+
 def _get(d: dict, key: str, convert=None, default=_REQUIRED):
     """``convert(d[key])``, or ``convert(default)`` when the key is absent
     (None when the default is None). A missing required key raises
@@ -698,7 +705,7 @@ def _parse(data, source: str,
         err(f"{source}: integrator_dt_s must be <= control_dt_s")
     if duration and control_dt and round(duration / control_dt) < 1:
         err(f"{source}: duration_s is shorter than one control tick")
-    cfg = read(data, "solver_config", lambda sc: solvers.SolverConfig(**_obj(sc)), {})
+    cfg = read(data, "solver_config", _solver_config, {})
     seed = read(data, "seed", partial(_int, low=0), 0)
     noise = read(data, "tau_ext_noise_std", _nonneg, 0.0)
     tasks = read(data, "tasks", partial(_list, nonempty=True))

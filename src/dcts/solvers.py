@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError
 
 from . import qpcore, rbd
 from .limits import LimitRealization
@@ -104,11 +104,11 @@ def _lambda_factor(J: np.ndarray, dyn: rbd.ChainDynamics, epsilon: float):
     # away) must fall through to damping too
     try:
         if np.abs(A).max() > 1e-9 and np.linalg.cond(A) < 1e10:
-            return cho_factor(A, lower=True), Minv_Jt, False
+            return rbd.spd_factor(A), Minv_Jt, False
     except LinAlgError:
         pass
     m = A.shape[0]
-    return cho_factor(A + max(epsilon, 1e-12) * np.eye(m), lower=True), Minv_Jt, True
+    return rbd.spd_factor(A + max(epsilon, 1e-12) * np.eye(m)), Minv_Jt, True
 
 
 def solve_osc(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance,
@@ -131,7 +131,7 @@ def solve_osc(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance,
         minv_tau_ext = dyn.minv(np.asarray(tau_ext, float))
         rhs = rhs - J @ minv_tau_ext
     factor, _, degraded = _lambda_factor(J, dyn, cfg.epsilon_lambda)
-    lam = cho_solve(factor, rhs)
+    lam = rbd.spd_solve(factor, rhs)
     tau_prime = J.T @ lam
     qdd = dyn.minv(tau_prime)
     if minv_tau_ext is not None:
@@ -177,15 +177,15 @@ def solve_osc_saturated(model: rbd.RobotModel, state: rbd.JointState,
                 Js[r, j] = 1.0
             a_s = np.array([pinned[j] for j in idx])
             fac_s, Minv_Jst, deg1 = _lambda_factor(Js, dyn, cfg.epsilon_lambda)
-            tau_s = Js.T @ cho_solve(fac_s, a_s)
+            tau_s = Js.T @ rbd.spd_solve(fac_s, a_s)
             # acceleration-space projector of the pinned rows: Js @ Ns = 0
-            Ns = np.eye(n) - Minv_Jst @ cho_solve(fac_s, Js)
+            Ns = np.eye(n) - Minv_Jst @ rbd.spd_solve(fac_s, Js)
             Jp = task.J @ Ns
             rhs = task.a_d - task.jdot_qd - task.J @ dyn.minv(tau_s)
             if minv_tau_ext is not None:
                 rhs = rhs - task.J @ minv_tau_ext
             fac_t, _, deg2 = _lambda_factor(Jp, dyn, cfg.epsilon_lambda)
-            tau_prime = tau_s + Jp.T @ cho_solve(fac_t, rhs)
+            tau_prime = tau_s + Jp.T @ rbd.spd_solve(fac_t, rhs)
             if deg1 or deg2:
                 status = DEGRADED
         else:
@@ -308,25 +308,26 @@ def _nullspace_stack(tasks: list[TaskInstance], dyn: rbd.ChainDynamics,
     for i in range(1, len(tasks)):
         J_aug = np.vstack([t.J for t in tasks[:i]])
         factor, Minv_Jt, _ = _lambda_factor(J_aug, dyn, cfg.epsilon_lambda)
-        jbar = Minv_Jt @ cho_solve(factor, np.eye(J_aug.shape[0]))
+        jbar = Minv_Jt @ rbd.spd_solve(factor, np.eye(J_aug.shape[0]))
         projectors.append(np.eye(n) - jbar @ J_aug)
     return projectors
 
 
-def _level_qp(dyn, cfg, J_i, a_d, rhs0, N_i, frozen, tau_lo, tau_hi,
-              Jc, acc_lo, acc_hi, s_value, maximize_s):
-    """One QP of the per-level cascade.
+def _level_qp(dyn, J_i, a_d, rhs0, N_i, frozen, tau_lo, tau_hi,
+              Jc, acc_lo, acc_hi, maximize_s):
+    """The QP of one level of the per-level cascade.
 
     Variables are the level's own acceleration qdd_i (plus its scale when
-    free). The level contributes N_i qdd_i on top of the frozen contribution
-    of the higher levels; torque and limited-space rows bound the total.
-    With ``s_value`` given the task equality is pinned and the objective is
-    the total acceleration energy; with ``maximize_s`` the objective is
-    (1 - s)^2 plus a small energy term for conditioning.
+    ``maximize_s``). The level contributes N_i qdd_i on top of the frozen
+    contribution of the higher levels; torque and limited-space rows bound the
+    total. With ``maximize_s`` the objective is (1 - s)^2 plus a small energy
+    term for conditioning. Otherwise the objective is the total acceleration
+    energy and the task equality is J_i qdd_i = s a_d + rhs0 for the scale s
+    that each stage sets through ``with_beq``; ``beq`` is rhs0 until then.
     """
     n = N_i.shape[0]
     m = J_i.shape[0]
-    nv = n + (0 if s_value is not None else 1)
+    nv = n + (1 if maximize_s else 0)
 
     MN = dyn.M @ N_i
     Hq = N_i.T @ MN
@@ -345,11 +346,8 @@ def _level_qp(dyn, cfg, J_i, a_d, rhs0, N_i, frozen, tau_lo, tau_hi,
 
     Aeq = np.zeros((m, nv))
     Aeq[:, :n] = J_i
-    if s_value is None:
+    if maximize_s:
         Aeq[:, n] = -a_d
-        beq = rhs0
-    else:
-        beq = s_value * a_d + rhs0
 
     tau_frozen = dyn.M @ frozen
     ain = [np.hstack([MN, np.zeros((n, nv - n))])]
@@ -362,13 +360,17 @@ def _level_qp(dyn, cfg, J_i, a_d, rhs0, N_i, frozen, tau_lo, tau_hi,
         hi.append(acc_hi - Jc @ frozen)
     lb = np.full(nv, -np.inf)
     ub = np.full(nv, np.inf)
-    if s_value is None:
+    if maximize_s:
         lb[n] = 0.0
         ub[n] = 1.0
 
-    problem = qpcore.QpProblem(H=H, f=f, Aeq=Aeq, beq=beq,
-                               Ain=np.vstack(ain), lower=np.concatenate(lo),
-                               upper=np.concatenate(hi), lb=lb, ub=ub)
+    return qpcore.QpProblem(H=H, f=f, Aeq=Aeq, beq=rhs0,
+                            Ain=np.vstack(ain), lower=np.concatenate(lo),
+                            upper=np.concatenate(hi), lb=lb, ub=ub)
+
+
+def _solve_stage(problem: qpcore.QpProblem, cfg: SolverConfig) -> qpcore.QpSolution:
+    """Solve one stage of the cascade; ``dump_qp_path`` keeps the last one."""
     if cfg.dump_qp_path:
         qpcore.dump_problem(problem, cfg.dump_qp_path)
     return qpcore.solve(problem, tol=cfg.qp_tol, max_iter=cfg.qp_max_iter)
@@ -425,16 +427,18 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
         rhs0 = -t.jdot_qd
         if minv_tau_ext is not None:
             rhs0 = rhs0 - t.J @ minv_tau_ext
-        args = (dyn, cfg, t.J, t.a_d, rhs0, projectors[i], frozen,
+        args = (dyn, t.J, t.a_d, rhs0, projectors[i], frozen,
                 tau_lo, tau_hi, Jc, acc_lo, acc_hi)
-        sol = _level_qp(*args, s_value=1.0, maximize_s=False)
+        # the s-pinned stages differ only in beq = s a_d + rhs0
+        fixed = _level_qp(*args, maximize_s=False)
+        sol = _solve_stage(fixed.with_beq(1.0 * t.a_d + rhs0), cfg)
         stages += 1
         iterations += sol.iterations
         if sol.status != qpcore.OPTIMAL:
             if sol.status == qpcore.MAX_ITER:
                 return _brake_fallback(dyn, cfg, MAX_ITER,
                                        {"stage": f"level-{i + 1}-full"})
-            sol = _level_qp(*args, s_value=None, maximize_s=True)
+            sol = _solve_stage(_level_qp(*args, maximize_s=True), cfg)
             stages += 1
             iterations += sol.iterations
             if sol.status != qpcore.OPTIMAL:
@@ -445,7 +449,7 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
             # back off by the solver tolerance so the pinned-scale re-solve
             # stays strictly feasible
             s_lo = float(np.clip(sol.x[n] - 1e-8, 0.0, 1.0))
-            sol_lo = _level_qp(*args, s_value=s_lo, maximize_s=False)
+            sol_lo = _solve_stage(fixed.with_beq(s_lo * t.a_d + rhs0), cfg)
             stages += 1
             iterations += sol_lo.iterations
             if sol_lo.status != qpcore.OPTIMAL:
@@ -461,7 +465,7 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
                 if s_hi - s_lo <= 1e-3:
                     break
                 mid = 0.5 * (s_lo + s_hi)
-                trial = _level_qp(*args, s_value=mid, maximize_s=False)
+                trial = _solve_stage(fixed.with_beq(mid * t.a_d + rhs0), cfg)
                 stages += 1
                 iterations += trial.iterations
                 if trial.status == qpcore.OPTIMAL:

@@ -154,3 +154,42 @@ def random_qp(rng: np.random.Generator):
     lb = np.where(rng.random(d) < 0.3, -rng.uniform(0.2, 2, d), -np.inf)
     ub = np.where(rng.random(d) < 0.3, rng.uniform(0.2, 2, d), np.inf)
     return qpcore.QpProblem(H=H, f=f, Ain=Ain, lower=lower, upper=upper, lb=lb, ub=ub)
+
+
+def qp_rows_per_row(p):
+    """The QP row table built one row at a time: (C, b, kind, ref, n_eq).
+
+    Each one-sided row c x >= b is divided by ``np.linalg.norm(c)`` and rows
+    of zero norm or with an infinite side are left out; the order is
+    equalities, then each Ain row's lower and upper side, then each
+    variable's lower and upper bound. Kinds count 0..4 in that order.
+    """
+    d = p.dim
+    rows_c, rows_b, kind, ref = [], [], [], []
+
+    def add(c, b, k, r):
+        s = float(np.linalg.norm(c))
+        if s <= 0.0:
+            return
+        rows_c.append(c / s)
+        rows_b.append(b / s)
+        kind.append(k)
+        ref.append((r, s))
+
+    for i in range(len(p.beq)):
+        add(p.Aeq[i], p.beq[i], 0, i)
+    n_eq = len(rows_c)
+    for i in range(len(p.lower)):
+        if np.isfinite(p.lower[i]):
+            add(p.Ain[i], p.lower[i], 1, i)
+        if np.isfinite(p.upper[i]):
+            add(-p.Ain[i], -p.upper[i], 2, i)
+    for j in range(d):
+        if np.isfinite(p.lb[j]):
+            e = np.zeros(d); e[j] = 1.0
+            add(e, p.lb[j], 3, j)
+        if np.isfinite(p.ub[j]):
+            e = np.zeros(d); e[j] = -1.0
+            add(e, -p.ub[j], 4, j)
+    C = np.asarray(rows_c) if rows_c else np.zeros((0, d))
+    return C, np.asarray(rows_b), kind, ref, n_eq

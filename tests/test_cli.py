@@ -75,16 +75,26 @@ def test_rerun_byte_identical(tiny_scenario, tmp_path):
     assert hashlib.sha256(tiny_scenario.read_bytes()).hexdigest() == before
 
 
-def test_dump_qp_produces_loadable_problem(tiny_scenario, tmp_path):
-    out_dir = tmp_path / "out"
-    rc = cli.run(["--scenario", str(tiny_scenario), "--solver", "dcts",
-                  "--out", str(out_dir), "--dump-qp"])
-    assert rc == 0
-    dump = out_dir / "tiny__dcts.qp.json"
-    assert dump.exists()
-    problem = qpcore.QpProblem.from_json(dump.read_text())
-    sol = qpcore.solve(problem)
-    assert sol.status == qpcore.OPTIMAL
+def test_dump_qp_produces_loadable_problem(tmp_path, monkeypatch):
+    """--dump-qp keeps the last QP solved, with that stage's beq, and the
+    file loads and solves to optimal."""
+    solved = []
+    solve = qpcore.solve
+    monkeypatch.setattr(qpcore, "solve", lambda p, **kw: solved.append(p) or solve(p, **kw))
+    for scenario in ("rotation_hold", "star_octagon"):
+        data = json.loads(sim.bundled_scenario_path(scenario).read_text())
+        data["duration_s"] = 0.01
+        path = tmp_path / f"{scenario}.json"
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / scenario
+        rc = cli.run(["--scenario", str(path), "--solver", "dcts",
+                      "--out", str(out_dir), "--dump-qp"])
+        assert rc == 0
+        dump = (out_dir / f"{data['name']}__dcts.qp.json").read_text()
+        assert dump == solved[-1].to_json()
+        problem = qpcore.QpProblem.from_json(dump)
+        assert problem.beq.any()
+        assert qpcore.solve(problem).status == qpcore.OPTIMAL
 
 
 def test_ext_force_flags_accepted(tiny_scenario, tmp_path):
@@ -151,13 +161,17 @@ MALFORMED = {
     "negative_noise": (("tau_ext_noise_std",), -0.1, "tau_ext_noise_std: must be >= 0"),
     "string_qp_tol": (("solver_config", "qp_tol"), "tight",
                       "solver_config: qp_tol: invalid value 'tight'"),
+    "dump_qp_path_in_file": (("solver_config", "dump_qp_path"), "qp.json",
+                             "solver_config: dump_qp_path: only --dump-qp sets it"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_input_is_a_config_error(case, tmp_path, capsys):
+def test_malformed_input_is_a_config_error(case, tmp_path, capsys, monkeypatch):
     """--validate and a run apply the same checks: both exit 1, name the
-    field, and nothing is written."""
+    field, and nothing is written, neither under --out nor in the working
+    directory."""
+    monkeypatch.chdir(tmp_path)
     (*parents, last), value, expected = MALFORMED[case]
     data = json.loads(sim.bundled_scenario_path("rotation_hold").read_text())
     data["duration_s"] = 0.01
@@ -173,6 +187,7 @@ def test_malformed_input_is_a_config_error(case, tmp_path, capsys):
     assert cli.run(["--scenario", str(path), "--out", str(out_dir)]) == 1
     assert expected in capsys.readouterr().err
     assert not out_dir.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
 def test_parallel_jobs_write_the_same_traces(tiny_scenario, tmp_path):

@@ -146,3 +146,97 @@ def test_max_iter_status():
     p = oracles.random_qp(rng)
     s = qpcore.solve(p, max_iter=1)
     assert s.status in (qpcore.MAX_ITER, qpcore.OPTIMAL)
+
+
+def _with_equalities(p, Aeq, beq):
+    return qpcore.QpProblem(H=p.H, f=p.f, Aeq=Aeq, beq=beq, Ain=p.Ain, lower=p.lower,
+                            upper=p.upper, lb=p.lb, ub=p.ub)
+
+
+def _row_table_cases():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        p = oracles.random_qp(rng)
+        yield p
+        m = int(rng.integers(1, p.dim + 1))
+        yield _with_equalities(p, rng.normal(size=(m, p.dim)), rng.normal(size=m))
+    inf = np.inf
+    # zero-norm equality and inequality rows, every mix of infinite sides
+    yield qpcore.QpProblem(
+        H=np.eye(3), f=np.ones(3),
+        Aeq=np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]]), beq=np.array([3.0, -1.0]),
+        Ain=np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [-1.0, 0.0, 4.0],
+                      [0.5, 0.5, 0.0], [2.0, 0.0, 0.0]]),
+        lower=np.array([-1.0, -inf, -2.0, -inf, 1.0]),
+        upper=np.array([1.0, 4.0, inf, inf, 1.0]),
+        lb=np.array([-inf, -1.0, 0.0]), ub=np.array([inf, inf, 2.0]))
+    yield qpcore.QpProblem(H=np.eye(2), f=np.zeros(2))              # every block empty
+    yield qpcore.QpProblem(H=np.eye(2), f=np.zeros(2), Aeq=np.zeros((1, 2)),
+                           beq=np.ones(1), Ain=np.zeros((1, 2)),
+                           lower=np.array([-1.0]), upper=np.array([1.0]))
+
+
+def test_row_table_matches_per_row_reference():
+    """The array-built row table equals the one-row-at-a-time table byte for
+    byte, so the solver's arithmetic is unchanged."""
+    for p in _row_table_cases():
+        rows = qpcore._build_rows(p)
+        C, b, kind, ref, n_eq = oracles.qp_rows_per_row(p)
+        assert rows.C.shape == C.shape and rows.C.tobytes() == C.tobytes()
+        assert rows.b.tobytes() == b.tobytes()
+        assert rows.kind == kind
+        assert rows.ref == ref
+        assert rows.n_eq == n_eq
+
+
+def _same_solution(s1, s2):
+    for name in ("x", "eq_duals", "ineq_duals_lower", "ineq_duals_upper",
+                 "bound_duals_lower", "bound_duals_upper"):
+        assert getattr(s1, name).tobytes() == getattr(s2, name).tobytes(), name
+    assert np.array(s1.kkt).tobytes() == np.array(s2.kkt).tobytes()
+    assert (s1.status, s1.iterations, s1.infeasible_constraint, s1.infeasible_violation) \
+        == (s2.status, s2.iterations, s2.infeasible_constraint, s2.infeasible_violation)
+
+
+def test_with_beq_solves_like_a_fresh_problem():
+    rng = np.random.default_rng(21)
+    statuses = set()
+    for _ in range(100):
+        p = oracles.random_qp(rng)
+        m = int(rng.integers(1, p.dim + 1))
+        base = _with_equalities(p, rng.normal(size=(m, p.dim)), np.zeros(m))
+        beq = rng.normal(scale=3.0, size=m)
+        s = qpcore.solve(base.with_beq(beq))
+        _same_solution(s, qpcore.solve(_with_equalities(p, base.Aeq, beq)))
+        statuses.add(s.status)
+    assert statuses == {qpcore.OPTIMAL, qpcore.INFEASIBLE}
+    # x starts at 0: with beq = -1 the equality row starts above its side and
+    # is flipped; beq = 5 cannot be met with x <= 1
+    base = qpcore.QpProblem(H=np.eye(2), f=np.zeros(2), Aeq=np.array([[1.0, 1.0]]),
+                            beq=np.zeros(1), ub=np.ones(2))
+    for beq, status in (([-1.0], qpcore.OPTIMAL), ([5.0], qpcore.INFEASIBLE)):
+        fresh = qpcore.QpProblem(H=base.H, f=base.f, Aeq=base.Aeq, beq=beq, ub=base.ub)
+        s = qpcore.solve(base.with_beq(beq))
+        assert s.status == status
+        _same_solution(s, qpcore.solve(fresh))
+
+
+def test_solving_leaves_the_shared_table_unchanged():
+    base = qpcore.QpProblem(H=np.eye(2), f=np.zeros(2), Aeq=np.array([[1.0, 1.0]]),
+                            beq=np.zeros(1), lb=np.full(2, -2.0), ub=np.ones(2))
+    stage = base.with_beq([-1.0])         # its equality row is flipped in solve
+    before = [(r.C.copy(), r.b.copy(), list(r.ref)) for r in (base._rows, stage._rows)]
+    first, second = qpcore.solve(stage), qpcore.solve(stage)
+    _same_solution(first, second)
+    for (C, b, ref), r in zip(before, (base._rows, stage._rows)):
+        assert r.C.tobytes() == C.tobytes() and r.b.tobytes() == b.tobytes()
+        assert r.ref == ref
+    assert stage._rows.C is base._rows.C and stage._factor is base._factor
+
+
+def test_with_beq_rejects_a_wrong_shape():
+    p = qpcore.QpProblem(H=np.eye(2), f=np.zeros(2), Aeq=np.array([[1.0, 1.0]]),
+                         beq=np.zeros(1))
+    for beq in (np.zeros(2), np.zeros((1, 1)), 1.0):
+        with pytest.raises(qpcore.QpError, match="beq must have shape"):
+            p.with_beq(beq)
