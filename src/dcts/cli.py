@@ -38,8 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--no-ext-force-bounds", action="store_true",
                    help="do not offset the shaped acceleration bounds by external torques")
-    p.add_argument("--no-ext-force-task", action="store_true",
-                   help="do not include external torques in the task constraint")
     p.add_argument("--dump-qp", action="store_true",
                    help="dump the last QP each dcts run solved to JSON "
                         "(the other solvers write none)")
@@ -51,12 +49,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_one(job) -> dict:
-    scenario, solver, out_dir, no_bounds, no_task, dump_qp = job
+    scenario, solver, out_dir, no_bounds, dump_qp = job
     stem = f"{scenario.name}__{solver}"
     dump = str(Path(out_dir) / f"{stem}.qp.json") if dump_qp else None
     trace = sim.run_scenario(scenario, solver=solver,
-                             ext_force_in_bounds=not no_bounds if no_bounds else None,
-                             ext_force_in_task=not no_task if no_task else None,
+                             ext_force_in_bounds=False if no_bounds else None,
                              dump_qp_path=dump)
     trace.to_csv(Path(out_dir) / f"{stem}.trace.csv")
     summary = trace.summary()
@@ -100,7 +97,7 @@ def run(argv: list[str] | None = None) -> int:
                 if problem is not None:
                     issues.append(("error", f"{scenario.source}: {problem}"))
                 jobs.append((scenario, solver, args.out, args.no_ext_force_bounds,
-                             args.no_ext_force_task, args.dump_qp))
+                             args.dump_qp))
         if args.validate and not issues:
             print(f"{ref}: ok")
         for level, msg in issues:

@@ -16,8 +16,9 @@ future position-limit violation. The viability member is what makes braking
 start early: the bare one-step position term only activates within one tick
 of the wall, where the required deceleration exceeds any actuator.
 
-External joint torques shift both bounds by -Jc M^-1 tau_ext so that the
-bound applies to the physically resulting acceleration, not just the
+The limited space is joint space: direction i is joint i, with c = q and
+cd = qd. External joint torques shift both bounds by -M^-1 tau_ext so that
+the bound applies to the physically resulting acceleration, not just the
 commanded one.
 """
 
@@ -53,7 +54,7 @@ def _viability_upper(margin: np.ndarray, cd: np.ndarray, brake: np.ndarray,
 
 @dataclass(frozen=True)
 class LimitSet:
-    """Box limits of one limited space plus the control period.
+    """Box limits of the limited directions plus the control period.
 
     ``brake_fraction`` is the share of the acceleration limit the viability
     shaping assumes for future braking toward a position limit. Keeping it
@@ -178,13 +179,11 @@ def shape_acceleration_bounds(limits: LimitSet, c: np.ndarray, cd: np.ndarray) -
                         repaired=repaired)
 
 
-def apply_external_offset(bounds: ShapedBounds, Jc: np.ndarray,
-                          minv_tau_ext: np.ndarray) -> ShapedBounds:
-    """Shift both bounds by -Jc M^-1 tau_ext (external forces in the constraint)."""
-    Jc = np.atleast_2d(np.asarray(Jc, dtype=float))
-    offset = Jc @ np.asarray(minv_tau_ext, dtype=float)
+def apply_external_offset(bounds: ShapedBounds, minv_tau_ext: np.ndarray) -> ShapedBounds:
+    """Shift both bounds by -M^-1 tau_ext (external forces in the constraint)."""
+    offset = np.asarray(minv_tau_ext, dtype=float)
     if offset.shape != bounds.acc_min.shape:
-        raise ValueError("Jc @ minv_tau_ext does not match the bound dimension")
+        raise ValueError("minv_tau_ext does not match the bound dimension")
     return ShapedBounds(acc_min=bounds.acc_min - offset,
                         acc_max=bounds.acc_max - offset,
                         active_source_min=bounds.active_source_min,
@@ -194,16 +193,14 @@ def apply_external_offset(bounds: ShapedBounds, Jc: np.ndarray,
 
 @dataclass
 class LimitRealization:
-    """One tick's limited-space data handed to a solver: Jc, drift and bounds."""
+    """One tick's shaped joint-acceleration bounds handed to a solver."""
 
-    Jc: np.ndarray               # (l, n)
-    jdot_c_qd: np.ndarray        # (l,)
     bounds: ShapedBounds
 
 
 def joint_space_limits(model, dt: float, a_min=None, a_max=None,
                        brake_fraction: float = 0.4) -> LimitSet:
-    """LimitSet for the joint space of a model (Jc = I), default accel +-10 rad/s^2."""
+    """LimitSet for the joints of a model, default accel +-10 rad/s^2."""
     n = model.n
     if a_min is None:
         a_min = np.full(n, -10.0)
@@ -217,7 +214,6 @@ def realize_joint_limits(limits: LimitSet, q: np.ndarray, qd: np.ndarray,
                          minv_tau_ext: np.ndarray | None = None) -> LimitRealization:
     """Shape joint-space bounds at the current state, optionally offset by tau_ext."""
     bounds = shape_acceleration_bounds(limits, q, qd)
-    n = limits.size
     if minv_tau_ext is not None:
-        bounds = apply_external_offset(bounds, np.eye(n), minv_tau_ext)
-    return LimitRealization(Jc=np.eye(n), jdot_c_qd=np.zeros(n), bounds=bounds)
+        bounds = apply_external_offset(bounds, minv_tau_ext)
+    return LimitRealization(bounds=bounds)

@@ -158,7 +158,6 @@ class QpSolution:
     ineq_duals_upper: np.ndarray
     bound_duals_lower: np.ndarray
     bound_duals_upper: np.ndarray
-    kkt: tuple[float, float, float]          # stationarity, primal, complementarity
     infeasible_constraint: str | None = None
     infeasible_violation: float = 0.0
 
@@ -369,17 +368,18 @@ def _finish(p, x, status, iterations, C, b, kind, ref, active, duals,
             bd_hi[i] += u
     sol = QpSolution(x=x.copy(), status=status, iterations=iterations,
                      eq_duals=eq, ineq_duals_lower=in_lo, ineq_duals_upper=in_hi,
-                     bound_duals_lower=bd_lo, bound_duals_upper=bd_hi,
-                     kkt=(np.nan, np.nan, np.nan))
+                     bound_duals_lower=bd_lo, bound_duals_upper=bd_hi)
     if bad is not None:
         sol.infeasible_constraint = _label(kind[bad], ref[bad])
         sol.infeasible_violation = bad_violation
-    sol.kkt = kkt_residual(p, sol)
     return sol
 
 
 def kkt_residual(p: QpProblem, s: QpSolution) -> tuple[float, float, float]:
-    """(stationarity, primal feasibility, complementarity), recomputed from scratch."""
+    """(stationarity, primal feasibility, complementarity) of ``s`` for ``p``.
+
+    ``solve`` does not compute it: a caller asks for it for the solution it
+    reports, not for every stage it tries."""
     x = s.x
     grad = p.H @ x + p.f
     grad -= p.Aeq.T @ s.eq_duals if len(s.eq_duals) else 0.0

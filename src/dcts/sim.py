@@ -196,12 +196,12 @@ def rk4_step(model: rbd.RobotModel, state: rbd.JointState, tau: np.ndarray,
 
 def energy_metrics(model: rbd.RobotModel, state: rbd.JointState,
                    tau_cmd: np.ndarray, J: np.ndarray | None = None,
-                   epsilon: float = 1e-6,
                    dyn: rbd.ChainDynamics | None = None) -> tuple[float, float, float, float]:
     """(E_acc, E_kin_total, E_kin_task, E_kin_null) at the current state.
 
-    E_acc uses tau' = tau_cmd - nu - g; the task split uses the damped
-    task-space inertia of J (zeros when no task Jacobian is given).
+    E_acc uses tau' = tau_cmd - nu - g; the task split uses the task-space
+    inertia of J damped by ``solvers.EPSILON_LAMBDA`` (zeros when no task
+    Jacobian is given).
     """
     if dyn is None:
         dyn = rbd.compute_dynamics(model, state)
@@ -211,7 +211,8 @@ def energy_metrics(model: rbd.RobotModel, state: rbd.JointState,
     if J is None:
         e_task = 0.0
     else:
-        bundle = rbd.task_dynamics(model, dyn.q, J, epsilon=epsilon, minv=dyn.minv)
+        bundle = rbd.task_dynamics(model, dyn.q, J, epsilon=solvers.EPSILON_LAMBDA,
+                                   minv=dyn.minv)
         xd = J @ dyn.qd
         e_task = 0.5 * float(xd @ bundle.Lambda @ xd)
     return e_acc, e_total, e_task, e_total - e_task
@@ -405,7 +406,6 @@ def _segment_distance(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 
 def run_scenario(scenario: Scenario, solver: str | None = None,
                  ext_force_in_bounds: bool | None = None,
-                 ext_force_in_task: bool | None = None,
                  dump_qp_path: str | None = None,
                  record_hook=None) -> Trace:
     """Run one scenario with one solver and return the full trace.
@@ -421,8 +421,6 @@ def run_scenario(scenario: Scenario, solver: str | None = None,
     cfg = replace(scenario.solver_config)
     if ext_force_in_bounds is not None:
         cfg.ext_force_in_bounds = ext_force_in_bounds
-    if ext_force_in_task is not None:
-        cfg.ext_force_in_task = ext_force_in_task
     if dump_qp_path is not None:
         cfg.dump_qp_path = str(dump_qp_path)
 
@@ -465,7 +463,7 @@ def run_scenario(scenario: Scenario, solver: str | None = None,
         tau_cmd = out.tau
         lead = realized[0]
         e_acc, e_tot, e_task, e_null = energy_metrics(
-            model, state, tau_cmd, J=lead.J, epsilon=cfg.epsilon_lambda, dyn=dyn)
+            model, state, tau_cmd, J=lead.J, dyn=dyn)
 
         # integrate the plant
         plant = scenario.plant_model(t)
@@ -501,7 +499,7 @@ def run_scenario(scenario: Scenario, solver: str | None = None,
         trace.qdd[tick] = qdd_first
         trace.tau[tick] = tau_cmd
         trace.tau_ext[tick] = tau_ext
-        trace.s[tick, :len(out.s)] = out.s[:trace.k]
+        trace.s[tick] = out.s
         trace.e_acc[tick] = e_acc
         trace.e_acc_raw[tick] = 0.5 * float(tau_cmd @ dyn.minv(tau_cmd))
         trace.e_kin_total[tick] = e_tot
@@ -811,6 +809,8 @@ def read_scenario(ref: str | Path) -> tuple[Scenario | None, list[tuple[str, str
         data = json.loads(path.read_text())
     except OSError as e:
         return None, [("error", f"{path}: {e.strerror.lower()}")]
+    except UnicodeDecodeError as e:
+        return None, [("error", f"{path}: not UTF-8 text ({e.reason} at byte {e.start})")]
     except json.JSONDecodeError as e:
         return None, [("error", f"{path}:{e.lineno}: invalid JSON ({e.msg})")]
     return _parse(data, str(path), path.parent)

@@ -13,8 +13,8 @@ commanded torque with gravity/bias compensation included. Conventions:
   torque box; they ignore external torques, which is their documented flaw.
 - DCTS solves min 1/2 tau'^T M^-1 tau' + priority-ordered scaling of the
   desired task accelerations, subject to the dynamics link tau = M qdd + nu
-  + g, torque bounds, shaped acceleration bounds and the per-level scaled
-  task equalities with external-torque terms; multi-task stacks use
+  + g, torque bounds, shaped joint-acceleration bounds and the per-level
+  scaled task equalities with external-torque terms; multi-task stacks use
   dynamically consistent null-space projectors of the augmented Jacobians,
   qdd = sum_i N_i qdd_i.
 
@@ -22,6 +22,10 @@ Task scaling is resolved lexicographically: first try all s_i = 1; on
 infeasibility maximize s_1, then s_2 given s_1, ..., and finally minimize the
 acceleration energy with all s_i fixed. This realizes the w_i >> w_{i-1} >> 1
 penalty ordering in the limit.
+
+Every solver takes the same ``cfg``, a ``SolverConfig`` holding what a
+scenario file or the CLI sets; the tuning values nothing sets are the module
+constants below.
 """
 
 from __future__ import annotations
@@ -49,28 +53,26 @@ def solver_error(name: str, k: int) -> str | None:
     return None
 
 
+EPSILON_LAMBDA = 1e-6      # damping for near-singular task inertia
+QP_MT_WEIGHT = 1e-3
+QP_MD_WEIGHT = 1e-3
+QP_MD_DAMPING = 10.0       # [1/s]
+BRAKE_DAMPING = 10.0       # [1/s] infeasible-fallback braking
+
+
 @dataclass
 class SolverConfig:
-    """Tuning knobs shared by the torque solvers."""
+    """The solver settings a scenario file or the CLI sets."""
 
-    epsilon_lambda: float = 1e-6          # damping for near-singular task inertia
-    qp_tol: float = 1e-8
-    qp_max_iter: int = 200
-    qp_mt_weight: float = 1e-3
-    qp_md_weight: float = 1e-3
-    qp_md_damping: float = 10.0           # [1/s]
     torque_regularizer: str = "about_gravity"   # | "plain"
-    ext_force_in_task: bool = True
     ext_force_in_bounds: bool = True
-    brake_damping: float = 10.0           # [1/s] infeasible-fallback braking
     dump_qp_path: str | None = None
 
     def __post_init__(self):
-        for f in fields(self):      # the annotation picks the rule; numbers are >= 0
+        for f in fields(self):      # the annotation picks the rule
             v = getattr(self, f.name)
-            if not {"float": isinstance(v, (int, float)) and 0 <= v < np.inf,
-                    "int": isinstance(v, int) and v > 0,
-                    "bool": isinstance(v, bool)}.get(f.type, v is None or isinstance(v, str)):
+            if not (isinstance(v, bool) if f.type == "bool"
+                    else v is None or isinstance(v, str)):
                 raise ValueError(f"{f.name}: invalid value {v!r}")
         if self.torque_regularizer not in ("about_gravity", "plain"):
             raise ValueError(f"unknown torque_regularizer {self.torque_regularizer!r}")
@@ -92,7 +94,7 @@ def naive_saturate(tau: np.ndarray, tau_min: np.ndarray, tau_max: np.ndarray) ->
     return np.clip(tau, tau_min, tau_max)
 
 
-def _lambda_factor(J: np.ndarray, dyn: rbd.ChainDynamics, epsilon: float):
+def _lambda_factor(J: np.ndarray, dyn: rbd.ChainDynamics):
     """Cholesky of J M^-1 J^T, exact when well conditioned, damped otherwise.
 
     Returns (factor, Minv_Jt, degraded_flag).
@@ -108,7 +110,7 @@ def _lambda_factor(J: np.ndarray, dyn: rbd.ChainDynamics, epsilon: float):
     except LinAlgError:
         pass
     m = A.shape[0]
-    return rbd.spd_factor(A + max(epsilon, 1e-12) * np.eye(m)), Minv_Jt, True
+    return rbd.spd_factor(A + EPSILON_LAMBDA * np.eye(m)), Minv_Jt, True
 
 
 def solve_osc(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance,
@@ -121,7 +123,6 @@ def solve_osc(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance,
     exactly (up to the linear solve) and minimizes the acceleration energy
     1/2 tau'^T M^-1 tau' over the task-consistent set.
     """
-    cfg = cfg or SolverConfig()
     if dyn is None:
         dyn = rbd.compute_dynamics(model, state)
     J = task.J
@@ -130,7 +131,7 @@ def solve_osc(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance,
     if tau_ext is not None and np.any(tau_ext):
         minv_tau_ext = dyn.minv(np.asarray(tau_ext, float))
         rhs = rhs - J @ minv_tau_ext
-    factor, _, degraded = _lambda_factor(J, dyn, cfg.epsilon_lambda)
+    factor, _, degraded = _lambda_factor(J, dyn)
     lam = rbd.spd_solve(factor, rhs)
     tau_prime = J.T @ lam
     qdd = dyn.minv(tau_prime)
@@ -155,10 +156,7 @@ def solve_osc_saturated(model: rbd.RobotModel, state: rbd.JointState,
     command torque is clamped elementwise (no re-solve), which is exactly the
     failure mode this baseline is known for: when the clamp bites, neither the
     pinned accelerations nor the task acceleration are realized.
-
-    Only joint-space limited spaces (Jc = I) are supported here.
     """
-    cfg = cfg or SolverConfig()
     if dyn is None:
         dyn = rbd.compute_dynamics(model, state)
     n = model.n
@@ -176,7 +174,7 @@ def solve_osc_saturated(model: rbd.RobotModel, state: rbd.JointState,
             for r, j in enumerate(idx):
                 Js[r, j] = 1.0
             a_s = np.array([pinned[j] for j in idx])
-            fac_s, Minv_Jst, deg1 = _lambda_factor(Js, dyn, cfg.epsilon_lambda)
+            fac_s, Minv_Jst, deg1 = _lambda_factor(Js, dyn)
             tau_s = Js.T @ rbd.spd_solve(fac_s, a_s)
             # acceleration-space projector of the pinned rows: Js @ Ns = 0
             Ns = np.eye(n) - Minv_Jst @ rbd.spd_solve(fac_s, Js)
@@ -184,7 +182,7 @@ def solve_osc_saturated(model: rbd.RobotModel, state: rbd.JointState,
             rhs = task.a_d - task.jdot_qd - task.J @ dyn.minv(tau_s)
             if minv_tau_ext is not None:
                 rhs = rhs - task.J @ minv_tau_ext
-            fac_t, _, deg2 = _lambda_factor(Jp, dyn, cfg.epsilon_lambda)
+            fac_t, _, deg2 = _lambda_factor(Jp, dyn)
             tau_prime = tau_s + Jp.T @ rbd.spd_solve(fac_t, rhs)
             if deg1 or deg2:
                 status = DEGRADED
@@ -224,8 +222,7 @@ def solve_osc_saturated(model: rbd.RobotModel, state: rbd.JointState,
 
 
 def _solve_qp_baseline(dyn: rbd.ChainDynamics, task: TaskInstance,
-                       H_reg: np.ndarray, y_reg: np.ndarray, w: float,
-                       cfg: SolverConfig) -> ControlOutput:
+                       H_reg: np.ndarray, y_reg: np.ndarray, w: float) -> ControlOutput:
     """min ||J qdd - b||^2 + w ||H_reg qdd - y_reg||^2 s.t. torque box."""
     J, b = task.J, task.a_d - task.jdot_qd
     H = 2.0 * (J.T @ J + w * H_reg.T @ H_reg)
@@ -234,13 +231,14 @@ def _solve_qp_baseline(dyn: rbd.ChainDynamics, task: TaskInstance,
     problem = qpcore.QpProblem(H=H, f=f, Ain=dyn.M,
                                lower=dyn.model.tau_min - comp,
                                upper=dyn.model.tau_max - comp)
-    sol = qpcore.solve(problem, tol=cfg.qp_tol, max_iter=cfg.qp_max_iter)
+    sol = qpcore.solve(problem)
     if sol.status != qpcore.OPTIMAL:
-        return _brake_fallback(dyn, cfg, sol.status, {"qp": sol.status})
+        return _brake_fallback(dyn, 1, sol.status, {"qp": sol.status})
     qdd = sol.x
     tau = dyn.M @ qdd + comp
     return ControlOutput(tau=tau, qdd=qdd, s=np.ones(1), status=OPTIMAL,
-                         diagnostics={"qp_iterations": sol.iterations, "kkt": sol.kkt})
+                         diagnostics={"qp_iterations": sol.iterations,
+                                      "kkt": qpcore.kkt_residual(problem, sol)})
 
 
 def solve_qp_mt(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance,
@@ -258,7 +256,7 @@ def solve_qp_mt(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance
     if dyn is None:
         dyn = rbd.compute_dynamics(model, state)
     y = -dyn.nu if cfg.torque_regularizer == "about_gravity" else -(dyn.nu + dyn.g)
-    return _solve_qp_baseline(dyn, task, dyn.M, y, cfg.qp_mt_weight, cfg)
+    return _solve_qp_baseline(dyn, task, dyn.M, y, QP_MT_WEIGHT)
 
 
 def solve_qp_md(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance,
@@ -266,33 +264,32 @@ def solve_qp_md(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance
                 cfg: SolverConfig | None = None,
                 dyn: rbd.ChainDynamics | None = None) -> ControlOutput:
     """QP baseline with a joint-space damping regularizer ||qdd + D qd||^2."""
-    cfg = cfg or SolverConfig()
     if dyn is None:
         dyn = rbd.compute_dynamics(model, state)
-    D = cfg.qp_md_damping * np.eye(model.n)
+    D = QP_MD_DAMPING * np.eye(model.n)
     return _solve_qp_baseline(dyn, task, np.eye(model.n), -(D @ state.qd),
-                              cfg.qp_md_weight, cfg)
+                              QP_MD_WEIGHT)
 
 
 # ---------------------------------------------------------------------------
 # DCTS
 
 
-def _brake_fallback(dyn: rbd.ChainDynamics, cfg: SolverConfig, status: str,
+def _brake_fallback(dyn: rbd.ChainDynamics, k: int, status: str,
                     diagnostics: dict) -> ControlOutput:
-    """Safe braking command when the constrained problem has no solution."""
+    """Safe braking command when the constrained problem has no solution;
+    every one of the k task scales reads 0."""
     model = dyn.model
-    brake = np.clip(dyn.M @ (-cfg.brake_damping * dyn.qd),
+    brake = np.clip(dyn.M @ (-BRAKE_DAMPING * dyn.qd),
                     model.tau_min - dyn.g, model.tau_max - dyn.g)
     tau = np.clip(dyn.g + brake, model.tau_min, model.tau_max)
     qdd = dyn.minv(tau - dyn.nu - dyn.g)
     diagnostics = dict(diagnostics, fallback="braking")
-    return ControlOutput(tau=tau, qdd=qdd, s=np.zeros(1), status=status,
+    return ControlOutput(tau=tau, qdd=qdd, s=np.zeros(k), status=status,
                          diagnostics=diagnostics)
 
 
-def _nullspace_stack(tasks: list[TaskInstance], dyn: rbd.ChainDynamics,
-                     cfg: SolverConfig) -> list[np.ndarray]:
+def _nullspace_stack(tasks: list[TaskInstance], dyn: rbd.ChainDynamics) -> list[np.ndarray]:
     """Dynamically consistent null-space projectors of the augmented stacks.
 
     N_1 = I; N_i is built from the augmented Jacobian of tasks 1..i-1. The
@@ -307,20 +304,20 @@ def _nullspace_stack(tasks: list[TaskInstance], dyn: rbd.ChainDynamics,
     projectors = [np.eye(n)]
     for i in range(1, len(tasks)):
         J_aug = np.vstack([t.J for t in tasks[:i]])
-        factor, Minv_Jt, _ = _lambda_factor(J_aug, dyn, cfg.epsilon_lambda)
+        factor, Minv_Jt, _ = _lambda_factor(J_aug, dyn)
         jbar = Minv_Jt @ rbd.spd_solve(factor, np.eye(J_aug.shape[0]))
         projectors.append(np.eye(n) - jbar @ J_aug)
     return projectors
 
 
 def _level_qp(dyn, J_i, a_d, rhs0, N_i, frozen, tau_lo, tau_hi,
-              Jc, acc_lo, acc_hi, maximize_s):
+              acc_lo, acc_hi, maximize_s):
     """The QP of one level of the per-level cascade.
 
     Variables are the level's own acceleration qdd_i (plus its scale when
     ``maximize_s``). The level contributes N_i qdd_i on top of the frozen
-    contribution of the higher levels; torque and limited-space rows bound the
-    total. With ``maximize_s`` the objective is (1 - s)^2 plus a small energy
+    contribution of the higher levels; torque and joint-acceleration rows
+    bound the total. With ``maximize_s`` the objective is (1 - s)^2 plus a small energy
     term for conditioning. Otherwise the objective is the total acceleration
     energy and the task equality is J_i qdd_i = s a_d + rhs0 for the scale s
     that each stage sets through ``with_beq``; ``beq`` is rhs0 until then.
@@ -353,11 +350,10 @@ def _level_qp(dyn, J_i, a_d, rhs0, N_i, frozen, tau_lo, tau_hi,
     ain = [np.hstack([MN, np.zeros((n, nv - n))])]
     lo = [tau_lo - tau_frozen]
     hi = [tau_hi - tau_frozen]
-    if Jc is not None:
-        JcN = Jc @ N_i
-        ain.append(np.hstack([JcN, np.zeros((JcN.shape[0], nv - n))]))
-        lo.append(acc_lo - Jc @ frozen)
-        hi.append(acc_hi - Jc @ frozen)
+    if acc_lo is not None:
+        ain.append(np.hstack([N_i, np.zeros((n, nv - n))]))
+        lo.append(acc_lo - frozen)
+        hi.append(acc_hi - frozen)
     lb = np.full(nv, -np.inf)
     ub = np.full(nv, np.inf)
     if maximize_s:
@@ -373,7 +369,7 @@ def _solve_stage(problem: qpcore.QpProblem, cfg: SolverConfig) -> qpcore.QpSolut
     """Solve one stage of the cascade; ``dump_qp_path`` keeps the last one."""
     if cfg.dump_qp_path:
         qpcore.dump_problem(problem, cfg.dump_qp_path)
-    return qpcore.solve(problem, tol=cfg.qp_tol, max_iter=cfg.qp_max_iter)
+    return qpcore.solve(problem)
 
 
 def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
@@ -402,59 +398,57 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
         raise ValueError("tasks must be sorted by priority (1 = highest)")
     n = model.n
     k = len(tasks)
-    projectors = _nullspace_stack(tasks, dyn, cfg)
+    projectors = _nullspace_stack(tasks, dyn)
     minv_tau_ext = None
-    if tau_ext is not None and np.any(tau_ext) and cfg.ext_force_in_task:
+    if tau_ext is not None and np.any(tau_ext):
         minv_tau_ext = dyn.minv(np.asarray(tau_ext, float))
 
     comp = dyn.nu + dyn.g
     tau_lo = model.tau_min - comp
     tau_hi = model.tau_max - comp
+    acc_lo = acc_hi = None
     if limit_real is not None:
-        Jc = limit_real.Jc
-        acc_lo = limit_real.bounds.acc_min - limit_real.jdot_c_qd
-        acc_hi = limit_real.bounds.acc_max - limit_real.jdot_c_qd
-    else:
-        Jc, acc_lo, acc_hi = None, None, None
+        acc_lo, acc_hi = limit_real.bounds.acc_min, limit_real.bounds.acc_max
 
     frozen = np.zeros(n)
     qdd_blocks = []
     s_out = np.ones(k)
     stages = 0
     iterations = 0
-    last_sol = None
     for i, t in enumerate(tasks):
         rhs0 = -t.jdot_qd
         if minv_tau_ext is not None:
             rhs0 = rhs0 - t.J @ minv_tau_ext
         args = (dyn, t.J, t.a_d, rhs0, projectors[i], frozen,
-                tau_lo, tau_hi, Jc, acc_lo, acc_hi)
+                tau_lo, tau_hi, acc_lo, acc_hi)
         # the s-pinned stages differ only in beq = s a_d + rhs0
         fixed = _level_qp(*args, maximize_s=False)
-        sol = _solve_stage(fixed.with_beq(1.0 * t.a_d + rhs0), cfg)
+        problem = fixed.with_beq(1.0 * t.a_d + rhs0)
+        sol = _solve_stage(problem, cfg)
         stages += 1
         iterations += sol.iterations
         if sol.status != qpcore.OPTIMAL:
             if sol.status == qpcore.MAX_ITER:
-                return _brake_fallback(dyn, cfg, MAX_ITER,
+                return _brake_fallback(dyn, k, MAX_ITER,
                                        {"stage": f"level-{i + 1}-full"})
             sol = _solve_stage(_level_qp(*args, maximize_s=True), cfg)
             stages += 1
             iterations += sol.iterations
             if sol.status != qpcore.OPTIMAL:
                 return _brake_fallback(
-                    dyn, cfg, INFEASIBLE,
+                    dyn, k, INFEASIBLE,
                     {"qp": sol.status, "stage": f"level-{i + 1}-scale",
                      "blocking": sol.infeasible_constraint})
             # back off by the solver tolerance so the pinned-scale re-solve
             # stays strictly feasible
             s_lo = float(np.clip(sol.x[n] - 1e-8, 0.0, 1.0))
-            sol_lo = _solve_stage(fixed.with_beq(s_lo * t.a_d + rhs0), cfg)
+            problem = fixed.with_beq(s_lo * t.a_d + rhs0)
+            sol_lo = _solve_stage(problem, cfg)
             stages += 1
             iterations += sol_lo.iterations
             if sol_lo.status != qpcore.OPTIMAL:
                 return _brake_fallback(
-                    dyn, cfg, INFEASIBLE,
+                    dyn, k, INFEASIBLE,
                     {"qp": sol_lo.status, "stage": f"level-{i + 1}-energy",
                      "blocking": sol_lo.infeasible_constraint})
             # the penalty stage's s is exact when a constraint pins it but
@@ -465,11 +459,12 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
                 if s_hi - s_lo <= 1e-3:
                     break
                 mid = 0.5 * (s_lo + s_hi)
-                trial = _solve_stage(fixed.with_beq(mid * t.a_d + rhs0), cfg)
+                trial_problem = fixed.with_beq(mid * t.a_d + rhs0)
+                trial = _solve_stage(trial_problem, cfg)
                 stages += 1
                 iterations += trial.iterations
                 if trial.status == qpcore.OPTIMAL:
-                    s_lo, sol_lo = mid, trial
+                    s_lo, sol_lo, problem = mid, trial, trial_problem
                 else:
                     s_hi = mid
             s_out[i] = s_lo
@@ -477,19 +472,19 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
         qdd_i = sol.x[:n]
         qdd_blocks.append(qdd_i)
         frozen = frozen + projectors[i] @ qdd_i
-        last_sol = sol
 
+    # sol and problem are now the last level's reported stage
     tau = dyn.M @ frozen + comp
     active = {
         "torque": [int(j) for j in np.nonzero(
-            (last_sol.ineq_duals_lower[:n] > 1e-9)
-            | (last_sol.ineq_duals_upper[:n] > 1e-9))[0]],
+            (sol.ineq_duals_lower[:n] > 1e-9)
+            | (sol.ineq_duals_upper[:n] > 1e-9))[0]],
         "limited_space": [int(j) for j in np.nonzero(
-            (last_sol.ineq_duals_lower[n:] > 1e-9)
-            | (last_sol.ineq_duals_upper[n:] > 1e-9))[0]],
+            (sol.ineq_duals_lower[n:] > 1e-9)
+            | (sol.ineq_duals_upper[n:] > 1e-9))[0]],
     }
     return ControlOutput(tau=tau, qdd=frozen, s=s_out, status=OPTIMAL,
                          diagnostics={"stages": stages, "qp_iterations": iterations,
-                                      "active": active, "kkt": last_sol.kkt,
+                                      "active": active, "kkt": qpcore.kkt_residual(problem, sol),
                                       "qdd_aug": np.concatenate(qdd_blocks)})
 

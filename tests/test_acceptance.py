@@ -153,7 +153,7 @@ def test_criterion_2_qp_oracles():
             continue
         assert s.status == qpcore.OPTIMAL
         assert abs(p.objective(s.x) - best[0]) < 1e-6
-        assert max(s.kkt) < 1e-8
+        assert max(qpcore.kkt_residual(p, s)) < 1e-8
         checked += 1
     report(2, f"QP solver matches active-set enumeration on {checked} feasible "
               f"problems within 1e-6; KKT residuals < 1e-8")

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -99,8 +102,7 @@ def test_dump_qp_produces_loadable_problem(tmp_path, monkeypatch):
 
 def test_ext_force_flags_accepted(tiny_scenario, tmp_path):
     rc = cli.run(["--scenario", str(tiny_scenario), "--solver", "dcts",
-                  "--out", str(tmp_path / "o"), "--no-ext-force-bounds",
-                  "--no-ext-force-task"])
+                  "--out", str(tmp_path / "o"), "--no-ext-force-bounds"])
     assert rc == 0
 
 
@@ -108,6 +110,18 @@ def test_missing_file_is_config_error(capsys):
     rc = cli.run(["--scenario", "/nonexistent/path.json"])
     assert rc == 1
     assert "no such file" in capsys.readouterr().err
+
+
+def test_scenario_file_not_utf8_is_config_error(tmp_path, capsys):
+    """A scenario file that is not UTF-8 text is an error naming the file,
+    for --validate and for a run alike."""
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    for extra in (["--validate"], ["--out", str(tmp_path / "o")]):
+        assert cli.run(["--scenario", str(path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {path}: not UTF-8 text" in captured.out + captured.err
+    assert not (tmp_path / "o").exists()
 
 
 def test_multi_task_stack_rejected_by_single_task_solvers(tmp_path, capsys):
@@ -159,8 +173,10 @@ MALFORMED = {
         "events[0]: duration_s: must be >= 0"),
     "string_duration": (("duration_s",), "long", "duration_s: could not convert"),
     "negative_noise": (("tau_ext_noise_std",), -0.1, "tau_ext_noise_std: must be >= 0"),
-    "string_qp_tol": (("solver_config", "qp_tol"), "tight",
-                      "solver_config: qp_tol: invalid value 'tight'"),
+    "string_ext_force_in_bounds": (("solver_config", "ext_force_in_bounds"), "yes",
+                                   "solver_config: ext_force_in_bounds: invalid value 'yes'"),
+    "removed_qp_tol": (("solver_config", "qp_tol"), 1e-8,
+                       "unexpected keyword argument 'qp_tol'"),
     "dump_qp_path_in_file": (("solver_config", "dump_qp_path"), "qp.json",
                              "solver_config: dump_qp_path: only --dump-qp sets it"),
 }
@@ -218,3 +234,16 @@ def test_a_bug_during_a_run_propagates(tiny_scenario, tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="broken solver"):
         cli.run(["--scenario", str(tiny_scenario), "--solver", "osc",
                  "--out", str(tmp_path / "o")])
+
+
+def test_readme_flags_paragraph_names_every_option_and_setting():
+    """The README's Flags paragraph names exactly the parser's options and
+    every SolverConfig field, so the docs cannot fall behind a settings
+    change."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = next(b for b in readme.split("\n\n") if b.startswith("Flags:"))
+    options = {opt for action in cli.build_parser()._actions
+               for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
+    assert set(re.findall(r"`(--[a-z-]+)", paragraph)) == options
+    for f in fields(solvers.SolverConfig):
+        assert f"`{f.name}`" in paragraph, f.name

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcts import rbd, sim
+from dcts import rbd, sim, solvers
 
 from conftest import Q_STAR, planar_dict
 
@@ -202,6 +202,22 @@ def test_summary_fields():
                 "violation_pct_per_joint", "energy", "scaling", "status_counts"):
         assert key in s
     assert set(s["violation_pct"]) == {"q", "v", "tau"}
+
+
+def test_braking_tick_records_every_task_scale_as_zero():
+    """A two-task run that brakes on every tick (1 N m torque limits cannot
+    hold the arm) records s = 0 for both tasks, so the summary counts no
+    task as unscaled."""
+    data = json.loads(sim.bundled_scenario_path("rotation_hold").read_text())
+    data["duration_s"] = 0.003
+    data["tasks"].append({"priority": 2, "mode": "impedance", "selector": "joint_posture",
+                          "stiffness": 10.0, "damping": 6.0})
+    data["limits"]["tau_min_nm"] = [-1.0] * 7
+    data["limits"]["tau_max_nm"] = [1.0] * 7
+    tr = sim.run_scenario(sim.scenario_from_dict(data))
+    assert (tr.status == sim.STATUS_CODE[solvers.INFEASIBLE]).all()
+    assert not tr.s.any()
+    assert tr.summary()["scaling"] == {"min": 0.0, "mean": 0.0}
 
 
 def test_qp_md_null_energy_decays_after_push():

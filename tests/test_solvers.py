@@ -117,11 +117,11 @@ def test_qp_mt_static_equilibrium(iiwa):
     np.testing.assert_allclose(out.tau, dyn.g, atol=1e-6)
 
 
-def test_qp_mt_small_regularizer_tracks_task(scene):
+def test_qp_mt_small_regularizer_tracks_task(scene, monkeypatch):
     model, state, dyn = scene
     task = rotation_task(model, dyn)
-    out = solvers.solve_qp_mt(model, state, task,
-                              cfg=solvers.SolverConfig(qp_mt_weight=1e-9), dyn=dyn)
+    monkeypatch.setattr(solvers, "QP_MT_WEIGHT", 1e-9)
+    out = solvers.solve_qp_mt(model, state, task, dyn=dyn)
     err = task.J @ out.qdd - (task.a_d - task.jdot_qd)
     assert np.linalg.norm(err) < 1e-4
 
@@ -256,20 +256,23 @@ def test_dcts_scaling_in_unit_interval(scene):
 
 
 def test_dcts_infeasible_falls_back_to_braking(scene):
+    """One task or a two-task stack: the fallback brakes inside the torque
+    limits and reports every task scale as 0."""
     model, state, dyn = scene
-    task = rotation_task(model, dyn)
     # impossible: demand a huge acceleration exactly (collapsed repaired bound)
     ls = limits.joint_space_limits(model, 1e-3, a_min=np.full(7, -2e4),
                                    a_max=np.full(7, 2e4))
     bounds = limits.shape_acceleration_bounds(ls, state.q, state.qd)
     bounds.acc_min[:] = 1.9e4
     bounds.acc_max[:] = 1.9e4
-    lr = limits.LimitRealization(Jc=np.eye(7), jdot_c_qd=np.zeros(7), bounds=bounds)
-    out = solvers.solve_dcts_multi(model, state, [task], lr, None, dyn=dyn)
-    assert out.status == solvers.INFEASIBLE
-    assert out.diagnostics.get("fallback") == "braking"
-    assert np.all(out.tau <= model.tau_max + 1e-9)
-    assert np.all(out.tau >= model.tau_min - 1e-9)
+    lr = limits.LimitRealization(bounds=bounds)
+    for stack in ([rotation_task(model, dyn)], two_task_set(model, dyn)):
+        out = solvers.solve_dcts_multi(model, state, stack, lr, None, dyn=dyn)
+        assert out.status == solvers.INFEASIBLE
+        assert out.diagnostics.get("fallback") == "braking"
+        assert out.s.tolist() == [0.0] * len(stack)
+        assert np.all(out.tau <= model.tau_max + 1e-9)
+        assert np.all(out.tau >= model.tau_min - 1e-9)
 
 
 def test_dcts_requires_sorted_tasks(scene):
