@@ -36,7 +36,8 @@ def main() -> None:
         print(f"{name:8s} {tr.e_kin_null.max():12.3e} {tr.e_kin_null[i2]:12.3e} "
               f"{tr.e_kin_task.max():12.3e} "
               f"{np.trapezoid(tr.e_acc_raw, tr.t):14.1f} {tr.pos_err[-1]:10.2e}")
-    print(f"\ntraces in {out}/ (gnuplot: plot 'file.csv' using 1:26 with lines)")
+    column = tr.header().index("E_kin_null") + 1
+    print(f"\ntraces in {out}/ (gnuplot: plot 'file.csv' using 1:{column} with lines)")
 
 
 if __name__ == "__main__":

@@ -93,7 +93,7 @@ def run(argv: list[str] | None = None) -> int:
             if args.seed is not None:
                 scenario.seed = args.seed
             for solver in args.solver or [scenario.solver]:
-                problem = solvers.solver_error(solver, len(scenario.task_configs))
+                problem = solvers.solver_error(solver, len(scenario.tasks))
                 if problem is not None:
                     issues.append(("error", f"{scenario.source}: {problem}"))
                 jobs.append((scenario, solver, args.out, args.no_ext_force_bounds,

@@ -19,17 +19,17 @@ inertia of the priority-1 task.
 
 from __future__ import annotations
 
-import io
+import copy
 import json
 import math
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import limits as limits_mod
-from . import rbd, solvers, tasks as tasks_mod
+from . import qpcore, rbd, solvers, tasks as tasks_mod
 
 STATUS_CODE = {solvers.OPTIMAL: 0, solvers.DEGRADED: 1,
                solvers.INFEASIBLE: 2, solvers.MAX_ITER: 3}
@@ -235,7 +235,7 @@ class Scenario:
     integrator_dt: float
     solver: str
     solver_config: solvers.SolverConfig
-    task_configs: list[dict]
+    tasks: list[tasks_mod.TaskSpec]       # targets resolved at q0, sorted by priority
     limits: limits_mod.LimitSet
     events: list[Event]
     seed: int = 0
@@ -254,62 +254,54 @@ class Scenario:
                 return ev.plant
         return self.model
 
-    def make_tasks(self, state0: rbd.JointState) -> list[tasks_mod.TaskSpec]:
-        """Fresh TaskSpec objects (trackers are stateful) with targets resolved
-        at state0, sorted by priority."""
-        T_tool = rbd.link_transforms(self.model, state0.q)[self.model.tool_frame]
-        specs = [_build_task(tc, i, self.model, state0.q, T_tool)
-                 for i, tc in enumerate(self.task_configs)]
-        return sorted(specs, key=lambda spec: spec.priority)
-
 
 # ---------------------------------------------------------------------------
 # trace
 
 
+# The trace columns in CSV order: (attribute, CSV name or None when the
+# column is not written, width None for one value per tick or "n"/"k" for one
+# per joint/task, dtype). Names of wide columns get the 1-based index appended.
+_COLUMNS = (
+    ("t", "t", None, float),
+    ("q", "q", "n", float),
+    ("qd", "qd", "n", float),
+    ("tau", "tau", "n", float),
+    ("s", "s", "k", float),                     # task scales, 1 when unscaled
+    ("e_acc", "E_acc", None, float),
+    ("e_kin_total", "E_kin_total", None, float),
+    ("e_kin_task", "E_kin_task", None, float),
+    ("e_kin_null", "E_kin_null", None, float),
+    ("viol_q", "viol_q", "n", np.int8),         # -1, 0, +1: which side is violated
+    ("viol_v", "viol_v", "n", np.int8),
+    ("viol_tau", "viol_tau", "n", np.int8),
+    ("saturated", "sat", "n", bool),            # naive clamp active (projector baseline)
+    ("e_acc_raw", "E_acc_raw", None, float),
+    ("pos_err", "pos_err", None, float),        # priority-1 task position error [m or rad]
+    ("acc_err", "acc_err", None, float),        # priority-1 task acceleration error
+    ("status", "status", None, int),            # see STATUS_CODE
+    ("repaired", "repaired", None, bool),       # bound repair active on some direction
+    ("qdd", None, "n", float),
+    ("tau_ext", None, "n", float),
+)
+
+
 @dataclass
 class Trace:
-    """Per-tick record of one run: arrays of ``ticks`` rows, zero-filled at
-    construction and filled in by ``run_scenario``."""
+    """Per-tick record of one run: one array of ``ticks`` rows per entry of
+    ``_COLUMNS``, zero-filled at construction and filled in by
+    ``run_scenario``."""
 
     scenario: str
     solver: str
     n: int
     k: int
     ticks: InitVar[int]
-    t: np.ndarray = field(init=False)
-    q: np.ndarray = field(init=False)
-    qd: np.ndarray = field(init=False)
-    qdd: np.ndarray = field(init=False)
-    tau: np.ndarray = field(init=False)
-    tau_ext: np.ndarray = field(init=False)
-    s: np.ndarray = field(init=False)             # task scales, 1 when unscaled
-    e_acc: np.ndarray = field(init=False)
-    e_acc_raw: np.ndarray = field(init=False)
-    e_kin_total: np.ndarray = field(init=False)
-    e_kin_task: np.ndarray = field(init=False)
-    e_kin_null: np.ndarray = field(init=False)
-    viol_q: np.ndarray = field(init=False)        # (-1, 0, +1) per joint: which side is violated
-    viol_v: np.ndarray = field(init=False)
-    viol_tau: np.ndarray = field(init=False)
-    saturated: np.ndarray = field(init=False)     # bool, naive clamp active (projector baseline)
-    pos_err: np.ndarray = field(init=False)       # priority-1 task position error [m or rad]
-    acc_err: np.ndarray = field(init=False)       # priority-1 task acceleration error
-    status: np.ndarray = field(init=False)        # int codes, see STATUS_CODE
-    repaired: np.ndarray = field(init=False)      # bool, bound repair active on some direction
 
     def __post_init__(self, ticks: int):
-        for name in ("q", "qd", "qdd", "tau", "tau_ext"):
-            setattr(self, name, np.zeros((ticks, self.n)))
-        for name in ("viol_q", "viol_v", "viol_tau"):
-            setattr(self, name, np.zeros((ticks, self.n), np.int8))
-        for name in ("t", "e_acc", "e_acc_raw", "e_kin_total", "e_kin_task",
-                     "e_kin_null", "pos_err", "acc_err"):
-            setattr(self, name, np.zeros(ticks))
-        self.s = np.ones((ticks, self.k))
-        self.saturated = np.zeros((ticks, self.n), bool)
-        self.status = np.zeros(ticks, int)
-        self.repaired = np.zeros(ticks, bool)
+        for attr, _, width, dtype in _COLUMNS:
+            shape = (ticks,) if width is None else (ticks, getattr(self, width))
+            setattr(self, attr, np.zeros(shape, dtype))
 
     def summary(self) -> dict:
         ticks = len(self.t)
@@ -345,41 +337,18 @@ class Trace:
         }
 
     def header(self) -> list[str]:
-        n, k = self.n, self.k
-        cols = ["t"]
-        cols += [f"q{j+1}" for j in range(n)]
-        cols += [f"qd{j+1}" for j in range(n)]
-        cols += [f"tau{j+1}" for j in range(n)]
-        cols += [f"s{j+1}" for j in range(k)]
-        cols += ["E_acc", "E_kin_total", "E_kin_task", "E_kin_null"]
-        cols += [f"viol_q{j+1}" for j in range(n)]
-        cols += [f"viol_v{j+1}" for j in range(n)]
-        cols += [f"viol_tau{j+1}" for j in range(n)]
-        cols += [f"sat{j+1}" for j in range(n)]
-        cols += ["E_acc_raw", "pos_err", "acc_err", "status", "repaired"]
+        cols = []
+        for _, name, width, _ in _COLUMNS:
+            if name is not None:
+                cols += ([name] if width is None
+                         else [f"{name}{j+1}" for j in range(getattr(self, width))])
         return cols
 
     def to_csv(self, path: str | Path) -> None:
-        buf = io.StringIO()
-        buf.write(",".join(self.header()) + "\n")
-        fmt = lambda v: format(float(v), ".10g")
-        for i in range(len(self.t)):
-            row = [fmt(self.t[i])]
-            row += [fmt(v) for v in self.q[i]]
-            row += [fmt(v) for v in self.qd[i]]
-            row += [fmt(v) for v in self.tau[i]]
-            row += [fmt(v) for v in self.s[i]]
-            row += [fmt(self.e_acc[i]), fmt(self.e_kin_total[i]),
-                    fmt(self.e_kin_task[i]), fmt(self.e_kin_null[i])]
-            row += [str(int(v)) for v in self.viol_q[i]]
-            row += [str(int(v)) for v in self.viol_v[i]]
-            row += [str(int(v)) for v in self.viol_tau[i]]
-            row += [str(int(v)) for v in self.saturated[i]]
-            row += [fmt(self.e_acc_raw[i]), fmt(self.pos_err[i]),
-                    fmt(self.acc_err[i]), str(int(self.status[i])),
-                    str(int(self.repaired[i]))]
-            buf.write(",".join(row) + "\n")
-        Path(path).write_text(buf.getvalue())
+        table = np.column_stack([getattr(self, attr) for attr, name, _, _ in _COLUMNS
+                                 if name is not None])
+        np.savetxt(path, table, fmt="%.10g", delimiter=",",
+                   header=",".join(self.header()), comments="")
 
 
 def _violation_side(value: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -410,22 +379,22 @@ def run_scenario(scenario: Scenario, solver: str | None = None,
                  record_hook=None) -> Trace:
     """Run one scenario with one solver and return the full trace.
 
-    ``record_hook(tick, state, dyn, realized, out)`` is called after each
-    control tick when given (used by tests to replay solvers in lockstep).
+    ``dump_qp_path``, when given, receives the last QP a ``dcts`` run solved;
+    the other solvers write none. ``record_hook(tick, state, dyn, realized,
+    out)`` is called after each control tick when given (used by tests to
+    replay solvers in lockstep).
     """
     model = scenario.model
     name = solver or scenario.solver
-    problem = solvers.solver_error(name, len(scenario.task_configs))
+    problem = solvers.solver_error(name, len(scenario.tasks))
     if problem is not None:
         raise ConfigError(f"{scenario.source}: {problem}")
     cfg = replace(scenario.solver_config)
     if ext_force_in_bounds is not None:
         cfg.ext_force_in_bounds = ext_force_in_bounds
-    if dump_qp_path is not None:
-        cfg.dump_qp_path = str(dump_qp_path)
 
     state = rbd.JointState(scenario.q0.copy(), scenario.qd0.copy())
-    specs = scenario.make_tasks(state)
+    specs = copy.deepcopy(scenario.tasks)       # trackers are stateful
     lead_spec = specs[0]
     lset = scenario.limits
     rng = np.random.default_rng(scenario.seed)
@@ -517,6 +486,8 @@ def run_scenario(scenario: Scenario, solver: str | None = None,
             record_hook(tick, state, dyn, realized, out)
         state = sub
         qdd_prev = qdd_first
+    if dump_qp_path is not None and "last_qp" in out.diagnostics:
+        qpcore.dump_problem(out.diagnostics["last_qp"], dump_qp_path)
     return trace
 
 
@@ -574,10 +545,7 @@ _vec3 = partial(_floats, shape=(3,))
 
 
 def _solver_config(value) -> solvers.SolverConfig:
-    sc = _obj(value)
-    if "dump_qp_path" in sc:      # a file path would land outside --out
-        raise ValueError("dump_qp_path: only --dump-qp sets it, under --out")
-    return solvers.SolverConfig(**sc)
+    return solvers.SolverConfig(**_obj(value))
 
 
 def _get(d: dict, key: str, convert=None, default=_REQUIRED):
@@ -699,18 +667,20 @@ def _parse(data, source: str,
     duration = read(data, "duration_s", _positive)
     control_dt = read(data, "control_dt_s", _positive, 1e-3)
     integrator_dt = read(data, "integrator_dt_s", _positive, 1e-4)
-    if control_dt and integrator_dt and integrator_dt > control_dt + 1e-12:
-        err(f"{source}: integrator_dt_s must be <= control_dt_s")
+    if control_dt and integrator_dt:
+        substeps = control_dt / integrator_dt
+        if abs(substeps - round(substeps)) > 1e-9 * substeps:
+            err(f"{source}: integrator_dt_s must divide control_dt_s")
     if duration and control_dt and round(duration / control_dt) < 1:
         err(f"{source}: duration_s is shorter than one control tick")
     cfg = read(data, "solver_config", _solver_config, {})
     seed = read(data, "seed", partial(_int, low=0), 0)
     noise = read(data, "tau_ext_noise_std", _nonneg, 0.0)
-    tasks = read(data, "tasks", partial(_list, nonempty=True))
+    task_configs = read(data, "tasks", partial(_list, nonempty=True))
     events = read(data, "events", _list, []) or []
     lim = read(data, "limits", _obj, {}) or {}
     solver = data.get("solver", "dcts")
-    problem = solvers.solver_error(solver, len(tasks or ()))
+    problem = solvers.solver_error(solver, len(task_configs or ()))
     if problem is not None:
         err(f"{source}.solver: {problem}")
     model = read(data, "model", partial(_resolve_model, model_dir=model_dir))
@@ -734,10 +704,10 @@ def _parse(data, source: str,
     limit_dt = read(lim, "dt_s", _positive, None, where) or control_dt
     brake_fraction = read(lim, "brake_fraction", _num, 0.4, where)
 
-    if q0 is not None and tasks:
+    if q0 is not None and task_configs:
         T_tool = rbd.link_transforms(model, q0)[model.tool_frame]
         specs = [get(f"{source}.tasks[{i}]", _build_task, tc, i, model, q0, T_tool)
-                 for i, tc in enumerate(tasks)]
+                 for i, tc in enumerate(task_configs)]
         priorities = [spec.priority for spec in specs if spec is not None]
         if len(set(priorities)) != len(priorities):
             err(f"{source}.tasks: duplicate priorities {priorities}")
@@ -757,8 +727,8 @@ def _parse(data, source: str,
     return Scenario(name=str(data.get("name", Path(source).stem)), model=model, q0=q0,
                     qd0=qd0, duration=duration, control_dt=control_dt,
                     integrator_dt=integrator_dt, solver=solver, solver_config=cfg,
-                    task_configs=tasks, limits=lset, events=evs, seed=seed,
-                    tau_ext_noise_std=noise, source=source), issues
+                    tasks=sorted(specs, key=lambda spec: spec.priority), limits=lset,
+                    events=evs, seed=seed, tau_ext_noise_std=noise, source=source), issues
 
 
 def _checked(parsed: tuple[Scenario | None, list[tuple[str, str]]]) -> Scenario:

@@ -66,13 +66,11 @@ class SolverConfig:
 
     torque_regularizer: str = "about_gravity"   # | "plain"
     ext_force_in_bounds: bool = True
-    dump_qp_path: str | None = None
 
     def __post_init__(self):
         for f in fields(self):      # the annotation picks the rule
             v = getattr(self, f.name)
-            if not (isinstance(v, bool) if f.type == "bool"
-                    else v is None or isinstance(v, str)):
+            if not isinstance(v, bool if f.type == "bool" else str):
                 raise ValueError(f"{f.name}: invalid value {v!r}")
         if self.torque_regularizer not in ("about_gravity", "plain"):
             raise ValueError(f"unknown torque_regularizer {self.torque_regularizer!r}")
@@ -365,13 +363,6 @@ def _level_qp(dyn, J_i, a_d, rhs0, N_i, frozen, tau_lo, tau_hi,
                             upper=np.concatenate(hi), lb=lb, ub=ub)
 
 
-def _solve_stage(problem: qpcore.QpProblem, cfg: SolverConfig) -> qpcore.QpSolution:
-    """Solve one stage of the cascade; ``dump_qp_path`` keeps the last one."""
-    if cfg.dump_qp_path:
-        qpcore.dump_problem(problem, cfg.dump_qp_path)
-    return qpcore.solve(problem)
-
-
 def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
                      tasks: list[TaskInstance],
                      limit_real: LimitRealization | None = None,
@@ -388,8 +379,10 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
     acceleration energy at the fixed scale. Freezing higher levels is what
     realizes the strict hierarchy: a lower level can neither disturb nor
     trade away anything the levels above already claimed.
+
+    ``diagnostics["last_qp"]`` is the last problem passed to the QP solver,
+    on every return.
     """
-    cfg = cfg or SolverConfig()
     if dyn is None:
         dyn = rbd.compute_dynamics(model, state)
     if not tasks:
@@ -415,6 +408,17 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
     s_out = np.ones(k)
     stages = 0
     iterations = 0
+    last_qp = None
+
+    def solve(problem: qpcore.QpProblem) -> qpcore.QpSolution:
+        """Solve one stage of the cascade, count it and keep its problem."""
+        nonlocal stages, iterations, last_qp
+        sol = qpcore.solve(problem)
+        stages += 1
+        iterations += sol.iterations
+        last_qp = problem
+        return sol
+
     for i, t in enumerate(tasks):
         rhs0 = -t.jdot_qd
         if minv_tau_ext is not None:
@@ -424,33 +428,27 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
         # the s-pinned stages differ only in beq = s a_d + rhs0
         fixed = _level_qp(*args, maximize_s=False)
         problem = fixed.with_beq(1.0 * t.a_d + rhs0)
-        sol = _solve_stage(problem, cfg)
-        stages += 1
-        iterations += sol.iterations
+        sol = solve(problem)
         if sol.status != qpcore.OPTIMAL:
             if sol.status == qpcore.MAX_ITER:
                 return _brake_fallback(dyn, k, MAX_ITER,
-                                       {"stage": f"level-{i + 1}-full"})
-            sol = _solve_stage(_level_qp(*args, maximize_s=True), cfg)
-            stages += 1
-            iterations += sol.iterations
+                                       {"stage": f"level-{i + 1}-full", "last_qp": last_qp})
+            sol = solve(_level_qp(*args, maximize_s=True))
             if sol.status != qpcore.OPTIMAL:
                 return _brake_fallback(
                     dyn, k, INFEASIBLE,
                     {"qp": sol.status, "stage": f"level-{i + 1}-scale",
-                     "blocking": sol.infeasible_constraint})
+                     "blocking": sol.infeasible_constraint, "last_qp": last_qp})
             # back off by the solver tolerance so the pinned-scale re-solve
             # stays strictly feasible
             s_lo = float(np.clip(sol.x[n] - 1e-8, 0.0, 1.0))
             problem = fixed.with_beq(s_lo * t.a_d + rhs0)
-            sol_lo = _solve_stage(problem, cfg)
-            stages += 1
-            iterations += sol_lo.iterations
+            sol_lo = solve(problem)
             if sol_lo.status != qpcore.OPTIMAL:
                 return _brake_fallback(
                     dyn, k, INFEASIBLE,
                     {"qp": sol_lo.status, "stage": f"level-{i + 1}-energy",
-                     "blocking": sol_lo.infeasible_constraint})
+                     "blocking": sol_lo.infeasible_constraint, "last_qp": last_qp})
             # the penalty stage's s is exact when a constraint pins it but
             # biased low when its conditioning term does; bisect the true
             # feasibility boundary
@@ -460,9 +458,7 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
                     break
                 mid = 0.5 * (s_lo + s_hi)
                 trial_problem = fixed.with_beq(mid * t.a_d + rhs0)
-                trial = _solve_stage(trial_problem, cfg)
-                stages += 1
-                iterations += trial.iterations
+                trial = solve(trial_problem)
                 if trial.status == qpcore.OPTIMAL:
                     s_lo, sol_lo, problem = mid, trial, trial_problem
                 else:
@@ -486,5 +482,6 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
     return ControlOutput(tau=tau, qdd=frozen, s=s_out, status=OPTIMAL,
                          diagnostics={"stages": stages, "qp_iterations": iterations,
                                       "active": active, "kkt": qpcore.kkt_residual(problem, sol),
-                                      "qdd_aug": np.concatenate(qdd_blocks)})
+                                      "qdd_aug": np.concatenate(qdd_blocks),
+                                      "last_qp": last_qp})
 

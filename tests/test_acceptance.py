@@ -164,7 +164,7 @@ def test_criterion_3_osc_dcts_equivalence(dcts_rotation_states, iiwa):
     trace, rec = dcts_rotation_states
     cfg = solvers.SolverConfig()
     scenario = sim.load_bundled_scenario("rotation_hold")
-    spec = scenario.make_tasks(rbd.JointState(scenario.q0, scenario.qd0))[0]
+    spec = scenario.tasks[0]
     worst = 0.0
     for state, J, tau_dcts, nu, g in rec:
         dyn = rbd.compute_dynamics(iiwa, state)

@@ -79,20 +79,26 @@ def test_rerun_byte_identical(tiny_scenario, tmp_path):
 
 
 def test_dump_qp_produces_loadable_problem(tmp_path, monkeypatch):
-    """--dump-qp keeps the last QP solved, with that stage's beq, and the
-    file loads and solves to optimal."""
-    solved = []
-    solve = qpcore.solve
+    """--dump-qp keeps the last QP solved, with that stage's beq, written
+    once per dcts run; the file loads and solves to optimal. An osc run
+    writes no QP file."""
+    solved, written = [], []
+    solve, dump_problem = qpcore.solve, qpcore.dump_problem
     monkeypatch.setattr(qpcore, "solve", lambda p, **kw: solved.append(p) or solve(p, **kw))
+    monkeypatch.setattr(qpcore, "dump_problem",
+                        lambda p, path: written.append(Path(path).name) or dump_problem(p, path))
     for scenario in ("rotation_hold", "star_octagon"):
         data = json.loads(sim.bundled_scenario_path(scenario).read_text())
         data["duration_s"] = 0.01
         path = tmp_path / f"{scenario}.json"
         path.write_text(json.dumps(data))
         out_dir = tmp_path / scenario
-        rc = cli.run(["--scenario", str(path), "--solver", "dcts",
+        rc = cli.run(["--scenario", str(path), "--solver", "osc", "dcts",
                       "--out", str(out_dir), "--dump-qp"])
         assert rc == 0
+        assert written == [f"{data['name']}__dcts.qp.json"]
+        written.clear()
+        assert not (out_dir / f"{data['name']}__osc.qp.json").exists()
         dump = (out_dir / f"{data['name']}__dcts.qp.json").read_text()
         assert dump == solved[-1].to_json()
         problem = qpcore.QpProblem.from_json(dump)
@@ -178,7 +184,9 @@ MALFORMED = {
     "removed_qp_tol": (("solver_config", "qp_tol"), 1e-8,
                        "unexpected keyword argument 'qp_tol'"),
     "dump_qp_path_in_file": (("solver_config", "dump_qp_path"), "qp.json",
-                             "solver_config: dump_qp_path: only --dump-qp sets it"),
+                             "unexpected keyword argument 'dump_qp_path'"),
+    "integrator_dt_not_dividing": (("integrator_dt_s",), 4e-4,
+                                   "integrator_dt_s must divide control_dt_s"),
 }
 
 

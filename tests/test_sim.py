@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,22 +178,69 @@ def test_scenario_determinism_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def two_task_dict(duration: float) -> dict:
+    """rotation_hold with a joint-posture task below its orientation task."""
+    data = json.loads(sim.bundled_scenario_path("rotation_hold").read_text())
+    data["duration_s"] = duration
+    data["tasks"].append({"priority": 2, "mode": "impedance", "selector": "joint_posture",
+                          "stiffness": 10.0, "damping": 6.0})
+    return data
+
+
 def test_trace_csv_layout(tmp_path):
-    sc = short_scenario(duration=0.05)
-    tr = sim.run_scenario(sc, solver="osc")
-    path = tmp_path / "t.csv"
-    tr.to_csv(path)
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    n, k = tr.n, tr.k
-    assert header[:1 + 3 * n] == (
-        ["t"] + [f"q{j+1}" for j in range(n)] + [f"qd{j+1}" for j in range(n)]
-        + [f"tau{j+1}" for j in range(n)])
-    assert header[1 + 3 * n:1 + 3 * n + k + 4] == (
-        [f"s{j+1}" for j in range(k)]
-        + ["E_acc", "E_kin_total", "E_kin_task", "E_kin_null"])
-    assert len(lines) == 1 + len(tr.t)
-    assert len(lines[1].split(",")) == len(header)
+    """One scale column per task sits between tau and the energies."""
+    one = sim.run_scenario(short_scenario(duration=0.05), solver="osc")
+    two = sim.run_scenario(sim.scenario_from_dict(two_task_dict(0.005)), solver="dcts")
+    for tr, k in ((one, 1), (two, 2)):
+        path = tmp_path / f"k{k}.csv"
+        tr.to_csv(path)
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        n = tr.n
+        assert header == tr.header()
+        assert header[:1 + 3 * n] == (
+            ["t"] + [f"q{j+1}" for j in range(n)] + [f"qd{j+1}" for j in range(n)]
+            + [f"tau{j+1}" for j in range(n)])
+        assert header[1 + 3 * n:1 + 3 * n + k + 4] == (
+            [f"s{j+1}" for j in range(k)]
+            + ["E_acc", "E_kin_total", "E_kin_task", "E_kin_null"])
+        assert len(lines) == 1 + len(tr.t)
+        assert len(lines[1].split(",")) == len(header)
+
+
+def test_readme_trace_columns_match_the_header():
+    """The README's Trace CSV block names the column groups of
+    ``Trace.header()`` in order, and its gnuplot example plots E_kin_null."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Trace CSV", 1)[1].split("\n## ", 1)[0]
+    block = re.sub(r"\(.*?\)", "", section.split("```")[1])
+    names = [re.match(r"[A-Za-z_]+?(?=1\.\.|$)", token.strip()).group()
+             for token in block.split(",")]
+    header = sim.Trace("x", "osc", n=7, k=1, ticks=0).header()
+    groups = [col.rstrip("0123456789") for col in header]
+    assert names == [g for i, g in enumerate(groups) if i == 0 or g != groups[i - 1]]
+    column = int(re.search(r"using 1:(\d+)", section).group(1))
+    assert header[column - 1] == "E_kin_null"
+
+
+def test_reused_scenario_gives_the_same_trace(tmp_path, iiwa):
+    """Running one Scenario object twice writes the same bytes, because each
+    run takes fresh copies of its stateful trackers. The first waypoint is the
+    initial tool point, so the tracker advances on tick 0."""
+    data = json.loads(sim.bundled_scenario_path("star_octagon").read_text())
+    data["duration_s"] = 0.02
+    task = data["tasks"][0]
+    T = rbd.link_transforms(iiwa, np.array(data["q0_rad"]))[iiwa.tool_frame]
+    start = T[:3, :3] @ np.array(task["point_m"]) + T[:3, 3]
+    task["waypoints"] = {"type": "explicit",
+                         "points_m": [start.tolist(), (start + [0.0, 0.1, 0.0]).tolist()]}
+    sc = sim.scenario_from_dict(data)
+    runs = []
+    for i in range(2):
+        path = tmp_path / f"run{i}.csv"
+        sim.run_scenario(sc, solver="dcts").to_csv(path)
+        runs.append(path.read_bytes())
+    assert runs[0] == runs[1]
 
 
 def test_summary_fields():
@@ -208,10 +257,7 @@ def test_braking_tick_records_every_task_scale_as_zero():
     """A two-task run that brakes on every tick (1 N m torque limits cannot
     hold the arm) records s = 0 for both tasks, so the summary counts no
     task as unscaled."""
-    data = json.loads(sim.bundled_scenario_path("rotation_hold").read_text())
-    data["duration_s"] = 0.003
-    data["tasks"].append({"priority": 2, "mode": "impedance", "selector": "joint_posture",
-                          "stiffness": 10.0, "damping": 6.0})
+    data = two_task_dict(0.003)
     data["limits"]["tau_min_nm"] = [-1.0] * 7
     data["limits"]["tau_max_nm"] = [1.0] * 7
     tr = sim.run_scenario(sim.scenario_from_dict(data))
