@@ -196,17 +196,27 @@ def link_transforms(model: RobotModel, q: np.ndarray) -> np.ndarray:
     return out
 
 
-class _KinData:
-    """Batched world-frame per-link quantities shared by the dynamics passes."""
+class Kinematics:
+    """World-frame per-link quantities of one configuration q, built once and
+    handed to everything evaluated at q: the link ``transforms`` and, per
+    link, the joint axis ``z``, joint origin ``p``, COM ``c`` and inertia
+    about the COM ``Iw``."""
 
-    __slots__ = ("z", "p", "c", "Iw")
+    __slots__ = ("transforms", "z", "p", "c", "Iw")
 
-    def __init__(self, model: RobotModel, transforms: np.ndarray):
-        R = transforms[:model.n, :3, :3]
-        self.p = transforms[:model.n, :3, 3]
+    def __init__(self, model: RobotModel, q: np.ndarray):
+        self.transforms = link_transforms(model, q)
+        R = self.transforms[:model.n, :3, :3]
+        self.p = self.transforms[:model.n, :3, 3]
         self.z = np.einsum("nij,nj->ni", R, model.axes)
         self.c = np.einsum("nij,nj->ni", R, model.coms) + self.p
         self.Iw = np.einsum("nij,njk,nlk->nil", R, model.inertias, R)
+
+    def point(self, frame: int, point: np.ndarray | None = None) -> np.ndarray:
+        """World position of a point given in the frame's own coordinates
+        (default: the frame origin)."""
+        T = self.transforms[frame]
+        return T[:3, 3] if point is None else T[:3, :3] @ np.asarray(point, float) + T[:3, 3]
 
 
 def forward_kinematics(model: RobotModel, q: np.ndarray, frame: int) -> FramePose:
@@ -218,18 +228,18 @@ def forward_kinematics(model: RobotModel, q: np.ndarray, frame: int) -> FramePos
 
 def jacobian(model: RobotModel, q: np.ndarray, frame: int,
              point: np.ndarray | None = None,
-             transforms: np.ndarray | None = None) -> np.ndarray:
+             kin: Kinematics | None = None) -> np.ndarray:
     """Geometric Jacobian (3 linear rows over 3 angular rows) of a frame point.
 
     ``point`` is an offset expressed in the frame's own coordinates (default:
     the frame origin). Row sub-selection for tasks is the caller's job.
+    ``kin`` is the ``Kinematics`` of q when the caller has it; the same holds
+    for every ``kin`` parameter below.
     """
     frame = model.check_frame(frame)
-    if transforms is None:
-        transforms = link_transforms(model, q)
-    T = transforms[frame]
-    x = T[:3, 3] if point is None else T[:3, :3] @ np.asarray(point, float) + T[:3, 3]
-    kin = _KinData(model, transforms)
+    if kin is None:
+        kin = Kinematics(model, q)
+    x = kin.point(frame, point)
     J = np.zeros((6, model.n))
     last = model.n - 1 if frame == model.n else frame
     z, p = kin.z[:last + 1], kin.p[:last + 1]
@@ -240,7 +250,7 @@ def jacobian(model: RobotModel, q: np.ndarray, frame: int,
 
 def jacobian_dot_qd(model: RobotModel, q: np.ndarray, qd: np.ndarray, frame: int,
                     point: np.ndarray | None = None,
-                    transforms: np.ndarray | None = None) -> np.ndarray:
+                    kin: Kinematics | None = None) -> np.ndarray:
     """The drift acceleration Jdot qd of a frame point, via velocity recursion.
 
     Equals the classical acceleration [a; alpha] of the point when qdd = 0 and
@@ -248,17 +258,14 @@ def jacobian_dot_qd(model: RobotModel, q: np.ndarray, qd: np.ndarray, frame: int
     """
     frame = model.check_frame(frame)
     qd = np.asarray(qd, dtype=float)
-    if transforms is None:
-        transforms = link_transforms(model, q)
-    kin = _KinData(model, transforms)
+    if kin is None:
+        kin = Kinematics(model, q)
     last = model.n - 1 if frame == model.n else frame
     qd_masked = qd.copy()
     qd_masked[last + 1:] = 0.0
     w, dw, a_joint, _ = _velocity_recursion(kin, qd_masked, np.zeros(model.n),
                                             np.zeros(3))
-    T = transforms[frame]
-    x = T[:3, 3] if point is None else T[:3, :3] @ np.asarray(point, float) + T[:3, 3]
-    r = x - kin.p[last]
+    r = kin.point(frame, point) - kin.p[last]
     a_point = (a_joint[last] + _bcross(dw[last], r)
                + _bcross(w[last], _bcross(w[last], r)))
     return np.concatenate([a_point, dw[last]])
@@ -269,16 +276,13 @@ def jacobian_dot_qd(model: RobotModel, q: np.ndarray, qd: np.ndarray, frame: int
 
 
 def mass_matrix(model: RobotModel, q: np.ndarray,
-                transforms: np.ndarray | None = None,
-                kin: "_KinData | None" = None) -> np.ndarray:
+                kin: Kinematics | None = None) -> np.ndarray:
     """Joint-space inertia M(q) = sum_i (m_i Jv_i^T Jv_i + Jw_i^T I_i Jw_i).
 
     Built from batched per-link COM Jacobians; symmetric positive definite.
     """
-    if transforms is None:
-        transforms = link_transforms(model, q)
     if kin is None:
-        kin = _KinData(model, transforms)
+        kin = Kinematics(model, q)
     n = model.n
     # V[i, j] = z_j x (c_i - p_j) for j <= i, else 0; W[i, j] = z_j for j <= i
     mask = np.tri(n)[:, :, None]
@@ -292,7 +296,7 @@ def mass_matrix(model: RobotModel, q: np.ndarray,
     return M
 
 
-def _velocity_recursion(kin: "_KinData", qd: np.ndarray, qdd: np.ndarray,
+def _velocity_recursion(kin: Kinematics, qd: np.ndarray, qdd: np.ndarray,
                         a_base: np.ndarray):
     """Batched forward pass: per-link w, dw, joint-origin and COM accelerations.
 
@@ -312,9 +316,8 @@ def _velocity_recursion(kin: "_KinData", qd: np.ndarray, qdd: np.ndarray,
     return w, dw, a_joint, a_com
 
 
-def _rnea(model: RobotModel, q: np.ndarray, qd: np.ndarray, qdd: np.ndarray,
-          gravity: np.ndarray, transforms: np.ndarray | None = None,
-          kin: "_KinData | None" = None) -> np.ndarray:
+def _rnea(model: RobotModel, kin: Kinematics, qd: np.ndarray, qdd: np.ndarray,
+          gravity: np.ndarray) -> np.ndarray:
     """Newton-Euler inverse dynamics in world coordinates, batched.
 
     Gravity enters as a base acceleration. The backward force/moment sweep is
@@ -323,12 +326,8 @@ def _rnea(model: RobotModel, q: np.ndarray, qd: np.ndarray, qdd: np.ndarray,
 
         mu_i = revcum(I dw + w x Iw + c x (m a_com))_i - p_i x revcum(m a_com)_i
     """
-    if transforms is None:
-        transforms = link_transforms(model, q)
-    if kin is None:
-        kin = _KinData(model, transforms)
-    w, dw, _, a_com = _velocity_recursion(kin, np.asarray(qd, float),
-                                          np.asarray(qdd, float),
+    qdd = np.asarray(qdd, float)
+    w, dw, _, a_com = _velocity_recursion(kin, np.asarray(qd, float), qdd,
                                           -np.asarray(gravity, float))
     ma = model.masses[:, None] * a_com
     Iw_w = np.einsum("nij,nj->ni", kin.Iw, w)
@@ -340,39 +339,19 @@ def _rnea(model: RobotModel, q: np.ndarray, qd: np.ndarray, qdd: np.ndarray,
 
 
 def inverse_dynamics(model: RobotModel, q: np.ndarray, qd: np.ndarray,
-                     qdd: np.ndarray,
-                     transforms: np.ndarray | None = None) -> np.ndarray:
+                     qdd: np.ndarray, kin: Kinematics | None = None) -> np.ndarray:
     """Joint torques for a prescribed motion: tau = M qdd + nu + g."""
-    q = model.check_q(q)
-    return _rnea(model, q, np.asarray(qd, float), np.asarray(qdd, float),
-                 model.gravity, transforms)
-
-
-def bias_forces(model: RobotModel, q: np.ndarray, qd: np.ndarray,
-                transforms: np.ndarray | None = None,
-                kin: "_KinData | None" = None) -> np.ndarray:
-    """Coriolis/centrifugal torques nu(q, qd), gravity excluded."""
-    q = model.check_q(q)
-    return _rnea(model, q, np.asarray(qd, float), np.zeros(model.n),
-                 np.zeros(3), transforms, kin)
-
-
-def gravity_forces(model: RobotModel, q: np.ndarray,
-                   transforms: np.ndarray | None = None,
-                   kin: "_KinData | None" = None) -> np.ndarray:
-    """Gravity torques g(q)."""
-    q = model.check_q(q)
-    zero = np.zeros(model.n)
-    return _rnea(model, q, zero, zero, model.gravity, transforms, kin)
+    if kin is None:
+        kin = Kinematics(model, q)
+    return _rnea(model, kin, qd, qdd, model.gravity)
 
 
 def bias_and_gravity(model: RobotModel, q: np.ndarray, qd: np.ndarray,
-                     transforms: np.ndarray | None = None,
-                     kin: "_KinData | None" = None) -> np.ndarray:
+                     kin: Kinematics | None = None) -> np.ndarray:
     """nu(q, qd) + g(q) in a single Newton-Euler pass."""
-    q = model.check_q(q)
-    return _rnea(model, q, np.asarray(qd, float), np.zeros(model.n),
-                 model.gravity, transforms, kin)
+    if kin is None:
+        kin = Kinematics(model, q)
+    return _rnea(model, kin, qd, np.zeros(model.n), model.gravity)
 
 
 def spd_factor(A: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -391,17 +370,16 @@ def spd_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
 
 def forward_dynamics(model: RobotModel, q: np.ndarray, qd: np.ndarray,
                      tau: np.ndarray, tau_ext: np.ndarray | None = None,
-                     transforms: np.ndarray | None = None,
+                     kin: Kinematics | None = None,
                      M_cho=None) -> np.ndarray:
     """qdd = M^-1 (tau + tau_ext - nu - g)."""
-    if transforms is None:
-        transforms = link_transforms(model, q)
-    kin = _KinData(model, transforms)
-    rhs = np.asarray(tau, float) - bias_and_gravity(model, q, qd, transforms, kin)
+    if kin is None:
+        kin = Kinematics(model, q)
+    rhs = np.asarray(tau, float) - bias_and_gravity(model, q, qd, kin)
     if tau_ext is not None:
         rhs = rhs + tau_ext
     if M_cho is None:
-        M_cho = spd_factor(mass_matrix(model, q, transforms, kin))
+        M_cho = spd_factor(mass_matrix(model, q, kin))
     return spd_solve(M_cho, rhs)
 
 
@@ -444,25 +422,30 @@ class ChainDynamics:
     model: RobotModel
     q: np.ndarray
     qd: np.ndarray
-    transforms: np.ndarray
+    kin: Kinematics
     M: np.ndarray
     M_cho: tuple = field(repr=False, default=None)
     nu: np.ndarray = None
     g: np.ndarray = None
+
+    @property
+    def transforms(self) -> np.ndarray:
+        return self.kin.transforms
 
     def minv(self, rhs: np.ndarray) -> np.ndarray:
         return spd_solve(self.M_cho, rhs)
 
 
 def compute_dynamics(model: RobotModel, state: JointState) -> ChainDynamics:
-    transforms = link_transforms(model, state.q)
-    kin = _KinData(model, transforms)
-    M = mass_matrix(model, state.q, transforms, kin)
-    nu = bias_forces(model, state.q, state.qd, transforms, kin)
-    g = gravity_forces(model, state.q, transforms, kin)
+    """M, its factor, nu = RNEA(qd, qdd = 0, no gravity) and
+    g = RNEA(qd = 0, qdd = 0, gravity) at one state."""
+    kin = Kinematics(model, state.q)
+    M = mass_matrix(model, state.q, kin)
+    zero = np.zeros(model.n)
+    nu = _rnea(model, kin, state.qd, zero, np.zeros(3))
+    g = _rnea(model, kin, zero, zero, model.gravity)
     return ChainDynamics(model=model, q=state.q.copy(), qd=state.qd.copy(),
-                         transforms=transforms, M=M,
-                         M_cho=spd_factor(M), nu=nu, g=g)
+                         kin=kin, M=M, M_cho=spd_factor(M), nu=nu, g=g)
 
 
 # ---------------------------------------------------------------------------

@@ -100,12 +100,13 @@ def _shift(d: np.ndarray) -> np.ndarray:
 
 def scripted_tau_ext(events: list[Event], t: float, model: rbd.RobotModel,
                      q: np.ndarray,
-                     transforms: np.ndarray | None = None) -> np.ndarray:
+                     kin: rbd.Kinematics | None = None) -> np.ndarray:
     """Joint torques of the active scripted forces and torques at time t.
 
     An unmodeled mass contributes nothing here: the plant feels it through
     its augmented model, and the controller measures it through
-    ``payload_observer``.
+    ``payload_observer``. ``kin`` is the ``rbd.Kinematics`` of ``model`` at
+    q when the caller has it.
     """
     tau = np.zeros(model.n)
     for ev in events:
@@ -113,7 +114,7 @@ def scripted_tau_ext(events: list[Event], t: float, model: rbd.RobotModel,
             continue
         if ev.kind == "cartesian_force":
             frame = model.tool_frame if ev.frame is None else ev.frame
-            J = rbd.jacobian(model, q, frame, point=ev.point, transforms=transforms)
+            J = rbd.jacobian(model, q, frame, point=ev.point, kin=kin)
             tau += J[:3].T @ (ev.profile(t) * ev.force)
         elif ev.kind == "joint_torque":
             tau[ev.joint] += ev.profile(t) * ev.amplitude
@@ -136,15 +137,15 @@ def payload_observer(nominal: rbd.RobotModel, plant: rbd.RobotModel,
 def apply_events(scenario: "Scenario", t: float, model: rbd.RobotModel,
                  state: rbd.JointState,
                  qdd_prev: np.ndarray | None = None,
-                 transforms: np.ndarray | None = None) -> np.ndarray:
+                 kin: rbd.Kinematics | None = None) -> np.ndarray:
     """Controller-side (measured) tau_ext at time t.
 
     Scripted forces and torques are measured directly; an active unmodeled
     mass is measured through the observer (quasi-static at rest when no
-    previous acceleration is available). ``transforms`` are the link
-    transforms of ``model`` at ``state.q`` when the caller has them.
+    previous acceleration is available). ``kin`` is the ``rbd.Kinematics``
+    of ``model`` at ``state.q`` when the caller has it.
     """
-    tau = scripted_tau_ext(scenario.events, t, model, state.q, transforms)
+    tau = scripted_tau_ext(scenario.events, t, model, state.q, kin)
     plant = scenario.plant_model(t)
     if plant is not model:
         tau = tau + payload_observer(
@@ -159,18 +160,18 @@ def apply_events(scenario: "Scenario", t: float, model: rbd.RobotModel,
 
 def step(model: rbd.RobotModel, state: rbd.JointState, tau: np.ndarray,
          tau_ext: np.ndarray | None, dt: float,
-         transforms: np.ndarray | None = None,
+         kin: rbd.Kinematics | None = None,
          M_cho=None) -> tuple[rbd.JointState, np.ndarray]:
     """One semi-implicit Euler step of the forward dynamics.
 
-    Returns the new state and the acceleration qdd the step used; the link
-    ``transforms`` and the factor ``M_cho`` of M at ``state.q`` are reused
-    when the caller has them. ``run_scenario`` integrates the plant with this
+    Returns the new state and the acceleration qdd the step used; the
+    ``rbd.Kinematics`` and the factor ``M_cho`` of M at ``state.q`` are
+    reused when the caller has them. ``run_scenario`` integrates the plant with this
     step; a non-finite result raises ValueError from the new ``JointState``.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    qdd = rbd.forward_dynamics(model, state.q, state.qd, tau, tau_ext, transforms, M_cho)
+    qdd = rbd.forward_dynamics(model, state.q, state.qd, tau, tau_ext, kin, M_cho)
     qd = state.qd + qdd * dt
     return rbd.JointState(state.q + qd * dt, qd), qdd
 
@@ -410,7 +411,7 @@ def run_scenario(scenario: Scenario, solver: str | None = None,
     for tick in range(n_ticks):
         t = tick * scenario.control_dt
         dyn = rbd.compute_dynamics(model, state)
-        tau_ext = apply_events(scenario, t, model, state, qdd_prev, dyn.transforms)
+        tau_ext = apply_events(scenario, t, model, state, qdd_prev, dyn.kin)
         if noise > 0:
             tau_ext = tau_ext + rng.normal(0.0, noise, model.n)
         realized = [tasks_mod.realize_task(sp, dyn) for sp in specs]
@@ -439,9 +440,9 @@ def run_scenario(scenario: Scenario, solver: str | None = None,
         sub = state
         for j in range(substeps):
             reuse = j == 0 and plant is model       # the tick's own q: same bytes
-            transforms = dyn.transforms if reuse else rbd.link_transforms(plant, sub.q)
-            tau_ext_plant = scripted_tau_ext(scenario.events, t, plant, sub.q, transforms)
-            sub, qdd = step(plant, sub, tau_cmd, tau_ext_plant, h, transforms,
+            kin = dyn.kin if reuse else rbd.Kinematics(plant, sub.q)
+            tau_ext_plant = scripted_tau_ext(scenario.events, t, plant, sub.q, kin)
+            sub, qdd = step(plant, sub, tau_cmd, tau_ext_plant, h, kin,
                             dyn.M_cho if reuse else None)
             if j == 0:
                 qdd_first = qdd
@@ -450,9 +451,7 @@ def run_scenario(scenario: Scenario, solver: str | None = None,
         if lead_spec.mode == "waypoint_tracker":
             tracker = lead_spec.tracker
             seg = tracker.segment()
-            Ttool = dyn.transforms[model.tool_frame]
-            x = (Ttool[:3, 3] if lead_spec.point is None
-                 else Ttool[:3, :3] @ lead_spec.point + Ttool[:3, 3])
+            x = dyn.kin.point(model.tool_frame, lead_spec.point)
             if seg is not None:
                 pos_err = _segment_distance(x, seg[0], seg[1])
             elif tracker.current is not None:

@@ -196,14 +196,12 @@ def realize_task(spec: TaskSpec, dyn: rbd.ChainDynamics) -> TaskInstance:
         dx = spec.target_q - dyn.q
         dxd = -dyn.qd
     else:
-        J6 = rbd.jacobian(model, dyn.q, tool, point=spec.point,
-                          transforms=dyn.transforms)
+        J6 = rbd.jacobian(model, dyn.q, tool, point=spec.point, kin=dyn.kin)
         jdq6 = rbd.jacobian_dot_qd(model, dyn.q, dyn.qd, tool, point=spec.point,
-                                   transforms=dyn.transforms)
-        T = dyn.transforms[tool]
+                                   kin=dyn.kin)
         if spec.selector == "tool_pos":
             J, jdq = J6[:3], jdq6[:3]
-            x = T[:3, 3] if spec.point is None else T[:3, :3] @ spec.point + T[:3, 3]
+            x = dyn.kin.point(tool, spec.point)
             xd = J @ dyn.qd
             if spec.mode == "waypoint_tracker":
                 a_d, status = waypoint_accel(spec.tracker, x, xd)
@@ -215,7 +213,7 @@ def realize_task(spec: TaskSpec, dyn: rbd.ChainDynamics) -> TaskInstance:
             dxd = -xd
         else:  # tool_rot_xy
             J, jdq = J6[3:5], jdq6[3:5]
-            dx = orientation_error_xy(spec.target_rotation, T[:3, :3])
+            dx = orientation_error_xy(spec.target_rotation, dyn.transforms[tool][:3, :3])
             dxd = -(J @ dyn.qd)
 
     if spec.mode == "force_impedance":

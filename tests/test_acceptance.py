@@ -96,8 +96,8 @@ def test_criterion_1_dynamics_oracles(iiwa):
         qd = rng.uniform(-1.5, 1.5, 7)
         qdd = rng.uniform(-3, 3, 7)
         tau = rbd.inverse_dynamics(iiwa, q, qd, qdd)
-        rebuilt = (rbd.mass_matrix(iiwa, q) @ qdd + rbd.bias_forces(iiwa, q, qd)
-                   + rbd.gravity_forces(iiwa, q))
+        dyn = rbd.compute_dynamics(iiwa, rbd.JointState(q, qd))
+        rebuilt = dyn.M @ qdd + dyn.nu + dyn.g
         assert np.abs(tau - rebuilt).max() < 1e-9
 
     # planar two-link analytic oracle within 1e-8
@@ -196,11 +196,11 @@ def test_criterion_4_energy_figures(rotation_runs):
 
 def _translational_deviation(iiwa, tr, i, f):
     q, qd, qdd = tr.q[i], tr.qd[i], tr.qdd[i]
-    T = rbd.link_transforms(iiwa, q)
-    J6 = rbd.jacobian(iiwa, q, iiwa.tool_frame, transforms=T)
-    jd6 = rbd.jacobian_dot_qd(iiwa, q, qd, iiwa.tool_frame, transforms=T)
+    kin = rbd.Kinematics(iiwa, q)
+    J6 = rbd.jacobian(iiwa, q, iiwa.tool_frame, kin=kin)
+    jd6 = rbd.jacobian_dot_qd(iiwa, q, qd, iiwa.tool_frame, kin=kin)
     xdd = J6[:3] @ qdd + jd6[:3]
-    newton = (J6[:3] @ np.linalg.solve(rbd.mass_matrix(iiwa, q, T), J6[:3].T)) @ f
+    newton = (J6[:3] @ np.linalg.solve(rbd.mass_matrix(iiwa, q, kin), J6[:3].T)) @ f
     return float(np.linalg.norm(xdd - newton) / np.linalg.norm(newton))
 
 
@@ -306,8 +306,7 @@ def test_criterion_9_payload_drop(payload_runs, iiwa):
     cos_first = {}
     cos_disp = {}
     for name, tr in payload_runs.items():
-        T0 = rbd.link_transforms(iiwa, tr.q[0])
-        J0 = rbd.jacobian(iiwa, tr.q[0], iiwa.tool_frame, transforms=T0)
+        J0 = rbd.jacobian(iiwa, tr.q[0], iiwa.tool_frame)
         xdd0 = J0[:3] @ tr.qdd[0]
         cos_first[name] = -xdd0[2] / np.linalg.norm(xdd0)
         x0 = rbd.forward_kinematics(iiwa, tr.q[0], iiwa.tool_frame).position
@@ -340,7 +339,7 @@ def test_criterion_10_hierarchy_sweep():
     for scale in scales:
         model = replace(m0, tau_min=m0.tau_min * scale, tau_max=m0.tau_max * scale)
         dyn = rbd.compute_dynamics(model, state)
-        J6 = rbd.jacobian(model, state.q, model.tool_frame, transforms=dyn.transforms)
+        J6 = rbd.jacobian(model, state.q, model.tool_frame, kin=dyn.kin)
         t1 = tasks.TaskInstance(J=J6[:3], jdot_qd=np.zeros(3),
                                 a_d=np.array([8.0, -4.0, 4.0]), priority=1)
         t2 = tasks.TaskInstance(J=np.eye(7), jdot_qd=np.zeros(7),

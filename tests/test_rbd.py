@@ -155,28 +155,34 @@ def test_mass_matrix_equals_rnea_columns(iiwa_dict):
                                    rbd.inverse_dynamics(model, q, zero, e), atol=1e-9)
 
 
+def dynamics_at(model, q, qd=None):
+    """``compute_dynamics`` at (q, qd), qd = 0 by default: its ``nu`` and
+    ``g`` are the two Newton-Euler passes under test."""
+    qd = np.zeros(model.n) if qd is None else qd
+    return rbd.compute_dynamics(model, rbd.JointState(q, qd))
+
+
 def test_bias_forces_zero_velocity(iiwa):
-    np.testing.assert_allclose(rbd.bias_forces(iiwa, Q_STAR, np.zeros(7)), 0.0,
-                               atol=1e-12)
+    np.testing.assert_allclose(dynamics_at(iiwa, Q_STAR).nu, 0.0, atol=1e-12)
 
 
 def test_gravity_forces_zero_gravity(iiwa_dict):
     model = rbd.model_from_dict(dict(iiwa_dict, gravity=[0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(rbd.gravity_forces(model, Q_STAR), 0.0, atol=1e-12)
+    np.testing.assert_allclose(dynamics_at(model, Q_STAR).g, 0.0, atol=1e-12)
 
 
 def test_pendulum_gravity_torque(pendulum):
-    np.testing.assert_allclose(rbd.gravity_forces(pendulum, np.zeros(1)), [9.81],
+    np.testing.assert_allclose(dynamics_at(pendulum, np.zeros(1)).g, [9.81],
                                atol=1e-10)
     q = np.array([0.6])
-    np.testing.assert_allclose(rbd.gravity_forces(pendulum, q),
+    np.testing.assert_allclose(dynamics_at(pendulum, q).g,
                                [9.81 * np.cos(0.6)], atol=1e-10)
 
 
 def test_inverse_dynamics_static_is_gravity(iiwa):
     zero = np.zeros(7)
     np.testing.assert_allclose(rbd.inverse_dynamics(iiwa, Q_STAR, zero, zero),
-                               rbd.gravity_forces(iiwa, Q_STAR), atol=1e-10)
+                               dynamics_at(iiwa, Q_STAR).g, atol=1e-10)
 
 
 def test_inverse_dynamics_identity(iiwa):
@@ -185,8 +191,8 @@ def test_inverse_dynamics_identity(iiwa):
         q, qd = rand_state(iiwa, rng)
         qdd = rng.uniform(-2, 2, 7)
         tau = rbd.inverse_dynamics(iiwa, q, qd, qdd)
-        rebuilt = (rbd.mass_matrix(iiwa, q) @ qdd + rbd.bias_forces(iiwa, q, qd)
-                   + rbd.gravity_forces(iiwa, q))
+        dyn = dynamics_at(iiwa, q, qd)
+        rebuilt = dyn.M @ qdd + dyn.nu + dyn.g
         assert np.abs(tau - rebuilt).max() < 1e-9
 
 

@@ -25,7 +25,7 @@ def short_scenario(name="rotation_hold", duration=0.2):
 
 def test_step_holds_equilibrium(iiwa):
     state = rbd.JointState(Q_STAR, np.zeros(7))
-    tau = rbd.gravity_forces(iiwa, Q_STAR)
+    tau = rbd.compute_dynamics(iiwa, state).g
     out, qdd = sim.step(iiwa, state, tau, None, 1e-4)
     np.testing.assert_allclose(qdd, 0.0, atol=1e-8)
     np.testing.assert_allclose(out.q, state.q, atol=1e-12)
@@ -107,7 +107,7 @@ def test_unmodeled_mass_gravity_difference(iiwa):
     state = rbd.JointState(sc.q0, np.zeros(7))
     plant = sc.plant_model(0.0)
     tau = sim.apply_events(sc, 0.0, model, state)
-    g_diff = rbd.gravity_forces(model, state.q) - rbd.gravity_forces(plant, state.q)
+    g_diff = rbd.compute_dynamics(model, state).g - rbd.compute_dynamics(plant, state).g
     np.testing.assert_allclose(tau, g_diff, atol=1e-10)
     # and it is the payload wrench mapped through the point Jacobian
     ev = sc.events[0]
@@ -133,7 +133,7 @@ def test_augment_with_point_mass_parallel_axis(iiwa):
 
 def test_energy_metrics_at_rest(iiwa):
     state = rbd.JointState(Q_STAR, np.zeros(7))
-    g = rbd.gravity_forces(iiwa, Q_STAR)
+    g = rbd.compute_dynamics(iiwa, state).g
     e_acc, e_tot, e_task, e_null = sim.energy_metrics(
         iiwa, state, g, J=rbd.jacobian(iiwa, Q_STAR, iiwa.tool_frame)[:3])
     assert e_acc == pytest.approx(0.0, abs=1e-12)
@@ -149,7 +149,7 @@ def test_energy_metrics_null_velocity_invisible(iiwa):
     # velocity produced by a null-space torque impulse from rest: J qd = 0
     qd = np.linalg.solve(M, bundle.N @ rng.normal(size=7))
     state = rbd.JointState(q, qd)
-    g = rbd.gravity_forces(iiwa, q)
+    g = rbd.compute_dynamics(iiwa, state).g
     _, e_tot, e_task, e_null = sim.energy_metrics(iiwa, state, g, J=J)
     assert e_task < 1e-10
     assert e_null == pytest.approx(e_tot, rel=1e-9)
@@ -275,6 +275,26 @@ def test_qp_md_null_energy_decays_after_push():
     i2 = np.searchsorted(tr.t, t_end_push + 2.0)
     peak = tr.e_kin_null[:i0 + 1].max()
     assert tr.e_kin_null[i2] < 0.05 * peak
+
+
+def test_one_kinematics_per_plant_substep(monkeypatch):
+    """A tick visits one configuration per plant substep and builds its
+    rbd.Kinematics once: the first substep reuses the controller's, which
+    the tasks, the measured events and the dynamics share, so a tick of 10
+    substeps builds 10, with or without an active Cartesian push."""
+    built = []
+    init = rbd.Kinematics.__init__
+    monkeypatch.setattr(rbd.Kinematics, "__init__",
+                        lambda self, model, q: built.append(q) or init(self, model, q))
+    for name in ("star_octagon", "push_recovery"):
+        sc = short_scenario(name, duration=0.02)
+        for ev in sc.events:
+            ev.start = 0.0
+        built.clear()
+        tr = sim.run_scenario(sc)
+        assert round(sc.control_dt / sc.integrator_dt) == 10
+        assert len(built) == 10 * len(tr.t) == 200
+        assert tr.tau_ext.any() == bool(sc.events)
 
 
 def test_unknown_solver_rejected():

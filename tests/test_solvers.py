@@ -9,9 +9,8 @@ from conftest import Q_STAR
 
 
 def rotation_task(model, dyn, a_d=(2.0, -1.0)):
-    J6 = rbd.jacobian(model, dyn.q, model.tool_frame, transforms=dyn.transforms)
-    jd6 = rbd.jacobian_dot_qd(model, dyn.q, dyn.qd, model.tool_frame,
-                              transforms=dyn.transforms)
+    J6 = rbd.jacobian(model, dyn.q, model.tool_frame, kin=dyn.kin)
+    jd6 = rbd.jacobian_dot_qd(model, dyn.q, dyn.qd, model.tool_frame, kin=dyn.kin)
     return tasks.TaskInstance(J=J6[3:5], jdot_qd=jd6[3:5],
                               a_d=np.asarray(a_d, float), priority=1)
 
@@ -195,9 +194,8 @@ def test_dcts_multi_k1_matches_single(scene):
 
 
 def two_task_set(model, dyn, a2=60.0):
-    J6 = rbd.jacobian(model, dyn.q, model.tool_frame, transforms=dyn.transforms)
-    jd6 = rbd.jacobian_dot_qd(model, dyn.q, dyn.qd, model.tool_frame,
-                              transforms=dyn.transforms)
+    J6 = rbd.jacobian(model, dyn.q, model.tool_frame, kin=dyn.kin)
+    jd6 = rbd.jacobian_dot_qd(model, dyn.q, dyn.qd, model.tool_frame, kin=dyn.kin)
     t1 = tasks.TaskInstance(J=J6[:3], jdot_qd=jd6[:3],
                             a_d=np.array([1.0, -0.5, 0.5]), priority=1)
     # a full-rank posture task cannot be achieved inside the 4-dim null
