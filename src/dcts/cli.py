@@ -86,7 +86,7 @@ def run(argv: list[str] | None = None) -> int:
     if args.seed is not None and args.seed < 0:
         print("error: --seed must be >= 0", file=sys.stderr)
         return 1
-    jobs, clean = [], True
+    jobs, clean, runs = [], True, set()
     for ref in args.scenario:
         scenario, issues = sim.read_scenario(ref)
         if scenario is not None:
@@ -94,6 +94,10 @@ def run(argv: list[str] | None = None) -> int:
                 scenario.seed = args.seed
             for solver in args.solver or [scenario.solver]:
                 problem = solvers.solver_error(solver, len(scenario.tasks))
+                if (scenario.name, solver) in runs:
+                    problem = (f"a second run named {scenario.name!r} with {solver!r} "
+                               f"would overwrite the outputs of the first")
+                runs.add((scenario.name, solver))
                 if problem is not None:
                     issues.append(("error", f"{scenario.source}: {problem}"))
                 jobs.append((scenario, solver, args.out, args.no_ext_force_bounds,

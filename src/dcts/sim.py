@@ -166,8 +166,9 @@ def step(model: rbd.RobotModel, state: rbd.JointState, tau: np.ndarray,
 
     Returns the new state and the acceleration qdd the step used; the
     ``rbd.Kinematics`` and the factor ``M_cho`` of M at ``state.q`` are
-    reused when the caller has them. ``run_scenario`` integrates the plant with this
-    step; a non-finite result raises ValueError from the new ``JointState``.
+    reused when the caller has them. ``run_scenario`` integrates the plant
+    with this step; a non-finite result raises ValueError from the new
+    ``JointState``.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -520,10 +521,22 @@ def _num(value, low: float = -math.inf, strict: bool = False) -> float:
 
 
 def _int(value, low: float = -math.inf, high: float = math.inf) -> int:
-    i = int(_num(value))
-    if not low <= i <= high:
+    v = _num(value)
+    if not (v.is_integer() and low <= v <= high):
         raise ValueError(f"must be an integer in [{low}, {high}]")
-    return i
+    return int(v)
+
+
+def _whole(ratio: float) -> bool:
+    """Whether ``ratio`` is an integer within a relative 1e-9."""
+    return abs(ratio - round(ratio)) <= 1e-9 * ratio
+
+
+def _only(d: dict, keys: tuple, prefix: str = "") -> None:
+    """Raise ValueError naming every key of ``d`` outside ``keys``."""
+    unknown = [k for k in d if k not in keys]
+    if unknown:
+        raise ValueError(f"{prefix}unknown key {', '.join(map(repr, unknown))}")
 
 
 def _obj(value) -> dict:
@@ -565,12 +578,23 @@ def _get(d: dict, key: str, convert=None, default=_REQUIRED):
         raise ValueError(f"{key}: {e}") from e
 
 
+# the keys of a task by mode, besides the common ones, and of a Cartesian
+# task target by type
+_TASK_KEYS = {"waypoint_tracker": ("waypoints", "tolerance_m", "kp", "kv", "v_sat"),
+              "impedance": ("stiffness", "damping", "target"),
+              "force_impedance": ("stiffness", "damping", "target")}
+_TARGET_KEYS = {"initial": ("type",), "initial_rotated": ("type", "axis", "angle_deg"),
+                "pose": ("type", "position_m", "rotation")}
+
+
 def _build_task(tc, i: int, model: rbd.RobotModel, q0: np.ndarray,
                 T_tool: np.ndarray) -> tasks_mod.TaskSpec:
     """TaskSpec of the i-th task config with its target resolved at q0, where
     the tool frame is at ``T_tool``."""
     tc = _obj(tc)
     mode, selector = tc["mode"], tc["selector"]
+    if mode in _TASK_KEYS:                          # TaskSpec rejects other modes
+        _only(tc, ("priority", "mode", "selector", "point_m", "name", *_TASK_KEYS[mode]))
     common = dict(priority=_get(tc, "priority", _int), mode=mode, selector=selector,
                   point=_get(tc, "point_m", _vec3, None),
                   name=str(tc.get("name", f"task{i+1}")))
@@ -582,9 +606,13 @@ def _build_task(tc, i: int, model: rbd.RobotModel, q0: np.ndarray,
     target = _get(tc, "target", _obj, {"type": "initial"})
     kind = target.get("type", "initial")
     if selector == "joint_posture":
+        _only(target, ("type",) if kind == "initial" else ("type", "q_rad"), "target: ")
         q = (q0.copy() if kind == "initial"
              else _get(target, "q_rad", partial(_floats, shape=(model.n,))))
         return tasks_mod.TaskSpec(**common, target_q=q)
+    if kind not in _TARGET_KEYS:
+        raise ValueError(f"unknown target type {kind!r}")
+    _only(target, _TARGET_KEYS[kind], "target: ")
     position, rotation = T_tool[:3, 3].copy(), T_tool[:3, :3].copy()
     if kind == "initial_rotated":
         axis = _get(target, "axis", _vec3)
@@ -596,8 +624,6 @@ def _build_task(tc, i: int, model: rbd.RobotModel, q0: np.ndarray,
         pose = rbd.FramePose(_get(target, "position_m", _vec3),
                              _get(target, "rotation", partial(_floats, shape=(3, 3))))
         position, rotation = pose.position, pose.rotation
-    elif kind != "initial":
-        raise ValueError(f"unknown target type {kind!r}")
     return tasks_mod.TaskSpec(**common, target_position=position, target_rotation=rotation)
 
 
@@ -605,6 +631,7 @@ def _build_tracker(tc: dict) -> tasks_mod.WaypointTracker:
     wp = _get(tc, "waypoints", _obj)
     kind = wp.get("type", "explicit")
     if kind == "octagon_with_center":
+        _only(wp, ("type", "center_m", "radius_m", "phase_deg", "lead_in"), "waypoints: ")
         center = _get(wp, "center_m", _vec3)
         points = tasks_mod.octagon_waypoints(
             center, _get(wp, "radius_m", _num),
@@ -612,6 +639,7 @@ def _build_tracker(tc: dict) -> tasks_mod.WaypointTracker:
         if wp.get("lead_in", True):
             points = [center.copy()] + points
     elif kind == "explicit":
+        _only(wp, ("type", "points_m"), "waypoints: ")
         points = list(_get(wp, "points_m", lambda v: _floats(v, (len(v), 3))))
     else:
         raise ValueError(f"unknown waypoint set type {kind!r}")
@@ -620,9 +648,18 @@ def _build_tracker(tc: dict) -> tasks_mod.WaypointTracker:
                                      kp=num("kp"), kv=num("kv"), v_sat=num("v_sat"))
 
 
+# the keys of an event by kind, besides kind, start_s and duration_s
+_EVENT_KEYS = {"cartesian_force": ("force_n", "frame", "point_m"),
+               "joint_torque": ("joint", "amplitude_nm", "ramp_s"),
+               "unmodeled_mass": ("mass_kg", "com_offset_m")}
+
+
 def _build_event(e, n: int) -> Event:
     e = _obj(e)
     kind = e["kind"]
+    if kind not in _EVENT_KEYS:
+        raise ValueError(f"unknown event kind {kind!r}")
+    _only(e, ("kind", "start_s", "duration_s", *_EVENT_KEYS[kind]))
     common = dict(kind=kind, start=_get(e, "start_s", _nonneg),
                   duration=_get(e, "duration_s", _nonneg))
     if kind == "cartesian_force":
@@ -633,10 +670,8 @@ def _build_event(e, n: int) -> Event:
         return Event(**common, joint=_get(e, "joint", partial(_int, low=1, high=n)) - 1,
                      amplitude=_get(e, "amplitude_nm", _num),
                      ramp=_get(e, "ramp_s", _nonneg, 0.0))
-    if kind == "unmodeled_mass":
-        return Event(**common, mass=_get(e, "mass_kg", _positive),
-                     com_offset=_get(e, "com_offset_m", _vec3, 0.0))
-    raise ValueError(f"unknown event kind {kind!r}")
+    return Event(**common, mass=_get(e, "mass_kg", _positive),
+                 com_offset=_get(e, "com_offset_m", _vec3, 0.0))
 
 
 def _parse(data, source: str,
@@ -663,15 +698,16 @@ def _parse(data, source: str,
 
     if not isinstance(data, dict):
         return None, [("error", f"{source}: expected a JSON object")]
+    get(source, _only, data, ("name", "model", "duration_s", "control_dt_s", "integrator_dt_s",
+                              "q0_rad", "qd0_rad", "solver", "solver_config", "tasks",
+                              "events", "limits", "seed", "tau_ext_noise_std"))
     duration = read(data, "duration_s", _positive)
     control_dt = read(data, "control_dt_s", _positive, 1e-3)
     integrator_dt = read(data, "integrator_dt_s", _positive, 1e-4)
-    if control_dt and integrator_dt:
-        substeps = control_dt / integrator_dt
-        if abs(substeps - round(substeps)) > 1e-9 * substeps:
-            err(f"{source}: integrator_dt_s must divide control_dt_s")
-    if duration and control_dt and round(duration / control_dt) < 1:
-        err(f"{source}: duration_s is shorter than one control tick")
+    if control_dt and integrator_dt and not _whole(control_dt / integrator_dt):
+        err(f"{source}: integrator_dt_s must divide control_dt_s")
+    if duration and control_dt and not _whole(duration / control_dt):
+        err(f"{source}: duration_s must be a whole number of control_dt_s")
     cfg = read(data, "solver_config", _solver_config, {})
     seed = read(data, "seed", partial(_int, low=0), 0)
     noise = read(data, "tau_ext_noise_std", _nonneg, 0.0)
@@ -700,8 +736,8 @@ def _parse(data, source: str,
                    ("acc_min_rad_s2", "acc_max_rad_s2"), ("tau_min_nm", "tau_max_nm")):
         if b[lo] is not None and b[hi] is not None and np.any(b[lo] >= b[hi]):
             err(f"{where}: {lo} must be < {hi}")
-    limit_dt = read(lim, "dt_s", _positive, None, where) or control_dt
     brake_fraction = read(lim, "brake_fraction", _num, 0.4, where)
+    get(where, _only, lim, (*b, "brake_fraction"))
 
     if q0 is not None and task_configs:
         T_tool = rbd.link_transforms(model, q0)[model.tool_frame]
@@ -718,7 +754,7 @@ def _parse(data, source: str,
     if any(level == "error" for level, _ in issues):
         return None, issues
     lset = get(where, limits_mod.limit_set, b["q_min_rad"], b["q_max_rad"], b["v_min_rad_s"],
-               b["v_max_rad_s"], b["acc_min_rad_s2"], b["acc_max_rad_s2"], limit_dt,
+               b["v_max_rad_s"], b["acc_min_rad_s2"], b["acc_max_rad_s2"], control_dt,
                brake_fraction, b["viability_brake_rad_s2"])
     if lset is None:
         return None, issues

@@ -187,6 +187,25 @@ MALFORMED = {
                              "unexpected keyword argument 'dump_qp_path'"),
     "integrator_dt_not_dividing": (("integrator_dt_s",), 4e-4,
                                    "integrator_dt_s must divide control_dt_s"),
+    "fractional_seed": (("seed",), 2.9, "seed: must be an integer"),
+    "fractional_priority": (("tasks", 0, "priority"), 1.5,
+                            "tasks[0]: priority: must be an integer"),
+    "fractional_frame": (
+        ("events",), [{"kind": "cartesian_force", "start_s": 0.0, "duration_s": 0.01,
+                       "force_n": [1.0, 0.0, 0.0], "frame": 6.7}],
+        "events[0]: frame: must be an integer"),
+    "duration_not_whole_ticks": (("duration_s",), 0.0015,
+                                 "duration_s must be a whole number of control_dt_s"),
+    "unknown_top_level_key": (("duraton_s",), 1.0, "unknown key 'duraton_s'"),
+    "unknown_limits_key": (("limits", "tau_mx_nm"), 50.0, "limits: unknown key 'tau_mx_nm'"),
+    "removed_limits_dt": (("limits", "dt_s"), 0.5, "limits: unknown key 'dt_s'"),
+    "unknown_task_key": (("tasks", 0, "stifness"), 100.0, "tasks[0]: unknown key 'stifness'"),
+    "unknown_target_key": (("tasks", 0, "target", "angle_rad"), 0.3,
+                           "tasks[0]: target: unknown key 'angle_rad'"),
+    "unknown_event_key": (
+        ("events",), [{"kind": "cartesian_force", "start_s": 0.0, "duration_s": 0.01,
+                       "forc_n": [1.0, 0.0, 0.0]}],
+        "events[0]: unknown key 'forc_n'"),
 }
 
 
@@ -212,6 +231,24 @@ def test_malformed_input_is_a_config_error(case, tmp_path, capsys, monkeypatch):
     assert expected in capsys.readouterr().err
     assert not out_dir.exists()
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+def test_runs_whose_outputs_would_collide_are_config_errors(tiny_scenario, tmp_path, capsys):
+    """A run writes <scenario name>__<solver>.*: a second scenario file with
+    the same name, or a solver named twice, would overwrite the first run's
+    files. Both are config errors for --validate and a run alike, and
+    nothing runs."""
+    twin = tmp_path / "twin.json"
+    twin.write_text(tiny_scenario.read_text())
+    out_dir = tmp_path / "o"
+    for args in (["--scenario", str(tiny_scenario), str(twin), "--solver", "osc"],
+                 ["--scenario", str(tiny_scenario), "--solver", "dcts", "dcts", "--jobs", "2"]):
+        for extra in (["--validate"], ["--out", str(out_dir)]):
+            assert cli.run([*args, *extra]) == 1
+            captured = capsys.readouterr()
+            assert "named 'tiny'" in captured.out + captured.err
+            assert "would overwrite" in captured.out + captured.err
+    assert not out_dir.exists()
 
 
 def test_parallel_jobs_write_the_same_traces(tiny_scenario, tmp_path):

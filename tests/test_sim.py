@@ -230,8 +230,8 @@ def test_reused_scenario_gives_the_same_trace(tmp_path, iiwa):
     data = json.loads(sim.bundled_scenario_path("star_octagon").read_text())
     data["duration_s"] = 0.02
     task = data["tasks"][0]
-    T = rbd.link_transforms(iiwa, np.array(data["q0_rad"]))[iiwa.tool_frame]
-    start = T[:3, :3] @ np.array(task["point_m"]) + T[:3, 3]
+    kin = rbd.Kinematics(iiwa, np.array(data["q0_rad"]))
+    start = kin.point(iiwa.tool_frame, task["point_m"])
     task["waypoints"] = {"type": "explicit",
                          "points_m": [start.tolist(), (start + [0.0, 0.1, 0.0]).tolist()]}
     sc = sim.scenario_from_dict(data)
@@ -338,6 +338,24 @@ def test_validation_warns_on_late_event():
     data["events"][0]["start_s"] = 99.0
     issues = sim.validate_scenario_dict(data, source="s")
     assert any(level == "warning" and "beyond" in m for level, m in issues)
+
+
+@pytest.mark.parametrize("name, path, key, expected", [
+    ("star_octagon", ("tasks", 0, "waypoints"), "radius",
+     "tasks[0]: waypoints: unknown key 'radius'"),
+    ("star_octagon", ("tasks", 0), "stiffness", "tasks[0]: unknown key 'stiffness'"),
+    ("push_recovery", ("events", 0), "joint", "events[0]: unknown key 'joint'"),
+])
+def test_unknown_key_is_named(name, path, key, expected):
+    """Each object takes the keys of its own kind, mode or type: a tracker
+    task reads no stiffness and a Cartesian force no joint."""
+    data = json.loads(sim.bundled_scenario_path(name).read_text())
+    node = data
+    for k in path:
+        node = node[k]
+    node[key] = 1.0
+    issues = sim.validate_scenario_dict(data, source="s")
+    assert [m for level, m in issues if level == "error"] == [f"s.{expected}"]
 
 
 def test_model_limit_overrides_apply():

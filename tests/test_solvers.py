@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -278,3 +280,16 @@ def test_dcts_requires_sorted_tasks(scene):
     tk = two_task_set(model, dyn)
     with pytest.raises(ValueError, match="sorted"):
         solvers.solve_dcts_multi(model, state, tk[::-1], None, None, dyn=dyn)
+
+
+def test_readme_library_example_solves_its_task():
+    """The README's library example runs as printed and DCTS meets its
+    orientation task unscaled: s = 1 and J qdd + Jdot qd = a_d."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    out, task = namespace["out"], namespace["task"]
+    assert out.status == solvers.OPTIMAL
+    np.testing.assert_array_equal(out.s, [1.0])
+    np.testing.assert_allclose(task.J @ out.qdd + task.jdot_qd, task.a_d, rtol=0, atol=1e-9)
