@@ -29,8 +29,7 @@ def main() -> None:
     scenario = sim.load_bundled_scenario("rotation_hold")
     print(f"{'solver':8s} {'E_null peak':>12s} {'E_null @2s':>12s} "
           f"{'E_task peak':>12s} {'int E_acc raw':>14s} {'err end':>10s}")
-    for name in args.solvers:
-        tr = sim.run_scenario(scenario, solver=name)
+    for name, tr in zip(args.solvers, sim.run_scenario(scenario, args.solvers)):
         tr.to_csv(out / f"rotation_hold__{name}.trace.csv")
         i2 = np.searchsorted(tr.t, 2.0)
         print(f"{name:8s} {tr.e_kin_null.max():12.3e} {tr.e_kin_null[i2]:12.3e} "

@@ -24,9 +24,9 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     scenario = sim.load_bundled_scenario("star_octagon")
+    names = ("osc", "dcts")
     summaries = []
-    for name in ("osc", "dcts"):
-        tr = sim.run_scenario(scenario, solver=name)
+    for name, tr in zip(names, sim.run_scenario(scenario, names)):
         tr.to_csv(out / f"star__{name}.trace.csv")
         summaries.append(tr.summary())
         sat = tr.saturated.any(axis=1)

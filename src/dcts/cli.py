@@ -5,7 +5,9 @@ starts; ``--validate`` runs the same checks and stops there. Exit codes: 0
 no tick fell back to braking, 1 a configuration error (nothing is run), 2 a
 tick of some run ended in the braking fallback (infeasible or out of QP
 iterations). Any other exception is a bug and propagates. Input configs are
-never modified; everything lands under --out.
+never modified; everything lands under --out. The solvers of one scenario run
+in lockstep in one ``sim.run_scenario`` call; ``--jobs N`` runs up to N
+scenarios in parallel.
 """
 
 from __future__ import annotations
@@ -44,22 +46,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--validate", action="store_true",
                    help="check the configs as a run would, then exit without running")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel worker processes for batch runs")
+                   help="parallel worker processes, one scenario at a time each; "
+                        "the solvers of a scenario run in lockstep in one process")
     return p
 
 
-def _run_one(job) -> dict:
-    scenario, solver, out_dir, no_bounds, dump_qp = job
-    stem = f"{scenario.name}__{solver}"
-    dump = str(Path(out_dir) / f"{stem}.qp.json") if dump_qp else None
-    trace = sim.run_scenario(scenario, solver=solver,
-                             ext_force_in_bounds=False if no_bounds else None,
-                             dump_qp_path=dump)
-    trace.to_csv(Path(out_dir) / f"{stem}.trace.csv")
-    summary = trace.summary()
-    (Path(out_dir) / f"{stem}.summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return summary
+def _run_one(job) -> list[dict]:
+    """Run one scenario with all its solvers in lockstep and write each
+    solver's trace and summary; returns the summaries in solver order."""
+    scenario, names, out_dir, no_bounds, dump_qp = job
+    stems = [Path(out_dir) / f"{scenario.name}__{name}" for name in names]
+    dumps = {name: f"{stem}.qp.json" for name, stem in zip(names, stems)} if dump_qp else None
+    traces = sim.run_scenario(scenario, names,
+                              ext_force_in_bounds=False if no_bounds else None,
+                              dump_qp_paths=dumps)
+    summaries = []
+    for stem, trace in zip(stems, traces):
+        trace.to_csv(f"{stem}.trace.csv")
+        summaries.append(trace.summary())
+        Path(f"{stem}.summary.json").write_text(
+            json.dumps(summaries[-1], indent=2, sort_keys=True) + "\n")
+    return summaries
 
 
 def comparison_table(summaries: list[dict]) -> str:
@@ -92,7 +99,8 @@ def run(argv: list[str] | None = None) -> int:
         if scenario is not None:
             if args.seed is not None:
                 scenario.seed = args.seed
-            for solver in args.solver or [scenario.solver]:
+            names = tuple(args.solver or [scenario.solver])
+            for solver in names:
                 problem = solvers.solver_error(solver, len(scenario.tasks))
                 if (scenario.name, solver) in runs:
                     problem = (f"a second run named {scenario.name!r} with {solver!r} "
@@ -100,8 +108,7 @@ def run(argv: list[str] | None = None) -> int:
                 runs.add((scenario.name, solver))
                 if problem is not None:
                     issues.append(("error", f"{scenario.source}: {problem}"))
-                jobs.append((scenario, solver, args.out, args.no_ext_force_bounds,
-                             args.dump_qp))
+            jobs.append((scenario, names, args.out, args.no_ext_force_bounds, args.dump_qp))
         if args.validate and not issues:
             print(f"{ref}: ok")
         for level, msg in issues:
@@ -113,12 +120,13 @@ def run(argv: list[str] | None = None) -> int:
     Path(args.out).mkdir(parents=True, exist_ok=True)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            summaries = list(pool.map(_run_one, jobs))
+            per_job = list(pool.map(_run_one, jobs))
     else:
-        summaries = []
+        per_job = []
         for job in jobs:
-            log.info("running %s with %s", job[0].source, job[1])
-            summaries.append(_run_one(job))
+            log.info("running %s with %s", job[0].source, ", ".join(job[1]))
+            per_job.append(_run_one(job))
+    summaries = [summary for job_summaries in per_job for summary in job_summaries]
 
     table = comparison_table(summaries)
     print(table, end="")

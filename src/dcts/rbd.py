@@ -53,14 +53,18 @@ def rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
 
 def axis_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rodrigues rotation about a unit axis."""
-    x, y, z = axis
+    return np.array(_rodrigues(*axis, angle))
+
+
+def _rodrigues(x: float, y: float, z: float, angle: float) -> list:
+    """The entries of ``axis_rotation`` as nested lists of Python floats."""
     c, s = math.cos(angle), math.sin(angle)
     C = 1.0 - c
-    return np.array([
+    return [
         [x * x * C + c, x * y * C - z * s, x * z * C + y * s],
         [y * x * C + z * s, y * y * C + c, y * z * C - x * s],
         [z * x * C - y * s, z * y * C + x * s, z * z * C + c],
-    ])
+    ]
 
 
 def _transform(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
@@ -123,8 +127,9 @@ class RobotModel:
 
     def check_q(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        if q.shape != (self.n,):
-            raise ValueError(f"expected joint vector of shape ({self.n},), got {q.shape}")
+        if q.shape[-1:] != (self.n,) or q.ndim > 2:
+            raise ValueError(f"expected joint vector of shape ({self.n},) or (B, {self.n}), "
+                             f"got {q.shape}")
         if not np.isfinite(q).all():
             raise ValueError("joint vector has non-finite entries")
         return q
@@ -145,8 +150,9 @@ class JointState:
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
         self.qd = np.asarray(self.qd, dtype=float)
-        if self.q.shape != self.qd.shape or self.q.ndim != 1:
-            raise ValueError("q and qd must be 1-d vectors of equal length")
+        if self.q.shape != self.qd.shape or self.q.ndim not in (1, 2):
+            raise ValueError("q and qd must be 1-d vectors of equal length, "
+                             "or (B, n) batches of them")
         if not (np.isfinite(self.q).all() and np.isfinite(self.qd).all()):
             raise ValueError("joint state has non-finite entries")
 
@@ -181,18 +187,28 @@ class TaskDynamicsBundle:
 
 # ---------------------------------------------------------------------------
 # kinematics
+#
+# The plant path takes a configuration q of shape (n,) or a batch of them,
+# shape (B, n), and returns every result with the same leading batch axis.
+# Each batch row is computed with the arithmetic of an unbatched call, so it
+# equals that call byte for byte.
 
 
 def link_transforms(model: RobotModel, q: np.ndarray) -> np.ndarray:
-    """World transforms of every link frame plus the tool frame, shape (n+1, 4, 4)."""
+    """World transforms of every link frame plus the tool frame, shape
+    (n+1, 4, 4), or (B, n+1, 4, 4) for a batch of configurations."""
     q = model.check_q(q)
-    out = np.empty((model.n + 1, 4, 4))
-    T = np.eye(4)
-    for i, (axis, angle) in enumerate(zip(model.axes.tolist(), q.tolist())):
+    batch = q.shape[:-1]
+    out = np.empty((*batch, model.n + 1, 4, 4))
+    T = np.empty((*batch, 4, 4))
+    T[...] = np.eye(4)
+    for i, (axis, angles) in enumerate(zip(model.axes.tolist(), q.T.tolist())):
         T = T @ model.origins[i]
-        T[:3, :3] = T[:3, :3] @ axis_rotation(axis, angle)
-        out[i] = T
-    out[model.n] = T @ model.tool
+        R = np.array(_rodrigues(*axis, angles) if not batch
+                     else [_rodrigues(*axis, angle) for angle in angles])
+        T[..., :3, :3] = T[..., :3, :3] @ R
+        out[..., i, :, :] = T
+    out[..., model.n, :, :] = T @ model.tool
     return out
 
 
@@ -200,23 +216,33 @@ class Kinematics:
     """World-frame per-link quantities of one configuration q, built once and
     handed to everything evaluated at q: the link ``transforms`` and, per
     link, the joint axis ``z``, joint origin ``p``, COM ``c`` and inertia
-    about the COM ``Iw``."""
+    about the COM ``Iw``. A batch of configurations gives each field a
+    leading batch axis."""
 
     __slots__ = ("transforms", "z", "p", "c", "Iw")
 
     def __init__(self, model: RobotModel, q: np.ndarray):
         self.transforms = link_transforms(model, q)
-        R = self.transforms[:model.n, :3, :3]
-        self.p = self.transforms[:model.n, :3, 3]
-        self.z = np.einsum("nij,nj->ni", R, model.axes)
-        self.c = np.einsum("nij,nj->ni", R, model.coms) + self.p
-        self.Iw = np.einsum("nij,njk,nlk->nil", R, model.inertias, R)
+        R = self.transforms[..., :model.n, :3, :3]
+        self.p = self.transforms[..., :model.n, :3, 3]
+        self.z = np.einsum("...nij,nj->...ni", R, model.axes)
+        self.c = np.einsum("...nij,nj->...ni", R, model.coms) + self.p
+        self.Iw = np.einsum("...nij,njk,...nlk->...nil", R, model.inertias, R)
+
+    @classmethod
+    def stack(cls, kins: list["Kinematics"]) -> "Kinematics":
+        """The batched Kinematics of configurations whose Kinematics exist."""
+        out = cls.__new__(cls)
+        for name in cls.__slots__:
+            setattr(out, name, np.stack([getattr(kin, name) for kin in kins]))
+        return out
 
     def point(self, frame: int, point: np.ndarray | None = None) -> np.ndarray:
         """World position of a point given in the frame's own coordinates
         (default: the frame origin)."""
-        T = self.transforms[frame]
-        return T[:3, 3] if point is None else T[:3, :3] @ np.asarray(point, float) + T[:3, 3]
+        T = self.transforms[..., frame, :, :]
+        return (T[..., :3, 3] if point is None
+                else T[..., :3, :3] @ np.asarray(point, float) + T[..., :3, 3])
 
 
 def forward_kinematics(model: RobotModel, q: np.ndarray, frame: int) -> FramePose:
@@ -240,11 +266,11 @@ def jacobian(model: RobotModel, q: np.ndarray, frame: int,
     if kin is None:
         kin = Kinematics(model, q)
     x = kin.point(frame, point)
-    J = np.zeros((6, model.n))
+    J = np.zeros((*kin.z.shape[:-2], 6, model.n))
     last = model.n - 1 if frame == model.n else frame
-    z, p = kin.z[:last + 1], kin.p[:last + 1]
-    J[:3, :last + 1] = _bcross(z, x - p).T
-    J[3:, :last + 1] = z.T
+    z, p = kin.z[..., :last + 1, :], kin.p[..., :last + 1, :]
+    J[..., :3, :last + 1] = _bcross(z, x[..., None, :] - p).swapaxes(-1, -2)
+    J[..., 3:, :last + 1] = z.swapaxes(-1, -2)
     return J
 
 
@@ -286,14 +312,23 @@ def mass_matrix(model: RobotModel, q: np.ndarray,
     n = model.n
     # V[i, j] = z_j x (c_i - p_j) for j <= i, else 0; W[i, j] = z_j for j <= i
     mask = np.tri(n)[:, :, None]
-    lever = kin.c[:, None, :] - kin.p[None, :, :]
-    V = _bcross(kin.z[None, :, :], lever) * mask
-    W = kin.z[None, :, :] * mask
-    M = np.einsum("i,ija,ika->jk", model.masses, V, V)
-    M += np.einsum("ija,iab,ikb->jk", W, kin.Iw, W)
-    M = 0.5 * (M + M.T)
-    M.flat[::n + 1] += model.armature            # the diagonal
+    lever = kin.c[..., :, None, :] - kin.p[..., None, :, :]
+    z = kin.z[..., None, :, :]
+    V = _bcross(z, lever) * mask
+    W = z * mask
+    M = np.einsum("i,...ija,...ika->...jk", model.masses, V, V)
+    M += np.einsum("...ija,...iab,...ikb->...jk", W, kin.Iw, W)
+    M = 0.5 * (M + M.swapaxes(-1, -2))
+    M.reshape(-1, n * n)[:, ::n + 1] += model.armature     # the diagonal
     return M
+
+
+def _shifted(x: np.ndarray) -> np.ndarray:
+    """x moved one link down the chain, zero at the base: row i holds x[i-1]."""
+    out = np.empty_like(x)
+    out[..., 0, :] = 0.0
+    out[..., 1:, :] = x[..., :-1, :]
+    return out
 
 
 def _velocity_recursion(kin: Kinematics, qd: np.ndarray, qdd: np.ndarray,
@@ -301,16 +336,19 @@ def _velocity_recursion(kin: Kinematics, qd: np.ndarray, qdd: np.ndarray,
     """Batched forward pass: per-link w, dw, joint-origin and COM accelerations.
 
     All recursions are prefix sums of locally computable increments, so the
-    whole pass is a handful of vectorized operations.
+    whole pass is a handful of vectorized operations. ``qd``, ``qdd`` and
+    ``a_base`` may carry a leading batch axis, which broadcasts against
+    ``kin``'s.
     """
     z, p, c = kin.z, kin.p, kin.c
-    w = np.cumsum(z * qd[:, None], axis=0)
-    w_prev = np.concatenate((np.zeros((1, 3)), w[:-1]))
-    dw = np.cumsum(_bcross(w_prev, z) * qd[:, None] + z * qdd[:, None], axis=0)
-    dw_prev = np.concatenate((np.zeros((1, 3)), dw[:-1]))
-    dp = p - np.concatenate((np.zeros((1, 3)), p[:-1]))
+    qd, qdd = qd[..., None], qdd[..., None]
+    w = np.cumsum(z * qd, axis=-2)
+    w_prev = _shifted(w)
+    dw = np.cumsum(_bcross(w_prev, z) * qd + z * qdd, axis=-2)
+    dw_prev = _shifted(dw)
+    dp = p - _shifted(p)
     inc = _bcross(dw_prev, dp) + _bcross(w_prev, _bcross(w_prev, dp))
-    a_joint = np.cumsum(inc, axis=0) + a_base
+    a_joint = np.cumsum(inc, axis=-2) + a_base[..., None, :]
     rc = c - p
     a_com = a_joint + _bcross(dw, rc) + _bcross(w, _bcross(w, rc))
     return w, dw, a_joint, a_com
@@ -325,17 +363,21 @@ def _rnea(model: RobotModel, kin: Kinematics, qd: np.ndarray, qdd: np.ndarray,
     inertial forces of links j >= i is
 
         mu_i = revcum(I dw + w x Iw + c x (m a_com))_i - p_i x revcum(m a_com)_i
+
+    ``qd``, ``qdd`` and ``gravity`` may carry a leading batch axis: one
+    configuration's ``kin`` then serves several motions in one pass.
     """
     qdd = np.asarray(qdd, float)
     w, dw, _, a_com = _velocity_recursion(kin, np.asarray(qd, float), qdd,
                                           -np.asarray(gravity, float))
     ma = model.masses[:, None] * a_com
-    Iw_w = np.einsum("nij,nj->ni", kin.Iw, w)
-    K = np.einsum("nij,nj->ni", kin.Iw, dw) + _bcross(w, Iw_w) + _bcross(kin.c, ma)
-    K_suffix = np.cumsum(K[::-1], axis=0)[::-1]
-    ma_suffix = np.cumsum(ma[::-1], axis=0)[::-1]
+    Iw_w = np.einsum("...nij,...nj->...ni", kin.Iw, w)
+    K = (np.einsum("...nij,...nj->...ni", kin.Iw, dw) + _bcross(w, Iw_w)
+         + _bcross(kin.c, ma))
+    K_suffix = np.cumsum(K[..., ::-1, :], axis=-2)[..., ::-1, :]
+    ma_suffix = np.cumsum(ma[..., ::-1, :], axis=-2)[..., ::-1, :]
     mu = K_suffix - _bcross(kin.p, ma_suffix)
-    return np.einsum("ni,ni->n", kin.z, mu) + model.armature * qdd
+    return np.einsum("...ni,...ni->...n", kin.z, mu) + model.armature * qdd
 
 
 def inverse_dynamics(model: RobotModel, q: np.ndarray, qd: np.ndarray,
@@ -354,28 +396,39 @@ def bias_and_gravity(model: RobotModel, q: np.ndarray, qd: np.ndarray,
     return _rnea(model, kin, qd, np.zeros(model.n), model.gravity)
 
 
-def spd_factor(A: np.ndarray) -> tuple[np.ndarray, bool]:
+def spd_factor(A: np.ndarray) -> tuple[np.ndarray, bool] | list[tuple[np.ndarray, bool]]:
     """scipy's ``cho_factor(A, lower=True)``: the same LAPACK potrf call and
-    errors, without a wrapper that costs more than factorizing a 7x7 matrix."""
-    c, info = dpotrf(np.asarray_chkfinite(A, dtype=float), lower=1, clean=0)
+    errors, without a wrapper that costs more than factorizing a 7x7 matrix.
+    A batch of matrices, shape (B, n, n), gives a list of B factors."""
+    A = np.asarray_chkfinite(A, dtype=float)
+    if A.ndim == 3:
+        return [spd_factor(a) for a in A]
+    c, info = dpotrf(A, lower=1, clean=0)
     if info > 0:
         raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     return c, True
 
 
-def spd_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
-    """scipy's ``cho_solve(factor, b)`` as one direct LAPACK potrs call."""
+def spd_solve(factor: tuple[np.ndarray, bool] | list[tuple[np.ndarray, bool]],
+              b: np.ndarray) -> np.ndarray:
+    """scipy's ``cho_solve(factor, b)`` as one direct LAPACK potrs call; a
+    list of factors solves one row of b each."""
+    if isinstance(factor, list):
+        return np.stack([spd_solve(f, row) for f, row in zip(factor, b)])
     return dpotrs(factor[0], np.asarray_chkfinite(b, dtype=float), lower=factor[1])[0]
 
 
 def forward_dynamics(model: RobotModel, q: np.ndarray, qd: np.ndarray,
                      tau: np.ndarray, tau_ext: np.ndarray | None = None,
                      kin: Kinematics | None = None,
-                     M_cho=None) -> np.ndarray:
-    """qdd = M^-1 (tau + tau_ext - nu - g)."""
+                     M_cho=None, nu_g: np.ndarray | None = None) -> np.ndarray:
+    """qdd = M^-1 (tau + tau_ext - nu - g); ``M_cho`` and ``nu_g`` are the
+    factor of M and nu + g at (q, qd) when the caller has them."""
     if kin is None:
         kin = Kinematics(model, q)
-    rhs = np.asarray(tau, float) - bias_and_gravity(model, q, qd, kin)
+    if nu_g is None:
+        nu_g = bias_and_gravity(model, q, qd, kin)
+    rhs = np.asarray(tau, float) - nu_g
     if tau_ext is not None:
         rhs = rhs + tau_ext
     if M_cho is None:
@@ -427,6 +480,7 @@ class ChainDynamics:
     M_cho: tuple = field(repr=False, default=None)
     nu: np.ndarray = None
     g: np.ndarray = None
+    nu_g: np.ndarray = None
 
     @property
     def transforms(self) -> np.ndarray:
@@ -437,15 +491,17 @@ class ChainDynamics:
 
 
 def compute_dynamics(model: RobotModel, state: JointState) -> ChainDynamics:
-    """M, its factor, nu = RNEA(qd, qdd = 0, no gravity) and
-    g = RNEA(qd = 0, qdd = 0, gravity) at one state."""
+    """M, its factor, nu = RNEA(qd, qdd = 0, no gravity),
+    g = RNEA(qd = 0, qdd = 0, gravity) and nu + g at one state, the three
+    Newton-Euler passes as one call over three rows."""
     kin = Kinematics(model, state.q)
     M = mass_matrix(model, state.q, kin)
     zero = np.zeros(model.n)
-    nu = _rnea(model, kin, state.qd, zero, np.zeros(3))
-    g = _rnea(model, kin, zero, zero, model.gravity)
+    gravity = model.gravity
+    nu, g, nu_g = _rnea(model, kin, np.stack((state.qd, zero, state.qd)), zero,
+                        np.stack((np.zeros(3), gravity, gravity)))
     return ChainDynamics(model=model, q=state.q.copy(), qd=state.qd.copy(),
-                         kin=kin, M=M, M_cho=spd_factor(M), nu=nu, g=g)
+                         kin=kin, M=M, M_cho=spd_factor(M), nu=nu, g=g, nu_g=nu_g)
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from . import limits as limits_mod
-from . import qpcore, rbd, solvers, tasks as tasks_mod
+from . import qpcore, rbd, solvers as solvers_mod, tasks as tasks_mod
 
-STATUS_CODE = {solvers.OPTIMAL: 0, solvers.DEGRADED: 1,
-               solvers.INFEASIBLE: 2, solvers.MAX_ITER: 3}
+STATUS_CODE = {solvers_mod.OPTIMAL: 0, solvers_mod.DEGRADED: 1,
+               solvers_mod.INFEASIBLE: 2, solvers_mod.MAX_ITER: 3}
 
 
 class ConfigError(ValueError):
@@ -101,56 +101,63 @@ def _shift(d: np.ndarray) -> np.ndarray:
 def scripted_tau_ext(events: list[Event], t: float, model: rbd.RobotModel,
                      q: np.ndarray,
                      kin: rbd.Kinematics | None = None) -> np.ndarray:
-    """Joint torques of the active scripted forces and torques at time t.
+    """Joint torques of the active scripted forces and torques at time t, at
+    one configuration q or a batch of them.
 
     An unmodeled mass contributes nothing here: the plant feels it through
     its augmented model, and the controller measures it through
     ``payload_observer``. ``kin`` is the ``rbd.Kinematics`` of ``model`` at
     q when the caller has it.
     """
-    tau = np.zeros(model.n)
+    tau = np.zeros(np.shape(q))
     for ev in events:
         if not ev.active(t):
             continue
         if ev.kind == "cartesian_force":
             frame = model.tool_frame if ev.frame is None else ev.frame
             J = rbd.jacobian(model, q, frame, point=ev.point, kin=kin)
-            tau += J[:3].T @ (ev.profile(t) * ev.force)
+            tau += J[..., :3, :].swapaxes(-1, -2) @ (ev.profile(t) * ev.force)
         elif ev.kind == "joint_torque":
-            tau[ev.joint] += ev.profile(t) * ev.amplitude
+            tau[..., ev.joint] += ev.profile(t) * ev.amplitude
     return tau
 
 
 def payload_observer(nominal: rbd.RobotModel, plant: rbd.RobotModel,
-                     state: rbd.JointState, qdd_prev: np.ndarray) -> np.ndarray:
+                     state: rbd.JointState, qdd_prev: np.ndarray,
+                     kin: rbd.Kinematics | None = None,
+                     plant_kin: rbd.Kinematics | None = None) -> np.ndarray:
     """Torque-sensor view of an unmodeled mass: the generalized force that,
     added to the nominal model, reproduces the plant's motion.
 
     Evaluated at the last observed acceleration (one-tick observer lag, like a
     momentum observer on hardware): tau_ext = ID_nominal - ID_plant at
     (q, qd, qdd_prev). At rest this is exactly the payload gravity wrench.
+    ``kin`` and ``plant_kin`` are the ``rbd.Kinematics`` of the two models
+    at ``state.q`` when the caller has them.
     """
-    return (rbd.inverse_dynamics(nominal, state.q, state.qd, qdd_prev)
-            - rbd.inverse_dynamics(plant, state.q, state.qd, qdd_prev))
+    return (rbd.inverse_dynamics(nominal, state.q, state.qd, qdd_prev, kin)
+            - rbd.inverse_dynamics(plant, state.q, state.qd, qdd_prev, plant_kin))
 
 
 def apply_events(scenario: "Scenario", t: float, model: rbd.RobotModel,
                  state: rbd.JointState,
                  qdd_prev: np.ndarray | None = None,
-                 kin: rbd.Kinematics | None = None) -> np.ndarray:
+                 kin: rbd.Kinematics | None = None,
+                 plant_kin: rbd.Kinematics | None = None) -> np.ndarray:
     """Controller-side (measured) tau_ext at time t.
 
     Scripted forces and torques are measured directly; an active unmodeled
     mass is measured through the observer (quasi-static at rest when no
-    previous acceleration is available). ``kin`` is the ``rbd.Kinematics``
-    of ``model`` at ``state.q`` when the caller has it.
+    previous acceleration is available). ``kin`` and ``plant_kin`` are the
+    ``rbd.Kinematics`` of ``model`` and of the plant model at ``state.q``
+    when the caller has them.
     """
     tau = scripted_tau_ext(scenario.events, t, model, state.q, kin)
     plant = scenario.plant_model(t)
     if plant is not model:
         tau = tau + payload_observer(
             model, plant, state,
-            np.zeros(model.n) if qdd_prev is None else qdd_prev)
+            np.zeros(model.n) if qdd_prev is None else qdd_prev, kin, plant_kin)
     return tau
 
 
@@ -161,18 +168,19 @@ def apply_events(scenario: "Scenario", t: float, model: rbd.RobotModel,
 def step(model: rbd.RobotModel, state: rbd.JointState, tau: np.ndarray,
          tau_ext: np.ndarray | None, dt: float,
          kin: rbd.Kinematics | None = None,
-         M_cho=None) -> tuple[rbd.JointState, np.ndarray]:
-    """One semi-implicit Euler step of the forward dynamics.
+         M_cho=None, nu_g: np.ndarray | None = None) -> tuple[rbd.JointState, np.ndarray]:
+    """One semi-implicit Euler step of the forward dynamics, of one state or
+    of a batch of them.
 
     Returns the new state and the acceleration qdd the step used; the
-    ``rbd.Kinematics`` and the factor ``M_cho`` of M at ``state.q`` are
-    reused when the caller has them. ``run_scenario`` integrates the plant
-    with this step; a non-finite result raises ValueError from the new
+    ``rbd.Kinematics``, the factor ``M_cho`` of M and nu + g at the state
+    are reused when the caller has them. ``run_scenario`` integrates the
+    plant with this step; a non-finite result raises ValueError from the new
     ``JointState``.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    qdd = rbd.forward_dynamics(model, state.q, state.qd, tau, tau_ext, kin, M_cho)
+    qdd = rbd.forward_dynamics(model, state.q, state.qd, tau, tau_ext, kin, M_cho, nu_g)
     qd = state.qd + qdd * dt
     return rbd.JointState(state.q + qd * dt, qd), qdd
 
@@ -213,7 +221,7 @@ def energy_metrics(model: rbd.RobotModel, state: rbd.JointState,
     if J is None:
         e_task = 0.0
     else:
-        bundle = rbd.task_dynamics(model, dyn.q, J, epsilon=solvers.EPSILON_LAMBDA,
+        bundle = rbd.task_dynamics(model, dyn.q, J, epsilon=solvers_mod.EPSILON_LAMBDA,
                                    minv=dyn.minv)
         xd = J @ dyn.qd
         e_task = 0.5 * float(xd @ bundle.Lambda @ xd)
@@ -236,7 +244,7 @@ class Scenario:
     control_dt: float
     integrator_dt: float
     solver: str
-    solver_config: solvers.SolverConfig
+    solver_config: solvers_mod.SolverConfig
     tasks: list[tasks_mod.TaskSpec]       # targets resolved at q0, sorted by priority
     limits: limits_mod.LimitSet
     events: list[Event]
@@ -375,120 +383,169 @@ def _segment_distance(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 # the control loop
 
 
-def run_scenario(scenario: Scenario, solver: str | None = None,
-                 ext_force_in_bounds: bool | None = None,
-                 dump_qp_path: str | None = None,
-                 record_hook=None) -> Trace:
-    """Run one scenario with one solver and return the full trace.
+@dataclass
+class _Run:
+    """One solver's part of a lockstep run: its own plant state, stateful
+    task trackers, noise stream and trace."""
 
-    ``dump_qp_path``, when given, receives the last QP a ``dcts`` run solved;
-    the other solvers write none. ``record_hook(tick, state, dyn, realized,
-    out)`` is called after each control tick when given (used by tests to
-    replay solvers in lockstep).
+    solver: str
+    state: rbd.JointState
+    specs: list[tasks_mod.TaskSpec]
+    rng: np.random.Generator
+    trace: Trace
+    qdd_prev: np.ndarray
+    out: solvers_mod.ControlOutput | None = None
+
+
+def run_scenario(scenario: Scenario, solvers: list[str] | None = None,
+                 ext_force_in_bounds: bool | None = None,
+                 dump_qp_paths: dict[str, str] | None = None,
+                 record_hook=None, solver: str | None = None) -> list[Trace] | Trace:
+    """Run one scenario with each of ``solvers`` (default: the scenario's
+    own) in lockstep and return one trace per solver, in order.
+
+    Every solver keeps its own plant state, trackers, noise stream and trace,
+    and its tick runs its own dynamics, tasks, bounds and controller; each
+    plant substep then advances all solvers' plants in one batched call. A
+    solver's trace is the same as a run of that solver alone. ``solver``
+    names one solver instead and returns its trace alone.
+
+    ``dump_qp_paths`` maps a solver to the file that receives the last QP
+    its run solved; only ``dcts`` solves one. ``record_hook(solver, tick,
+    state, dyn, realized, out)`` is called after each solver's control tick
+    when given (used by tests to replay solvers).
     """
     model = scenario.model
-    name = solver or scenario.solver
-    problem = solvers.solver_error(name, len(scenario.tasks))
-    if problem is not None:
-        raise ConfigError(f"{scenario.source}: {problem}")
+    names = [solver] if solver is not None else list(solvers or [scenario.solver])
+    for name in names:
+        problem = solvers_mod.solver_error(name, len(scenario.tasks))
+        if problem is not None:
+            raise ConfigError(f"{scenario.source}: {problem}")
     cfg = replace(scenario.solver_config)
     if ext_force_in_bounds is not None:
         cfg.ext_force_in_bounds = ext_force_in_bounds
-
-    state = rbd.JointState(scenario.q0.copy(), scenario.qd0.copy())
-    specs = copy.deepcopy(scenario.tasks)       # trackers are stateful
-    lead_spec = specs[0]
     lset = scenario.limits
-    rng = np.random.default_rng(scenario.seed)
     noise = scenario.tau_ext_noise_std
 
     n_ticks = int(round(scenario.duration / scenario.control_dt))
     substeps = max(1, int(round(scenario.control_dt / scenario.integrator_dt)))
     h = scenario.control_dt / substeps
-    trace = Trace(scenario=scenario.name, solver=name, n=model.n, k=len(specs),
-                  ticks=n_ticks)
+    runs = [_Run(solver=name,
+                 state=rbd.JointState(scenario.q0.copy(), scenario.qd0.copy()),
+                 specs=copy.deepcopy(scenario.tasks),       # trackers are stateful
+                 rng=np.random.default_rng(scenario.seed),
+                 trace=Trace(scenario=scenario.name, solver=name, n=model.n,
+                             k=len(scenario.tasks), ticks=n_ticks),
+                 qdd_prev=np.zeros(model.n))
+            for name in names]
 
-    qdd_prev = np.zeros(model.n)
     for tick in range(n_ticks):
         t = tick * scenario.control_dt
-        dyn = rbd.compute_dynamics(model, state)
-        tau_ext = apply_events(scenario, t, model, state, qdd_prev, dyn.kin)
-        if noise > 0:
-            tau_ext = tau_ext + rng.normal(0.0, noise, model.n)
-        realized = [tasks_mod.realize_task(sp, dyn) for sp in specs]
-        ext = tau_ext if np.any(tau_ext) else None
-
-        if name == "dcts":
-            offset = dyn.minv(tau_ext) if (ext is not None and cfg.ext_force_in_bounds) else None
-            limit_real = limits_mod.realize_joint_limits(lset, state.q, state.qd, offset)
-            out = solvers.solve_dcts_multi(model, state, realized, limit_real, ext, cfg, dyn)
-        elif name == "osc":
-            limit_real = limits_mod.realize_joint_limits(lset, state.q, state.qd)
-            out = solvers.solve_osc_saturated(model, state, realized[0], limit_real,
-                                              ext, cfg, dyn)
-        else:
-            limit_real = None
-            solve = solvers.solve_qp_mt if name == "qp-mt" else solvers.solve_qp_md
-            out = solve(model, state, realized[0], cfg=cfg, dyn=dyn)
-
-        tau_cmd = out.tau
-        lead = realized[0]
-        e_acc, e_tot, e_task, e_null = energy_metrics(
-            model, state, tau_cmd, J=lead.J, dyn=dyn)
-
-        # integrate the plant
         plant = scenario.plant_model(t)
-        sub = state
+        dyns, plant_kins, leads = [], [], []
+        for run in runs:
+            state, trace = run.state, run.trace
+            dyn = rbd.compute_dynamics(model, state)
+            plant_kin = dyn.kin if plant is model else rbd.Kinematics(plant, state.q)
+            tau_ext = apply_events(scenario, t, model, state, run.qdd_prev, dyn.kin, plant_kin)
+            if noise > 0:
+                tau_ext = tau_ext + run.rng.normal(0.0, noise, model.n)
+            realized = [tasks_mod.realize_task(sp, dyn) for sp in run.specs]
+            ext = tau_ext if np.any(tau_ext) else None
+
+            if run.solver == "dcts":
+                offset = (dyn.minv(tau_ext) if ext is not None and cfg.ext_force_in_bounds
+                          else None)
+                limit_real = limits_mod.realize_joint_limits(lset, state.q, state.qd, offset)
+                out = solvers_mod.solve_dcts_multi(model, state, realized, limit_real, ext,
+                                                   cfg, dyn)
+            elif run.solver == "osc":
+                limit_real = limits_mod.realize_joint_limits(lset, state.q, state.qd)
+                out = solvers_mod.solve_osc_saturated(model, state, realized[0], limit_real,
+                                                      ext, cfg, dyn)
+            else:
+                limit_real = None
+                solve = (solvers_mod.solve_qp_mt if run.solver == "qp-mt"
+                         else solvers_mod.solve_qp_md)
+                out = solve(model, state, realized[0], cfg=cfg, dyn=dyn)
+            run.out = out
+
+            tau_cmd = out.tau
+            lead = realized[0]
+            e_acc, e_tot, e_task, e_null = energy_metrics(
+                model, state, tau_cmd, J=lead.J, dyn=dyn)
+            trace.t[tick] = t
+            trace.q[tick] = state.q
+            trace.qd[tick] = state.qd
+            trace.tau[tick] = tau_cmd
+            trace.tau_ext[tick] = tau_ext
+            trace.s[tick] = out.s
+            trace.e_acc[tick] = e_acc
+            trace.e_acc_raw[tick] = 0.5 * float(tau_cmd @ dyn.minv(tau_cmd))
+            trace.e_kin_total[tick] = e_tot
+            trace.e_kin_task[tick] = e_task
+            trace.e_kin_null[tick] = e_null
+            trace.viol_q[tick] = _violation_side(state.q, lset.c_min, lset.c_max)
+            trace.viol_v[tick] = _violation_side(state.qd, lset.v_min, lset.v_max)
+            trace.viol_tau[tick] = _violation_side(tau_cmd, model.tau_min, model.tau_max)
+            trace.saturated[tick] = out.diagnostics.get("saturated", False)
+            trace.pos_err[tick] = _position_error(run.specs[0], lead, dyn.kin, model.tool_frame)
+            trace.status[tick] = STATUS_CODE.get(out.status, 3)
+            trace.repaired[tick] = limit_real is not None and limit_real.bounds.any_repaired
+            if record_hook is not None:
+                record_hook(run.solver, tick, state, dyn, realized, out)
+            dyns.append(dyn)
+            plant_kins.append(plant_kin)
+            leads.append(lead)
+
+        # integrate every run's plant, one batched step per substep; the
+        # first substep starts from each run's own q and reuses what its
+        # tick computed there
+        sub = rbd.JointState(np.stack([run.state.q for run in runs]),
+                             np.stack([run.state.qd for run in runs]))
+        tau = np.stack([run.out.tau for run in runs])
+        kin = rbd.Kinematics.stack(plant_kins)
+        M_cho = nu_g = None
+        if plant is model:
+            M_cho = [dyn.M_cho for dyn in dyns]
+            nu_g = np.stack([dyn.nu_g for dyn in dyns])
         for j in range(substeps):
-            reuse = j == 0 and plant is model       # the tick's own q: same bytes
-            kin = dyn.kin if reuse else rbd.Kinematics(plant, sub.q)
+            if j > 0:
+                kin = rbd.Kinematics(plant, sub.q)
+                M_cho = nu_g = None
             tau_ext_plant = scripted_tau_ext(scenario.events, t, plant, sub.q, kin)
-            sub, qdd = step(plant, sub, tau_cmd, tau_ext_plant, h, kin,
-                            dyn.M_cho if reuse else None)
+            sub, qdd = step(plant, sub, tau, tau_ext_plant, h, kin, M_cho, nu_g)
             if j == 0:
                 qdd_first = qdd
 
-        # metrics and flags at the tick
-        if lead_spec.mode == "waypoint_tracker":
-            tracker = lead_spec.tracker
-            seg = tracker.segment()
-            x = dyn.kin.point(model.tool_frame, lead_spec.point)
-            if seg is not None:
-                pos_err = _segment_distance(x, seg[0], seg[1])
-            elif tracker.current is not None:
-                pos_err = float(np.linalg.norm(x - tracker.current))
-            else:
-                pos_err = 0.0
-        else:
-            pos_err = float(np.linalg.norm(lead.error)) if lead.error is not None else 0.0
+        for b, (run, lead) in enumerate(zip(runs, leads)):
+            run.trace.qdd[tick] = qdd_first[b]
+            run.trace.acc_err[tick] = float(np.linalg.norm(
+                lead.J @ qdd_first[b] + lead.jdot_qd - lead.a_d))
+            run.state = rbd.JointState(sub.q[b], sub.qd[b])
+            run.qdd_prev = qdd_first[b]
+    for run in runs:
+        path = (dump_qp_paths or {}).get(run.solver)
+        if path is not None and "last_qp" in run.out.diagnostics:
+            qpcore.dump_problem(run.out.diagnostics["last_qp"], path)
+    traces = [run.trace for run in runs]
+    return traces[0] if solver is not None else traces
 
-        trace.t[tick] = t
-        trace.q[tick] = state.q
-        trace.qd[tick] = state.qd
-        trace.qdd[tick] = qdd_first
-        trace.tau[tick] = tau_cmd
-        trace.tau_ext[tick] = tau_ext
-        trace.s[tick] = out.s
-        trace.e_acc[tick] = e_acc
-        trace.e_acc_raw[tick] = 0.5 * float(tau_cmd @ dyn.minv(tau_cmd))
-        trace.e_kin_total[tick] = e_tot
-        trace.e_kin_task[tick] = e_task
-        trace.e_kin_null[tick] = e_null
-        trace.viol_q[tick] = _violation_side(state.q, lset.c_min, lset.c_max)
-        trace.viol_v[tick] = _violation_side(state.qd, lset.v_min, lset.v_max)
-        trace.viol_tau[tick] = _violation_side(tau_cmd, model.tau_min, model.tau_max)
-        trace.saturated[tick] = out.diagnostics.get("saturated", False)
-        trace.pos_err[tick] = pos_err
-        trace.acc_err[tick] = float(np.linalg.norm(lead.J @ qdd_first + lead.jdot_qd - lead.a_d))
-        trace.status[tick] = STATUS_CODE.get(out.status, 3)
-        trace.repaired[tick] = limit_real is not None and limit_real.bounds.any_repaired
-        if record_hook is not None:
-            record_hook(tick, state, dyn, realized, out)
-        state = sub
-        qdd_prev = qdd_first
-    if dump_qp_path is not None and "last_qp" in out.diagnostics:
-        qpcore.dump_problem(out.diagnostics["last_qp"], dump_qp_path)
-    return trace
+
+def _position_error(spec: tasks_mod.TaskSpec, lead: tasks_mod.TaskInstance,
+                    kin: rbd.Kinematics, tool_frame: int) -> float:
+    """The lead task's position error: the distance to the tracker's current
+    segment or waypoint, or the norm of the task error."""
+    if spec.mode != "waypoint_tracker":
+        return float(np.linalg.norm(lead.error)) if lead.error is not None else 0.0
+    tracker = spec.tracker
+    seg = tracker.segment()
+    x = kin.point(tool_frame, spec.point)
+    if seg is not None:
+        return _segment_distance(x, seg[0], seg[1])
+    if tracker.current is not None:
+        return float(np.linalg.norm(x - tracker.current))
+    return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +613,8 @@ _nonneg = partial(_num, low=0.0)
 _vec3 = partial(_floats, shape=(3,))
 
 
-def _solver_config(value) -> solvers.SolverConfig:
-    return solvers.SolverConfig(**_obj(value))
+def _solver_config(value) -> solvers_mod.SolverConfig:
+    return solvers_mod.SolverConfig(**_obj(value))
 
 
 def _get(d: dict, key: str, convert=None, default=_REQUIRED):
@@ -579,12 +636,13 @@ def _get(d: dict, key: str, convert=None, default=_REQUIRED):
 
 
 # the keys of a task by mode, besides the common ones, and of a Cartesian
-# task target by type
+# and a posture task target by type
 _TASK_KEYS = {"waypoint_tracker": ("waypoints", "tolerance_m", "kp", "kv", "v_sat"),
               "impedance": ("stiffness", "damping", "target"),
               "force_impedance": ("stiffness", "damping", "target")}
 _TARGET_KEYS = {"initial": ("type",), "initial_rotated": ("type", "axis", "angle_deg"),
                 "pose": ("type", "position_m", "rotation")}
+_POSTURE_TARGET_KEYS = {"initial": ("type",), "posture": ("type", "q_rad")}
 
 
 def _build_task(tc, i: int, model: rbd.RobotModel, q0: np.ndarray,
@@ -605,14 +663,14 @@ def _build_task(tc, i: int, model: rbd.RobotModel, q0: np.ndarray,
     common.update(stiffness=_get(tc, "stiffness", gain), damping=_get(tc, "damping", gain))
     target = _get(tc, "target", _obj, {"type": "initial"})
     kind = target.get("type", "initial")
+    keys = _POSTURE_TARGET_KEYS if selector == "joint_posture" else _TARGET_KEYS
+    if kind not in keys:
+        raise ValueError(f"unknown target type {kind!r}")
+    _only(target, keys[kind], "target: ")
     if selector == "joint_posture":
-        _only(target, ("type",) if kind == "initial" else ("type", "q_rad"), "target: ")
         q = (q0.copy() if kind == "initial"
              else _get(target, "q_rad", partial(_floats, shape=(model.n,))))
         return tasks_mod.TaskSpec(**common, target_q=q)
-    if kind not in _TARGET_KEYS:
-        raise ValueError(f"unknown target type {kind!r}")
-    _only(target, _TARGET_KEYS[kind], "target: ")
     position, rotation = T_tool[:3, 3].copy(), T_tool[:3, :3].copy()
     if kind == "initial_rotated":
         axis = _get(target, "axis", _vec3)
@@ -715,7 +773,7 @@ def _parse(data, source: str,
     events = read(data, "events", _list, []) or []
     lim = read(data, "limits", _obj, {}) or {}
     solver = data.get("solver", "dcts")
-    problem = solvers.solver_error(solver, len(task_configs or ()))
+    problem = solvers_mod.solver_error(solver, len(task_configs or ()))
     if problem is not None:
         err(f"{source}.solver: {problem}")
     model = read(data, "model", partial(_resolve_model, model_dir=model_dir))

@@ -38,8 +38,9 @@ def report(num: int, text: str) -> None:
     print(f"\nACCEPTANCE {num} PASS - {text}")
 
 
-def run_bundled(name: str, solver: str, **kw) -> sim.Trace:
-    return sim.run_scenario(sim.load_bundled_scenario(name), solver=solver, **kw)
+def run_bundled(name: str, *solvers: str, **kw) -> dict[str, sim.Trace]:
+    """The bundled scenario run with every named solver in lockstep."""
+    return dict(zip(solvers, sim.run_scenario(sim.load_bundled_scenario(name), solvers, **kw)))
 
 
 @pytest.fixture(scope="module")
@@ -48,41 +49,44 @@ def iiwa():
 
 
 @pytest.fixture(scope="module")
-def rotation_runs():
-    # the DCTS rotation-hold run is dcts_rotation_states
-    return {name: run_bundled("rotation_hold", name)
-            for name in ("osc", "qp-mt", "qp-md")}
+def rotation_lockstep():
+    """All four solvers on rotation hold in one run, with the DCTS per-tick
+    solver inputs recorded."""
+    rec = []
+
+    def hook(solver, tick, state, dyn, realized, out):
+        if solver == "dcts":
+            rec.append((state.copy(), realized[0].J.copy(), out.tau.copy(),
+                        dyn.nu.copy(), dyn.g.copy()))
+
+    return run_bundled("rotation_hold", "osc", "qp-mt", "qp-md", "dcts", record_hook=hook), rec
 
 
 @pytest.fixture(scope="module")
-def dcts_rotation_states(iiwa):
+def rotation_runs(rotation_lockstep):
+    return rotation_lockstep[0]
+
+
+@pytest.fixture(scope="module")
+def dcts_rotation_states(rotation_lockstep):
     """DCTS rotation-hold run with per-tick solver inputs recorded."""
-    rec = []
-
-    def hook(tick, state, dyn, realized, out):
-        rec.append((state.copy(), realized[0].J.copy(), out.tau.copy(),
-                    dyn.nu.copy(), dyn.g.copy()))
-
-    trace = sim.run_scenario(sim.load_bundled_scenario("rotation_hold"),
-                             solver="dcts", record_hook=hook)
-    return trace, rec
+    runs, rec = rotation_lockstep
+    return runs["dcts"], rec
 
 
 @pytest.fixture(scope="module")
 def push_runs():
-    return {name: run_bundled("push_recovery", name)
-            for name in ("osc", "dcts", "qp-md")}
+    return run_bundled("push_recovery", "osc", "dcts", "qp-md")
 
 
 @pytest.fixture(scope="module")
 def star_runs():
-    return {name: run_bundled("star_octagon", name) for name in ("dcts", "osc")}
+    return run_bundled("star_octagon", "dcts", "osc")
 
 
 @pytest.fixture(scope="module")
 def payload_runs():
-    return {name: run_bundled("payload_drop", name)
-            for name in ("osc", "dcts", "qp-md")}
+    return run_bundled("payload_drop", "osc", "dcts", "qp-md")
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,11 @@ MALFORMED = {
                         "solver_config: unknown torque_regularizer 'cubic'"),
     "unknown_target": (("tasks", 0, "target", "type"), "spline",
                        "tasks[0]: unknown target type 'spline'"),
+    "unknown_posture_target": (
+        ("tasks", 0), {"priority": 1, "mode": "impedance", "selector": "joint_posture",
+                       "stiffness": 10.0, "damping": 6.0,
+                       "target": {"type": "spline", "q_rad": [0.0] * 7}},
+        "tasks[0]: unknown target type 'spline'"),
     "negative_event_duration": (
         ("events",), [{"kind": "joint_torque", "start_s": 0.0, "duration_s": -1.0,
                        "joint": 2, "amplitude_nm": 5.0}],
@@ -252,12 +257,18 @@ def test_runs_whose_outputs_would_collide_are_config_errors(tiny_scenario, tmp_p
 
 
 def test_parallel_jobs_write_the_same_traces(tiny_scenario, tmp_path):
-    """Jobs carry the parsed Scenario to worker processes unchanged."""
+    """--jobs runs scenarios in parallel worker processes, each with its
+    solvers in lockstep; jobs carry the parsed Scenario to the workers
+    unchanged, so every output file has the same bytes as with --jobs 1."""
+    second = tmp_path / "second.json"
+    second.write_text(tiny_scenario.read_text().replace('"tiny"', '"second"'))
     for jobs in ("1", "2"):
-        assert cli.run(["--scenario", str(tiny_scenario), "--solver", "osc", "dcts",
-                        "--out", str(tmp_path / jobs), "--jobs", jobs]) == 0
-    for solver in ("osc", "dcts"):
-        name = f"tiny__{solver}.trace.csv"
+        assert cli.run(["--scenario", str(tiny_scenario), str(second), "--solver", "osc",
+                        "dcts", "--out", str(tmp_path / jobs), "--jobs", jobs]) == 0
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert len(names) == 9          # trace and summary of 2 x 2 runs, and the table
+    assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+    for name in names:
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dcts import rbd, sim
 
@@ -204,6 +205,57 @@ def test_inverse_dynamics_two_link_lagrangian(planar2):
         qdd = rng.uniform(-1, 1, 2)
         ours = rbd.inverse_dynamics(planar2, q, qd, qdd)
         assert np.abs(ours - oracles.twolink_inverse_dynamics(q, qd, qdd)).max() < 1e-8
+
+
+def test_compute_dynamics_rows_equal_separate_passes(iiwa):
+    """compute_dynamics gets nu, g and nu + g from one Newton-Euler call over
+    three rows; each row equals its own pass byte for byte."""
+    rng = np.random.default_rng(8)
+    zero = np.zeros(7)
+    for _ in range(10):
+        q, qd = rand_state(iiwa, rng)
+        dyn = dynamics_at(iiwa, q, qd)
+        kin = rbd.Kinematics(iiwa, q)
+        for row, qd_row, gravity in ((dyn.nu, qd, np.zeros(3)), (dyn.g, zero, iiwa.gravity),
+                                     (dyn.nu_g, qd, iiwa.gravity)):
+            assert row.tobytes() == rbd._rnea(iiwa, kin, qd_row, zero, gravity).tobytes()
+        assert dyn.nu_g.tobytes() == rbd.bias_and_gravity(iiwa, q, qd, kin).tobytes()
+
+
+_states = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+@given(st.data(), st.integers(1, 4), st.booleans())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_batched_rows_equal_unbatched_calls(iiwa, data, B, payload):
+    """Each row of a batched plant call equals the unbatched call at that
+    row's state byte for byte, on the nominal model and on one carrying a
+    payload on the last link (the plant model of an unmodeled mass)."""
+    model = (sim.augment_with_point_mass(iiwa, 4.1, np.array([0.0, 0.0, 0.2])) if payload
+             else iiwa)
+    q, qd, tau, tau_ext = (data.draw(arrays(float, (B, 7), elements=_states)) for _ in range(4))
+    point = data.draw(arrays(float, 3, elements=st.floats(-0.2, 0.2)))
+    kin = rbd.Kinematics(model, q)
+    batched = {
+        "mass_matrix": rbd.mass_matrix(model, q, kin),
+        "bias_and_gravity": rbd.bias_and_gravity(model, q, qd, kin),
+        "forward_dynamics": rbd.forward_dynamics(model, q, qd, tau, tau_ext, kin),
+        "jacobian": rbd.jacobian(model, q, model.tool_frame, point, kin),
+        "jacobian_link_3": rbd.jacobian(model, q, 3, kin=kin),
+    }
+    for b in range(B):
+        one = rbd.Kinematics(model, q[b])
+        for name in rbd.Kinematics.__slots__:
+            assert getattr(kin, name)[b].tobytes() == getattr(one, name).tobytes(), name
+        single = {
+            "mass_matrix": rbd.mass_matrix(model, q[b], one),
+            "bias_and_gravity": rbd.bias_and_gravity(model, q[b], qd[b], one),
+            "forward_dynamics": rbd.forward_dynamics(model, q[b], qd[b], tau[b], tau_ext[b]),
+            "jacobian": rbd.jacobian(model, q[b], model.tool_frame, point, one),
+            "jacobian_link_3": rbd.jacobian(model, q[b], 3, kin=one),
+        }
+        for name, value in single.items():
+            assert batched[name][b].tobytes() == value.tobytes(), name
 
 
 # ---------------------------------------------------------------------------

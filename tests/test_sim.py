@@ -260,7 +260,7 @@ def test_braking_tick_records_every_task_scale_as_zero():
     data = two_task_dict(0.003)
     data["limits"]["tau_min_nm"] = [-1.0] * 7
     data["limits"]["tau_max_nm"] = [1.0] * 7
-    tr = sim.run_scenario(sim.scenario_from_dict(data))
+    [tr] = sim.run_scenario(sim.scenario_from_dict(data))
     assert (tr.status == sim.STATUS_CODE[solvers.INFEASIBLE]).all()
     assert not tr.s.any()
     assert tr.summary()["scaling"] == {"min": 0.0, "mean": 0.0}
@@ -278,23 +278,34 @@ def test_qp_md_null_energy_decays_after_push():
 
 
 def test_one_kinematics_per_plant_substep(monkeypatch):
-    """A tick visits one configuration per plant substep and builds its
-    rbd.Kinematics once: the first substep reuses the controller's, which
-    the tasks, the measured events and the dynamics share, so a tick of 10
-    substeps builds 10, with or without an active Cartesian push."""
-    built = []
+    """Each solver of a lockstep run builds rbd.Kinematics rows for exactly
+    the configurations its tick visits: one per plant substep, the first
+    reusing the controller's, which the tasks, the measured events and the
+    dynamics share, plus the plant model's at q while an unmodeled mass is
+    active, which the payload observer and the first substep share. So a
+    tick of 10 substeps builds 10 rows per solver, or 11 with a payload. A
+    batched build of B configurations counts B rows, and substeps 2-10 are
+    one build for all solvers."""
+    rows = []
     init = rbd.Kinematics.__init__
     monkeypatch.setattr(rbd.Kinematics, "__init__",
-                        lambda self, model, q: built.append(q) or init(self, model, q))
-    for name in ("star_octagon", "push_recovery"):
+                        lambda self, model, q: rows.append(len(np.atleast_2d(q)))
+                        or init(self, model, q))
+    for name, names in (("star_octagon", ["dcts", "osc"]),
+                        ("push_recovery", ["osc", "dcts", "qp-md"]),
+                        ("payload_drop", ["osc", "dcts", "qp-md"])):
         sc = short_scenario(name, duration=0.02)
         for ev in sc.events:
-            ev.start = 0.0
-        built.clear()
-        tr = sim.run_scenario(sc)
+            ev.start = 0.01
+        rows.clear()
+        traces = sim.run_scenario(sc, names)
         assert round(sc.control_dt / sc.integrator_dt) == 10
-        assert len(built) == 10 * len(tr.t) == 200
-        assert tr.tau_ext.any() == bool(sc.events)
+        payload = [sc.plant_model(t) is not sc.model for t in traces[0].t]
+        assert sum(rows) == len(names) * sum(10 + p for p in payload)
+        assert len(rows) == sum(len(names) * (1 + p) + 9 for p in payload)
+        for tr in traces:
+            assert not tr.tau_ext[:10].any()
+            assert tr.tau_ext[10:].any(axis=1).all() == bool(sc.events)
 
 
 def test_unknown_solver_rejected():
@@ -358,6 +369,20 @@ def test_unknown_key_is_named(name, path, key, expected):
     assert [m for level, m in issues if level == "error"] == [f"s.{expected}"]
 
 
+def test_posture_target_types():
+    """A posture task holds q0 by default or for an ``initial`` target, and
+    the q_rad of a ``posture`` target."""
+    q = [0.1 * j for j in range(7)]
+    for target, expected in ((None, None), ({"type": "initial"}, None),
+                             ({"type": "posture", "q_rad": q}, q)):
+        data = two_task_dict(0.01)
+        if target is not None:
+            data["tasks"][1]["target"] = target
+        sc = sim.scenario_from_dict(data)
+        np.testing.assert_array_equal(sc.tasks[1].target_q,
+                                      sc.q0 if expected is None else expected)
+
+
 def test_model_limit_overrides_apply():
     data = json.loads(sim.bundled_scenario_path("star_octagon").read_text())
     sc = sim.scenario_from_dict(data, source="s")
@@ -415,5 +440,5 @@ def test_validation_agrees_with_loading_and_running(case):
         return
     sc = sim.scenario_from_dict(*args)
     sc.duration = 5 * sc.control_dt
-    trace = sim.run_scenario(sc)
+    [trace] = sim.run_scenario(sc)
     assert len(trace.t) == 5 and np.isfinite(trace.tau).all()
