@@ -226,8 +226,22 @@ class Kinematics:
         R = self.transforms[..., :model.n, :3, :3]
         self.p = self.transforms[..., :model.n, :3, 3]
         self.z = np.einsum("...nij,nj->...ni", R, model.axes)
+        self._set_inertial(model)
+
+    def _set_inertial(self, model: RobotModel) -> None:
+        R = self.transforms[..., :model.n, :3, :3]
         self.c = np.einsum("...nij,nj->...ni", R, model.coms) + self.p
         self.Iw = np.einsum("...nij,njk,...nlk->...nil", R, model.inertias, R)
+
+    def with_inertia(self, model: RobotModel) -> "Kinematics":
+        """The Kinematics of ``model`` at the same q, for a model that differs
+        from this one's only in link masses, COMs and inertias (a plant
+        carrying a payload): ``transforms``, ``z`` and ``p`` are shared, and
+        only ``c`` and ``Iw`` are computed."""
+        out = Kinematics.__new__(Kinematics)
+        out.transforms, out.z, out.p = self.transforms, self.z, self.p
+        out._set_inertial(model)
+        return out
 
     @classmethod
     def stack(cls, kins: list["Kinematics"]) -> "Kinematics":
@@ -276,25 +290,27 @@ def jacobian(model: RobotModel, q: np.ndarray, frame: int,
 
 def jacobian_dot_qd(model: RobotModel, q: np.ndarray, qd: np.ndarray, frame: int,
                     point: np.ndarray | None = None,
-                    kin: Kinematics | None = None) -> np.ndarray:
+                    kin: Kinematics | None = None,
+                    velocity: tuple | None = None) -> np.ndarray:
     """The drift acceleration Jdot qd of a frame point, via velocity recursion.
 
     Equals the classical acceleration [a; alpha] of the point when qdd = 0 and
-    gravity is off; no finite differences and no explicit Jdot.
+    gravity is off; no finite differences and no explicit Jdot. ``velocity``
+    is the (w, dw, a_joint) of that recursion at (q, qd) when the caller has
+    it (``ChainDynamics.velocity``); the point reads only links up to its
+    frame's, which later joint rates do not reach.
     """
     frame = model.check_frame(frame)
-    qd = np.asarray(qd, dtype=float)
     if kin is None:
         kin = Kinematics(model, q)
+    if velocity is None:
+        velocity = _velocity_recursion(kin, np.asarray(qd, dtype=float),
+                                       np.zeros(model.n), None)[:3]
     last = model.n - 1 if frame == model.n else frame
-    qd_masked = qd.copy()
-    qd_masked[last + 1:] = 0.0
-    w, dw, a_joint, _ = _velocity_recursion(kin, qd_masked, np.zeros(model.n),
-                                            np.zeros(3))
-    r = kin.point(frame, point) - kin.p[last]
-    a_point = (a_joint[last] + _bcross(dw[last], r)
-               + _bcross(w[last], _bcross(w[last], r)))
-    return np.concatenate([a_point, dw[last]])
+    w, dw, a_joint = (x[..., last, :] for x in velocity)
+    r = kin.point(frame, point) - kin.p[..., last, :]
+    a_point = a_joint + _bcross(dw, r) + _bcross(w, _bcross(w, r))
+    return np.concatenate([a_point, dw], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +348,14 @@ def _shifted(x: np.ndarray) -> np.ndarray:
 
 
 def _velocity_recursion(kin: Kinematics, qd: np.ndarray, qdd: np.ndarray,
-                        a_base: np.ndarray):
+                        a_base: np.ndarray | None):
     """Batched forward pass: per-link w, dw, joint-origin and COM accelerations.
 
     All recursions are prefix sums of locally computable increments, so the
-    whole pass is a handful of vectorized operations. ``qd``, ``qdd`` and
-    ``a_base`` may carry a leading batch axis, which broadcasts against
-    ``kin``'s.
+    whole pass is a handful of vectorized operations, and link i's values
+    depend on the joint rates up to i only. ``qd``, ``qdd`` and ``a_base``
+    may carry a leading batch axis, which broadcasts against ``kin``'s;
+    ``a_base`` None is a base at rest.
     """
     z, p, c = kin.z, kin.p, kin.c
     qd, qdd = qd[..., None], qdd[..., None]
@@ -348,7 +365,9 @@ def _velocity_recursion(kin: Kinematics, qd: np.ndarray, qdd: np.ndarray,
     dw_prev = _shifted(dw)
     dp = p - _shifted(p)
     inc = _bcross(dw_prev, dp) + _bcross(w_prev, _bcross(w_prev, dp))
-    a_joint = np.cumsum(inc, axis=-2) + a_base[..., None, :]
+    a_joint = np.cumsum(inc, axis=-2)
+    if a_base is not None:
+        a_joint = a_joint + a_base[..., None, :]
     rc = c - p
     a_com = a_joint + _bcross(dw, rc) + _bcross(w, _bcross(w, rc))
     return w, dw, a_joint, a_com
@@ -368,8 +387,15 @@ def _rnea(model: RobotModel, kin: Kinematics, qd: np.ndarray, qdd: np.ndarray,
     configuration's ``kin`` then serves several motions in one pass.
     """
     qdd = np.asarray(qdd, float)
-    w, dw, _, a_com = _velocity_recursion(kin, np.asarray(qd, float), qdd,
-                                          -np.asarray(gravity, float))
+    return _force_sweep(model, kin, qdd,
+                        *_velocity_recursion(kin, np.asarray(qd, float), qdd,
+                                             -np.asarray(gravity, float)))
+
+
+def _force_sweep(model: RobotModel, kin: Kinematics, qdd: np.ndarray,
+                 w: np.ndarray, dw: np.ndarray, a_joint: np.ndarray,
+                 a_com: np.ndarray) -> np.ndarray:
+    """The backward half of ``_rnea``: joint torques from a velocity pass."""
     ma = model.masses[:, None] * a_com
     Iw_w = np.einsum("...nij,...nj->...ni", kin.Iw, w)
     K = (np.einsum("...nij,...nj->...ni", kin.Iw, dw) + _bcross(w, Iw_w)
@@ -481,6 +507,9 @@ class ChainDynamics:
     nu: np.ndarray = None
     g: np.ndarray = None
     nu_g: np.ndarray = None
+    # (w, dw, a_joint) per link of nu's velocity pass (qdd = 0, no gravity),
+    # from which every task's drift Jdot qd is read
+    velocity: tuple = field(repr=False, default=None)
 
     @property
     def transforms(self) -> np.ndarray:
@@ -493,15 +522,17 @@ class ChainDynamics:
 def compute_dynamics(model: RobotModel, state: JointState) -> ChainDynamics:
     """M, its factor, nu = RNEA(qd, qdd = 0, no gravity),
     g = RNEA(qd = 0, qdd = 0, gravity) and nu + g at one state, the three
-    Newton-Euler passes as one call over three rows."""
+    Newton-Euler passes as one call over three rows, and nu's velocity pass."""
     kin = Kinematics(model, state.q)
     M = mass_matrix(model, state.q, kin)
     zero = np.zeros(model.n)
     gravity = model.gravity
-    nu, g, nu_g = _rnea(model, kin, np.stack((state.qd, zero, state.qd)), zero,
-                        np.stack((np.zeros(3), gravity, gravity)))
+    passes = _velocity_recursion(kin, np.stack((state.qd, zero, state.qd)), zero,
+                                 -np.stack((np.zeros(3), gravity, gravity)))
+    nu, g, nu_g = _force_sweep(model, kin, zero, *passes)
     return ChainDynamics(model=model, q=state.q.copy(), qd=state.qd.copy(),
-                         kin=kin, M=M, M_cho=spd_factor(M), nu=nu, g=g, nu_g=nu_g)
+                         kin=kin, M=M, M_cho=spd_factor(M), nu=nu, g=g, nu_g=nu_g,
+                         velocity=tuple(x[0] for x in passes[:3]))
 
 
 # ---------------------------------------------------------------------------

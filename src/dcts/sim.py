@@ -446,7 +446,7 @@ def run_scenario(scenario: Scenario, solvers: list[str] | None = None,
         for run in runs:
             state, trace = run.state, run.trace
             dyn = rbd.compute_dynamics(model, state)
-            plant_kin = dyn.kin if plant is model else rbd.Kinematics(plant, state.q)
+            plant_kin = dyn.kin if plant is model else dyn.kin.with_inertia(plant)
             tau_ext = apply_events(scenario, t, model, state, run.qdd_prev, dyn.kin, plant_kin)
             if noise > 0:
                 tau_ext = tau_ext + run.rng.normal(0.0, noise, model.n)

@@ -198,7 +198,7 @@ def realize_task(spec: TaskSpec, dyn: rbd.ChainDynamics) -> TaskInstance:
     else:
         J6 = rbd.jacobian(model, dyn.q, tool, point=spec.point, kin=dyn.kin)
         jdq6 = rbd.jacobian_dot_qd(model, dyn.q, dyn.qd, tool, point=spec.point,
-                                   kin=dyn.kin)
+                                   kin=dyn.kin, velocity=dyn.velocity)
         if spec.selector == "tool_pos":
             J, jdq = J6[:3], jdq6[:3]
             x = dyn.kin.point(tool, spec.point)

@@ -225,12 +225,29 @@ def test_compute_dynamics_rows_equal_separate_passes(iiwa):
 _states = st.floats(-3.0, 3.0, allow_subnormal=False)
 
 
+@given(st.data(), st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_drift_from_the_dynamics_pass_equals_its_own_pass(iiwa, data, at_rest):
+    """Every frame's drift read from compute_dynamics' velocity pass equals
+    the drift from jacobian_dot_qd's own pass byte for byte, at rest too."""
+    q = data.draw(arrays(float, 7, elements=_states))
+    qd = np.zeros(7) if at_rest else data.draw(arrays(float, 7, elements=_states))
+    point = data.draw(arrays(float, 3, elements=st.floats(-0.2, 0.2)))
+    dyn = dynamics_at(iiwa, q, qd)
+    for frame in range(iiwa.n + 1):
+        for p in (None, point):
+            own = rbd.jacobian_dot_qd(iiwa, q, qd, frame, p)
+            shared = rbd.jacobian_dot_qd(iiwa, q, qd, frame, p, dyn.kin, dyn.velocity)
+            assert shared.tobytes() == own.tobytes(), (frame, p)
+
+
 @given(st.data(), st.integers(1, 4), st.booleans())
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_batched_rows_equal_unbatched_calls(iiwa, data, B, payload):
     """Each row of a batched plant call equals the unbatched call at that
     row's state byte for byte, on the nominal model and on one carrying a
-    payload on the last link (the plant model of an unmodeled mass)."""
+    payload on the last link (the plant model of an unmodeled mass), whose
+    kinematics built from the nominal model's are the same bytes too."""
     model = (sim.augment_with_point_mass(iiwa, 4.1, np.array([0.0, 0.0, 0.2])) if payload
              else iiwa)
     q, qd, tau, tau_ext = (data.draw(arrays(float, (B, 7), elements=_states)) for _ in range(4))
@@ -242,17 +259,24 @@ def test_batched_rows_equal_unbatched_calls(iiwa, data, B, payload):
         "forward_dynamics": rbd.forward_dynamics(model, q, qd, tau, tau_ext, kin),
         "jacobian": rbd.jacobian(model, q, model.tool_frame, point, kin),
         "jacobian_link_3": rbd.jacobian(model, q, 3, kin=kin),
+        "jacobian_dot_qd": rbd.jacobian_dot_qd(model, q, qd, model.tool_frame, point, kin),
+        "jacobian_dot_qd_link_0": rbd.jacobian_dot_qd(model, q, qd, 0, kin=kin),
     }
+    shared = rbd.Kinematics(iiwa, q).with_inertia(model)
     for b in range(B):
         one = rbd.Kinematics(model, q[b])
         for name in rbd.Kinematics.__slots__:
             assert getattr(kin, name)[b].tobytes() == getattr(one, name).tobytes(), name
+            assert getattr(shared, name)[b].tobytes() == getattr(one, name).tobytes(), name
         single = {
             "mass_matrix": rbd.mass_matrix(model, q[b], one),
             "bias_and_gravity": rbd.bias_and_gravity(model, q[b], qd[b], one),
             "forward_dynamics": rbd.forward_dynamics(model, q[b], qd[b], tau[b], tau_ext[b]),
             "jacobian": rbd.jacobian(model, q[b], model.tool_frame, point, one),
             "jacobian_link_3": rbd.jacobian(model, q[b], 3, kin=one),
+            "jacobian_dot_qd": rbd.jacobian_dot_qd(model, q[b], qd[b], model.tool_frame,
+                                                   point, one),
+            "jacobian_dot_qd_link_0": rbd.jacobian_dot_qd(model, q[b], qd[b], 0, kin=one),
         }
         for name, value in single.items():
             assert batched[name][b].tobytes() == value.tobytes(), name

@@ -281,9 +281,10 @@ def test_one_kinematics_per_plant_substep(monkeypatch):
     """Each solver of a lockstep run builds rbd.Kinematics rows for exactly
     the configurations its tick visits: one per plant substep, the first
     reusing the controller's, which the tasks, the measured events and the
-    dynamics share, plus the plant model's at q while an unmodeled mass is
-    active, which the payload observer and the first substep share. So a
-    tick of 10 substeps builds 10 rows per solver, or 11 with a payload. A
+    dynamics share. While an unmodeled mass is active, the plant model's
+    kinematics at q, which the payload observer and the first substep share,
+    takes its transforms from the controller's and builds no row. So a tick
+    of 10 substeps builds 10 rows per solver, with or without a payload. A
     batched build of B configurations counts B rows, and substeps 2-10 are
     one build for all solvers."""
     rows = []
@@ -301,8 +302,9 @@ def test_one_kinematics_per_plant_substep(monkeypatch):
         traces = sim.run_scenario(sc, names)
         assert round(sc.control_dt / sc.integrator_dt) == 10
         payload = [sc.plant_model(t) is not sc.model for t in traces[0].t]
-        assert sum(rows) == len(names) * sum(10 + p for p in payload)
-        assert len(rows) == sum(len(names) * (1 + p) + 9 for p in payload)
+        assert any(payload) == (name == "payload_drop")
+        assert sum(rows) == len(names) * 10 * len(payload)
+        assert len(rows) == (len(names) + 9) * len(payload)
         for tr in traces:
             assert not tr.tau_ext[:10].any()
             assert tr.tau_ext[10:].any(axis=1).all() == bool(sc.events)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcts import rbd, tasks
+from dcts import limits, rbd, tasks
 
 
 def test_impedance_zero_error_zero_command():
@@ -204,3 +204,20 @@ def test_taskspec_validation():
                        stiffness=-np.eye(2), damping=np.eye(2))
     with pytest.raises(ValueError, match="tracker"):
         tasks.TaskSpec(priority=1, mode="waypoint_tracker", selector="tool_pos")
+
+
+def test_two_task_tick_runs_one_velocity_pass(iiwa, monkeypatch):
+    """A two-task DCTS controller tick runs one velocity recursion, the one
+    of compute_dynamics' nu row, and both tasks read their drift from it."""
+    from test_golden_tasks import seeded_cases, solve
+
+    calls = []
+    recursion = rbd._velocity_recursion
+    monkeypatch.setattr(rbd, "_velocity_recursion",
+                        lambda *args: calls.append(args) or recursion(*args))
+    lset = limits.joint_space_limits(iiwa, 1e-3)
+    state, dyn, specs, tau_ext = next(seeded_cases(iiwa))
+    realized = [tasks.realize_task(spec, dyn) for spec in specs]
+    solve("dcts", iiwa, state, dyn, realized, tau_ext, lset)
+    assert len(calls) == 1
+    assert all(np.any(task.jdot_qd) for task in realized)
