@@ -387,14 +387,13 @@ def _rnea(model: RobotModel, kin: Kinematics, qd: np.ndarray, qdd: np.ndarray,
     configuration's ``kin`` then serves several motions in one pass.
     """
     qdd = np.asarray(qdd, float)
-    return _force_sweep(model, kin, qdd,
-                        *_velocity_recursion(kin, np.asarray(qd, float), qdd,
-                                             -np.asarray(gravity, float)))
+    w, dw, _, a_com = _velocity_recursion(kin, np.asarray(qd, float), qdd,
+                                          -np.asarray(gravity, float))
+    return _force_sweep(model, kin, qdd, w, dw, a_com)
 
 
 def _force_sweep(model: RobotModel, kin: Kinematics, qdd: np.ndarray,
-                 w: np.ndarray, dw: np.ndarray, a_joint: np.ndarray,
-                 a_com: np.ndarray) -> np.ndarray:
+                 w: np.ndarray, dw: np.ndarray, a_com: np.ndarray) -> np.ndarray:
     """The backward half of ``_rnea``: joint torques from a velocity pass."""
     ma = model.masses[:, None] * a_com
     Iw_w = np.einsum("...nij,...nj->...ni", kin.Iw, w)
@@ -527,12 +526,13 @@ def compute_dynamics(model: RobotModel, state: JointState) -> ChainDynamics:
     M = mass_matrix(model, state.q, kin)
     zero = np.zeros(model.n)
     gravity = model.gravity
-    passes = _velocity_recursion(kin, np.stack((state.qd, zero, state.qd)), zero,
-                                 -np.stack((np.zeros(3), gravity, gravity)))
-    nu, g, nu_g = _force_sweep(model, kin, zero, *passes)
+    w, dw, a_joint, a_com = _velocity_recursion(
+        kin, np.stack((state.qd, zero, state.qd)), zero,
+        -np.stack((np.zeros(3), gravity, gravity)))
+    nu, g, nu_g = _force_sweep(model, kin, zero, w, dw, a_com)
     return ChainDynamics(model=model, q=state.q.copy(), qd=state.qd.copy(),
                          kin=kin, M=M, M_cho=spd_factor(M), nu=nu, g=g, nu_g=nu_g,
-                         velocity=tuple(x[0] for x in passes[:3]))
+                         velocity=(w[0], dw[0], a_joint[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from dcts import limits, rbd, tasks
 
+from test_golden_tasks import seeded_cases, solve
+
 
 def test_impedance_zero_error_zero_command():
     out = tasks.impedance_accel(np.eye(2) * 100, np.eye(2) * 20, np.zeros(2), np.zeros(2))
@@ -209,8 +211,6 @@ def test_taskspec_validation():
 def test_two_task_tick_runs_one_velocity_pass(iiwa, monkeypatch):
     """A two-task DCTS controller tick runs one velocity recursion, the one
     of compute_dynamics' nu row, and both tasks read their drift from it."""
-    from test_golden_tasks import seeded_cases, solve
-
     calls = []
     recursion = rbd._velocity_recursion
     monkeypatch.setattr(rbd, "_velocity_recursion",
