@@ -20,7 +20,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -53,18 +55,16 @@ def rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
 
 def axis_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rodrigues rotation about a unit axis."""
-    return np.array(_rodrigues(*axis, angle))
+    return np.array(_rodrigues(*axis, angle)).reshape(3, 3)
 
 
-def _rodrigues(x: float, y: float, z: float, angle: float) -> list:
-    """The entries of ``axis_rotation`` as nested lists of Python floats."""
+def _rodrigues(x: float, y: float, z: float, angle: float) -> tuple:
+    """The entries of ``axis_rotation``, row by row, as Python floats."""
     c, s = math.cos(angle), math.sin(angle)
     C = 1.0 - c
-    return [
-        [x * x * C + c, x * y * C - z * s, x * z * C + y * s],
-        [y * x * C + z * s, y * y * C + c, y * z * C - x * s],
-        [z * x * C - y * s, z * y * C + x * s, z * z * C + c],
-    ]
+    return (x * x * C + c, x * y * C - z * s, x * z * C + y * s,
+            y * x * C + z * s, y * y * C + c, y * z * C - x * s,
+            z * x * C - y * s, z * y * C + x * s, z * z * C + c)
 
 
 def _transform(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
@@ -74,13 +74,16 @@ def _transform(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
     return T
 
 
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+# (a x b)_k = a_{k+1} b_{k+2} - a_{k+2} b_{k+1}, indices mod 3: both products
+# of every component in one 6-vector, minuend half first
+_A6, _B6 = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
 
 
 def _bcross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched cross product over the last axis; avoids np.cross overhead."""
-    return (a.take(_NEXT, -1) * b.take(_PREV, -1)
-            - a.take(_PREV, -1) * b.take(_NEXT, -1))
+    """Batched cross product over the last axis, with np.cross's products and
+    differences in four numpy calls."""
+    ab = a.take(_A6, -1) * b.take(_B6, -1)
+    return ab[..., :3] - ab[..., 3:]
 
 
 @dataclass(frozen=True)
@@ -194,21 +197,28 @@ class TaskDynamicsBundle:
 # equals that call byte for byte.
 
 
+_EYE4 = np.eye(4)
+_EYE4.setflags(write=False)
+
+
 def link_transforms(model: RobotModel, q: np.ndarray) -> np.ndarray:
     """World transforms of every link frame plus the tool frame, shape
     (n+1, 4, 4), or (B, n+1, 4, 4) for a batch of configurations."""
     q = model.check_q(q)
     batch = q.shape[:-1]
-    out = np.empty((*batch, model.n + 1, 4, 4))
-    T = np.empty((*batch, 4, 4))
-    T[...] = np.eye(4)
-    for i, (axis, angles) in enumerate(zip(model.axes.tolist(), q.T.tolist())):
-        T = T @ model.origins[i]
-        R = np.array(_rodrigues(*axis, angles) if not batch
-                     else [_rodrigues(*axis, angle) for angle in angles])
-        T[..., :3, :3] = T[..., :3, :3] @ R
-        out[..., i, :, :] = T
-    out[..., model.n, :, :] = T @ model.tool
+    n = model.n
+    # every joint's rotation in one array, its entries Python floats
+    entries = [_rodrigues(x, y, z, angle)
+               for (x, y, z), column in zip(model.axes.tolist(), q.reshape(-1, n).T.tolist())
+               for angle in column]
+    R = np.fromiter(chain.from_iterable(entries), float, 9 * len(entries))
+    R = R.reshape(n, *batch, 3, 3)
+    out = np.empty((*batch, n + 1, 4, 4))
+    T = _EYE4
+    for i in range(n):
+        T = np.matmul(T, model.origins[i], out=out[..., i, :, :])
+        T[..., :3, :3] = T[..., :3, :3] @ R[i]
+    np.matmul(T, model.tool, out=out[..., n, :, :])
     return out
 
 
@@ -248,7 +258,7 @@ class Kinematics:
         """The batched Kinematics of configurations whose Kinematics exist."""
         out = cls.__new__(cls)
         for name in cls.__slots__:
-            setattr(out, name, np.stack([getattr(kin, name) for kin in kins]))
+            setattr(out, name, np.array([getattr(kin, name) for kin in kins]))
         return out
 
     def point(self, frame: int, point: np.ndarray | None = None) -> np.ndarray:
@@ -268,18 +278,22 @@ def forward_kinematics(model: RobotModel, q: np.ndarray, frame: int) -> FramePos
 
 def jacobian(model: RobotModel, q: np.ndarray, frame: int,
              point: np.ndarray | None = None,
-             kin: Kinematics | None = None) -> np.ndarray:
+             kin: Kinematics | None = None,
+             x: np.ndarray | None = None) -> np.ndarray:
     """Geometric Jacobian (3 linear rows over 3 angular rows) of a frame point.
 
     ``point`` is an offset expressed in the frame's own coordinates (default:
     the frame origin). Row sub-selection for tasks is the caller's job.
     ``kin`` is the ``Kinematics`` of q when the caller has it; the same holds
-    for every ``kin`` parameter below.
+    for every ``kin`` parameter below. ``x`` is the point's world position,
+    ``kin.point(frame, point)``, when the caller has it; the same holds in
+    ``jacobian_dot_qd``.
     """
     frame = model.check_frame(frame)
     if kin is None:
         kin = Kinematics(model, q)
-    x = kin.point(frame, point)
+    if x is None:
+        x = kin.point(frame, point)
     J = np.zeros((*kin.z.shape[:-2], 6, model.n))
     last = model.n - 1 if frame == model.n else frame
     z, p = kin.z[..., :last + 1, :], kin.p[..., :last + 1, :]
@@ -291,7 +305,8 @@ def jacobian(model: RobotModel, q: np.ndarray, frame: int,
 def jacobian_dot_qd(model: RobotModel, q: np.ndarray, qd: np.ndarray, frame: int,
                     point: np.ndarray | None = None,
                     kin: Kinematics | None = None,
-                    velocity: tuple | None = None) -> np.ndarray:
+                    velocity: tuple | None = None,
+                    x: np.ndarray | None = None) -> np.ndarray:
     """The drift acceleration Jdot qd of a frame point, via velocity recursion.
 
     Equals the classical acceleration [a; alpha] of the point when qdd = 0 and
@@ -307,8 +322,10 @@ def jacobian_dot_qd(model: RobotModel, q: np.ndarray, qd: np.ndarray, frame: int
         velocity = _velocity_recursion(kin, np.asarray(qd, dtype=float),
                                        np.zeros(model.n), None)[:3]
     last = model.n - 1 if frame == model.n else frame
-    w, dw, a_joint = (x[..., last, :] for x in velocity)
-    r = kin.point(frame, point) - kin.p[..., last, :]
+    w, dw, a_joint = (v[..., last, :] for v in velocity)
+    if x is None:
+        x = kin.point(frame, point)
+    r = x - kin.p[..., last, :]
     a_point = a_joint + _bcross(dw, r) + _bcross(w, _bcross(w, r))
     return np.concatenate([a_point, dw], axis=-1)
 
@@ -327,7 +344,7 @@ def mass_matrix(model: RobotModel, q: np.ndarray,
         kin = Kinematics(model, q)
     n = model.n
     # V[i, j] = z_j x (c_i - p_j) for j <= i, else 0; W[i, j] = z_j for j <= i
-    mask = np.tri(n)[:, :, None]
+    mask = _lower_mask(n)
     lever = kin.c[..., :, None, :] - kin.p[..., None, :, :]
     z = kin.z[..., None, :, :]
     V = _bcross(z, lever) * mask
@@ -337,6 +354,14 @@ def mass_matrix(model: RobotModel, q: np.ndarray,
     M = 0.5 * (M + M.swapaxes(-1, -2))
     M.reshape(-1, n * n)[:, ::n + 1] += model.armature     # the diagonal
     return M
+
+
+@lru_cache
+def _lower_mask(n: int) -> np.ndarray:
+    """1 on and below the diagonal of an (n, n, 1) array, 0 above."""
+    mask = np.tri(n)[:, :, None]
+    mask.setflags(write=False)
+    return mask
 
 
 def _shifted(x: np.ndarray) -> np.ndarray:
@@ -359,13 +384,13 @@ def _velocity_recursion(kin: Kinematics, qd: np.ndarray, qdd: np.ndarray,
     """
     z, p, c = kin.z, kin.p, kin.c
     qd, qdd = qd[..., None], qdd[..., None]
-    w = np.cumsum(z * qd, axis=-2)
+    w = (z * qd).cumsum(-2)
     w_prev = _shifted(w)
-    dw = np.cumsum(_bcross(w_prev, z) * qd + z * qdd, axis=-2)
+    dw = (_bcross(w_prev, z) * qd + z * qdd).cumsum(-2)
     dw_prev = _shifted(dw)
     dp = p - _shifted(p)
     inc = _bcross(dw_prev, dp) + _bcross(w_prev, _bcross(w_prev, dp))
-    a_joint = np.cumsum(inc, axis=-2)
+    a_joint = inc.cumsum(-2)
     if a_base is not None:
         a_joint = a_joint + a_base[..., None, :]
     rc = c - p
@@ -399,8 +424,8 @@ def _force_sweep(model: RobotModel, kin: Kinematics, qdd: np.ndarray,
     Iw_w = np.einsum("...nij,...nj->...ni", kin.Iw, w)
     K = (np.einsum("...nij,...nj->...ni", kin.Iw, dw) + _bcross(w, Iw_w)
          + _bcross(kin.c, ma))
-    K_suffix = np.cumsum(K[..., ::-1, :], axis=-2)[..., ::-1, :]
-    ma_suffix = np.cumsum(ma[..., ::-1, :], axis=-2)[..., ::-1, :]
+    K_suffix = K[..., ::-1, :].cumsum(-2)[..., ::-1, :]
+    ma_suffix = ma[..., ::-1, :].cumsum(-2)[..., ::-1, :]
     mu = K_suffix - _bcross(kin.p, ma_suffix)
     return np.einsum("...ni,...ni->...n", kin.z, mu) + model.armature * qdd
 
@@ -421,25 +446,30 @@ def bias_and_gravity(model: RobotModel, q: np.ndarray, qd: np.ndarray,
     return _rnea(model, kin, qd, np.zeros(model.n), model.gravity)
 
 
-def spd_factor(A: np.ndarray) -> tuple[np.ndarray, bool] | list[tuple[np.ndarray, bool]]:
-    """scipy's ``cho_factor(A, lower=True)``: the same LAPACK potrf call and
-    errors, without a wrapper that costs more than factorizing a 7x7 matrix.
-    A batch of matrices, shape (B, n, n), gives a list of B factors."""
-    A = np.asarray_chkfinite(A, dtype=float)
-    if A.ndim == 3:
-        return [spd_factor(a) for a in A]
+def _potrf(A: np.ndarray) -> tuple[np.ndarray, bool]:
+    """One LAPACK potrf call on a matrix already checked to be finite."""
     c, info = dpotrf(A, lower=1, clean=0)
     if info > 0:
         raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     return c, True
 
 
+def spd_factor(A: np.ndarray) -> tuple[np.ndarray, bool] | list[tuple[np.ndarray, bool]]:
+    """scipy's ``cho_factor(A, lower=True)``: the same LAPACK potrf call and
+    errors, without a wrapper that costs more than factorizing a 7x7 matrix.
+    A batch of matrices, shape (B, n, n), is checked once and gives a list of
+    B factors."""
+    A = np.asarray_chkfinite(A, dtype=float)
+    return [_potrf(a) for a in A] if A.ndim == 3 else _potrf(A)
+
+
 def spd_solve(factor: tuple[np.ndarray, bool] | list[tuple[np.ndarray, bool]],
               b: np.ndarray) -> np.ndarray:
     """scipy's ``cho_solve(factor, b)`` as one direct LAPACK potrs call; a
-    list of factors solves one row of b each."""
+    list of factors solves one row of b each, b checked once."""
     if isinstance(factor, list):
-        return np.stack([spd_solve(f, row) for f, row in zip(factor, b)])
+        b = np.asarray_chkfinite(b, dtype=float)
+        return np.array([dpotrs(c, row, lower=lower)[0] for (c, lower), row in zip(factor, b)])
     return dpotrs(factor[0], np.asarray_chkfinite(b, dtype=float), lower=factor[1])[0]
 
 
@@ -527,8 +557,8 @@ def compute_dynamics(model: RobotModel, state: JointState) -> ChainDynamics:
     zero = np.zeros(model.n)
     gravity = model.gravity
     w, dw, a_joint, a_com = _velocity_recursion(
-        kin, np.stack((state.qd, zero, state.qd)), zero,
-        -np.stack((np.zeros(3), gravity, gravity)))
+        kin, np.array((state.qd, zero, state.qd)), zero,
+        -np.array((np.zeros(3), gravity, gravity)))
     nu, g, nu_g = _force_sweep(model, kin, zero, w, dw, a_com)
     return ChainDynamics(model=model, q=state.q.copy(), qd=state.qd.copy(),
                          kin=kin, M=M, M_cho=spd_factor(M), nu=nu, g=g, nu_g=nu_g,
