@@ -196,12 +196,12 @@ def realize_task(spec: TaskSpec, dyn: rbd.ChainDynamics) -> TaskInstance:
         dx = spec.target_q - dyn.q
         dxd = -dyn.qd
     else:
-        J6 = rbd.jacobian(model, dyn.q, tool, point=spec.point, kin=dyn.kin)
-        jdq6 = rbd.jacobian_dot_qd(model, dyn.q, dyn.qd, tool, point=spec.point,
-                                   kin=dyn.kin, velocity=dyn.velocity)
+        x = dyn.kin.point(tool, spec.point)
+        J6 = rbd.jacobian(model, dyn.q, tool, kin=dyn.kin, x=x)
+        jdq6 = rbd.jacobian_dot_qd(model, dyn.q, dyn.qd, tool, kin=dyn.kin,
+                                   velocity=dyn.velocity, x=x)
         if spec.selector == "tool_pos":
             J, jdq = J6[:3], jdq6[:3]
-            x = dyn.kin.point(tool, spec.point)
             xd = J @ dyn.qd
             if spec.mode == "waypoint_tracker":
                 a_d, status = waypoint_accel(spec.tracker, x, xd)

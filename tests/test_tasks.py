@@ -221,3 +221,17 @@ def test_two_task_tick_runs_one_velocity_pass(iiwa, monkeypatch):
     solve("dcts", iiwa, state, dyn, realized, tau_ext, lset)
     assert len(calls) == 1
     assert all(np.any(task.jdot_qd) for task in realized)
+
+
+def test_each_tool_task_evaluates_its_point_once(iiwa, monkeypatch):
+    """A tool_pos + tool_rot_xy tick evaluates each task's tool point once
+    and hands it to both the Jacobian and the drift."""
+    calls = []
+    point = rbd.Kinematics.point
+    monkeypatch.setattr(rbd.Kinematics, "point",
+                        lambda self, *args: calls.append(args) or point(self, *args))
+    _, dyn, specs, _ = next(seeded_cases(iiwa))
+    assert [spec.selector for spec in specs] == ["tool_pos", "tool_rot_xy"]
+    for spec in specs:
+        tasks.realize_task(spec, dyn)
+    assert len(calls) == 2
