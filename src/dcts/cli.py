@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--validate", action="store_true",
                    help="check the configs as a run would, then exit without running")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel worker processes, one scenario at a time each; "
+                   help="parallel worker processes (at least 1), one scenario at a time each; "
                         "the solvers of a scenario run in lockstep in one process")
     return p
 
@@ -92,6 +92,9 @@ def run(argv: list[str] | None = None) -> int:
 
     if args.seed is not None and args.seed < 0:
         print("error: --seed must be >= 0", file=sys.stderr)
+        return 1
+    if args.jobs < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
         return 1
     jobs, clean, runs = [], True, set()
     for ref in args.scenario:

@@ -272,6 +272,20 @@ def test_parallel_jobs_write_the_same_traces(tiny_scenario, tmp_path):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("validate", [True, False], ids=["validate", "run"])
+def test_jobs_below_one_is_a_config_error(jobs, validate, tiny_scenario, tmp_path, capsys):
+    """--jobs below 1 is rejected like a negative --seed: exit 1, a message
+    naming the option, nothing written."""
+    out_dir = tmp_path / "o"
+    extra = ["--validate"] if validate else ["--out", str(out_dir)]
+    assert cli.run(["--scenario", str(tiny_scenario), "--jobs", jobs, *extra]) == 1
+    captured = capsys.readouterr()
+    assert "--jobs" in captured.err
+    assert "ok" not in captured.out
+    assert not out_dir.exists()
+
+
 def test_two_solver_run_loads_the_model_once(tiny_scenario, tmp_path, monkeypatch):
     loaded = []
     load_model = rbd.load_model
