@@ -282,6 +282,57 @@ def test_batched_rows_equal_unbatched_calls(iiwa, data, B, payload):
             assert batched[name][b].tobytes() == value.tobytes(), name
 
 
+# signed zeros and small integers make exact and zero products likely
+_cross_elements = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -0.5]),
+                            st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@given(st.data(), st.sampled_from([(3,), (7, 3), (1, 7, 3), (3, 7, 3)]))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_bcross_equals_np_cross_byte_for_byte(data, shape):
+    """The kernels' cross product makes np.cross's products and differences,
+    so it gives its bytes, signed zeros included, in either operand order
+    and under broadcasting against a (7, 3) operand."""
+    a = data.draw(arrays(float, shape, elements=_cross_elements))
+    b = data.draw(arrays(float, (7, 3), elements=_cross_elements))
+    for x, y in ((a, b), (b, a)):
+        got, want = rbd._bcross(x, y), np.cross(x, y)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "indefinite"])
+def test_batched_spd_calls_raise_as_unbatched(iiwa, bad):
+    """A batch whose second row is non-finite or not positive definite
+    raises the error of the unbatched call on that row: ValueError for a
+    non-finite entry, LinAlgError naming the leading minor otherwise."""
+    M = rbd.mass_matrix(iiwa, np.stack([Q_STAR, Q_STAR + 0.1, Q_STAR - 0.1]))
+    rhs = np.ones((3, iiwa.n))
+    if bad == "indefinite":
+        M[1, 3, 3] = -1.0
+    else:
+        M[1, 2, 4] = M[1, 4, 2] = float(bad)
+        rhs[1, 5] = float(bad)
+    raised = []
+    for call in (lambda: rbd.spd_factor(M[1]), lambda: rbd.spd_factor(M)):
+        with pytest.raises(ValueError) as err:
+            call()
+        raised.append(err.value)
+    if bad != "indefinite":
+        factors = rbd.spd_factor(M[[0, 2, 0]])
+        for call in (lambda: rbd.spd_solve(factors[1], rhs[1]),
+                     lambda: rbd.spd_solve(factors, rhs)):
+            with pytest.raises(ValueError) as err:
+                call()
+            raised.append(err.value)
+    assert len({(type(e), str(e)) for e in raised}) == 1
+    if bad == "indefinite":
+        assert type(raised[0]) is rbd.LinAlgError
+        assert str(raised[0]).startswith("4-th leading minor")
+    else:
+        assert type(raised[0]) is ValueError
+
+
 # ---------------------------------------------------------------------------
 # task dynamics
 
