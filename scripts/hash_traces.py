@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """SHA-256 of every trace array of every bundled scenario and solver.
 
-Runs each bundled scenario for ``--seconds`` (0.4 s by default) with every
-solver it accepts, in lockstep, twice: as shipped ("plain") and with every
-event moved to start at ``--event-start`` ("early"). Prints one line per
-trace array: scenario, variant, solver, array name and the SHA-256 of its
-bytes. Two checkouts whose outputs are the same compute the same traces byte
-for byte, so a change that must not move any output is checked with
+Runs each bundled scenario for 0.4 s with every solver it accepts, in
+lockstep, twice: as shipped ("plain") and with every event moved to start at
+0.05 s ("early"). Prints one line per trace array: scenario, variant, solver,
+array name and the SHA-256 of its bytes. Two checkouts whose outputs are the
+same compute the same traces byte for byte, so a change that must not move
+any output is checked with
 
     python scripts/hash_traces.py > after.txt      # in each checkout
     diff before.txt after.txt
@@ -14,21 +14,24 @@ for byte, so a change that must not move any output is checked with
 
 from __future__ import annotations
 
-import argparse
 import hashlib
+from importlib import resources
 
 import numpy as np
 
 from dcts import sim, solvers
 
+SECONDS = 0.4
+EVENT_START = 0.05
 
-def trace_hashes(name: str, variant: str, seconds: float, event_start: float):
+
+def trace_hashes(name: str, variant: str):
     """Yield (solver, array, sha256) for every trace array of one run."""
     scenario = sim.load_bundled_scenario(name)
-    scenario.duration = seconds
+    scenario.duration = SECONDS
     if variant == "early":
         for ev in scenario.events:
-            ev.start = event_start
+            ev.start = EVENT_START
     names = [s for s in solvers.SOLVER_NAMES
              if solvers.solver_error(s, len(scenario.tasks)) is None]
     for solver, trace in zip(names, sim.run_scenario(scenario, names)):
@@ -38,16 +41,12 @@ def trace_hashes(name: str, variant: str, seconds: float, event_start: float):
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seconds", type=float, default=0.4, help="run length [s]")
-    ap.add_argument("--event-start", type=float, default=0.05,
-                    help="event start of the 'early' variant [s]")
-    args = ap.parse_args()
-    scenarios = sorted(p.stem for p in sim.bundled_scenario_path("x").parent.glob("*.json"))
+    scenarios = sorted(p.name.removesuffix(".json")
+                       for p in resources.files("dcts").joinpath("data/scenarios").iterdir()
+                       if p.name.endswith(".json"))
     for name in scenarios:
         for variant in ("plain", "early"):
-            for solver, attr, digest in trace_hashes(name, variant, args.seconds,
-                                                     args.event_start):
+            for solver, attr, digest in trace_hashes(name, variant):
                 print(f"{name} {variant} {solver} {attr} {digest}", flush=True)
 
 
