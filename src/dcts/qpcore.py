@@ -14,7 +14,11 @@ unbounded dual step, which yields a certificate-quality diagnostic (the
 constraint that cannot be satisfied and its violation).
 
 Iteration work is one dense KKT solve; problems here are tiny (tens of
-variables), so no factorization updating is attempted. Determinism: constraint
+variables), so no factorization updating is attempted. A step direction
+depends on the active set and the entering row, never on ``beq``, so the
+problems ``with_beq`` derives from one constructed problem (a *family*) share
+every direction they solve, and the unconstrained start, in one dict; a hit
+returns the bytes the solve would have produced. Determinism: constraint
 entry picks the most violated row, ties broken by lowest index in the fixed
 enumeration order (equalities, then Ain lower/upper per row, then bound
 lower/upper per variable).
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -53,8 +58,13 @@ class QpProblem:
 
     ``solve`` uses the table and factor built at construction, so the fields
     are not to be changed afterwards. ``with_beq`` gives the same problem with
-    another equality right side and shares both, so a cascade that only moves
-    ``beq`` builds them once.
+    another equality right side and shares both, and the directions its
+    solves compute, so a cascade that only moves ``beq`` builds and solves
+    each of them once.
+
+    Every array must be free of NaN; ``H``, ``f``, ``Aeq``, ``beq`` and
+    ``Ain`` must be finite, while the sides ``lower``, ``upper``, ``lb`` and
+    ``ub`` take +-inf for a missing side.
     """
 
     H: np.ndarray
@@ -73,9 +83,6 @@ class QpProblem:
         d = self.dim
         if self.H.shape != (d, d):
             raise QpError(f"H must be ({d},{d}), got {self.H.shape}")
-        if np.abs(self.H - self.H.T).max() > 1e-10 * max(1.0, np.abs(self.H).max()):
-            raise QpError("H is not symmetric within 1e-10")
-        self.H = 0.5 * (self.H + self.H.T)
         if self.Aeq is None:
             self.Aeq = np.zeros((0, d))
             self.beq = np.zeros(0)
@@ -102,15 +109,29 @@ class QpProblem:
             raise QpError("lb/ub must match the variable dimension")
         if np.any(self.lb > self.ub):
             raise QpError("lb > ub on a variable")
+        # the usual case in two tests: a finite sum has no NaN or inf term,
+        # and the sides may hold inf but no NaN; otherwise find the field
+        finite = [self.H.ravel(), self.f, self.Aeq.ravel(), self.beq, self.Ain.ravel()]
+        if not (math.isfinite(np.concatenate(finite).sum()) and not np.isnan(
+                np.concatenate([self.lower, self.upper, self.lb, self.ub])).any()):
+            for name in _FIELDS:
+                _check_values(name, getattr(self, name))
+        if np.abs(self.H - self.H.T).max() > 1e-10 * max(1.0, np.abs(self.H).max()):
+            raise QpError("H is not symmetric within 1e-10")
+        self.H = 0.5 * (self.H + self.H.T)
         self._rows = _build_rows(self)
         self._factor = _factor_psd(self.H)
+        # (flips, active, entering row) -> direction, None -> start; see solve
+        self._directions = {}
 
     def with_beq(self, beq) -> "QpProblem":
-        """This problem with equality right side ``beq``, sharing the row table
-        and Hessian factor; only the normalized equality sides are recomputed."""
+        """This problem with equality right side ``beq``, sharing the row table,
+        Hessian factor and solved directions; only the normalized equality
+        sides are recomputed."""
         beq = np.asarray(beq, dtype=float)
         if beq.shape != self.beq.shape:
             raise QpError(f"beq must have shape {self.beq.shape}, got {beq.shape}")
+        _check_values("beq", beq)
         rows = self._rows
         b = rows.b.copy()
         b[:rows.n_eq] = beq[rows.eq_index] / rows.eq_norm
@@ -127,8 +148,7 @@ class QpProblem:
         return float(0.5 * x @ self.H @ x + self.f @ x)
 
     def to_json(self) -> str:
-        enc = {k: np.asarray(getattr(self, k)).tolist()
-               for k in ("H", "f", "Aeq", "beq", "Ain", "lower", "upper", "lb", "ub")}
+        enc = {k: np.asarray(getattr(self, k)).tolist() for k in _FIELDS}
         return json.dumps(enc)
 
     @classmethod
@@ -142,6 +162,19 @@ class QpProblem:
                 if key == "Ain":
                     arr["upper"] = None
         return cls(**arr)
+
+
+_FIELDS = ("H", "f", "Aeq", "beq", "Ain", "lower", "upper", "lb", "ub")
+_SIDES = ("lower", "upper", "lb", "ub")
+
+
+def _check_values(name: str, a: np.ndarray) -> None:
+    """QpError naming ``name`` if ``a`` holds a NaN, or an inf outside the sides."""
+    if name in _SIDES:
+        if np.isnan(a).any():
+            raise QpError(f"{name} holds NaN")
+    elif not np.isfinite(a).all():
+        raise QpError(f"{name} must be finite")
 
 
 def dump_problem(problem: QpProblem, path: str | Path) -> None:
@@ -241,29 +274,47 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
     kind, n_eq = rows.kind, rows.n_eq
     n_rows = len(b)
     cho, Hs, _sigma = p._factor
+    # A direction is fixed by C[active], C[idx] and the order of K's columns,
+    # so by the equality rows flipped so far, the active list and the
+    # entering row: the key of the family's shared dict.
+    cache = p._directions
+    flips: tuple = ()
 
-    x = spd_solve(cho, -p.f)
+    x = cache.get(None)
+    if x is None:
+        x = cache[None] = spd_solve(cho, -p.f)
+        x.flags.writeable = False
     active: list[int] = []
     duals: list[float] = []
     iterations = 0
 
-    def direction(c: np.ndarray):
-        """Solve [H N; N^T 0][z; -r] ... returns z (primal) and r (dual rates)."""
+    def direction(idx: int):
+        """z (primal) and r (dual rates) of [H N; N^T 0][z; -r] = [c; 0] for
+        c = C[idx] and N = C[active]^T, with c z; read-only, shared."""
+        key = (flips, tuple(active), idx)
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
+        c = C[idx]
         if not active:
-            return spd_solve(cho, c), np.zeros(0)
-        N = C[active].T
-        na = len(active)
-        K = np.zeros((d + na, d + na))
-        K[:d, :d] = Hs
-        K[:d, d:] = N
-        K[d:, :d] = N.T
-        rhs = np.zeros(d + na)
-        rhs[:d] = c
-        try:
-            sol = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-        return sol[:d], sol[d:]
+            z, r = spd_solve(cho, c), np.zeros(0)
+        else:
+            N = C[active].T
+            na = len(active)
+            K = np.zeros((d + na, d + na))
+            K[:d, :d] = Hs
+            K[:d, d:] = N
+            K[d:, :d] = N.T
+            rhs = np.zeros(d + na)
+            rhs[:d] = c
+            try:
+                sol = np.linalg.solve(K, rhs)
+            except np.linalg.LinAlgError:
+                sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
+            z, r = sol[:d], sol[d:]
+        z.flags.writeable = r.flags.writeable = False
+        hit = cache[key] = z, r, float(c @ z)
+        return hit
 
     exhausted = False
 
@@ -273,9 +324,8 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
         u_new = 0.0
         while iterations < max_iter:
             iterations += 1
-            c = C[idx]
-            s_val = float(c @ x - b[idx])
-            z, r = direction(c)
+            s_val = float(C[idx] @ x - b[idx])
+            z, r, cz = direction(idx)
             # step length limited by active inequality duals decreasing to zero
             t1, k1 = np.inf, -1
             for pos, a_idx in enumerate(active):
@@ -283,13 +333,14 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
                     t = duals[pos] / r[pos]
                     if t < t1:
                         t1, k1 = t, pos
-            reducible = float(c @ z) > 1e-11 * max(1.0, float(np.linalg.norm(z)))
+            # z.dot(z) and its square root round as np.linalg.norm(z) does
+            reducible = cz > 1e-11 * max(1.0, math.sqrt(z.dot(z)))
             if not reducible:
                 if not np.isfinite(t1):
                     return False
                 t = t1
             else:
-                t2 = -s_val / float(c @ z)
+                t2 = -s_val / cz
                 t = min(t1, t2)
                 x = x + t * z
             for pos in range(len(active)):
@@ -307,11 +358,9 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
 
     # equalities first (forced, duals unrestricted)
     for e in range(n_eq):
-        c = C[e]
-        s_val = float(c @ x - b[e])
+        s_val = float(C[e] @ x - b[e])
         if abs(s_val) <= tol:
-            z, _ = direction(c)
-            if float(c @ z) > 1e-11:
+            if direction(e)[2] > 1e-11:
                 active.append(e)
                 duals.append(0.0)
             continue
@@ -319,6 +368,7 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
             C[e] = -C[e]
             b[e] = -b[e]
             ref[e] = (ref[e][0], -ref[e][1])
+            flips += (e,)
         if not enter(e):
             return _finish(p, x, INFEASIBLE, iterations, C, b, kind, ref, active, duals,
                            bad=e, bad_violation=abs(s_val))

@@ -130,15 +130,25 @@ def test_problem_validation():
 
 
 def test_json_round_trip(tmp_path):
+    """A dump holds the fields only: the directions a solve stored are not in
+    it, and the reloaded problem starts with none and solves the same bytes."""
     rng = np.random.default_rng(9)
     p = oracles.random_qp(rng)
+    text = p.to_json()
+    s1 = qpcore.solve(p)
+    assert p._directions and p.to_json() == text
     path = tmp_path / "problem.json"
     qpcore.dump_problem(p, path)
     p2 = qpcore.QpProblem.from_json(path.read_text())
+    assert p2._directions == {}
     np.testing.assert_array_equal(p.H, p2.H)
     np.testing.assert_array_equal(p.lb, p2.lb)
-    s1, s2 = qpcore.solve(p), qpcore.solve(p2)
-    np.testing.assert_array_equal(s1.x, s2.x)
+    _same_solution(s1, qpcore.solve(p2))
+    stage = _with_equalities(p, np.ones((1, p.dim)), np.zeros(1)).with_beq([2.0])
+    qpcore.solve(stage)
+    again = qpcore.QpProblem.from_json(stage.to_json())
+    assert again.beq.tolist() == [2.0] and again._directions == {}
+    _same_solution(qpcore.solve(stage), qpcore.solve(again))
 
 
 def test_max_iter_status():
@@ -198,6 +208,10 @@ def _same_solution(s1, s2):
 
 
 def test_with_beq_solves_like_a_fresh_problem():
+    """Each family solves a sequence of right sides: feasible, infeasible and
+    with the equality rows' flips reversed. Every stage reuses the directions
+    the stages before it stored, and still equals a fresh problem byte for
+    byte."""
     rng = np.random.default_rng(21)
     statuses = set()
     for _ in range(100):
@@ -205,15 +219,17 @@ def test_with_beq_solves_like_a_fresh_problem():
         m = int(rng.integers(1, p.dim + 1))
         base = _with_equalities(p, rng.normal(size=(m, p.dim)), np.zeros(m))
         beq = rng.normal(scale=3.0, size=m)
-        s = qpcore.solve(base.with_beq(beq))
-        _same_solution(s, qpcore.solve(_with_equalities(p, base.Aeq, beq)))
-        statuses.add(s.status)
+        for stage_beq in (beq, -beq, 0.5 * beq, 1e3 * beq, -1e3 * beq, beq):
+            s = qpcore.solve(base.with_beq(stage_beq))
+            _same_solution(s, qpcore.solve(_with_equalities(p, base.Aeq, stage_beq)))
+            statuses.add(s.status)
     assert statuses == {qpcore.OPTIMAL, qpcore.INFEASIBLE}
     # x starts at 0: with beq = -1 the equality row starts above its side and
     # is flipped; beq = 5 cannot be met with x <= 1
     base = qpcore.QpProblem(H=np.eye(2), f=np.zeros(2), Aeq=np.array([[1.0, 1.0]]),
                             beq=np.zeros(1), ub=np.ones(2))
-    for beq, status in (([-1.0], qpcore.OPTIMAL), ([5.0], qpcore.INFEASIBLE)):
+    for beq, status in (([-1.0], qpcore.OPTIMAL), ([5.0], qpcore.INFEASIBLE),
+                        ([1.0], qpcore.OPTIMAL), ([-1.0], qpcore.OPTIMAL)):
         fresh = qpcore.QpProblem(H=base.H, f=base.f, Aeq=base.Aeq, beq=beq, ub=base.ub)
         s = qpcore.solve(base.with_beq(beq))
         assert s.status == status
@@ -239,3 +255,26 @@ def test_with_beq_rejects_a_wrong_shape():
     for beq in (np.zeros(2), np.zeros((1, 1)), 1.0):
         with pytest.raises(qpcore.QpError, match="beq must have shape"):
             p.with_beq(beq)
+
+
+def _bad_value_case(name, value):
+    """A small valid problem with ``value`` written into one entry of ``name``."""
+    arrays = dict(H=np.eye(2), f=np.zeros(2), Aeq=np.array([[1.0, 1.0]]),
+                  beq=np.ones(1), Ain=np.array([[1.0, -1.0]]), lower=np.array([-1.0]),
+                  upper=np.array([1.0]), lb=np.full(2, -2.0), ub=np.full(2, 2.0))
+    arrays[name].flat[-1] = value
+    return arrays
+
+
+@pytest.mark.parametrize("name,value", [
+    *[(name, np.nan) for name in ("H", "f", "Aeq", "beq", "Ain", "lower", "upper", "lb", "ub")],
+    *[(name, v) for name in ("H", "f", "Aeq", "beq", "Ain") for v in (np.inf, -np.inf)]])
+def test_non_finite_data_is_rejected_naming_the_field(name, value):
+    """A NaN anywhere, or an inf outside the sides, is a QpError that names
+    the field, at construction and in with_beq; it never reaches solve."""
+    with pytest.raises(qpcore.QpError, match=f"^{name} "):
+        qpcore.QpProblem(**_bad_value_case(name, value))
+    if name == "beq":
+        p = qpcore.QpProblem(**_bad_value_case("beq", 0.0))
+        with pytest.raises(qpcore.QpError, match="^beq "):
+            p.with_beq([value])

@@ -8,6 +8,7 @@ import pytest
 from dcts import limits, rbd, solvers, tasks
 
 from conftest import Q_STAR
+from test_golden_stack import N_STATES, stack_outputs
 
 
 def rotation_task(model, dyn, a_d=(2.0, -1.0)):
@@ -273,6 +274,32 @@ def test_dcts_infeasible_falls_back_to_braking(scene):
         assert out.s.tolist() == [0.0] * len(stack)
         assert np.all(out.tau <= model.tau_max + 1e-9)
         assert np.all(out.tau >= model.tau_min - 1e-9)
+
+
+def test_dcts_solves_each_kkt_system_once_per_call(iiwa, monkeypatch):
+    """On the golden-stack states no (K, rhs) reaches np.linalg.solve twice
+    within one solve_dcts_multi call: the stages of a level share the
+    directions of their QP family. Solving every stage from scratch took 820
+    solves here."""
+    per_call = []
+    linalg_solve = np.linalg.solve
+
+    def counting_solve(K, rhs):
+        per_call[-1].append((K.tobytes(), rhs.tobytes()))
+        return linalg_solve(K, rhs)
+
+    dcts_multi = solvers.solve_dcts_multi
+
+    def counting_dcts(*args, **kwargs):
+        per_call.append([])
+        return dcts_multi(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(solvers, "solve_dcts_multi", counting_dcts)
+    stack_outputs(iiwa)
+    assert len(per_call) == N_STATES
+    assert all(len(set(keys)) == len(keys) for keys in per_call)
+    assert sum(map(len, per_call)) == 261
 
 
 def test_dcts_requires_sorted_tasks(scene):
