@@ -24,7 +24,7 @@ commanded one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +61,11 @@ class LimitSet:
     below 1 starts braking earlier and leaves actuation headroom for the
     inertial coupling of the other directions; the instantaneous bounds still
     allow the full +-a range.
+
+    ``c_min_tight`` ... ``v_max_tight`` are the position and velocity limits
+    moved inward by 1e-4 of their range, the ones bound shaping enforces: the
+    plant integrates with zero-order-hold torque, not acceleration, so riding
+    a bound exactly would cross it by the intra-tick model drift (~1e-5 rel).
     """
 
     c_min: np.ndarray
@@ -73,6 +78,10 @@ class LimitSet:
     brake_fraction: float = 0.4
     viability_brake_min: np.ndarray | None = None   # braking toward c_min side
     viability_brake_max: np.ndarray | None = None
+    c_min_tight: np.ndarray = field(init=False, repr=False, compare=False)
+    c_max_tight: np.ndarray = field(init=False, repr=False, compare=False)
+    v_min_tight: np.ndarray = field(init=False, repr=False, compare=False)
+    v_max_tight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for lo, hi in (("c_min", "c_max"), ("v_min", "v_max"), ("a_min", "a_max")):
@@ -95,6 +104,12 @@ class LimitSet:
                                self.brake_fraction * self.a_max)
         if np.any(self.viability_brake_max <= 0) or np.any(self.viability_brake_min <= 0):
             raise ValueError("viability brake magnitudes must be > 0")
+        margin_c = 1e-4 * (self.c_max - self.c_min)
+        margin_v = 1e-4 * (self.v_max - self.v_min)
+        object.__setattr__(self, "c_max_tight", self.c_max - margin_c)
+        object.__setattr__(self, "c_min_tight", self.c_min + margin_c)
+        object.__setattr__(self, "v_max_tight", self.v_max - margin_v)
+        object.__setattr__(self, "v_min_tight", self.v_min + margin_v)
 
     @property
     def size(self) -> int:
@@ -140,16 +155,9 @@ def shape_acceleration_bounds(limits: LimitSet, c: np.ndarray, cd: np.ndarray) -
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(cd))):
         raise ValueError("c/cd must be finite")
     dt = limits.dt
-
-    # enforce against slightly tightened position/velocity limits: the plant
-    # integrates with zero-order-hold torque, not acceleration, so riding a
-    # bound exactly would cross it by the intra-tick model drift (~1e-5 rel)
-    margin_c = 1e-4 * (limits.c_max - limits.c_min)
-    margin_v = 1e-4 * (limits.v_max - limits.v_min)
-    c_max = limits.c_max - margin_c
-    c_min = limits.c_min + margin_c
-    v_max = limits.v_max - margin_v
-    v_min = limits.v_min + margin_v
+    # enforced against the slightly tightened position/velocity limits
+    c_max, c_min = limits.c_max_tight, limits.c_min_tight
+    v_max, v_min = limits.v_max_tight, limits.v_min_tight
 
     upper = np.stack([
         limits.a_max,
