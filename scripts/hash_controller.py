@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""SHA-256 of every controller output of the ``control_replay`` benchmark ticks.
+
+    python scripts/hash_controller.py [SEED ...]       # seeds 1 and 2 by default
+
+For each seed, runs one cycle of the ``control_replay`` workload (its
+generator and tick loop are imported from ``dctsbench/workloads.py``,
+unchanged): every segment through all four solvers, one controller tick per
+sample, no plant. Prints one line per (seed, solver): the seed, the solver
+and the SHA-256 over ``tau``, ``qdd``, ``s``, ``status`` and every
+diagnostics entry of every tick, with ``last_qp`` as its JSON. Two checkouts
+whose controllers compute the same bytes print the same lines, so a change
+that must not move any controller output is checked with
+
+    python scripts/hash_controller.py > after.txt      # in each checkout
+    diff before.txt after.txt
+
+Exits 1 if any tick fails the benchmark's command checks.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "dctsbench")]
+
+import workloads  # noqa: E402
+
+# function of dcts.solvers -> solver name, as the benchmark times them
+SOLVER_FUNCTIONS = {span.split(".")[1]: solver for span, solver in workloads.SOLVER_SPANS.items()}
+
+
+def _feed(h, value) -> None:
+    """Hash one diagnostics value with its type, so no two layouts collide."""
+    h.update(type(value).__name__.encode())
+    if hasattr(value, "to_json"):                     # qpcore.QpProblem
+        h.update(value.to_json().encode())
+    elif isinstance(value, np.ndarray):
+        h.update(f"{value.dtype} {value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, dict):
+        for key in sorted(value):
+            h.update(repr(key).encode())
+            _feed(h, value[key])
+    elif isinstance(value, (list, tuple)):
+        h.update(str(len(value)).encode())
+        for item in value:
+            _feed(h, item)
+    else:
+        h.update(repr(value).encode())
+
+
+def controller_hashes(dcts, seed: int) -> tuple[dict, workloads.Tally]:
+    """{solver: sha256} over one control_replay cycle, and the cycle's tally."""
+    hashes = {solver: hashlib.sha256() for solver in workloads.SOLVERS}
+    solvers = dcts.solvers
+    originals = {name: getattr(solvers, name) for name in SOLVER_FUNCTIONS}
+
+    def hashing(name):
+        def call(*args, **kwargs):
+            out = originals[name](*args, **kwargs)
+            h = hashes[SOLVER_FUNCTIONS[name]]
+            for arr in (out.tau, out.qdd, out.s):
+                _feed(h, np.asarray(arr))
+            _feed(h, out.status)
+            _feed(h, out.diagnostics)
+            return out
+        return call
+
+    tally = workloads.Tally()
+    try:
+        for name in SOLVER_FUNCTIONS:
+            setattr(solvers, name, hashing(name))
+        workloads.run_replay_cycle(dcts, workloads.setup_replay(dcts, seed), tally)
+    finally:
+        for name, fn in originals.items():
+            setattr(solvers, name, fn)
+    return {solver: h.hexdigest() for solver, h in hashes.items()}, tally
+
+
+def main(argv: list[str]) -> int:
+    try:
+        seeds = [int(a) for a in argv] or [1, 2]
+    except ValueError:
+        print("usage: hash_controller.py [SEED ...] (integer seeds)", file=sys.stderr)
+        return 1
+    dcts = workloads.import_dcts(ROOT / "src")
+    code = 0
+    for seed in seeds:
+        digests, tally = controller_hashes(dcts, seed)
+        for solver, digest in digests.items():
+            print(f"{seed} {solver} {digest}", flush=True)
+        if tally.failed:
+            code = 1
+            print(f"seed {seed}: {tally.failed} of {tally.ticks} ticks failed", file=sys.stderr)
+            for problem in tally.problems:
+                print(f"  {problem}", file=sys.stderr)
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
