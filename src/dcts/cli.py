@@ -120,7 +120,11 @@ def run(argv: list[str] | None = None) -> int:
     if args.validate or not clean:
         return 0 if clean else 1
 
-    Path(args.out).mkdir(parents=True, exist_ok=True)
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as e:        # a file in the way, or no permission
+        print(f"error: --out {args.out}: {e.strerror.lower()}", file=sys.stderr)
+        return 1
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             per_job = list(pool.map(_run_one, jobs))

@@ -28,9 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-POSITION, VELOCITY, ACCELERATION = "position", "velocity", "acceleration"
-_SOURCES = np.array([ACCELERATION, VELOCITY, POSITION, POSITION])
-
 
 def _viability_upper(margin: np.ndarray, cd: np.ndarray, brake: np.ndarray,
                      dt: float) -> np.ndarray:
@@ -127,18 +124,16 @@ def limit_set(c_min, c_max, v_min, v_max, a_min, a_max, dt: float,
 
 @dataclass
 class ShapedBounds:
-    """Per-direction acceleration interval with the binding-source bookkeeping.
+    """Per-direction acceleration interval.
 
-    ``active_source`` records which raw bound produced each side; ``repaired``
-    flags directions whose raw interval was empty (possible when a position or
-    velocity bound is already violated) and was collapsed to a single feasible
-    value, clamped into [a_min, a_max] so the demand stays dynamically sane.
+    ``repaired`` flags directions whose raw interval was empty (possible when
+    a position or velocity bound is already violated) and was collapsed to a
+    single feasible value, clamped into [a_min, a_max] so the demand stays
+    dynamically sane.
     """
 
     acc_min: np.ndarray
     acc_max: np.ndarray
-    active_source_min: np.ndarray     # strings: position | velocity | acceleration
-    active_source_max: np.ndarray
     repaired: np.ndarray              # bool mask
 
     @property
@@ -171,20 +166,15 @@ def shape_acceleration_bounds(limits: LimitSet, c: np.ndarray, cd: np.ndarray) -
         2.0 * (c_min - c - cd * dt) / dt**2,
         -_viability_upper(c + cd * dt - c_min, -cd, limits.viability_brake_min, dt),
     ])
-    i_max = np.argmin(upper, axis=0)
-    i_min = np.argmax(lower, axis=0)
-    acc_max = upper[i_max, np.arange(limits.size)]
-    acc_min = lower[i_min, np.arange(limits.size)]
+    acc_max = upper.min(axis=0)
+    acc_min = lower.max(axis=0)
 
     repaired = acc_min > acc_max
     if repaired.any():
         mid = np.clip(0.5 * (acc_min + acc_max), limits.a_min, limits.a_max)
         acc_min = np.where(repaired, mid, acc_min)
         acc_max = np.where(repaired, mid, acc_max)
-    return ShapedBounds(acc_min=acc_min, acc_max=acc_max,
-                        active_source_min=_SOURCES[i_min],
-                        active_source_max=_SOURCES[i_max],
-                        repaired=repaired)
+    return ShapedBounds(acc_min=acc_min, acc_max=acc_max, repaired=repaired)
 
 
 def apply_external_offset(bounds: ShapedBounds, minv_tau_ext: np.ndarray) -> ShapedBounds:
@@ -194,8 +184,6 @@ def apply_external_offset(bounds: ShapedBounds, minv_tau_ext: np.ndarray) -> Sha
         raise ValueError("minv_tau_ext does not match the bound dimension")
     return ShapedBounds(acc_min=bounds.acc_min - offset,
                         acc_max=bounds.acc_max - offset,
-                        active_source_min=bounds.active_source_min,
-                        active_source_max=bounds.active_source_max,
                         repaired=bounds.repaired.copy())
 
 

@@ -7,9 +7,9 @@ World-frame formulation throughout:
 - Coriolis/centrifugal vector nu(q, qd) and gravity vector g(q) via recursive
   Newton-Euler, so that inverse_dynamics(q, qd, qdd) == M qdd + nu + g holds
   to machine precision,
-- task-space inertia Lambda = (J M^-1 J^T + eps I)^-1, the dynamically
-  consistent pseudoinverse Jbar = M^-1 J^T Lambda and the torque null-space
-  projector N = I - J^T Jbar^T, all computed through Cholesky solves.
+- task-space inertia Lambda = (J M^-1 J^T + eps I)^-1 from ``lambda_factor``,
+  the one Cholesky factor of J M^-1 J^T, the dynamically consistent
+  pseudoinverse Jbar = M^-1 J^T Lambda and the projector N = I - J^T Jbar^T.
 
 A RobotModel is immutable after load; every function here is a pure function
 of its arguments.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from itertools import chain
 from pathlib import Path
@@ -164,21 +164,6 @@ class JointState:
 
 
 @dataclass
-class FramePose:
-    """Position and rotation of a link frame in world coordinates."""
-
-    position: np.ndarray    # (3,)
-    rotation: np.ndarray    # (3, 3)
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-        self.rotation = np.asarray(self.rotation, dtype=float)
-        err = np.abs(self.rotation @ self.rotation.T - np.eye(3)).max()
-        if err > 1e-9 or abs(np.linalg.det(self.rotation) - 1.0) > 1e-9:
-            raise ValueError(f"rotation is not orthonormal/proper (error {err:.2e})")
-
-
-@dataclass
 class TaskDynamicsBundle:
     """Task-space dynamic quantities for one task Jacobian."""
 
@@ -267,13 +252,6 @@ class Kinematics:
         T = self.transforms[..., frame, :, :]
         return (T[..., :3, 3] if point is None
                 else T[..., :3, :3] @ np.asarray(point, float) + T[..., :3, 3])
-
-
-def forward_kinematics(model: RobotModel, q: np.ndarray, frame: int) -> FramePose:
-    """Pose of the given link frame (``n`` = tool frame) in the world frame."""
-    frame = model.check_frame(frame)
-    T = link_transforms(model, q)[frame]
-    return FramePose(T[:3, 3].copy(), T[:3, :3].copy())
 
 
 def jacobian(model: RobotModel, q: np.ndarray, frame: int,
@@ -491,12 +469,35 @@ def forward_dynamics(model: RobotModel, q: np.ndarray, qd: np.ndarray,
     return spd_solve(M_cho, rhs)
 
 
+EPSILON_LAMBDA = 1e-6      # damping for near-singular task inertia
+
+
+def lambda_factor(J: np.ndarray, minv, epsilon: float | None = None):
+    """(factor, Minv_Jt, damped): the Cholesky factor of J M^-1 J^T, where
+    ``minv`` maps B to M^-1 B. With ``epsilon`` None the factor is exact when
+    J M^-1 J^T is well conditioned and damped by ``EPSILON_LAMBDA`` otherwise;
+    a given ``epsilon`` always damps by that value."""
+    Minv_Jt = minv(J.T)
+    A = J @ Minv_Jt
+    A = 0.5 * (A + A.T)
+    if epsilon is None:
+        # cond alone is scale-invariant; a vanishing task Jacobian (fully
+        # projected away) must fall through to damping too
+        try:
+            if np.abs(A).max() > 1e-9 and np.linalg.cond(A) < 1e10:
+                return spd_factor(A), Minv_Jt, False
+        except LinAlgError:
+            pass
+        epsilon = EPSILON_LAMBDA
+    return spd_factor(A + epsilon * np.eye(A.shape[0])), Minv_Jt, True
+
+
 def task_dynamics(model: RobotModel, q: np.ndarray, J: np.ndarray,
-                  epsilon: float = 1e-6,
+                  epsilon: float = EPSILON_LAMBDA,
                   minv=None) -> TaskDynamicsBundle:
     """Task-space inertia, dynamically consistent pseudoinverse and projector.
 
-    Lambda = (J M^-1 J^T + epsilon I)^-1 through Cholesky solves (no explicit
+    Lambda = (J M^-1 J^T + epsilon I)^-1 from ``lambda_factor`` (no explicit
     inversion of an ill-conditioned matrix), Jbar = M^-1 J^T Lambda and
     N = I - J^T Jbar^T. ``minv`` maps B to M^-1 B with an existing
     factorization (``ChainDynamics.minv``); without it M(q) is built and
@@ -511,12 +512,9 @@ def task_dynamics(model: RobotModel, q: np.ndarray, J: np.ndarray,
     if not np.all(np.isfinite(J)):
         raise ValueError("task Jacobian has non-finite entries")
     if minv is None:
-        Minv_Jt = spd_solve(spd_factor(mass_matrix(model, q)), J.T)
-    else:
-        Minv_Jt = minv(J.T)
-    A = J @ Minv_Jt
-    A = 0.5 * (A + A.T) + epsilon * np.eye(m)
-    Lambda = spd_solve(spd_factor(A), np.eye(m))
+        minv = partial(spd_solve, spd_factor(mass_matrix(model, q)))
+    factor, Minv_Jt, _ = lambda_factor(J, minv, epsilon)
+    Lambda = spd_solve(factor, np.eye(m))
     Lambda = 0.5 * (Lambda + Lambda.T)
     Jbar = Minv_Jt @ Lambda
     N = np.eye(n) - J.T @ Jbar.T

@@ -185,46 +185,26 @@ def step(model: rbd.RobotModel, state: rbd.JointState, tau: np.ndarray,
     return rbd.JointState(state.q + qd * dt, qd), qdd
 
 
-def rk4_step(model: rbd.RobotModel, state: rbd.JointState, tau: np.ndarray,
-             tau_ext: np.ndarray | None, dt: float) -> rbd.JointState:
-    """Classical Runge-Kutta step; used for conservation studies."""
-    def f(q, qd):
-        return qd, rbd.forward_dynamics(model, q, qd, tau, tau_ext)
-
-    k1q, k1v = f(state.q, state.qd)
-    k2q, k2v = f(state.q + 0.5 * dt * k1q, state.qd + 0.5 * dt * k1v)
-    k3q, k3v = f(state.q + 0.5 * dt * k2q, state.qd + 0.5 * dt * k2v)
-    k4q, k4v = f(state.q + dt * k3q, state.qd + dt * k3v)
-    q = state.q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
-    qd = state.qd + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return rbd.JointState(q, qd)
-
-
 # ---------------------------------------------------------------------------
 # energies
 
 
 def energy_metrics(model: rbd.RobotModel, state: rbd.JointState,
-                   tau_cmd: np.ndarray, J: np.ndarray | None = None,
+                   tau_cmd: np.ndarray, J: np.ndarray,
                    dyn: rbd.ChainDynamics | None = None) -> tuple[float, float, float, float]:
     """(E_acc, E_kin_total, E_kin_task, E_kin_null) at the current state.
 
     E_acc uses tau' = tau_cmd - nu - g; the task split uses the task-space
-    inertia of J damped by ``solvers.EPSILON_LAMBDA`` (zeros when no task
-    Jacobian is given).
+    inertia of the task Jacobian J, damped by ``rbd.EPSILON_LAMBDA``.
     """
     if dyn is None:
         dyn = rbd.compute_dynamics(model, state)
     tau_prime = np.asarray(tau_cmd, float) - dyn.nu - dyn.g
     e_acc = 0.5 * float(tau_prime @ dyn.minv(tau_prime))
     e_total = 0.5 * float(dyn.qd @ dyn.M @ dyn.qd)
-    if J is None:
-        e_task = 0.0
-    else:
-        bundle = rbd.task_dynamics(model, dyn.q, J, epsilon=solvers_mod.EPSILON_LAMBDA,
-                                   minv=dyn.minv)
-        xd = J @ dyn.qd
-        e_task = 0.5 * float(xd @ bundle.Lambda @ xd)
+    bundle = rbd.task_dynamics(model, dyn.q, J, epsilon=rbd.EPSILON_LAMBDA, minv=dyn.minv)
+    xd = J @ dyn.qd
+    e_task = 0.5 * float(xd @ bundle.Lambda @ xd)
     return e_acc, e_total, e_task, e_total - e_task
 
 
@@ -640,8 +620,7 @@ def _get(d: dict, key: str, convert=None, default=_REQUIRED):
 _TASK_KEYS = {"waypoint_tracker": ("waypoints", "tolerance_m", "kp", "kv", "v_sat"),
               "impedance": ("stiffness", "damping", "target"),
               "force_impedance": ("stiffness", "damping", "target")}
-_TARGET_KEYS = {"initial": ("type",), "initial_rotated": ("type", "axis", "angle_deg"),
-                "pose": ("type", "position_m", "rotation")}
+_TARGET_KEYS = {"initial": ("type",), "initial_rotated": ("type", "axis", "angle_deg")}
 _POSTURE_TARGET_KEYS = {"initial": ("type",), "posture": ("type", "q_rad")}
 
 
@@ -678,10 +657,6 @@ def _build_task(tc, i: int, model: rbd.RobotModel, q0: np.ndarray,
             raise ValueError("axis: must be nonzero")
         angle = math.radians(_get(target, "angle_deg", _num))
         rotation = rbd.axis_rotation(axis / np.linalg.norm(axis), angle) @ T_tool[:3, :3]
-    elif kind == "pose":
-        pose = rbd.FramePose(_get(target, "position_m", _vec3),
-                             _get(target, "rotation", partial(_floats, shape=(3, 3))))
-        position, rotation = pose.position, pose.rotation
     return tasks_mod.TaskSpec(**common, target_position=position, target_rotation=rotation)
 
 
@@ -805,6 +780,13 @@ def _parse(data, source: str,
         if len(set(priorities)) != len(priorities):
             err(f"{source}.tasks: duplicate priorities {priorities}")
     evs = [get(f"{source}.events[{i}]", _build_event, e, model.n) for i, e in enumerate(events)]
+    payloads = [(i, ev) for i, ev in enumerate(evs)
+                if ev is not None and ev.kind == "unmodeled_mass" and ev.duration > 0]
+    for j, (i1, ev1) in enumerate(payloads):
+        for i0, ev0 in payloads[:j]:
+            if ev0.start < ev1.start + ev1.duration and ev1.start < ev0.start + ev0.duration:
+                err(f"{source}.events[{i1}]: unmodeled_mass overlaps events[{i0}]; "
+                    "the plant carries one payload at a time")
     for i, ev in enumerate(evs):
         if ev is not None and duration is not None and ev.start >= duration:
             issues.append(("warning", f"{source}.events[{i}]: event starts at {ev.start}s, "

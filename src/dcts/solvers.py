@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import LinAlgError
 
 from . import qpcore, rbd
 from .limits import LimitRealization
@@ -53,7 +52,6 @@ def solver_error(name: str, k: int) -> str | None:
     return None
 
 
-EPSILON_LAMBDA = 1e-6      # damping for near-singular task inertia
 QP_MT_WEIGHT = 1e-3
 QP_MD_WEIGHT = 1e-3
 QP_MD_DAMPING = 10.0       # [1/s]
@@ -87,30 +85,6 @@ class ControlOutput:
     diagnostics: dict = field(default_factory=dict)
 
 
-def naive_saturate(tau: np.ndarray, tau_min: np.ndarray, tau_max: np.ndarray) -> np.ndarray:
-    """Elementwise torque clamp without re-solving."""
-    return np.clip(tau, tau_min, tau_max)
-
-
-def _lambda_factor(J: np.ndarray, dyn: rbd.ChainDynamics):
-    """Cholesky of J M^-1 J^T, exact when well conditioned, damped otherwise.
-
-    Returns (factor, Minv_Jt, degraded_flag).
-    """
-    Minv_Jt = dyn.minv(J.T)
-    A = J @ Minv_Jt
-    A = 0.5 * (A + A.T)
-    # cond alone is scale-invariant; a vanishing task Jacobian (fully projected
-    # away) must fall through to damping too
-    try:
-        if np.abs(A).max() > 1e-9 and np.linalg.cond(A) < 1e10:
-            return rbd.spd_factor(A), Minv_Jt, False
-    except LinAlgError:
-        pass
-    m = A.shape[0]
-    return rbd.spd_factor(A + EPSILON_LAMBDA * np.eye(m)), Minv_Jt, True
-
-
 def solve_osc(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance,
               tau_ext: np.ndarray | None = None,
               cfg: SolverConfig | None = None,
@@ -129,7 +103,7 @@ def solve_osc(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance,
     if tau_ext is not None and np.any(tau_ext):
         minv_tau_ext = dyn.minv(np.asarray(tau_ext, float))
         rhs = rhs - J @ minv_tau_ext
-    factor, _, degraded = _lambda_factor(J, dyn)
+    factor, _, degraded = rbd.lambda_factor(J, dyn.minv)
     lam = rbd.spd_solve(factor, rhs)
     tau_prime = J.T @ lam
     qdd = dyn.minv(tau_prime)
@@ -172,7 +146,7 @@ def solve_osc_saturated(model: rbd.RobotModel, state: rbd.JointState,
             for r, j in enumerate(idx):
                 Js[r, j] = 1.0
             a_s = np.array([pinned[j] for j in idx])
-            fac_s, Minv_Jst, deg1 = _lambda_factor(Js, dyn)
+            fac_s, Minv_Jst, deg1 = rbd.lambda_factor(Js, dyn.minv)
             tau_s = Js.T @ rbd.spd_solve(fac_s, a_s)
             # acceleration-space projector of the pinned rows: Js @ Ns = 0
             Ns = np.eye(n) - Minv_Jst @ rbd.spd_solve(fac_s, Js)
@@ -180,7 +154,7 @@ def solve_osc_saturated(model: rbd.RobotModel, state: rbd.JointState,
             rhs = task.a_d - task.jdot_qd - task.J @ dyn.minv(tau_s)
             if minv_tau_ext is not None:
                 rhs = rhs - task.J @ minv_tau_ext
-            fac_t, _, deg2 = _lambda_factor(Jp, dyn)
+            fac_t, _, deg2 = rbd.lambda_factor(Jp, dyn.minv)
             tau_prime = tau_s + Jp.T @ rbd.spd_solve(fac_t, rhs)
             if deg1 or deg2:
                 status = DEGRADED
@@ -204,7 +178,7 @@ def solve_osc_saturated(model: rbd.RobotModel, state: rbd.JointState,
         pinned[worst] = lo[worst] if below[worst] >= above[worst] else hi[worst]
 
     tau = tau_prime + dyn.nu + dyn.g
-    tau_clamped = naive_saturate(tau, model.tau_min, model.tau_max)
+    tau_clamped = np.clip(tau, model.tau_min, model.tau_max)
     saturated = np.abs(tau - tau_clamped) > 1e-12
     qdd = dyn.minv(tau_clamped - dyn.nu - dyn.g)
     if minv_tau_ext is not None:
@@ -302,7 +276,7 @@ def _nullspace_stack(tasks: list[TaskInstance], dyn: rbd.ChainDynamics) -> list[
     projectors = [np.eye(n)]
     for i in range(1, len(tasks)):
         J_aug = np.vstack([t.J for t in tasks[:i]])
-        factor, Minv_Jt, _ = _lambda_factor(J_aug, dyn)
+        factor, Minv_Jt, _ = rbd.lambda_factor(J_aug, dyn.minv)
         jbar = Minv_Jt @ rbd.spd_solve(factor, np.eye(J_aug.shape[0]))
         projectors.append(np.eye(n) - jbar @ J_aug)
     return projectors

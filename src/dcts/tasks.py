@@ -24,8 +24,6 @@ import numpy as np
 
 from . import rbd
 
-TRACKING, DONE = "tracking", "done"
-
 
 def impedance_accel(K: np.ndarray, D: np.ndarray, dx: np.ndarray,
                     dxd: np.ndarray) -> np.ndarray:
@@ -78,18 +76,17 @@ class WaypointTracker:
 
 
 def waypoint_accel(tracker: WaypointTracker, x: np.ndarray,
-                   xd_c: np.ndarray) -> tuple[np.ndarray, str]:
+                   xd_c: np.ndarray) -> np.ndarray:
     """Desired acceleration toward the active waypoint; advances on arrival.
 
-    Returns (acceleration, status). Once the list is exhausted the status is
-    DONE and the same law keeps regulating to the last waypoint; an empty
-    list commands zero.
+    Once the list is exhausted (``tracker.done``) the same law keeps
+    regulating to the last waypoint; an empty list commands zero.
     """
     x = np.asarray(x, dtype=float)
     xd_c = np.asarray(xd_c, dtype=float)
     goal = tracker.current
     if goal is None:
-        return np.zeros_like(x), DONE
+        return np.zeros_like(x)
     if tracker.start is None:
         tracker.start = x.copy()
     dx = goal - x
@@ -100,7 +97,7 @@ def waypoint_accel(tracker: WaypointTracker, x: np.ndarray,
     if not tracker.done and float(np.linalg.norm(dx)) < tracker.tolerance:
         tracker.start = goal.copy()
         tracker.index += 1
-    return acc, DONE if tracker.done else TRACKING
+    return acc
 
 
 def octagon_waypoints(center: np.ndarray, radius: float,
@@ -132,8 +129,8 @@ _SELECTORS = ("tool_pos", "tool_rot_xy", "joint_posture")
 class TaskSpec:
     """One prioritized task: selector, gains, target and mode.
 
-    ``point`` is the controlled point in tool-frame coordinates; it defines
-    what "the end effector center" means for this task.
+    ``point`` is the controlled point of a ``tool_pos`` task in tool-frame
+    coordinates; it defines what "the end effector center" means for it.
     """
 
     priority: int
@@ -153,6 +150,9 @@ class TaskSpec:
             raise ValueError(f"unknown selector {self.selector!r}; expected one of {_SELECTORS}")
         if self.mode not in ("impedance", "force_impedance", "waypoint_tracker"):
             raise ValueError(f"unknown task mode {self.mode!r}")
+        if self.point is not None and self.selector != "tool_pos":
+            raise ValueError("point: only a tool_pos task has a controlled point, "
+                             f"not {self.selector}")
         if self.mode == "waypoint_tracker":
             if self.tracker is None:
                 raise ValueError("waypoint_tracker mode needs a tracker")
@@ -176,9 +176,7 @@ class TaskInstance:
     jdot_qd: np.ndarray      # (m,)
     a_d: np.ndarray          # (m,) desired (unscaled) task acceleration
     priority: int
-    name: str = ""
     error: np.ndarray | None = None
-    status: str = TRACKING
 
 
 def orientation_error_xy(R_desired: np.ndarray, R_current: np.ndarray) -> np.ndarray:
@@ -204,11 +202,11 @@ def realize_task(spec: TaskSpec, dyn: rbd.ChainDynamics) -> TaskInstance:
             J, jdq = J6[:3], jdq6[:3]
             xd = J @ dyn.qd
             if spec.mode == "waypoint_tracker":
-                a_d, status = waypoint_accel(spec.tracker, x, xd)
+                a_d = waypoint_accel(spec.tracker, x, xd)
                 goal = spec.tracker.current
                 err = np.zeros(3) if goal is None else goal - x
                 return TaskInstance(J=J, jdot_qd=jdq, a_d=a_d, priority=spec.priority,
-                                    name=spec.name, error=err, status=status)
+                                    error=err)
             dx = spec.target_position - x
             dxd = -xd
         else:  # tool_rot_xy
@@ -221,5 +219,4 @@ def realize_task(spec: TaskSpec, dyn: rbd.ChainDynamics) -> TaskInstance:
         a_d = force_impedance_accel(J, dyn.minv, f_d)
     else:
         a_d = impedance_accel(spec.stiffness, spec.damping, dx, dxd)
-    return TaskInstance(J=J, jdot_qd=jdq, a_d=a_d, priority=spec.priority,
-                        name=spec.name, error=dx)
+    return TaskInstance(J=J, jdot_qd=jdq, a_d=a_d, priority=spec.priority, error=dx)

@@ -58,4 +58,11 @@ def pendulum():
     return rbd.model_from_dict(d)
 
 
+def frame_pose(model, q, frame: int):
+    """(position, rotation) of a link frame (``model.n`` = tool frame) in the
+    world, read from ``rbd.link_transforms``, the path every run takes."""
+    T = rbd.link_transforms(model, q)[model.check_frame(frame)]
+    return T[:3, 3], T[:3, :3]
+
+
 Q_STAR = np.array([-0.78, 2.05, 2.07, -1.65, -2.08, 2.03, 0.0])

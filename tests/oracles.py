@@ -3,7 +3,8 @@
 Everything here is deliberately written on a different code path than the
 library: forward kinematics through scipy Rotation composition, planar
 two-link dynamics from the textbook closed forms, Jacobians by central
-differences, and a brute-force active-set enumeration for small QPs.
+differences, a classical Runge-Kutta integrator for conservation studies and
+a brute-force active-set enumeration for small QPs.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import itertools
 
 import numpy as np
 from scipy.spatial.transform import Rotation
+
+from dcts import rbd
 
 
 def fk_chain(model_dict: dict, q, frame: int | None = None):
@@ -83,6 +86,26 @@ def twolink_inverse_dynamics(q, qd, qdd, **kw) -> np.ndarray:
     return (twolink_mass(q, **{k: v for k, v in kw.items() if k != "g"}) @ qdd
             + twolink_bias(q, qd, **{k: v for k, v in kw.items() if k != "g"})
             + twolink_gravity(q, **kw))
+
+
+# ---------------------------------------------------------------------------
+# classical Runge-Kutta step of the library's forward dynamics
+
+
+def rk4_step(model, state, tau, tau_ext, dt: float):
+    """One RK4 step of qdd = forward_dynamics(q, qd, tau, tau_ext); the
+    library integrates semi-implicitly, this fourth-order step checks energy
+    conservation."""
+    def f(q, qd):
+        return qd, rbd.forward_dynamics(model, q, qd, tau, tau_ext)
+
+    k1q, k1v = f(state.q, state.qd)
+    k2q, k2v = f(state.q + 0.5 * dt * k1q, state.qd + 0.5 * dt * k1v)
+    k3q, k3v = f(state.q + 0.5 * dt * k2q, state.qd + 0.5 * dt * k2v)
+    k4q, k4v = f(state.q + dt * k3q, state.qd + dt * k3v)
+    q = state.q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
+    qd = state.qd + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+    return rbd.JointState(q, qd)
 
 
 # ---------------------------------------------------------------------------

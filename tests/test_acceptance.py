@@ -32,6 +32,7 @@ import pytest
 from dcts import cli, limits, qpcore, rbd, sim, solvers, tasks
 
 import oracles
+from conftest import frame_pose
 
 
 def report(num: int, text: str) -> None:
@@ -118,9 +119,7 @@ def test_criterion_1_dynamics_oracles(iiwa):
     for _ in range(10):
         q = rng.uniform(-1.5, 1.5, 7)
         J = rbd.jacobian(iiwa, q, iiwa.tool_frame)
-        Jfd = oracles.jacobian_fd(
-            lambda qq: (lambda p: (p.position, p.rotation))(
-                rbd.forward_kinematics(iiwa, qq, iiwa.tool_frame)), q)
+        Jfd = oracles.jacobian_fd(lambda qq: frame_pose(iiwa, qq, iiwa.tool_frame), q)
         assert np.abs(J - Jfd).max() < 1e-5
 
     # mass matrix SPD over 1e4 random draws
@@ -137,7 +136,7 @@ def test_criterion_1_dynamics_oracles(iiwa):
     e0 = 0.5 * state.qd @ rbd.mass_matrix(model, state.q) @ state.qd
     worst = 0.0
     for _ in range(20_000):
-        state = sim.rk4_step(model, state, np.zeros(7), None, 1e-4)
+        state = oracles.rk4_step(model, state, np.zeros(7), None, 1e-4)
         e = 0.5 * state.qd @ rbd.mass_matrix(model, state.q) @ state.qd
         worst = max(worst, abs(e - e0) / e0)
     assert worst < 1e-3
@@ -313,10 +312,10 @@ def test_criterion_9_payload_drop(payload_runs, iiwa):
         J0 = rbd.jacobian(iiwa, tr.q[0], iiwa.tool_frame)
         xdd0 = J0[:3] @ tr.qdd[0]
         cos_first[name] = -xdd0[2] / np.linalg.norm(xdd0)
-        x0 = rbd.forward_kinematics(iiwa, tr.q[0], iiwa.tool_frame).position
+        x0 = frame_pose(iiwa, tr.q[0], iiwa.tool_frame)[0]
         cos_disp[name] = None
         for i in range(1, len(tr.t)):
-            d = rbd.forward_kinematics(iiwa, tr.q[i], iiwa.tool_frame).position - x0
+            d = frame_pose(iiwa, tr.q[i], iiwa.tool_frame)[0] - x0
             if np.linalg.norm(d) >= 0.02:
                 cos_disp[name] = -d[2] / np.linalg.norm(d)
                 break

@@ -211,6 +211,18 @@ MALFORMED = {
         ("events",), [{"kind": "cartesian_force", "start_s": 0.0, "duration_s": 0.01,
                        "forc_n": [1.0, 0.0, 0.0]}],
         "events[0]: unknown key 'forc_n'"),
+    "pose_target": (("tasks", 0, "target"),
+                    {"type": "pose", "position_m": [0.5, 0.0, 0.5],
+                     "rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+                    "tasks[0]: unknown target type 'pose'"),
+    "overlapping_payloads": (
+        ("events",), [{"kind": "unmodeled_mass", "start_s": 0.0, "duration_s": 0.01,
+                       "mass_kg": 4.1},
+                      {"kind": "unmodeled_mass", "start_s": 0.005, "duration_s": 0.01,
+                       "mass_kg": 5.0}],
+        "events[1]: unmodeled_mass overlaps events[0]"),
+    "point_on_rotation_task": (("tasks", 0, "point_m"), [0.0, 0.0, 0.1],
+                               "tasks[0]: point: only a tool_pos task has a controlled point"),
 }
 
 
@@ -236,6 +248,17 @@ def test_malformed_input_is_a_config_error(case, tmp_path, capsys, monkeypatch):
     assert expected in capsys.readouterr().err
     assert not out_dir.exists()
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+def test_out_naming_a_file_is_a_config_error(tiny_scenario, tmp_path, capsys, monkeypatch):
+    """An --out path taken by a file is reported as a config error, exit 1,
+    before any run starts, and the file is left alone."""
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    monkeypatch.setattr(sim, "run_scenario", lambda *a, **kw: pytest.fail("a run started"))
+    assert cli.run(["--scenario", str(tiny_scenario), "--out", str(taken)]) == 1
+    assert f"error: --out {taken}: file exists" in capsys.readouterr().err
+    assert taken.read_text() == "keep\n"
 
 
 def test_runs_whose_outputs_would_collide_are_config_errors(tiny_scenario, tmp_path, capsys):

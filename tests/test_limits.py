@@ -18,7 +18,6 @@ def test_far_from_bounds_gives_acceleration_limits():
     b = limits.shape_acceleration_bounds(ls, np.zeros(2), np.zeros(2))
     np.testing.assert_allclose(b.acc_min, ls.a_min)
     np.testing.assert_allclose(b.acc_max, ls.a_max)
-    assert list(b.active_source_max) == [limits.ACCELERATION] * 2
     assert not b.any_repaired
 
 
@@ -28,7 +27,8 @@ def test_at_velocity_limit_no_speed_up():
                           [-10.0, -10.0], [10.0, 10.0], 1e-3)
     b = limits.shape_acceleration_bounds(ls, np.zeros(2), np.array([3.0, 0.0]))
     assert b.acc_max[0] <= 0.0
-    assert b.active_source_max[0] == limits.VELOCITY
+    # the velocity bound (v_max - cd)/dt is the one that binds
+    assert b.acc_max[0] == (ls.v_max_tight[0] - 3.0) / ls.dt
 
 
 def test_at_position_limit_forces_braking():

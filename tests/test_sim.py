@@ -353,6 +353,20 @@ def test_validation_warns_on_late_event():
     assert any(level == "warning" and "beyond" in m for level, m in issues)
 
 
+def test_payload_windows_may_touch_but_not_overlap():
+    """Two payloads are one too many only while both are active: windows
+    that meet end to start, or a zero-duration one, are accepted."""
+    data = json.loads(sim.bundled_scenario_path("payload_drop").read_text())
+    first = data["events"][0]
+    for start, duration, overlaps in ((2.0, 0.5, False), (1.0, 0.0, False),
+                                      (1.999, 0.5, True)):
+        data["events"] = [first, dict(first, start_s=start, duration_s=duration)]
+        errors = [m for level, m in sim.validate_scenario_dict(data, source="s")
+                  if level == "error"]
+        assert errors == (["s.events[1]: unmodeled_mass overlaps events[0]; "
+                           "the plant carries one payload at a time"] if overlaps else [])
+
+
 @pytest.mark.parametrize("name, path, key, expected", [
     ("star_octagon", ("tasks", 0, "waypoints"), "radius",
      "tasks[0]: waypoints: unknown key 'radius'"),

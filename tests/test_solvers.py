@@ -8,7 +8,7 @@ import pytest
 from dcts import limits, rbd, solvers, tasks
 
 from conftest import Q_STAR
-from test_golden_stack import N_STATES, stack_outputs
+from test_golden_stack import N_STATES, Q_NOMINAL, stack_outputs
 
 
 def rotation_task(model, dyn, a_d=(2.0, -1.0)):
@@ -75,12 +75,21 @@ def test_osc_gauss_principle_optimality(scene):
         assert 0.5 * cand @ dyn.minv(cand) >= base - 1e-9
 
 
-def test_naive_saturate():
-    tau = np.array([50.0, 150.0, -130.0])
-    lim = np.full(3, 100.0)
-    out = solvers.naive_saturate(tau, -lim, lim)
-    np.testing.assert_allclose(out, [50.0, 100.0, -100.0])
-    np.testing.assert_allclose(solvers.naive_saturate(out, -lim, lim), out)
+def test_osc_degraded_at_singular_rotation_rows(iiwa):
+    """At q = 0 every joint axis lies in the world y-z plane, so the x-rotation
+    row of ``tool_rot_xy`` is zero: J M^-1 J^T is singular, the task inertia
+    is damped and OSC reports ``degraded`` with a finite torque. At
+    ``Q_NOMINAL`` the same rows are well conditioned and nothing is damped."""
+    state = rbd.JointState(np.zeros(7), np.zeros(7))
+    dyn = rbd.compute_dynamics(iiwa, state)
+    task = rotation_task(iiwa, dyn)
+    np.testing.assert_allclose(task.J[0], 0.0, atol=1e-12)
+    assert rbd.lambda_factor(task.J, dyn.minv)[2]
+    out = solvers.solve_osc(iiwa, state, task, None, dyn=dyn)
+    assert out.status == solvers.DEGRADED
+    assert np.isfinite(out.tau).all()
+    nominal = rbd.compute_dynamics(iiwa, rbd.JointState(Q_NOMINAL, np.zeros(7)))
+    assert not rbd.lambda_factor(rotation_task(iiwa, nominal).J, nominal.minv)[2]
 
 
 def test_osc_saturated_inert_when_limits_loose(scene):

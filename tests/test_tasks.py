@@ -73,16 +73,16 @@ def make_tracker(**kw):
 
 def test_waypoint_at_target_advances_with_zero_command():
     tr = make_tracker()
-    acc, status = tasks.waypoint_accel(tr, np.array([1.0, 0.0, 0.0]), np.zeros(3))
+    acc = tasks.waypoint_accel(tr, np.array([1.0, 0.0, 0.0]), np.zeros(3))
     np.testing.assert_allclose(acc, 0.0, atol=1e-12)
     assert tr.index == 1
-    assert status == tasks.TRACKING
+    assert not tr.done
 
 
 def test_waypoint_published_gain_arithmetic():
     tr = make_tracker(waypoints=[np.array([0.3, 0.0, 0.0])])
     xd_c = np.array([0.05, 0.0, 0.0])
-    acc, _ = tasks.waypoint_accel(tr, np.zeros(3), xd_c)
+    acc = tasks.waypoint_accel(tr, np.zeros(3), xd_c)
     xd_d = (400.0 / 40.0) * np.array([0.3, 0.0, 0.0])   # norm 3 > v_sat
     v = 0.4 / 9.0
     np.testing.assert_allclose(acc, -40.0 * (xd_c - v * xd_d), atol=1e-12)
@@ -91,28 +91,28 @@ def test_waypoint_published_gain_arithmetic():
 def test_waypoint_unsaturated_reduces_to_pd():
     tr = make_tracker(waypoints=[np.array([0.01, 0.0, 0.0])])
     xd_c = np.array([0.02, 0.0, 0.0])
-    acc, _ = tasks.waypoint_accel(tr, np.zeros(3), xd_c)
+    acc = tasks.waypoint_accel(tr, np.zeros(3), xd_c)
     np.testing.assert_allclose(acc, 400.0 * np.array([0.01, 0, 0]) - 40.0 * xd_c,
                                atol=1e-12)
 
 
 def test_waypoint_exhausted_holds_last_waypoint():
-    """A finished tracker stays DONE and keeps regulating to its last
+    """A finished tracker stays done and keeps regulating to its last
     waypoint with the same law; an empty list commands zero."""
     tr = make_tracker(waypoints=[np.array([0.0, 0.0, 0.0])], tolerance=0.5)
-    acc, status = tasks.waypoint_accel(tr, np.array([0.1, 0.0, 0.0]), np.zeros(3))
-    assert status == tasks.DONE
+    acc = tasks.waypoint_accel(tr, np.array([0.1, 0.0, 0.0]), np.zeros(3))
+    assert tr.done
     x, xd_c = np.array([0.01, 0.0, 0.0]), np.array([0.02, 0.0, 0.0])
-    acc, status = tasks.waypoint_accel(tr, x, xd_c)
-    assert status == tasks.DONE
+    acc = tasks.waypoint_accel(tr, x, xd_c)
+    assert tr.done
     assert tr.index == 1
     # unsaturated here, so the law is the restoring PD kp (goal - x) - kv xd
     np.testing.assert_allclose(acc, 400.0 * (0.0 - x) - 40.0 * xd_c, atol=1e-12)
     np.testing.assert_array_equal(tr.current, tr.waypoints[-1])
     assert tr.segment() is None
     empty = make_tracker(waypoints=[])
-    acc, status = tasks.waypoint_accel(empty, x, xd_c)
-    assert status == tasks.DONE
+    acc = tasks.waypoint_accel(empty, x, xd_c)
+    assert empty.done
     np.testing.assert_array_equal(acc, 0.0)
 
 
@@ -121,7 +121,7 @@ def test_waypoint_exhausted_holds_last_waypoint():
 def test_waypoint_scale_always_in_unit_interval(dist, y, z):
     tr = make_tracker(waypoints=[np.array([dist, y * dist, z * dist])])
     x = np.zeros(3)
-    acc, _ = tasks.waypoint_accel(tr, x, np.zeros(3))
+    acc = tasks.waypoint_accel(tr, x, np.zeros(3))
     xd_d = (tr.kp / tr.kv) * (tr.waypoints[0] - x)
     speed = np.linalg.norm(xd_d)
     v = np.linalg.norm(acc / tr.kv) / speed if speed > 0 else 1.0
