@@ -33,7 +33,6 @@ with all inequality duals >= 0.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass
@@ -135,9 +134,12 @@ class QpProblem:
         rows = self._rows
         b = rows.b.copy()
         b[:rows.n_eq] = beq[rows.eq_index] / rows.eq_norm
-        problem = copy.copy(self)
+        b.flags.writeable = False
+        problem = object.__new__(type(self))
+        problem.__dict__.update(self.__dict__)
         problem.beq = beq
-        problem._rows = rows._replace(b=b)
+        problem._rows = _Rows(rows.C, b, rows.kind, rows.ref, rows.n_eq, rows.eq_index,
+                              rows.eq_norm)
         return problem
 
     @property
@@ -201,7 +203,10 @@ _EQ, _IN_LO, _IN_HI, _BD_LO, _BD_HI = range(5)
 
 
 class _Rows(NamedTuple):
-    """Normalized one-sided rows c x >= b; the first n_eq keep c x = b."""
+    """Normalized one-sided rows c x >= b; the first n_eq keep c x = b.
+
+    ``C`` and ``b`` are read-only: a family shares them, and ``solve`` copies
+    them before it flips an equality row."""
 
     C: np.ndarray
     b: np.ndarray
@@ -238,6 +243,7 @@ def _build_rows(p: QpProblem) -> _Rows:
     kind = [_EQ] * len(eq_index) + (_IN_LO + in_side).tolist() + (_BD_LO + bd_side).tolist()
     ref = list(zip(np.concatenate([eq_index, in_i, bd_j]).tolist(),
                    np.concatenate([eq_norm, in_scale, np.ones(len(bd_j))]).tolist()))
+    C.flags.writeable = b.flags.writeable = False
     return _Rows(C, b, kind, ref, len(eq_index), eq_index, eq_norm)
 
 
@@ -269,10 +275,10 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
     """Dual active-set solve. See the module docstring for conventions."""
     d = p.dim
     rows = p._rows
-    # the equality flip below must not reach the table other stages share
-    C, b, ref = rows.C.copy(), rows.b.copy(), list(rows.ref)
+    # the family's read-only table; the first equality flip below copies it
+    C, b, ref = rows.C, rows.b, rows.ref
     kind, n_eq = rows.kind, rows.n_eq
-    n_rows = len(b)
+    C_in, b_in = C[n_eq:], b[n_eq:]
     cho, Hs, _sigma = p._factor
     # A direction is fixed by C[active], C[idx] and the order of K's columns,
     # so by the equality rows flipped so far, the active list and the
@@ -289,15 +295,16 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
     iterations = 0
 
     def direction(idx: int):
-        """z (primal) and r (dual rates) of [H N; N^T 0][z; -r] = [c; 0] for
-        c = C[idx] and N = C[active]^T, with c z; read-only, shared."""
+        """(z, r, c z, |z|) of [H N; N^T 0][z; -r] = [c; 0] for c = C[idx] and
+        N = C[active]^T: z primal (read-only), r the dual rates as a list;
+        shared by the family."""
         key = (flips, tuple(active), idx)
         hit = cache.get(key)
         if hit is not None:
             return hit
         c = C[idx]
         if not active:
-            z, r = spd_solve(cho, c), np.zeros(0)
+            z, r = spd_solve(cho, c), []
         else:
             N = C[active].T
             na = len(active)
@@ -311,9 +318,10 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
                 sol = np.linalg.solve(K, rhs)
             except np.linalg.LinAlgError:
                 sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-            z, r = sol[:d], sol[d:]
-        z.flags.writeable = r.flags.writeable = False
-        hit = cache[key] = z, r, float(c @ z)
+            z, r = sol[:d], sol[d:].tolist()
+        z.flags.writeable = False
+        # z.dot(z) and its square root round as np.linalg.norm(z) does
+        hit = cache[key] = z, r, float(c @ z), math.sqrt(z.dot(z))
         return hit
 
     exhausted = False
@@ -325,26 +333,25 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
         while iterations < max_iter:
             iterations += 1
             s_val = float(C[idx] @ x - b[idx])
-            z, r, cz = direction(idx)
+            z, r, cz, z_norm = direction(idx)
             # step length limited by active inequality duals decreasing to zero
-            t1, k1 = np.inf, -1
+            t1, k1 = math.inf, -1
             for pos, a_idx in enumerate(active):
                 if kind[a_idx] != _EQ and r[pos] > tol:
                     t = duals[pos] / r[pos]
                     if t < t1:
                         t1, k1 = t, pos
-            # z.dot(z) and its square root round as np.linalg.norm(z) does
-            reducible = cz > 1e-11 * max(1.0, math.sqrt(z.dot(z)))
+            reducible = cz > 1e-11 * max(1.0, z_norm)
             if not reducible:
-                if not np.isfinite(t1):
+                if k1 < 0:
                     return False
                 t = t1
             else:
                 t2 = -s_val / cz
                 t = min(t1, t2)
                 x = x + t * z
-            for pos in range(len(active)):
-                duals[pos] -= t * r[pos]
+            for pos, rate in enumerate(r):
+                duals[pos] -= t * rate
             u_new += t
             if reducible and t == t2:
                 active.append(idx)
@@ -365,22 +372,26 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
                 duals.append(0.0)
             continue
         if s_val > 0:          # flip so the entering machinery reduces violation
+            if not flips:
+                C, b, ref = C.copy(), b.copy(), list(ref)
+                C_in, b_in = C[n_eq:], b[n_eq:]
             C[e] = -C[e]
             b[e] = -b[e]
             ref[e] = (ref[e][0], -ref[e][1])
             flips += (e,)
         if not enter(e):
-            return _finish(p, x, INFEASIBLE, iterations, C, b, kind, ref, active, duals,
+            return _finish(p, x, INFEASIBLE, iterations, kind, ref, active, duals,
                            bad=e, bad_violation=abs(s_val))
 
     while iterations < max_iter and not exhausted:
-        slack = C[n_eq:] @ x - b[n_eq:] if n_rows > n_eq else np.zeros(0)
-        for pos, a_idx in enumerate(active):
+        slack = C_in @ x - b_in
+        for a_idx in active:
             if a_idx >= n_eq and slack[a_idx - n_eq] >= -tol:
                 slack[a_idx - n_eq] = 0.0   # tight up to noise; ineligible to re-enter
-        if len(slack) == 0 or slack.min() >= -tol:
-            return _finish(p, x, OPTIMAL, iterations, C, b, kind, ref, active, duals)
-        worst = int(np.argmin(slack)) + n_eq
+        worst = int(np.argmin(slack)) if len(slack) else -1
+        if worst < 0 or slack[worst] >= -tol:
+            return _finish(p, x, OPTIMAL, iterations, kind, ref, active, duals)
+        worst += n_eq
         if worst in active:
             # an "active" row drifted loose (long degenerate exchanges); drop
             # it and let it re-enter through a fresh KKT solve
@@ -390,35 +401,28 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
             iterations += 1
             continue
         if not enter(worst):
-            return _finish(p, x, INFEASIBLE, iterations, C, b, kind, ref, active, duals,
+            return _finish(p, x, INFEASIBLE, iterations, kind, ref, active, duals,
                            bad=worst, bad_violation=float(-slack[worst - n_eq]))
-    return _finish(p, x, MAX_ITER, iterations, C, b, kind, ref, active, duals)
+    return _finish(p, x, MAX_ITER, iterations, kind, ref, active, duals)
 
 
-def _finish(p, x, status, iterations, C, b, kind, ref, active, duals,
+def _finish(p, x, status, iterations, kind, ref, active, duals,
             bad=None, bad_violation=0.0) -> QpSolution:
-    eq = np.zeros(len(p.beq))
-    in_lo = np.zeros(len(p.lower))
-    in_hi = np.zeros(len(p.lower))
-    bd_lo = np.zeros(p.dim)
-    bd_hi = np.zeros(p.dim)
+    m_eq, m_in, d = len(p.beq), len(p.lower), p.dim
+    # where each kind's duals start in [eq, in_lo, in_hi, bd_lo, bd_hi]
+    start = (0, m_eq, m_eq + m_in, m_eq + 2 * m_in, m_eq + 2 * m_in + d)
+    out = [0.0] * (m_eq + 2 * (m_in + d))
     for pos, a_idx in enumerate(active):
         i, scale = ref[a_idx]
         u = duals[pos] / abs(scale)
         k = kind[a_idx]
-        if k == _EQ:
-            eq[i] += u if scale > 0 else -u
-        elif k == _IN_LO:
-            in_lo[i] += u
-        elif k == _IN_HI:
-            in_hi[i] += u
-        elif k == _BD_LO:
-            bd_lo[i] += u
-        else:
-            bd_hi[i] += u
+        out[start[k] + i] += u if k != _EQ or scale > 0 else -u
+    out = np.array(out)
     sol = QpSolution(x=x.copy(), status=status, iterations=iterations,
-                     eq_duals=eq, ineq_duals_lower=in_lo, ineq_duals_upper=in_hi,
-                     bound_duals_lower=bd_lo, bound_duals_upper=bd_hi)
+                     eq_duals=out[:start[1]], ineq_duals_lower=out[start[1]:start[2]],
+                     ineq_duals_upper=out[start[2]:start[3]],
+                     bound_duals_lower=out[start[3]:start[4]],
+                     bound_duals_upper=out[start[4]:])
     if bad is not None:
         sol.infeasible_constraint = _label(kind[bad], ref[bad])
         sol.infeasible_violation = bad_violation
@@ -432,28 +436,23 @@ def kkt_residual(p: QpProblem, s: QpSolution) -> tuple[float, float, float]:
     reports, not for every stage it tries."""
     x = s.x
     grad = p.H @ x + p.f
-    grad -= p.Aeq.T @ s.eq_duals if len(s.eq_duals) else 0.0
+    if len(s.eq_duals):
+        grad -= p.Aeq.T @ s.eq_duals
     if len(s.ineq_duals_lower):
         grad -= p.Ain.T @ (s.ineq_duals_lower - s.ineq_duals_upper)
     grad -= s.bound_duals_lower - s.bound_duals_upper
     stationarity = float(np.abs(grad).max()) if len(grad) else 0.0
 
     viol = [0.0]
-    comp = [0.0]
     if len(p.beq):
         viol.append(np.abs(p.Aeq @ x - p.beq).max())
-    if len(p.lower):
-        ax = p.Ain @ x
-        lo_slack = np.where(np.isfinite(p.lower), ax - p.lower, np.inf)
-        hi_slack = np.where(np.isfinite(p.upper), p.upper - ax, np.inf)
-        viol.append(float(np.maximum(-lo_slack, 0).max()))
-        viol.append(float(np.maximum(-hi_slack, 0).max()))
-        comp.append(float(np.abs(s.ineq_duals_lower * np.where(np.isfinite(lo_slack), lo_slack, 0)).max()))
-        comp.append(float(np.abs(s.ineq_duals_upper * np.where(np.isfinite(hi_slack), hi_slack, 0)).max()))
-    lo_slack = np.where(np.isfinite(p.lb), x - p.lb, np.inf)
-    hi_slack = np.where(np.isfinite(p.ub), p.ub - x, np.inf)
-    viol.append(float(np.maximum(-lo_slack, 0).max()))
-    viol.append(float(np.maximum(-hi_slack, 0).max()))
-    comp.append(float(np.abs(s.bound_duals_lower * np.where(np.isfinite(lo_slack), lo_slack, 0)).max()))
-    comp.append(float(np.abs(s.bound_duals_upper * np.where(np.isfinite(hi_slack), hi_slack, 0)).max()))
+    # the inequality rows and the bounds as one table: lower sides, then upper
+    ax = np.concatenate([p.Ain @ x, x])
+    lower, upper = np.concatenate([p.lower, p.lb]), np.concatenate([p.upper, p.ub])
+    slack = np.concatenate([np.where(np.isfinite(lower), ax - lower, np.inf),
+                            np.where(np.isfinite(upper), upper - ax, np.inf)])
+    viol.append(float(np.maximum(-slack, 0).max()))
+    mu = np.concatenate([s.ineq_duals_lower, s.bound_duals_lower,
+                         s.ineq_duals_upper, s.bound_duals_upper])
+    comp = [0.0, float(np.abs(mu * np.where(np.isfinite(slack), slack, 0)).max())]
     return stationarity, max(viol), max(comp)

@@ -291,8 +291,8 @@ def _level_qp(dyn, J_i, a_d, rhs0, N_i, frozen, tau_lo, tau_hi,
     contribution of the higher levels; torque and joint-acceleration rows
     bound the total. With ``maximize_s`` the objective is (1 - s)^2 plus a small energy
     term for conditioning. Otherwise the objective is the total acceleration
-    energy and the task equality is J_i qdd_i = s a_d + rhs0 for the scale s
-    that each stage sets through ``with_beq``; ``beq`` is rhs0 until then.
+    energy and the task equality is J_i qdd_i = s a_d + rhs0, built at s = 1;
+    the other stages set their s through ``with_beq``.
     """
     n = N_i.shape[0]
     m = J_i.shape[0]
@@ -302,39 +302,40 @@ def _level_qp(dyn, J_i, a_d, rhs0, N_i, frozen, tau_lo, tau_hi,
     Hq = N_i.T @ MN
     if nv > n or np.abs(np.linalg.det(N_i)) < 0.5:      # singular projector
         Hq = Hq + (1e-9 * max(np.trace(dyn.M) / n, 1.0)) * np.eye(n)
+    tau_frozen = dyn.M @ frozen
     H = np.zeros((nv, nv))
     f = np.zeros(nv)
-    if maximize_s:
-        H[:n, :n] = 1e-4 * Hq
-        f[:n] = 1e-4 * (N_i.T @ (dyn.M @ frozen))
-        H[n, n] = 2.0
-        f[n] = -2.0
-    else:
-        H[:n, :n] = Hq
-        f[:n] = N_i.T @ (dyn.M @ frozen)
-
     Aeq = np.zeros((m, nv))
     Aeq[:, :n] = J_i
-    if maximize_s:
-        Aeq[:, n] = -a_d
-
-    tau_frozen = dyn.M @ frozen
-    ain = [np.hstack([MN, np.zeros((n, nv - n))])]
-    lo = [tau_lo - tau_frozen]
-    hi = [tau_hi - tau_frozen]
-    if acc_lo is not None:
-        ain.append(np.hstack([N_i, np.zeros((n, nv - n))]))
-        lo.append(acc_lo - frozen)
-        hi.append(acc_hi - frozen)
     lb = np.full(nv, -np.inf)
     ub = np.full(nv, np.inf)
     if maximize_s:
+        H[:n, :n] = 1e-4 * Hq
+        f[:n] = 1e-4 * (N_i.T @ tau_frozen)
+        H[n, n] = 2.0
+        f[n] = -2.0
+        Aeq[:, n] = -a_d
+        beq = rhs0
         lb[n] = 0.0
         ub[n] = 1.0
+    else:
+        H[:n, :n] = Hq
+        f[:n] = N_i.T @ tau_frozen
+        beq = a_d + rhs0
 
-    return qpcore.QpProblem(H=H, f=f, Aeq=Aeq, beq=rhs0,
-                            Ain=np.vstack(ain), lower=np.concatenate(lo),
-                            upper=np.concatenate(hi), lb=lb, ub=ub)
+    # torque rows on M N_i, then the shaped acceleration rows on N_i
+    Ain = np.zeros((n if acc_lo is None else 2 * n, nv))
+    Ain[:n, :n] = MN
+    lower = [tau_lo - tau_frozen]
+    upper = [tau_hi - tau_frozen]
+    if acc_lo is not None:
+        Ain[n:, :n] = N_i
+        lower.append(acc_lo - frozen)
+        upper.append(acc_hi - frozen)
+
+    return qpcore.QpProblem(H=H, f=f, Aeq=Aeq, beq=beq, Ain=Ain,
+                            lower=np.concatenate(lower), upper=np.concatenate(upper),
+                            lb=lb, ub=ub)
 
 
 def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
@@ -400,8 +401,7 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
         args = (dyn, t.J, t.a_d, rhs0, projectors[i], frozen,
                 tau_lo, tau_hi, acc_lo, acc_hi)
         # the s-pinned stages differ only in beq = s a_d + rhs0
-        fixed = _level_qp(*args, maximize_s=False)
-        problem = fixed.with_beq(1.0 * t.a_d + rhs0)
+        problem = fixed = _level_qp(*args, maximize_s=False)
         sol = solve(problem)
         if sol.status != qpcore.OPTIMAL:
             if sol.status == qpcore.MAX_ITER:
