@@ -481,11 +481,15 @@ def lambda_factor(J: np.ndarray, minv, epsilon: float | None = None):
     A = J @ Minv_Jt
     A = 0.5 * (A + A.T)
     if epsilon is None:
-        # cond alone is scale-invariant; a vanishing task Jacobian (fully
-        # projected away) must fall through to damping too
+        # the condition number alone is scale-invariant; a vanishing task
+        # Jacobian (fully projected away) must fall through to damping too.
+        # A is symmetric, so its condition number is the ratio of its extreme
+        # eigenvalues, and an eigenvalue <= 0 is as ill-conditioned as it gets
         try:
-            if np.abs(A).max() > 1e-9 and np.linalg.cond(A) < 1e10:
-                return spd_factor(A), Minv_Jt, False
+            if np.abs(A).max() > 1e-9:
+                lam = np.linalg.eigvalsh(A)
+                if lam[0] > 0.0 and lam[-1] < 1e10 * lam[0]:
+                    return spd_factor(A), Minv_Jt, False
         except LinAlgError:
             pass
         epsilon = EPSILON_LAMBDA
