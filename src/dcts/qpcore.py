@@ -341,7 +341,9 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
                     t = duals[pos] / r[pos]
                     if t < t1:
                         t1, k1 = t, pos
-            reducible = cz > 1e-11 * max(1.0, z_norm)
+            # with d rows active the entering row lies in their span, and its
+            # c z is rounding noise, not a step
+            reducible = len(active) < d and cz > 1e-11 * max(1.0, z_norm)
             if not reducible:
                 if k1 < 0:
                     return False
@@ -367,7 +369,7 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
     for e in range(n_eq):
         s_val = float(C[e] @ x - b[e])
         if abs(s_val) <= tol:
-            if direction(e)[2] > 1e-11:
+            if len(active) < d and direction(e)[2] > 1e-11:
                 active.append(e)
                 duals.append(0.0)
             continue

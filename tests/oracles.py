@@ -3,8 +3,9 @@
 Everything here is deliberately written on a different code path than the
 library: forward kinematics through scipy Rotation composition, planar
 two-link dynamics from the textbook closed forms, Jacobians by central
-differences, a classical Runge-Kutta integrator for conservation studies and
-a brute-force active-set enumeration for small QPs.
+differences, a classical Runge-Kutta integrator for conservation studies, a
+brute-force active-set enumeration for small QPs and a HiGHS linear program
+for the largest feasible task scale.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.optimize import linprog
 from scipy.spatial.transform import Rotation
 
 from dcts import rbd
@@ -216,3 +218,24 @@ def qp_rows_per_row(p):
             add(e, -p.ub[j], 4, j)
     C = np.asarray(rows_c) if rows_c else np.zeros((0, d))
     return C, np.asarray(rows_b), kind, ref, n_eq
+
+
+def lp_max_scale(J, a_d, rhs0, M, tau_lo, tau_hi, acc_lo=None, acc_hi=None) -> float:
+    """The largest s in [0, 1] for which some qdd meets J qdd = s a_d + rhs0,
+    tau_lo <= M qdd <= tau_hi and, when given, acc_lo <= qdd <= acc_hi: a
+    linear program over (qdd, s) solved by HiGHS. Raises if no s in [0, 1]
+    is feasible."""
+    m, n = J.shape
+    cost = np.zeros(n + 1)
+    cost[n] = -1.0
+    A_eq = np.hstack([J, -np.asarray(a_d, float)[:, None]])
+    A_ub = np.vstack([np.hstack([M, np.zeros((n, 1))]), np.hstack([-M, np.zeros((n, 1))])])
+    b_ub = np.concatenate([tau_hi, -np.asarray(tau_lo, float)])
+    bounds = [(None, None)] * n if acc_lo is None else list(zip(acc_lo, acc_hi))
+    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=rhs0,
+                  bounds=bounds + [(0.0, 1.0)], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise ValueError(f"no feasible task scale: {res.message}")
+    return float(res.x[n])

@@ -25,14 +25,14 @@ Q_NOMINAL = np.array([0.0, 0.3, 0.0, -1.5, 0.0, 1.0, 0.0])
 ACC_LIMIT = np.array([30.0, 25.0, 60.0, 70.0, 400.0, 400.0, 600.0])
 N_STATES = 12
 
-GOLDEN = "227062de95e7111e1a4eec24c57c2c0d245d59c518327554ce4a69d2e7de19fe"
+GOLDEN = "3356a0d4bbed099e3b978396ddb4e44a7ddfcbbf18caa3f23e80181b36ccb307"
 
 
-def stack_outputs(model, seed: int = 5):
-    """solve_dcts_multi on N_STATES seeded states, in order."""
+def stack_cases(model, seed: int = 5):
+    """(state, dyn, realized tasks, tau_ext, limit realization) on N_STATES
+    seeded states, in order."""
     lset = limits.joint_space_limits(model, 1e-3, a_min=-ACC_LIMIT, a_max=ACC_LIMIT)
     rng = np.random.default_rng(seed)
-    outs = []
     for k in range(N_STATES):
         q = Q_NOMINAL + rng.uniform(-0.2, 0.2, 7)
         qd = rng.normal(0.0, 0.3, 7)
@@ -51,8 +51,13 @@ def stack_outputs(model, seed: int = 5):
         tau_ext = rng.normal(0.0, 4.0, 7) if k % 2 else None
         lr = limits.realize_joint_limits(lset, q, qd,
                                          None if tau_ext is None else dyn.minv(tau_ext))
-        outs.append(solvers.solve_dcts_multi(model, state, realized, lr, tau_ext, dyn=dyn))
-    return outs
+        yield state, dyn, realized, tau_ext, lr
+
+
+def stack_outputs(model, seed: int = 5):
+    """solve_dcts_multi on N_STATES seeded states, in order."""
+    return [solvers.solve_dcts_multi(model, state, realized, lr, tau_ext, dyn=dyn)
+            for state, dyn, realized, tau_ext, lr in stack_cases(model, seed)]
 
 
 def outputs_hash(outs) -> str:

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dcts import limits, rbd, solvers, tasks
+from dcts import limits, qpcore, rbd, solvers, tasks
 
+import oracles
 from conftest import Q_STAR
-from test_golden_stack import N_STATES, Q_NOMINAL, stack_outputs
+from test_golden_stack import N_STATES, Q_NOMINAL, stack_cases, stack_outputs
 
 
 def rotation_task(model, dyn, a_d=(2.0, -1.0)):
@@ -308,7 +311,78 @@ def test_dcts_solves_each_kkt_system_once_per_call(iiwa, monkeypatch):
     stack_outputs(iiwa)
     assert len(per_call) == N_STATES
     assert all(len(set(keys)) == len(keys) for keys in per_call)
-    assert sum(map(len, per_call)) == 261
+    assert sum(map(len, per_call)) == 239
+
+
+def top_level(model, dyn, task, tau_ext, lr):
+    """(the s-pinned QP of the top level as ``solve_dcts_multi`` builds it,
+    rhs0, torque sides, shaped acceleration bounds)."""
+    n = model.n
+    comp = dyn.nu + dyn.g
+    rhs0 = -task.jdot_qd
+    if tau_ext is not None:
+        rhs0 = rhs0 - task.J @ dyn.minv(tau_ext)
+    tau = (model.tau_min - comp, model.tau_max - comp)
+    acc = (lr.bounds.acc_min, lr.bounds.acc_max)
+    problem = solvers._level_qp(dyn, task.J, task.a_d, rhs0, np.eye(n), np.zeros(n),
+                                *tau, *acc, maximize_s=False)
+    return problem, rhs0, tau, acc
+
+
+def test_optimal_stages_meet_their_task_equality(iiwa):
+    """Every stage the top level of the golden stack can try, s = 0, 0.025,
+    ..., 1 on seeds 8-12, either ends optimal with J qdd = s a_d + rhs0 or
+    not optimal. A row that enters while as many rows are active as there
+    are variables lies in their span; taking its rounding-noise c z for a
+    step once let solves end optimal with the equality missed by up to 39.6."""
+    optimal = worst = 0
+    for seed in range(8, 13):
+        for _, dyn, realized, tau_ext, lr in stack_cases(iiwa, seed):
+            task = realized[0]
+            fixed, rhs0, _, _ = top_level(iiwa, dyn, task, tau_ext, lr)
+            for s in np.linspace(0.0, 1.0, 41):
+                stage = fixed.with_beq(s * task.a_d + rhs0)
+                sol = qpcore.solve(stage)
+                if sol.status == qpcore.OPTIMAL:
+                    optimal += 1
+                    worst = max(worst, float(np.abs(stage.Aeq @ sol.x - stage.beq).max()))
+    assert optimal > 1000
+    assert worst <= 1e-6
+
+
+def test_top_level_scale_matches_the_lp_oracle(iiwa):
+    """s_1 is the largest feasible scale of the top level, from below within
+    the bisection's 1e-3: on the golden-stack states and on criterion 10's
+    gravity-free sweep at three torque scales."""
+    cases = []
+    for state, dyn, realized, tau_ext, lr in stack_cases(iiwa):
+        cases.append((iiwa, state, dyn, realized, tau_ext, lr))
+    data = json.loads(rbd.bundled_model_path().read_text())
+    data["gravity"] = [0.0, 0.0, 0.0]
+    m0 = rbd.model_from_dict(data)
+    state = rbd.JointState(np.array([-0.78, 2.05, 2.07, -1.65, -2.08, 2.03, 0.0]) * 0.9,
+                           np.zeros(7))
+    for scale in (1.0 - 28 * 0.98 / 32, 1.0 - 30 * 0.98 / 32, 0.02):   # 0.143, 0.081, 0.020
+        model = replace(m0, tau_min=m0.tau_min * scale, tau_max=m0.tau_max * scale)
+        dyn = rbd.compute_dynamics(model, state)
+        J6 = rbd.jacobian(model, state.q, model.tool_frame, kin=dyn.kin)
+        stack = [tasks.TaskInstance(J=J6[:3], jdot_qd=np.zeros(3),
+                                    a_d=np.array([8.0, -4.0, 4.0]), priority=1),
+                 tasks.TaskInstance(J=np.eye(7), jdot_qd=np.zeros(7),
+                                    a_d=np.full(7, 40.0), priority=2)]
+        ls = limits.joint_space_limits(model, 1e-3, a_min=np.full(7, -1e5),
+                                       a_max=np.full(7, 1e5))
+        cases.append((model, state, dyn, stack, None, limits.realize_joint_limits(
+            ls, state.q, state.qd)))
+    scaled = 0
+    for model, state, dyn, stack, tau_ext, lr in cases:
+        out = solvers.solve_dcts_multi(model, state, stack, lr, tau_ext, dyn=dyn)
+        assert out.status == solvers.OPTIMAL
+        _, rhs0, tau, acc = top_level(model, dyn, stack[0], tau_ext, lr)
+        s_max = oracles.lp_max_scale(stack[0].J, stack[0].a_d, rhs0, dyn.M, *tau, *acc)
+        assert s_max - 1e-3 <= out.s[0] <= s_max + 1e-9
+        scaled += s_max < 1.0
+    assert scaled >= 8
 
 
 def test_dcts_requires_sorted_tasks(scene):
