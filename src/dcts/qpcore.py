@@ -330,9 +330,10 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
         """Bring constraint idx into the active set; False means infeasible."""
         nonlocal x, iterations, exhausted
         u_new = 0.0
+        c, b_idx = C[idx], b[idx]
         while iterations < max_iter:
             iterations += 1
-            s_val = float(C[idx] @ x - b[idx])
+            s_val = float(c @ x - b_idx)
             z, r, cz, z_norm = direction(idx)
             # step length limited by active inequality duals decreasing to zero
             t1, k1 = math.inf, -1
@@ -390,7 +391,7 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
         for a_idx in active:
             if a_idx >= n_eq and slack[a_idx - n_eq] >= -tol:
                 slack[a_idx - n_eq] = 0.0   # tight up to noise; ineligible to re-enter
-        worst = int(np.argmin(slack)) if len(slack) else -1
+        worst = int(slack.argmin()) if len(slack) else -1
         if worst < 0 or slack[worst] >= -tol:
             return _finish(p, x, OPTIMAL, iterations, kind, ref, active, duals)
         worst += n_eq
