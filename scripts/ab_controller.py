@@ -11,10 +11,13 @@ this checkout's ``dctsbench/workloads.py``, unchanged, so both sides run the
 same ticks. Prints, for solver S (``dcts`` by default), the p95 of each
 side's ticks in every round with the round's winner, then p50 and p95 of
 each side's per-tick medians over all rounds, as the benchmark takes them,
-and the wins per round. Host speed drifts by tens of percent over minutes;
-interleaving single cycles lets both sides see the same drift, so an edit is
-compared in about a minute, while the benchmark's paired 30 s runs stay the
-measure for a final claim.
+and the wins per round. Times are scaled to the nominal host speed with
+``workloads.HostSpeed``, as the benchmark scales them. Host speed drifts by
+tens of percent over minutes; interleaving single cycles lets both sides see
+the same drift, so an edit is compared in about a minute. On a shared 2-core
+host two runs of the same tree still read up to about 9 % apart in p95, so a
+smaller edit needs more rounds, and the benchmark's paired 30 s runs stay
+the measure for a final claim.
 
 Exits 1 if any tick of either side fails the benchmark's command checks.
 """
@@ -54,6 +57,9 @@ def main(argv: list[str]) -> int:
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
+    for checkout in args.checkouts:
+        if not (checkout / "src" / "dcts").is_dir():
+            ap.error(f"{checkout}: no src/dcts package")
 
     tallies = [workloads.Tally(), workloads.Tally()]
     names = ("A", "B")
@@ -73,9 +79,11 @@ def main(argv: list[str]) -> int:
             latency[:] = np.multiply(latency, tally.speed.factor()).tolist()
         p95 = [np.percentile(tally.cycles[-1].latency_s[args.solver], 95) * 1e6
                for tally in tallies]
+        winner = "tie"
         if p95[0] != p95[1]:
-            wins[int(p95[1] < p95[0])] += 1
-        winner = names[int(p95[1] < p95[0])] if p95[0] != p95[1] else "tie"
+            k = int(p95[1] < p95[0])
+            wins[k] += 1
+            winner = names[k]
         print(f"round {r + 1} ({names[order[0]]} first): p95 A {p95[0]:.0f} us, "
               f"B {p95[1]:.0f} us -> {winner}", flush=True)
 
