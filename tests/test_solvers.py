@@ -354,15 +354,13 @@ def test_top_level_scale_matches_the_lp_oracle(iiwa):
     """s_1 is the largest feasible scale of the top level, from below within
     the bisection's 1e-3: on the golden-stack states and on criterion 10's
     gravity-free sweep at three torque scales."""
-    cases = []
-    for state, dyn, realized, tau_ext, lr in stack_cases(iiwa):
-        cases.append((iiwa, state, dyn, realized, tau_ext, lr))
+    cases = [(iiwa, *case) for case in stack_cases(iiwa)]
     data = json.loads(rbd.bundled_model_path().read_text())
     data["gravity"] = [0.0, 0.0, 0.0]
     m0 = rbd.model_from_dict(data)
     state = rbd.JointState(np.array([-0.78, 2.05, 2.07, -1.65, -2.08, 2.03, 0.0]) * 0.9,
                            np.zeros(7))
-    for scale in (1.0 - 28 * 0.98 / 32, 1.0 - 30 * 0.98 / 32, 0.02):   # 0.143, 0.081, 0.020
+    for scale in np.linspace(1.0, 0.02, 33)[[28, 30, 32]]:     # 0.143, 0.081, 0.020
         model = replace(m0, tau_min=m0.tau_min * scale, tau_max=m0.tau_max * scale)
         dyn = rbd.compute_dynamics(model, state)
         J6 = rbd.jacobian(model, state.q, model.tool_frame, kin=dyn.kin)
