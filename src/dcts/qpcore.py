@@ -33,6 +33,7 @@ with all inequality duals >= 0.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -41,6 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgesv
 
 from .rbd import spd_factor, spd_solve
 
@@ -183,8 +185,38 @@ def dump_problem(problem: QpProblem, path: str | Path) -> None:
     Path(path).write_text(problem.to_json())
 
 
+class Certificate(NamedTuple):
+    """A Farkas certificate of an infeasible solve, as a test on the right side
+    of any problem of its family: the problem with equality right side ``beq``
+    cannot end optimal when the margin ``gain @ beq + offset`` exceeds the
+    allowance ``spread @ |beq| + base``. ``_certificate`` derives the bound."""
+
+    gain: list
+    offset: float
+    spread: list
+    base: float
+
+    def decides(self, beq: np.ndarray) -> bool:
+        """True if this certificate proves the family's problem with right
+        side ``beq`` infeasible by more than the tolerances allow."""
+        margin, allowance = self.offset, self.base
+        for g, w, v in zip(self.gain, self.spread, beq.tolist()):
+            margin += g * v
+            allowance += w * abs(v)
+        return margin > allowance
+
+
+_DUALS = ("eq_duals", "ineq_duals_lower", "ineq_duals_upper", "bound_duals_lower",
+          "bound_duals_upper")
+
+
 @dataclass
 class QpSolution:
+    """One solve's result. ``solve`` leaves the five dual vectors unbuilt and
+    builds them on first read (most DCTS stages never read them); a solution
+    built with explicit duals holds them as given. ``certificate`` is set on
+    an infeasible solve whose loop ended with one (see ``_certificate``)."""
+
     x: np.ndarray
     status: str
     iterations: int
@@ -195,6 +227,15 @@ class QpSolution:
     bound_duals_upper: np.ndarray
     infeasible_constraint: str | None = None
     infeasible_violation: float = 0.0
+    certificate: Certificate | None = None
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: an unbuilt dual
+        pending = self.__dict__.pop("_pending", None) if name in _DUALS else None
+        if pending is None:
+            raise AttributeError(name)
+        self.__dict__.update(zip(_DUALS, _dual_vectors(*pending)))
+        return self.__dict__[name]
 
 
 # internal one-sided constraint table -----------------------------------------
@@ -222,29 +263,40 @@ def _build_rows(p: QpProblem) -> _Rows:
 
     Order: equalities, then each Ain row's lower and upper side, then each
     variable's lower and upper bound. Rows with zero norm or an infinite side
-    are left out. Each norm is one ``r.dot(r)`` and a square root, rounded
-    as ``np.linalg.norm`` rounds it; bound rows are unit rows.
+    are left out. Each norm is one ``np.vecdot`` (the bytes of ``r.dot(r)``)
+    and a square root, rounded as ``np.linalg.norm`` rounds it. The equality
+    and Ain rows take one division: an upper side divides by the negated
+    norm, which gives the bytes of negating the quotient. Bound rows are unit
+    rows.
     """
-    d = p.dim
-    eq_norm = np.sqrt([r.dot(r) for r in p.Aeq])
-    in_norm = np.sqrt([r.dot(r) for r in p.Ain])
-    eq_index = np.flatnonzero(~(eq_norm <= 0.0))
+    eq_norm = np.sqrt(np.vecdot(p.Aeq, p.Aeq))
+    in_norm = np.sqrt(np.vecdot(p.Ain, p.Ain))
+    eq_index = np.flatnonzero(eq_norm > 0.0)
     eq_norm = eq_norm[eq_index]
-    in_i, in_side = np.nonzero(np.isfinite([p.lower, p.upper]).T & ~(in_norm <= 0.0)[:, None])
-    bd_j, bd_side = np.nonzero(np.isfinite([p.lb, p.ub]).T)
+    sides = np.array([p.lower, p.upper]).T
+    in_i, in_side = np.nonzero(np.isfinite(sides) & (in_norm > 0.0)[:, None])
     in_scale = in_norm[in_i]
-    eye = np.eye(d)
-    C = np.concatenate([p.Aeq[eq_index] / eq_norm[:, None],
-                        np.array([p.Ain, -p.Ain])[in_side, in_i] / in_scale[:, None],
-                        np.array([eye, 0.0 - eye])[bd_side, bd_j]])
-    b = np.concatenate([p.beq[eq_index] / eq_norm,
-                        np.array([p.lower, -p.upper])[in_side, in_i] / in_scale,
-                        np.array([p.lb, -p.ub])[bd_side, bd_j]])
+    scale = np.concatenate([eq_norm, np.where(in_side, -in_scale, in_scale)])
+    bounds = np.array([p.lb, -p.ub]).T
+    bd_j, bd_side = np.nonzero(np.isfinite(bounds))
+    C = np.concatenate([np.concatenate([p.Aeq[eq_index], p.Ain[in_i]]) / scale[:, None],
+                        _unit_rows(p.dim)[bd_j, bd_side]])
+    b = np.concatenate([np.concatenate([p.beq[eq_index], sides[in_i, in_side]]) / scale,
+                        bounds[bd_j, bd_side]])
     kind = [_EQ] * len(eq_index) + (_IN_LO + in_side).tolist() + (_BD_LO + bd_side).tolist()
     ref = list(zip(np.concatenate([eq_index, in_i, bd_j]).tolist(),
                    np.concatenate([eq_norm, in_scale, np.ones(len(bd_j))]).tolist()))
     C.flags.writeable = b.flags.writeable = False
     return _Rows(C, b, kind, ref, len(eq_index), eq_index, eq_norm)
+
+
+@functools.cache
+def _unit_rows(d: int) -> np.ndarray:
+    """[j, side]: the bound rows e_j and 0.0 - e_j of d variables, read-only."""
+    eye = np.eye(d)
+    rows = np.stack([eye, 0.0 - eye], axis=1)
+    rows.flags.writeable = False
+    return rows
 
 
 def _label(kind: int, ref) -> str:
@@ -384,7 +436,8 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
             flips += (e,)
         if not enter(e):
             return _finish(p, x, INFEASIBLE, iterations, kind, ref, active, duals,
-                           bad=e, bad_violation=abs(s_val))
+                           bad=e, bad_violation=abs(s_val), certificate=_certificate(
+                               p, C, kind, ref, active, direction(e)[1], e, tol))
 
     while iterations < max_iter and not exhausted:
         slack = C_in @ x - b_in
@@ -405,12 +458,25 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
             continue
         if not enter(worst):
             return _finish(p, x, INFEASIBLE, iterations, kind, ref, active, duals,
-                           bad=worst, bad_violation=float(-slack[worst - n_eq]))
+                           bad=worst, bad_violation=float(-slack[worst - n_eq]),
+                           certificate=_certificate(p, C, kind, ref, active,
+                                                    direction(worst)[1], worst, tol))
     return _finish(p, x, MAX_ITER, iterations, kind, ref, active, duals)
 
 
 def _finish(p, x, status, iterations, kind, ref, active, duals,
-            bad=None, bad_violation=0.0) -> QpSolution:
+            bad=None, bad_violation=0.0, certificate=None) -> QpSolution:
+    sol = object.__new__(QpSolution)
+    sol.__dict__.update(x=x.copy(), status=status, iterations=iterations,
+                        certificate=certificate, _pending=(p, kind, ref, active, duals))
+    if bad is not None:
+        sol.infeasible_constraint = _label(kind[bad], ref[bad])
+        sol.infeasible_violation = bad_violation
+    return sol
+
+
+def _dual_vectors(p, kind, ref, active, duals) -> list[np.ndarray]:
+    """The five dual vectors of a solve that ended with ``active`` and ``duals``."""
     m_eq, m_in, d = len(p.beq), len(p.lower), p.dim
     # where each kind's duals start in [eq, in_lo, in_hi, bd_lo, bd_hi]
     start = (0, m_eq, m_eq + m_in, m_eq + 2 * m_in, m_eq + 2 * m_in + d)
@@ -421,15 +487,71 @@ def _finish(p, x, status, iterations, kind, ref, active, duals,
         k = kind[a_idx]
         out[start[k] + i] += u if k != _EQ or scale > 0 else -u
     out = np.array(out)
-    sol = QpSolution(x=x.copy(), status=status, iterations=iterations,
-                     eq_duals=out[:start[1]], ineq_duals_lower=out[start[1]:start[2]],
-                     ineq_duals_upper=out[start[2]:start[3]],
-                     bound_duals_lower=out[start[3]:start[4]],
-                     bound_duals_upper=out[start[4]:])
-    if bad is not None:
-        sol.infeasible_constraint = _label(kind[bad], ref[bad])
-        sol.infeasible_violation = bad_violation
-    return sol
+    return [out[start[k]:end] for k, end in enumerate((*start[1:], len(out)))]
+
+
+def _certificate(p: QpProblem, C, kind, ref, active, r, idx, tol) -> Certificate | None:
+    """The Farkas certificate ``solve`` holds when row ``idx`` cannot enter.
+
+    The entering row is a combination of the active rows: the KKT solve of
+    its direction gives rates r with c_idx = sum_j r_j c_j + rho, where
+    rho = H z is left over, and no active inequality row blocks, so r_j <= tol
+    on each. Take the case that the d active rows form a basis B and every
+    inequality r_j <= 0, and let delta solve B^T delta = rho: then
+    c_idx = sum_j (r_j + delta_j) c_j. In the table that ``solve`` works on
+    (an equality row flipped there counts with its flipped sign), a problem
+    of the family that ends optimal at x meets every inequality row to tol
+    (its exit test) and every equality row to tol (an equality enters with a
+    full step or within tol and stays active; the residual measured 3e-11 at
+    most on the control_replay workload). So
+
+        c_idx x          >= b_idx - tol
+        sum_j r_j c_j x  <= sum_j r_j b_j + tol sum_j |r_j|
+        delta_j c_j x    <= |delta_j| (h_j + tol)
+
+    where h_j = |b_j| for an equality row and max(|b_j|, |u_j|) for an
+    inequality row whose other side c_j x <= u_j is finite. Together, with
+    the margin m = b_idx - sum_j r_j b_j,
+
+        m <= tol (1 + sum_j |r_j|) + sum_j |delta_j| (h_j + tol).
+
+    A right side whose margin exceeds this allowance has no optimal x: it
+    ends infeasible or at the iteration cap. An equality row's b_j is
+    beq_i / |Aeq_i|, so the margin is affine in beq and the allowance affine
+    in |beq|; the rounding of both dot products is far below tol at the
+    magnitudes here. No certificate when the active rows are fewer than d,
+    an inequality rate is positive, or delta is nonzero on an inequality row
+    without a finite other side.
+    """
+    if len(active) != p.dim:
+        return None
+    n_eq, b = p._rows.n_eq, p._rows.b
+    B = C[active]
+    *_, delta, info = dgesv(B.T, C[idx] - np.dot(r, B))
+    if info:
+        return None
+    delta = np.abs(delta).tolist()
+    gain, spread = [0.0] * len(p.beq), [0.0] * len(p.beq)
+    offset = 0.0
+    base = tol * (1.0 + sum(map(abs, r)) + sum(delta))
+    # the margin is sum_a weight_a b_a: the entering row with weight 1 and
+    # each active row with weight -r_j
+    for a, weight, dj in ((idx, 1.0, 0.0), *zip(active, (-rj for rj in r), delta)):
+        i, norm = ref[a]
+        if a < n_eq:            # b_a = beq_i / norm, norm negative if flipped
+            gain[i] += weight / norm
+            spread[i] += dj / abs(norm)
+            continue
+        if weight < 0.0:
+            return None
+        offset += weight * b[a]
+        if dj:
+            k = kind[a]
+            other = {_IN_LO: p.upper, _IN_HI: p.lower, _BD_LO: p.ub, _BD_HI: p.lb}[k][i]
+            if not math.isfinite(other):
+                return None
+            base += dj * max(abs(b[a]), abs(other) / norm)
+    return Certificate(gain, offset, spread, base)
 
 
 def kkt_residual(p: QpProblem, s: QpSolution) -> tuple[float, float, float]:

@@ -355,8 +355,10 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
     realizes the strict hierarchy: a lower level can neither disturb nor
     trade away anything the levels above already claimed.
 
-    ``diagnostics["last_qp"]`` is the last problem passed to the QP solver,
-    on every return.
+    ``diagnostics["last_qp"]`` is the last stage the cascade decided, on
+    every return: a solved problem, or a bisection trial that a certificate
+    decided without a solve. ``stages`` and ``qp_iterations`` count the
+    solves that ran.
     """
     if dyn is None:
         dyn = rbd.compute_dynamics(model, state)
@@ -407,6 +409,8 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
             if sol.status == qpcore.MAX_ITER:
                 return _brake_fallback(dyn, k, MAX_ITER,
                                        {"stage": f"level-{i + 1}-full", "last_qp": last_qp})
+            # the infeasible stages of the s-pinned family, for the bisection
+            certificates = [sol.certificate]
             sol = solve(_level_qp(*args, maximize_s=True))
             if sol.status != qpcore.OPTIMAL:
                 return _brake_fallback(
@@ -425,18 +429,26 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
                      "blocking": sol_lo.infeasible_constraint, "last_qp": last_qp})
             # the penalty stage's s is exact when a constraint pins it but
             # biased low when its conditioning term does; bisect the true
-            # feasibility boundary
+            # feasibility boundary. A trial that a certificate of the level's
+            # infeasible stages decides is not solved: it would not end
+            # optimal.
             s_hi = 1.0
             for _ in range(10):
                 if s_hi - s_lo <= 1e-3:
                     break
                 mid = 0.5 * (s_lo + s_hi)
-                trial_problem = fixed.with_beq(mid * t.a_d + rhs0)
+                beq = mid * t.a_d + rhs0
+                trial_problem = fixed.with_beq(beq)
+                # the newest certificate is the likeliest to decide
+                if any(c is not None and c.decides(beq) for c in reversed(certificates)):
+                    s_hi, last_qp = mid, trial_problem
+                    continue
                 trial = solve(trial_problem)
                 if trial.status == qpcore.OPTIMAL:
                     s_lo, sol_lo, problem = mid, trial, trial_problem
                 else:
                     s_hi = mid
+                    certificates.append(trial.certificate)
             s_out[i] = s_lo
             sol = sol_lo
         qdd_i = sol.x[:n]

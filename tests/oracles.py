@@ -4,8 +4,9 @@ Everything here is deliberately written on a different code path than the
 library: forward kinematics through scipy Rotation composition, planar
 two-link dynamics from the textbook closed forms, Jacobians by central
 differences, a classical Runge-Kutta integrator for conservation studies, a
-brute-force active-set enumeration for small QPs and a HiGHS linear program
-for the largest feasible task scale.
+brute-force active-set enumeration for small QPs, a HiGHS linear program
+for the largest feasible task scale, the DCTS cascade that solves every
+bisection trial and the dual vectors of a solve built eagerly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial.transform import Rotation
 
-from dcts import rbd
+from dcts import qpcore, rbd, solvers
 
 
 def fk_chain(model_dict: dict, q, frame: int | None = None):
@@ -166,8 +167,6 @@ def qp_brute_force(p, feas_tol: float = 1e-8):
 
 def random_qp(rng: np.random.Generator):
     """A random small strictly convex QP with a mix of constraint kinds."""
-    from dcts import qpcore
-
     d = int(rng.integers(1, 7))
     r = int(rng.integers(0, 5))
     A0 = rng.normal(size=(d, d))
@@ -239,3 +238,111 @@ def lp_max_scale(J, a_d, rhs0, M, tau_lo, tau_hi, acc_lo=None, acc_hi=None) -> f
     if res.status != 0:
         raise ValueError(f"no feasible task scale: {res.message}")
     return float(res.x[n])
+
+
+def qp_duals_eager(p, kind, ref, active, duals) -> list[np.ndarray]:
+    """The five dual vectors [eq, ineq lower, ineq upper, bound lower, bound
+    upper] of a solve that ended with ``active`` and ``duals``, built at once
+    in one list as an eager reference for the vectors a ``QpSolution``
+    builds on first read."""
+    m_eq, m_in, d = len(p.beq), len(p.lower), p.dim
+    start = (0, m_eq, m_eq + m_in, m_eq + 2 * m_in, m_eq + 2 * m_in + d)
+    out = [0.0] * (m_eq + 2 * (m_in + d))
+    for pos, a_idx in enumerate(active):
+        i, scale = ref[a_idx]
+        u = duals[pos] / abs(scale)
+        k = kind[a_idx]
+        out[start[k] + i] += u if k != 0 or scale > 0 else -u
+    out = np.array(out)
+    return [out[:start[1]], out[start[1]:start[2]], out[start[2]:start[3]],
+            out[start[3]:start[4]], out[start[4]:]]
+
+
+def dcts_every_trial(model, state, tasks, limit_real=None, tau_ext=None, cfg=None,
+                     dyn=None):
+    """``solvers.solve_dcts_multi`` as it ran before infeasibility
+    certificates: every bisection trial is solved. Its outputs are the
+    reference the certificate skip must reproduce byte for byte."""
+    if dyn is None:
+        dyn = rbd.compute_dynamics(model, state)
+    n = model.n
+    k = len(tasks)
+    projectors = solvers._nullspace_stack(tasks, dyn)
+    minv_tau_ext = None
+    if tau_ext is not None and np.any(tau_ext):
+        minv_tau_ext = dyn.minv(np.asarray(tau_ext, float))
+    comp = dyn.nu + dyn.g
+    tau_lo = model.tau_min - comp
+    tau_hi = model.tau_max - comp
+    acc_lo = acc_hi = None
+    if limit_real is not None:
+        acc_lo, acc_hi = limit_real.bounds.acc_min, limit_real.bounds.acc_max
+
+    frozen = np.zeros(n)
+    qdd_blocks = []
+    s_out = np.ones(k)
+    stages = iterations = 0
+    last_qp = None
+
+    def solve(problem):
+        nonlocal stages, iterations, last_qp
+        sol = qpcore.solve(problem)
+        stages += 1
+        iterations += sol.iterations
+        last_qp = problem
+        return sol
+
+    for i, t in enumerate(tasks):
+        rhs0 = -t.jdot_qd
+        if minv_tau_ext is not None:
+            rhs0 = rhs0 - t.J @ minv_tau_ext
+        args = (dyn, t.J, t.a_d, rhs0, projectors[i], frozen, tau_lo, tau_hi, acc_lo, acc_hi)
+        problem = fixed = solvers._level_qp(*args, maximize_s=False)
+        sol = solve(problem)
+        if sol.status != qpcore.OPTIMAL:
+            if sol.status == qpcore.MAX_ITER:
+                return solvers._brake_fallback(
+                    dyn, k, solvers.MAX_ITER, {"stage": f"level-{i + 1}-full", "last_qp": last_qp})
+            sol = solve(solvers._level_qp(*args, maximize_s=True))
+            if sol.status != qpcore.OPTIMAL:
+                return solvers._brake_fallback(
+                    dyn, k, solvers.INFEASIBLE,
+                    {"qp": sol.status, "stage": f"level-{i + 1}-scale",
+                     "blocking": sol.infeasible_constraint, "last_qp": last_qp})
+            s_lo = float(np.clip(sol.x[n] - 1e-8, 0.0, 1.0))
+            problem = fixed.with_beq(s_lo * t.a_d + rhs0)
+            sol_lo = solve(problem)
+            if sol_lo.status != qpcore.OPTIMAL:
+                return solvers._brake_fallback(
+                    dyn, k, solvers.INFEASIBLE,
+                    {"qp": sol_lo.status, "stage": f"level-{i + 1}-energy",
+                     "blocking": sol_lo.infeasible_constraint, "last_qp": last_qp})
+            s_hi = 1.0
+            for _ in range(10):
+                if s_hi - s_lo <= 1e-3:
+                    break
+                mid = 0.5 * (s_lo + s_hi)
+                trial_problem = fixed.with_beq(mid * t.a_d + rhs0)
+                trial = solve(trial_problem)
+                if trial.status == qpcore.OPTIMAL:
+                    s_lo, sol_lo, problem = mid, trial, trial_problem
+                else:
+                    s_hi = mid
+            s_out[i] = s_lo
+            sol = sol_lo
+        qdd_i = sol.x[:n]
+        qdd_blocks.append(qdd_i)
+        frozen = frozen + projectors[i] @ qdd_i
+
+    tau = dyn.M @ frozen + comp
+    active = {
+        "torque": [int(j) for j in np.nonzero(
+            (sol.ineq_duals_lower[:n] > 1e-9) | (sol.ineq_duals_upper[:n] > 1e-9))[0]],
+        "limited_space": [int(j) for j in np.nonzero(
+            (sol.ineq_duals_lower[n:] > 1e-9) | (sol.ineq_duals_upper[n:] > 1e-9))[0]],
+    }
+    return solvers.ControlOutput(
+        tau=tau, qdd=frozen, s=s_out, status=solvers.OPTIMAL,
+        diagnostics={"stages": stages, "qp_iterations": iterations, "active": active,
+                     "kkt": qpcore.kkt_residual(problem, sol),
+                     "qdd_aug": np.concatenate(qdd_blocks), "last_qp": last_qp})

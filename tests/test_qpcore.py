@@ -60,6 +60,57 @@ def test_kkt_residual_hand_built_optimum():
     assert max(qpcore.kkt_residual(p, s)) == 0.0
 
 
+def test_solution_with_explicit_duals_holds_them_as_given():
+    duals = {name: np.arange(k, dtype=float) for name, k in zip(qpcore._DUALS, (0, 2, 2, 1, 1))}
+    s = qpcore.QpSolution(x=np.zeros(1), status=qpcore.OPTIMAL, iterations=0, **duals)
+    for name, value in duals.items():
+        assert getattr(s, name) is value
+    assert s.certificate is None and s.infeasible_constraint is None
+    with pytest.raises(AttributeError):
+        s.no_such_field
+
+
+def test_solve_builds_the_duals_on_first_read():
+    p = qpcore.QpProblem(H=np.eye(2), f=np.array([-10.0, 0.0]), Aeq=np.array([[0.0, 1.0]]),
+                         beq=np.array([1.0]), Ain=np.array([[1.0, 0.0]]),
+                         lower=np.array([-1.0]), upper=np.array([2.0]), lb=np.full(2, -5.0))
+    s = qpcore.solve(p)
+    assert not set(qpcore._DUALS) & set(vars(s))
+    np.testing.assert_array_equal(s.ineq_duals_upper, [8.0])
+    assert set(qpcore._DUALS) <= set(vars(s))
+    assert [len(getattr(s, name)) for name in qpcore._DUALS] == [1, 1, 1, 2, 2]
+    np.testing.assert_array_equal(s.eq_duals, [1.0])
+    np.testing.assert_array_equal(s.bound_duals_lower, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_certificate_decides_by_its_margin(sign):
+    """x1 + x2 = beq under |x| <= 1 is infeasible for |beq| > 2. The
+    certificate of the solve at 5 sign decides every right side whose margin
+    |beq| - 2 exceeds the tolerances, and no right side that can be met; with
+    sign -1 the equality row is flipped in the solve."""
+    base = qpcore.QpProblem(H=np.eye(2), f=np.zeros(2), Aeq=np.array([[1.0, 1.0]]),
+                            beq=np.zeros(1), lb=-np.ones(2), ub=np.ones(2))
+    s = qpcore.solve(base.with_beq([5.0 * sign]))
+    assert s.status == qpcore.INFEASIBLE
+    cert = s.certificate
+    for beq in (5.0, 2.0 + 1e-6, 1e3):
+        assert cert.decides(np.array([beq * sign]))
+        assert qpcore.solve(base.with_beq([beq * sign])).status == qpcore.INFEASIBLE
+    for beq in (2.0, 2.0 + 1e-9, 1.0, 0.0, -2.0, -5.0):
+        assert not cert.decides(np.array([beq * sign]))
+
+
+def test_no_certificate_without_a_basis():
+    """An infeasible solve whose active rows are fewer than the variables
+    attaches no certificate: x1 >= 1 and x1 <= 0 leave x2 free."""
+    p = qpcore.QpProblem(H=np.eye(2), f=np.zeros(2), Ain=np.array([[1.0, 0.0]]),
+                         lower=np.array([1.0]), upper=np.array([np.inf]),
+                         ub=np.array([0.0, np.inf]))
+    s = qpcore.solve(p)
+    assert s.status == qpcore.INFEASIBLE and s.certificate is None
+
+
 def test_kkt_residual_grows_linearly_with_perturbation():
     p = qpcore.QpProblem(H=np.diag([2.0, 3.0]), f=np.array([1.0, -1.0]))
     s = qpcore.solve(p)

@@ -7,11 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from dcts import limits, qpcore, rbd, solvers, tasks
 
 import oracles
 from conftest import Q_STAR
-from test_golden_stack import N_STATES, Q_NOMINAL, stack_cases, stack_outputs
+from test_golden_stack import ACC_LIMIT, N_STATES, Q_NOMINAL, stack_cases, stack_outputs
 
 
 def rotation_task(model, dyn, a_d=(2.0, -1.0)):
@@ -349,6 +352,102 @@ def test_optimal_stages_meet_their_task_equality(iiwa):
                     worst = max(worst, float(np.abs(stage.Aeq @ sol.x - stage.beq).max()))
     assert optimal > 1000
     assert worst <= 1e-6
+
+
+def golden_variants(model, seeds=(5, 8, 9, 10, 11, 12)):
+    """(state, dyn, realized tasks, tau_ext, limit realization) on the
+    golden-stack states of ``seeds``, each once without and once with an
+    external torque (the state's own pulse, or a seeded one)."""
+    lset = limits.joint_space_limits(model, 1e-3, a_min=-ACC_LIMIT, a_max=ACC_LIMIT)
+    rng = np.random.default_rng(3)
+    for seed in seeds:
+        for state, dyn, realized, tau_ext, _ in stack_cases(model, seed):
+            pulse = rng.normal(0.0, 4.0, 7) if tau_ext is None else tau_ext
+            for ext in (None, pulse):
+                lr = limits.realize_joint_limits(lset, state.q, state.qd,
+                                                 None if ext is None else dyn.minv(ext))
+                yield state, dyn, realized, ext, lr
+
+
+def _encoded(value):
+    """A diagnostics value as bytes: a QP as its JSON, an array with its
+    dtype and shape, anything else as its repr."""
+    if isinstance(value, qpcore.QpProblem):
+        return value.to_json().encode()
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype} {value.shape}".encode() + value.tobytes()
+    if isinstance(value, tuple):
+        return np.array(value).tobytes()
+    return repr(value).encode()
+
+
+def test_certificate_skip_matches_solving_every_trial(iiwa):
+    """The cascade that skips the bisection trials a certificate decides
+    returns the bytes of the one that solves every trial, stage counts
+    aside, on seeds 5 and 8-12 with and without tau_ext."""
+    runs = fewer = 0
+    for state, dyn, realized, tau_ext, lr in golden_variants(iiwa):
+        out = solvers.solve_dcts_multi(iiwa, state, realized, lr, tau_ext, dyn=dyn)
+        ref = oracles.dcts_every_trial(iiwa, state, realized, lr, tau_ext, dyn=dyn)
+        for name in ("tau", "qdd", "s"):
+            assert _encoded(getattr(out, name)) == _encoded(getattr(ref, name)), name
+        assert out.status == ref.status == solvers.OPTIMAL
+        d, d_ref = out.diagnostics, ref.diagnostics
+        assert d.keys() == d_ref.keys()
+        for key in ("kkt", "active", "qdd_aug", "last_qp"):
+            assert _encoded(d[key]) == _encoded(d_ref[key]), key
+        assert d["stages"] <= d_ref["stages"]
+        assert d["qp_iterations"] <= d_ref["qp_iterations"]
+        fewer += d["stages"] < d_ref["stages"]
+        runs += 1
+    assert runs == 12 * N_STATES
+    assert fewer >= 100
+
+
+_TOP_LEVELS = {}
+
+
+def golden_top_levels(model, seed):
+    """(top-level family, task, rhs0) on each golden-stack state of ``seed``."""
+    if seed not in _TOP_LEVELS:
+        _TOP_LEVELS[seed] = [(*top_level(model, dyn, realized[0], tau_ext, lr)[:2], realized[0])
+                             for _, dyn, realized, tau_ext, lr in stack_cases(model, seed)]
+    return _TOP_LEVELS[seed]
+
+
+@given(st.sampled_from([5, *range(8, 15)]), st.integers(0, N_STATES - 1),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_a_certificate_decides_only_scales_that_end_not_optimal(iiwa, seed, k, s_a, s_b):
+    """Whenever the certificate of an infeasible top-level solve at scale
+    s_a decides scale s_b, the solve at s_b does not end optimal."""
+    fixed, rhs0, task = golden_top_levels(iiwa, seed)[k]
+    sol = qpcore.solve(fixed.with_beq(s_a * task.a_d + rhs0))
+    beq = s_b * task.a_d + rhs0
+    if sol.certificate is not None and sol.certificate.decides(beq):
+        assert qpcore.solve(fixed.with_beq(beq)).status != qpcore.OPTIMAL
+
+
+def test_lazy_duals_equal_the_eager_build_on_every_stage(iiwa, monkeypatch):
+    """Each stage of the golden stack, the constructed problems and those
+    with_beq derived, builds on first read the dual vectors the eager
+    reference builds from the same solve; they are read after every later
+    stage of the call has been solved."""
+    stages = []
+    solve = qpcore.solve
+
+    def recording(problem, *args, **kwargs):
+        sol = solve(problem, *args, **kwargs)
+        assert not set(qpcore._DUALS) & set(vars(sol))
+        stages.append((sol, oracles.qp_duals_eager(*sol._pending)))
+        return sol
+
+    monkeypatch.setattr(qpcore, "solve", recording)
+    stack_outputs(iiwa)
+    assert len(stages) > 4 * N_STATES
+    for sol, eager in stages:
+        for name, vector in zip(qpcore._DUALS, eager):
+            assert _encoded(getattr(sol, name)) == _encoded(vector), name
 
 
 def test_top_level_scale_matches_the_lp_oracle(iiwa):
