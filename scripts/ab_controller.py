@@ -11,7 +11,8 @@ this checkout's ``dctsbench/workloads.py``, unchanged, so both sides run the
 same ticks. Prints, for solver S (``dcts`` by default), the p95 of each
 side's ticks in every round with the round's winner, then p50 and p95 of
 each side's per-tick medians over all rounds, as the benchmark takes them,
-and the wins per round. Times are scaled to the nominal host speed with
+with the mean QP solves per tick of S (``diagnostics["stages"]``, for a
+solver that reports it), and the wins per round. Times are scaled to the nominal host speed with
 ``workloads.HostSpeed``, as the benchmark scales them. Host speed drifts by
 tens of percent over minutes; interleaving single cycles lets both sides see
 the same drift, so an edit is compared in about a minute. On a shared 2-core
@@ -47,6 +48,20 @@ def import_dcts(checkout: Path):
         sys.path.remove(str(src))
 
 
+def count_stages(dcts, solver: str, stages: list) -> None:
+    """Wrap solver ``solver`` of ``dcts`` to append each tick's
+    ``diagnostics["stages"]`` (None when it reports none) to ``stages``."""
+    name = next(span.split(".")[1] for span, s in workloads.SOLVER_SPANS.items() if s == solver)
+    solve = getattr(dcts.solvers, name)
+
+    def counted(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        stages.append(out.diagnostics.get("stages"))
+        return out
+
+    setattr(dcts.solvers, name, counted)
+
+
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("checkouts", nargs=2, type=Path, metavar="CHECKOUT",
@@ -62,6 +77,7 @@ def main(argv: list[str]) -> int:
             ap.error(f"{checkout}: no src/dcts package")
 
     tallies = [workloads.Tally(), workloads.Tally()]
+    stages = [[], []]
     names = ("A", "B")
     wins = [0, 0]
     print(f"seed {args.seed}, solver {args.solver}, {args.rounds} rounds; "
@@ -70,6 +86,7 @@ def main(argv: list[str]) -> int:
         order = (0, 1) if r % 2 == 0 else (1, 0)
         for k in order:
             dcts = import_dcts(args.checkouts[k])
+            count_stages(dcts, args.solver, stages[k])
             tally = tallies[k]
             tally.speed = workloads.HostSpeed()
             gc.collect()            # no side inherits the other's garbage
@@ -89,12 +106,14 @@ def main(argv: list[str]) -> int:
 
     code = 0
     summary = []
-    for name, tally in zip(names, tallies):
+    for name, tally, counts in zip(names, tallies, stages):
         _, latency = workloads.steady_times(tally)
         p50, p95 = np.percentile(latency[args.solver] * 1e6, [50, 95])
         summary.append(p95)
+        counts = [c for c in counts if c is not None]
+        solves = f"{np.mean(counts):.2f} QP solves per tick" if counts else "no stage count"
         print(f"{name}: p50 {p50:.0f} us, p95 {p95:.0f} us "
-              f"(per-tick medians over {len(tally.cycles)} cycles)")
+              f"(per-tick medians over {len(tally.cycles)} cycles), {solves}")
         if tally.failed:
             code = 1
             print(f"{name}: {tally.failed} of {tally.ticks} ticks failed", file=sys.stderr)

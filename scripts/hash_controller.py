@@ -6,14 +6,17 @@
 For each seed, runs one cycle of the ``control_replay`` workload (its
 generator and tick loop are imported from ``dctsbench/workloads.py``,
 unchanged): every segment through all four solvers, one controller tick per
-sample, no plant. Prints one line per (seed, solver): the seed, the solver
-and the SHA-256 over ``tau``, ``qdd``, ``s``, ``status`` and every
-diagnostics entry of every tick, with ``last_qp`` as its JSON. Two checkouts
-whose controllers compute the same bytes print the same lines, so a change
-that must not move any controller output is checked with
+sample, no plant. Prints one line per (seed, solver): the seed, the solver,
+the SHA-256 over ``tau``, ``qdd``, ``s``, ``status`` and every diagnostics
+entry of every tick, with ``last_qp`` as its JSON, and a second SHA-256 over
+the same ticks without the solve counts ``stages`` and ``qp_iterations``.
+Two checkouts whose controllers compute the same bytes print the same lines,
+so a change that must not move any controller output is checked with
 
     python scripts/hash_controller.py > after.txt      # in each checkout
     diff before.txt after.txt
+
+and a change that only drops solves keeps the last column of every line.
 
 Exits 1 if any tick fails the benchmark's command checks.
 """
@@ -55,20 +58,26 @@ def _feed(h, value) -> None:
         h.update(repr(value).encode())
 
 
+# the diagnostics that count solves, which the second hash leaves out
+SOLVE_COUNTS = ("stages", "qp_iterations")
+
+
 def controller_hashes(dcts, seed: int) -> tuple[dict, workloads.Tally]:
-    """{solver: sha256} over one control_replay cycle, and the cycle's tally."""
-    hashes = {solver: hashlib.sha256() for solver in workloads.SOLVERS}
+    """{solver: (sha256, sha256 without the solve counts)} over one
+    control_replay cycle, and the cycle's tally."""
+    hashes = {solver: (hashlib.sha256(), hashlib.sha256()) for solver in workloads.SOLVERS}
     solvers = dcts.solvers
     originals = {name: getattr(solvers, name) for name in SOLVER_FUNCTIONS}
 
     def hashing(name):
         def call(*args, **kwargs):
             out = originals[name](*args, **kwargs)
-            h = hashes[SOLVER_FUNCTIONS[name]]
-            for arr in (out.tau, out.qdd, out.s):
-                _feed(h, np.asarray(arr))
-            _feed(h, out.status)
-            _feed(h, out.diagnostics)
+            rest = {k: v for k, v in out.diagnostics.items() if k not in SOLVE_COUNTS}
+            for h, diagnostics in zip(hashes[SOLVER_FUNCTIONS[name]], (out.diagnostics, rest)):
+                for arr in (out.tau, out.qdd, out.s):
+                    _feed(h, np.asarray(arr))
+                _feed(h, out.status)
+                _feed(h, diagnostics)
             return out
         return call
 
@@ -80,7 +89,7 @@ def controller_hashes(dcts, seed: int) -> tuple[dict, workloads.Tally]:
     finally:
         for name, fn in originals.items():
             setattr(solvers, name, fn)
-    return {solver: h.hexdigest() for solver, h in hashes.items()}, tally
+    return {solver: tuple(h.hexdigest() for h in pair) for solver, pair in hashes.items()}, tally
 
 
 def main(argv: list[str]) -> int:
@@ -93,8 +102,8 @@ def main(argv: list[str]) -> int:
     code = 0
     for seed in seeds:
         digests, tally = controller_hashes(dcts, seed)
-        for solver, digest in digests.items():
-            print(f"{seed} {solver} {digest}", flush=True)
+        for solver, (digest, without_counts) in digests.items():
+            print(f"{seed} {solver} {digest} {without_counts}", flush=True)
         if tally.failed:
             code = 1
             print(f"seed {seed}: {tally.failed} of {tally.ticks} ticks failed", file=sys.stderr)
