@@ -25,7 +25,7 @@ Q_NOMINAL = np.array([0.0, 0.3, 0.0, -1.5, 0.0, 1.0, 0.0])
 ACC_LIMIT = np.array([30.0, 25.0, 60.0, 70.0, 400.0, 400.0, 600.0])
 N_STATES = 12
 
-GOLDEN = "3356a0d4bbed099e3b978396ddb4e44a7ddfcbbf18caa3f23e80181b36ccb307"
+GOLDEN = "5a11f9c8bf21e3b3f95defa20c20734c400d16fc013005bf1013d24049339e19"
 
 
 def stack_cases(model, seed: int = 5):

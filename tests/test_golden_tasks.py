@@ -24,7 +24,7 @@ from test_golden_stack import ACC_LIMIT, N_STATES, Q_NOMINAL
 
 GOLDEN_TASKS = "c8cc0327bed22c6c2caa1e1d8b9d420b2b4dfb408048a72e232fcbdbac064dda"
 GOLDEN_SOLVERS = {
-    "dcts": "d50fba2d1cfceb327dc873c069dd10fabd64eb6fc58af025d0874e5d915bd2d8",
+    "dcts": "a71d0db2ced67e92485344436ffb06913218a31f05c4d787d3b95ff8615b3ccb",
     "osc": "3015fa00b78cdb4ea6d89387baa48817a3a71a8f3c22a124d305b16980737540",
     "qp-mt": "0691c70a1fefb524999715cfb6a5262b3925b1df72f63e268a80649e402bacb3",
     "qp-md": "59b6c56b038135a0ab94a165fb8e890606a12ffa2fbee5ee7bc1a8d38db73f4c",

@@ -314,7 +314,7 @@ def test_dcts_solves_each_kkt_system_once_per_call(iiwa, monkeypatch):
     stack_outputs(iiwa)
     assert len(per_call) == N_STATES
     assert all(len(set(keys)) == len(keys) for keys in per_call)
-    assert sum(map(len, per_call)) == 239
+    assert sum(map(len, per_call)) == 222
 
 
 def top_level(model, dyn, task, tau_ext, lr):
