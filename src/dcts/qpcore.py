@@ -487,7 +487,7 @@ def _dual_vectors(p, kind, ref, active, duals) -> list[np.ndarray]:
         k = kind[a_idx]
         out[start[k] + i] += u if k != _EQ or scale > 0 else -u
     out = np.array(out)
-    return [out[start[k]:end] for k, end in enumerate((*start[1:], len(out)))]
+    return [out[a:b] for a, b in zip(start, (*start[1:], len(out)))]
 
 
 def _certificate(p: QpProblem, C, kind, ref, active, r, idx, tol) -> Certificate | None:
