@@ -42,7 +42,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgesv
 
 from .rbd import spd_factor, spd_solve
 
@@ -185,27 +184,6 @@ def dump_problem(problem: QpProblem, path: str | Path) -> None:
     Path(path).write_text(problem.to_json())
 
 
-class Certificate(NamedTuple):
-    """A Farkas certificate of an infeasible solve, as a test on the right side
-    of any problem of its family: the problem with equality right side ``beq``
-    cannot end optimal when the margin ``gain @ beq + offset`` exceeds the
-    allowance ``spread @ |beq| + base``. ``_certificate`` derives the bound."""
-
-    gain: list
-    offset: float
-    spread: list
-    base: float
-
-    def decides(self, beq: np.ndarray) -> bool:
-        """True if this certificate proves the family's problem with right
-        side ``beq`` infeasible by more than the tolerances allow."""
-        margin, allowance = self.offset, self.base
-        for g, w, v in zip(self.gain, self.spread, beq.tolist()):
-            margin += g * v
-            allowance += w * abs(v)
-        return margin > allowance
-
-
 _DUALS = ("eq_duals", "ineq_duals_lower", "ineq_duals_upper", "bound_duals_lower",
           "bound_duals_upper")
 
@@ -214,8 +192,9 @@ _DUALS = ("eq_duals", "ineq_duals_lower", "ineq_duals_upper", "bound_duals_lower
 class QpSolution:
     """One solve's result. ``solve`` leaves the five dual vectors unbuilt and
     builds them on first read (most DCTS stages never read them); a solution
-    built with explicit duals holds them as given. ``certificate`` is set on
-    an infeasible solve whose loop ended with one (see ``_certificate``)."""
+    built with explicit duals holds them as given. A solution of ``solve``
+    keeps the active set and multipliers its loop ended with, which ``sweep``
+    starts from."""
 
     x: np.ndarray
     status: str
@@ -227,11 +206,10 @@ class QpSolution:
     bound_duals_upper: np.ndarray
     infeasible_constraint: str | None = None
     infeasible_violation: float = 0.0
-    certificate: Certificate | None = None
 
     def __getattr__(self, name):
         # reached only for an attribute the instance lacks: an unbuilt dual
-        pending = self.__dict__.pop("_pending", None) if name in _DUALS else None
+        pending = self.__dict__.get("_pending") if name in _DUALS else None
         if pending is None:
             raise AttributeError(name)
         self.__dict__.update(zip(_DUALS, _dual_vectors(*pending)))
@@ -323,6 +301,45 @@ def _factor_psd(H: np.ndarray):
     raise QpError("Hessian is not positive semidefinite (regularization failed)")
 
 
+def _kkt_solve(Hs: np.ndarray, N: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solution of [Hs N; N^T 0] y = rhs, in least squares if singular."""
+    d, na = N.shape
+    K = np.zeros((d + na, d + na))
+    K[:d, :d] = Hs
+    K[:d, d:] = N
+    K[d:, :d] = N.T
+    try:
+        return np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(K, rhs, rcond=None)[0]
+
+
+def _direction(p: QpProblem, C, flips: tuple, active: list, idx: int):
+    """(z, r, c z, |z|) of [H N; N^T 0][z; r] = [c; 0] for c = C[idx] and
+    N = C[active]^T, so c = H z + sum_j r_j C[active[j]]: z primal
+    (read-only), r the dual rates as a list. It is fixed by C[active], C[idx]
+    and K's column order, so by the equality rows flipped, the active list
+    and the entering row: the key of the family's shared dict."""
+    cache = p._directions
+    key = (flips, tuple(active), idx)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    c = C[idx]
+    d = p.dim
+    if not active:
+        z, r = spd_solve(p._factor[0], c), []
+    else:
+        rhs = np.zeros(d + len(active))
+        rhs[:d] = c
+        y = _kkt_solve(p._factor[1], C[active].T, rhs)
+        z, r = y[:d], y[d:].tolist()
+    z.flags.writeable = False
+    # z.dot(z) and its square root round as np.linalg.norm(z) does
+    hit = cache[key] = z, r, float(c @ z), math.sqrt(z.dot(z))
+    return hit
+
+
 def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
     """Dual active-set solve. See the module docstring for conventions."""
     d = p.dim
@@ -331,51 +348,16 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
     C, b, ref = rows.C, rows.b, rows.ref
     kind, n_eq = rows.kind, rows.n_eq
     C_in, b_in = C[n_eq:], b[n_eq:]
-    cho, Hs, _sigma = p._factor
-    # A direction is fixed by C[active], C[idx] and the order of K's columns,
-    # so by the equality rows flipped so far, the active list and the
-    # entering row: the key of the family's shared dict.
     cache = p._directions
     flips: tuple = ()
 
     x = cache.get(None)
     if x is None:
-        x = cache[None] = spd_solve(cho, -p.f)
+        x = cache[None] = spd_solve(p._factor[0], -p.f)
         x.flags.writeable = False
     active: list[int] = []
     duals: list[float] = []
     iterations = 0
-
-    def direction(idx: int):
-        """(z, r, c z, |z|) of [H N; N^T 0][z; -r] = [c; 0] for c = C[idx] and
-        N = C[active]^T: z primal (read-only), r the dual rates as a list;
-        shared by the family."""
-        key = (flips, tuple(active), idx)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        c = C[idx]
-        if not active:
-            z, r = spd_solve(cho, c), []
-        else:
-            N = C[active].T
-            na = len(active)
-            K = np.zeros((d + na, d + na))
-            K[:d, :d] = Hs
-            K[:d, d:] = N
-            K[d:, :d] = N.T
-            rhs = np.zeros(d + na)
-            rhs[:d] = c
-            try:
-                sol = np.linalg.solve(K, rhs)
-            except np.linalg.LinAlgError:
-                sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-            z, r = sol[:d], sol[d:].tolist()
-        z.flags.writeable = False
-        # z.dot(z) and its square root round as np.linalg.norm(z) does
-        hit = cache[key] = z, r, float(c @ z), math.sqrt(z.dot(z))
-        return hit
-
     exhausted = False
 
     def enter(idx: int) -> bool:
@@ -386,7 +368,7 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
         while iterations < max_iter:
             iterations += 1
             s_val = float(c @ x - b_idx)
-            z, r, cz, z_norm = direction(idx)
+            z, r, cz, z_norm = _direction(p, C, flips, active, idx)
             # step length limited by active inequality duals decreasing to zero
             t1, k1 = math.inf, -1
             for pos, a_idx in enumerate(active):
@@ -418,11 +400,20 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
         exhausted = True
         return True
 
+    def finish(status: str, bad: int | None = None, violation: float = 0.0) -> QpSolution:
+        sol = object.__new__(QpSolution)
+        sol.__dict__.update(x=x.copy(), status=status, iterations=iterations,
+                            _pending=(p, kind, ref, active, duals), _table=(C, b, flips))
+        if bad is not None:
+            sol.infeasible_constraint = _label(kind[bad], ref[bad])
+            sol.infeasible_violation = violation
+        return sol
+
     # equalities first (forced, duals unrestricted)
     for e in range(n_eq):
         s_val = float(C[e] @ x - b[e])
         if abs(s_val) <= tol:
-            if len(active) < d and direction(e)[2] > 1e-11:
+            if len(active) < d and _direction(p, C, flips, active, e)[2] > 1e-11:
                 active.append(e)
                 duals.append(0.0)
             continue
@@ -435,9 +426,7 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
             ref[e] = (ref[e][0], -ref[e][1])
             flips += (e,)
         if not enter(e):
-            return _finish(p, x, INFEASIBLE, iterations, kind, ref, active, duals,
-                           bad=e, bad_violation=abs(s_val), certificate=_certificate(
-                               p, C, kind, ref, active, direction(e)[1], e, tol))
+            return finish(INFEASIBLE, e, abs(s_val))
 
     while iterations < max_iter and not exhausted:
         slack = C_in @ x - b_in
@@ -446,7 +435,7 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
                 slack[a_idx - n_eq] = 0.0   # tight up to noise; ineligible to re-enter
         worst = int(slack.argmin()) if len(slack) else -1
         if worst < 0 or slack[worst] >= -tol:
-            return _finish(p, x, OPTIMAL, iterations, kind, ref, active, duals)
+            return finish(OPTIMAL)
         worst += n_eq
         if worst in active:
             # an "active" row drifted loose (long degenerate exchanges); drop
@@ -457,22 +446,8 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
             iterations += 1
             continue
         if not enter(worst):
-            return _finish(p, x, INFEASIBLE, iterations, kind, ref, active, duals,
-                           bad=worst, bad_violation=float(-slack[worst - n_eq]),
-                           certificate=_certificate(p, C, kind, ref, active,
-                                                    direction(worst)[1], worst, tol))
-    return _finish(p, x, MAX_ITER, iterations, kind, ref, active, duals)
-
-
-def _finish(p, x, status, iterations, kind, ref, active, duals,
-            bad=None, bad_violation=0.0, certificate=None) -> QpSolution:
-    sol = object.__new__(QpSolution)
-    sol.__dict__.update(x=x.copy(), status=status, iterations=iterations,
-                        certificate=certificate, _pending=(p, kind, ref, active, duals))
-    if bad is not None:
-        sol.infeasible_constraint = _label(kind[bad], ref[bad])
-        sol.infeasible_violation = bad_violation
-    return sol
+            return finish(INFEASIBLE, worst, float(-slack[worst - n_eq]))
+    return finish(MAX_ITER)
 
 
 def _dual_vectors(p, kind, ref, active, duals) -> list[np.ndarray]:
@@ -490,68 +465,76 @@ def _dual_vectors(p, kind, ref, active, duals) -> list[np.ndarray]:
     return [out[a:b] for a, b in zip(start, (*start[1:], len(out)))]
 
 
-def _certificate(p: QpProblem, C, kind, ref, active, r, idx, tol) -> Certificate | None:
-    """The Farkas certificate ``solve`` holds when row ``idx`` cannot enter.
+def sweep(p: QpProblem, sol: QpSolution, delta: np.ndarray, max_steps: int = 50,
+          check: float = 1e-7) -> float | None:
+    """The largest t at which ``p``'s family member with equality right side
+    ``p.beq + t delta`` is feasible; None when an equality row is not
+    active, no row ever blocks, ``max_steps`` run out or x at the limit
+    misses a row by more than ``check``.
 
-    The entering row is a combination of the active rows: the KKT solve of
-    its direction gives rates r with c_idx = sum_j r_j c_j + rho, where
-    rho = H z is left over, and no active inequality row blocks, so r_j <= tol
-    on each. Take the case that the d active rows form a basis B and every
-    inequality r_j <= 0, and let delta solve B^T delta = rho: then
-    c_idx = sum_j (r_j + delta_j) c_j. In the table that ``solve`` works on
-    (an equality row flipped there counts with its flipped sign), a problem
-    of the family that ends optimal at x meets every inequality row to tol
-    (its exit test) and every equality row to tol (an equality enters with a
-    full step or within tol and stays active; the residual measured 3e-11 at
-    most on the control_replay workload). So
-
-        c_idx x          >= b_idx - tol
-        sum_j r_j c_j x  <= sum_j r_j b_j + tol sum_j |r_j|
-        delta_j c_j x    <= |delta_j| (h_j + tol)
-
-    where h_j = |b_j| for an equality row and max(|b_j|, |u_j|) for an
-    inequality row whose other side c_j x <= u_j is finite. Together, with
-    the margin m = b_idx - sum_j r_j b_j,
-
-        m <= tol (1 + sum_j |r_j|) + sum_j |delta_j| (h_j + tol).
-
-    A right side whose margin exceeds this allowance has no optimal x: it
-    ends infeasible or at the iteration cap. An equality row's b_j is
-    beq_i / |Aeq_i|, so the margin is affine in beq and the allowance affine
-    in |beq|; the rounding of both dot products is far below tol at the
-    magnitudes here. No certificate when the active rows are fewer than d,
-    an inequality rate is positive, or delta is nonzero on an inequality row
-    without a finite other side.
+    From the active set and multipliers of ``sol``, an optimal solve of
+    ``p``, it follows the optimum x(t), piecewise affine in t (parametric
+    active set, as in qpOASES). Each step solves the active set's KKT system
+    for the rates of x and the multipliers and goes until an inactive row's
+    slack (primal ratio test) or an active inequality multiplier (dual
+    ratio test) reaches zero: that row leaves, or the blocking row c enters.
+    A c in the span of the active rows is c = sum_j r_j c_j by its
+    direction. If an inequality r_j is positive (relative to the largest),
+    c replaces the row whose u_j - sigma r_j first reaches zero; if none is,
+    every feasible x has c x <= sum_j r_j b_j(t), which the path meets here
+    and which falls below c's side beyond: t is the limit.
     """
-    if len(active) != p.dim:
+    rows = p._rows
+    C, b, flips = sol._table
+    _, kind, ref, active, duals = sol._pending
+    n_eq, d = rows.n_eq, p.dim
+    if active[:n_eq] != list(range(n_eq)):
         return None
-    n_eq, b = p._rows.n_eq, p._rows.b
-    B = C[active]
-    *_, delta, info = dgesv(B.T, C[idx] - np.dot(r, B))
-    if info:
-        return None
-    delta = np.abs(delta).tolist()
-    gain, spread = [0.0] * len(p.beq), [0.0] * len(p.beq)
-    offset = 0.0
-    base = tol * (1.0 + sum(map(abs, r)) + sum(delta))
-    # the margin is sum_a weight_a b_a: the entering row with weight 1 and
-    # each active row with weight -r_j
-    for a, weight, dj in ((idx, 1.0, 0.0), *zip(active, (-rj for rj in r), delta)):
-        i, norm = ref[a]
-        if a < n_eq:            # b_a = beq_i / norm, norm negative if flipped
-            gain[i] += weight / norm
-            spread[i] += dj / abs(norm)
-            continue
-        if weight < 0.0:
+    active, duals = list(active), list(duals)
+    # only the equality sides move with t: delta_i / signed norm
+    db = np.zeros(len(b))
+    db[:n_eq] = np.asarray(delta, dtype=float)[rows.eq_index] / [nrm for _, nrm in ref[:n_eq]]
+    x, t = sol.x, 0.0
+    for _ in range(max_steps):
+        rhs = np.zeros(d + len(active))
+        rhs[d:] = db[active]
+        y = _kkt_solve(p._factor[1], C[active].T, rhs)
+        dx, du = y[:d], (-y[d:]).tolist()
+        rate = C @ dx - db
+        rate[active] = 0.0
+        blocking = np.flatnonzero(rate < -1e-11 * max(1.0, math.sqrt(dx.dot(dx))))
+        steps = np.maximum(C[blocking] @ x - (b + t * db)[blocking], 0.0) / -rate[blocking]
+        t_row, k = min(zip(steps.tolist(), blocking.tolist()), default=(math.inf, -1))
+        floor = -1e-11 * max(1.0, max(map(abs, du), default=0.0))
+        t_dual, drop = min(((max(u, 0.0) / -v, pos) for pos, (u, v) in enumerate(zip(duals, du))
+                            if kind[active[pos]] != _EQ and v < floor), default=(math.inf, -1))
+        step = min(t_row, t_dual)
+        if step == math.inf:
             return None
-        offset += weight * b[a]
-        if dj:
-            k = kind[a]
-            other = {_IN_LO: p.upper, _IN_HI: p.lower, _BD_LO: p.ub, _BD_HI: p.lb}[k][i]
-            if not math.isfinite(other):
-                return None
-            base += dj * max(abs(b[a]), abs(other) / norm)
-    return Certificate(gain, offset, spread, base)
+        x = x + step * dx
+        t += step
+        duals = [u + step * v for u, v in zip(duals, du)]
+        if t_dual <= t_row:
+            del active[drop], duals[drop]
+            continue
+        _, r, cz, z_norm = _direction(p, C, flips, active, k)
+        if len(active) < d and cz > 1e-11 * max(1.0, z_norm):
+            active.append(k)
+            duals.append(0.0)
+            continue
+        ineq = [pos for pos, a_idx in enumerate(active) if kind[a_idx] != _EQ]
+        top = max((abs(r[pos]) for pos in ineq), default=0.0)
+        swap = [pos for pos in ineq if r[pos] > 1e-9 * top]
+        if not swap:
+            res = C @ x - b - t * db
+            res[:n_eq] = -np.abs(res[:n_eq])
+            return t if res.min(initial=0.0) >= -check else None
+        sigma, pos = min((duals[pos] / r[pos], pos) for pos in swap)
+        duals = [u - sigma * v for u, v in zip(duals, r)]
+        del active[pos], duals[pos]
+        active.append(k)
+        duals.append(sigma)
+    return None
 
 
 def kkt_residual(p: QpProblem, s: QpSolution) -> tuple[float, float, float]:

@@ -56,6 +56,7 @@ QP_MT_WEIGHT = 1e-3
 QP_MD_WEIGHT = 1e-3
 QP_MD_DAMPING = 10.0       # [1/s]
 BRAKE_DAMPING = 10.0       # [1/s] infeasible-fallback braking
+SWEEP_BAND = 1e-6          # scale trials this close to a level's limit are solved
 
 
 @dataclass
@@ -356,9 +357,9 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
     trade away anything the levels above already claimed.
 
     ``diagnostics["last_qp"]`` is the last stage the cascade decided, on
-    every return: a solved problem, or a bisection trial that a certificate
-    decided without a solve. ``stages`` and ``qp_iterations`` count the
-    solves that ran.
+    every return: a solved problem, or the last bisection trial, solved or
+    decided from the level's limit (``qpcore.sweep``). ``stages`` and
+    ``qp_iterations`` count the solves that ran.
     """
     if dyn is None:
         dyn = rbd.compute_dynamics(model, state)
@@ -396,6 +397,29 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
         last_qp = problem
         return sol
 
+    def bisect(fixed, a_d, rhs0, s_lo: float, s_max: float | None):
+        """Bisect the s-pinned family ``fixed`` for a level's largest
+        feasible scale above s_lo. A trial more than SWEEP_BAND from the
+        limit s_max is decided by it, any other trial is solved. Returns the
+        kept scale, the (solution, problem) of its solve or None, and the
+        last trial's scale or None."""
+        s_hi, kept, mid = 1.0, None, None
+        for _ in range(10):
+            if s_hi - s_lo <= 1e-3:
+                break
+            mid = 0.5 * (s_lo + s_hi)
+            if s_max is None or abs(mid - s_max) <= SWEEP_BAND:
+                problem = fixed.with_beq(mid * a_d + rhs0)
+                solved = solve(problem), problem
+                feasible = solved[0].status == qpcore.OPTIMAL
+            else:
+                feasible, solved = mid < s_max, None
+            if feasible:
+                s_lo, kept = mid, solved
+            else:
+                s_hi = mid
+        return s_lo, kept, mid
+
     for i, t in enumerate(tasks):
         rhs0 = -t.jdot_qd
         if minv_tau_ext is not None:
@@ -409,8 +433,6 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
             if sol.status == qpcore.MAX_ITER:
                 return _brake_fallback(dyn, k, MAX_ITER,
                                        {"stage": f"level-{i + 1}-full", "last_qp": last_qp})
-            # the infeasible stages of the s-pinned family, for the bisection
-            certificates = [sol.certificate]
             sol = solve(_level_qp(*args, maximize_s=True))
             if sol.status != qpcore.OPTIMAL:
                 return _brake_fallback(
@@ -428,28 +450,22 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
                     {"qp": sol_lo.status, "stage": f"level-{i + 1}-energy",
                      "blocking": sol_lo.infeasible_constraint, "last_qp": last_qp})
             # the penalty stage's s is exact when a constraint pins it but
-            # biased low when its conditioning term does; bisect the true
-            # feasibility boundary. A trial that a certificate of the level's
-            # infeasible stages decides is not solved: it would not end
-            # optimal.
-            s_hi = 1.0
-            for _ in range(10):
-                if s_hi - s_lo <= 1e-3:
+            # biased low when its conditioning term does: bisect the true
+            # boundary, deciding trials from the level's exact limit, and
+            # again solving every trial if the trial kept does not solve
+            limit = qpcore.sweep(problem, sol_lo, t.a_d)
+            for s_max in (None,) if limit is None else (s_lo + limit, None):
+                s, kept, last = bisect(fixed, t.a_d, rhs0, s_lo, s_max)
+                if kept is None and s != s_lo:
+                    problem_s = fixed.with_beq(s * t.a_d + rhs0)
+                    kept = solve(problem_s), problem_s
+                if kept is None or kept[0].status == qpcore.OPTIMAL:
                     break
-                mid = 0.5 * (s_lo + s_hi)
-                beq = mid * t.a_d + rhs0
-                trial_problem = fixed.with_beq(beq)
-                # the newest certificate is the likeliest to decide
-                if any(c is not None and c.decides(beq) for c in reversed(certificates)):
-                    s_hi, last_qp = mid, trial_problem
-                    continue
-                trial = solve(trial_problem)
-                if trial.status == qpcore.OPTIMAL:
-                    s_lo, sol_lo, problem = mid, trial, trial_problem
-                else:
-                    s_hi = mid
-                    certificates.append(trial.certificate)
-            s_out[i] = s_lo
+            if kept is not None:
+                sol_lo, problem = kept
+            if last is not None:
+                last_qp = fixed.with_beq(last * t.a_d + rhs0)
+            s_out[i] = s
             sol = sol_lo
         qdd_i = sol.x[:n]
         qdd_blocks.append(qdd_i)

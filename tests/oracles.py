@@ -4,9 +4,10 @@ Everything here is deliberately written on a different code path than the
 library: forward kinematics through scipy Rotation composition, planar
 two-link dynamics from the textbook closed forms, Jacobians by central
 differences, a classical Runge-Kutta integrator for conservation studies, a
-brute-force active-set enumeration for small QPs, a HiGHS linear program
-for the largest feasible task scale, the DCTS cascade that solves every
-bisection trial and the dual vectors of a solve built eagerly.
+brute-force active-set enumeration for small QPs, HiGHS linear programs
+for the largest feasible task scale and the largest feasible step of a QP's
+equality right side, the DCTS cascade that solves every bisection trial and
+the dual vectors of a solve built eagerly.
 """
 
 from __future__ import annotations
@@ -240,6 +241,31 @@ def lp_max_scale(J, a_d, rhs0, M, tau_lo, tau_hi, acc_lo=None, acc_hi=None) -> f
     return float(res.x[n])
 
 
+def lp_max_step(p, delta, t_max: float) -> float | None:
+    """The largest t in [0, t_max] for which some x meets Aeq x = beq +
+    t delta, lower <= Ain x <= upper and lb <= x <= ub of the QP ``p``: a
+    linear program over (x, t) solved by HiGHS on the QP's own rows and
+    sides. None if no t in [0, t_max] is feasible; raises if HiGHS fails."""
+    d = p.dim
+    cost = np.zeros(d + 1)
+    cost[d] = -1.0
+    A_eq = np.hstack([p.Aeq, -np.asarray(delta, float)[:, None]])
+    up, lo = np.isfinite(p.upper), np.isfinite(p.lower)
+    A_ub = np.hstack([np.vstack([p.Ain[up], -p.Ain[lo]]), np.zeros((up.sum() + lo.sum(), 1))])
+    b_ub = np.concatenate([p.upper[up], -p.lower[lo]])
+    bounds = [(a if np.isfinite(a) else None, b if np.isfinite(b) else None)
+              for a, b in zip(p.lb, p.ub)]
+    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=p.beq,
+                  bounds=bounds + [(0.0, t_max)], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if res.status == 2:
+        return None
+    if res.status != 0:
+        raise ValueError(f"HiGHS failed: {res.message}")
+    return float(res.x[d])
+
+
 def qp_duals_eager(p, kind, ref, active, duals) -> list[np.ndarray]:
     """The five dual vectors [eq, ineq lower, ineq upper, bound lower, bound
     upper] of a solve that ended with ``active`` and ``duals``, built at once
@@ -260,9 +286,9 @@ def qp_duals_eager(p, kind, ref, active, duals) -> list[np.ndarray]:
 
 def dcts_every_trial(model, state, tasks, limit_real=None, tau_ext=None, cfg=None,
                      dyn=None):
-    """``solvers.solve_dcts_multi`` as it ran before infeasibility
-    certificates: every bisection trial is solved. Its outputs are the
-    reference the certificate skip must reproduce byte for byte."""
+    """``solvers.solve_dcts_multi`` with every bisection trial solved. Its
+    outputs are the reference the cascade, which decides most trials from
+    the level's feasibility limit, must reproduce byte for byte."""
     if dyn is None:
         dyn = rbd.compute_dynamics(model, state)
     n = model.n

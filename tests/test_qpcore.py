@@ -65,7 +65,7 @@ def test_solution_with_explicit_duals_holds_them_as_given():
     s = qpcore.QpSolution(x=np.zeros(1), status=qpcore.OPTIMAL, iterations=0, **duals)
     for name, value in duals.items():
         assert getattr(s, name) is value
-    assert s.certificate is None and s.infeasible_constraint is None
+    assert s.infeasible_constraint is None
     with pytest.raises(AttributeError):
         s.no_such_field
 
@@ -84,31 +84,38 @@ def test_solve_builds_the_duals_on_first_read():
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_certificate_decides_by_its_margin(sign):
-    """x1 + x2 = beq under |x| <= 1 is infeasible for |beq| > 2. The
-    certificate of the solve at 5 sign decides every right side whose margin
-    |beq| - 2 exceeds the tolerances, and no right side that can be met; with
-    sign -1 the equality row is flipped in the solve."""
+def test_sweep_finds_the_feasibility_limit(sign):
+    """x1 + x2 = beq under |x| <= 1 is feasible for |beq| <= 2. The sweep
+    from the solve at 0.5 sign along sign ends at t = 1.5 after both bounds
+    block, the second in the span of the active rows; with sign -1 the
+    equality row is flipped in the solve."""
     base = qpcore.QpProblem(H=np.eye(2), f=np.zeros(2), Aeq=np.array([[1.0, 1.0]]),
                             beq=np.zeros(1), lb=-np.ones(2), ub=np.ones(2))
-    s = qpcore.solve(base.with_beq([5.0 * sign]))
-    assert s.status == qpcore.INFEASIBLE
-    cert = s.certificate
-    for beq in (5.0, 2.0 + 1e-6, 1e3):
-        assert cert.decides(np.array([beq * sign]))
-        assert qpcore.solve(base.with_beq([beq * sign])).status == qpcore.INFEASIBLE
-    for beq in (2.0, 2.0 + 1e-9, 1.0, 0.0, -2.0, -5.0):
-        assert not cert.decides(np.array([beq * sign]))
-
-
-def test_no_certificate_without_a_basis():
-    """An infeasible solve whose active rows are fewer than the variables
-    attaches no certificate: x1 >= 1 and x1 <= 0 leave x2 free."""
-    p = qpcore.QpProblem(H=np.eye(2), f=np.zeros(2), Ain=np.array([[1.0, 0.0]]),
-                         lower=np.array([1.0]), upper=np.array([np.inf]),
-                         ub=np.array([0.0, np.inf]))
+    p = base.with_beq([0.5 * sign])
     s = qpcore.solve(p)
-    assert s.status == qpcore.INFEASIBLE and s.certificate is None
+    assert s.status == qpcore.OPTIMAL
+    assert qpcore.sweep(p, s, np.array([sign])) == pytest.approx(1.5, abs=1e-12)
+    # the solve's active set and multipliers serve the duals and the sweep alike
+    np.testing.assert_allclose(s.eq_duals, [0.25 * sign])
+    assert qpcore.sweep(p, s, np.array([sign])) == pytest.approx(1.5, abs=1e-12)
+
+
+def test_sweep_exchanges_a_dependent_row():
+    """min 1/2 |x|^2 with x1 + x2 = beq, -0.25 <= x1 <= 1 and x2 <= -0.6 is
+    feasible for beq <= 0.4. From beq = -1 (x = (-0.25, -0.75)) along +1,
+    x2 <= -0.6 blocks at t = 0.15 in the span of the active rows with a
+    positive rate on x1 >= -0.25, which it replaces; x1 <= 1 then ends the
+    path at t = 1.4. Along -1 no row blocks and there is no limit, and one
+    step is too few to reach one."""
+    p = qpcore.QpProblem(H=np.eye(2), f=np.zeros(2), Aeq=np.array([[1.0, 1.0]]),
+                         beq=np.array([-1.0]), Ain=np.array([[0.0, 1.0]]),
+                         lower=np.array([-np.inf]), upper=np.array([-0.6]),
+                         lb=np.array([-0.25, -np.inf]), ub=np.array([1.0, np.inf]))
+    s = qpcore.solve(p)
+    np.testing.assert_allclose(s.x, [-0.25, -0.75], atol=1e-12)
+    assert qpcore.sweep(p, s, np.array([1.0])) == pytest.approx(1.4, abs=1e-12)
+    assert qpcore.sweep(p, s, np.array([-1.0])) is None
+    assert qpcore.sweep(p, s, np.array([1.0]), max_steps=1) is None
 
 
 def test_kkt_residual_grows_linearly_with_perturbation():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dcts import limits, qpcore, rbd, solvers, tasks
@@ -314,7 +314,7 @@ def test_dcts_solves_each_kkt_system_once_per_call(iiwa, monkeypatch):
     stack_outputs(iiwa)
     assert len(per_call) == N_STATES
     assert all(len(set(keys)) == len(keys) for keys in per_call)
-    assert sum(map(len, per_call)) == 222
+    assert sum(map(len, per_call)) == 248
 
 
 def top_level(model, dyn, task, tau_ext, lr):
@@ -381,10 +381,11 @@ def _encoded(value):
     return repr(value).encode()
 
 
-def test_certificate_skip_matches_solving_every_trial(iiwa):
-    """The cascade that skips the bisection trials a certificate decides
-    returns the bytes of the one that solves every trial, stage counts
-    aside, on seeds 5 and 8-12 with and without tau_ext."""
+def test_sweep_decided_bisection_matches_solving_every_trial(iiwa):
+    """The cascade that decides the bisection trials from each level's
+    feasibility limit, solving only those within SWEEP_BAND of it and the
+    trial it keeps, returns the bytes of the one that solves every trial,
+    stage counts aside, on seeds 5 and 8-12 with and without tau_ext."""
     runs = fewer = 0
     for state, dyn, realized, tau_ext, lr in golden_variants(iiwa):
         out = solvers.solve_dcts_multi(iiwa, state, realized, lr, tau_ext, dyn=dyn)
@@ -404,28 +405,104 @@ def test_certificate_skip_matches_solving_every_trial(iiwa):
     assert fewer >= 100
 
 
-_TOP_LEVELS = {}
+@pytest.mark.parametrize("shift", [0.05, None])
+def test_a_wrong_or_missing_limit_still_gives_every_trial_bytes(iiwa, monkeypatch, shift):
+    """With the sweep's limit moved up by 0.05, the kept trial ends not
+    optimal and the level reruns its bisection solving every trial, one
+    solve more than the reference; with no limit every trial is solved, as
+    many solves as the reference. Either way every output holds the bytes
+    of solving every trial."""
+    sweep = qpcore.sweep
+    monkeypatch.setattr(qpcore, "sweep", lambda *args: None if shift is None
+                        else sweep(*args) + shift)
+    reruns = 0
+    for state, dyn, realized, tau_ext, lr in golden_variants(iiwa, seeds=(5, 8)):
+        out = solvers.solve_dcts_multi(iiwa, state, realized, lr, tau_ext, dyn=dyn)
+        ref = oracles.dcts_every_trial(iiwa, state, realized, lr, tau_ext, dyn=dyn)
+        for name in ("tau", "qdd", "s"):
+            assert _encoded(getattr(out, name)) == _encoded(getattr(ref, name)), name
+        for key in ("kkt", "active", "qdd_aug", "last_qp"):
+            assert _encoded(out.diagnostics[key]) == _encoded(ref.diagnostics[key]), key
+        extra = out.diagnostics["stages"] - ref.diagnostics["stages"]
+        assert extra in ((0, 1) if shift else (0,))
+        reruns += extra
+    assert reruns >= (10 if shift else 0)
 
 
-def golden_top_levels(model, seed):
-    """(top-level family, task, rhs0) on each golden-stack state of ``seed``."""
-    if seed not in _TOP_LEVELS:
-        _TOP_LEVELS[seed] = [(*top_level(model, dyn, realized[0], tau_ext, lr)[:2], realized[0])
-                             for _, dyn, realized, tau_ext, lr in stack_cases(model, seed)]
-    return _TOP_LEVELS[seed]
+_STATES = {}
 
 
-@given(st.sampled_from([5, *range(8, 15)]), st.integers(0, N_STATES - 1),
-       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-@settings(max_examples=300, deadline=None)
-def test_a_certificate_decides_only_scales_that_end_not_optimal(iiwa, seed, k, s_a, s_b):
-    """Whenever the certificate of an infeasible top-level solve at scale
-    s_a decides scale s_b, the solve at s_b does not end optimal."""
-    fixed, rhs0, task = golden_top_levels(iiwa, seed)[k]
-    sol = qpcore.solve(fixed.with_beq(s_a * task.a_d + rhs0))
-    beq = s_b * task.a_d + rhs0
-    if sol.certificate is not None and sol.certificate.decides(beq):
-        assert qpcore.solve(fixed.with_beq(beq)).status != qpcore.OPTIMAL
+def golden_state(model, seed, k, ext_seed):
+    """(dyn, realized tasks, tau_ext, limit realization) of golden-stack
+    state k of ``seed``, with a seeded external torque or none."""
+    if seed not in _STATES:
+        _STATES[seed] = list(stack_cases(model, seed))
+    state, dyn, realized, _, _ = _STATES[seed][k]
+    tau_ext = None if ext_seed is None else np.random.default_rng(ext_seed).normal(0.0, 4.0, 7)
+    lset = limits.joint_space_limits(model, 1e-3, a_min=-ACC_LIMIT, a_max=ACC_LIMIT)
+    lr = limits.realize_joint_limits(lset, state.q, state.qd,
+                                     None if tau_ext is None else dyn.minv(tau_ext))
+    return dyn, realized, tau_ext, lr
+
+
+GOLDEN_DRAWS = (st.sampled_from([5, *range(8, 15)]), st.integers(0, N_STATES - 1),
+                st.one_of(st.none(), st.integers(0, 2**16)))
+
+
+@given(*GOLDEN_DRAWS, st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_the_sweep_limit_matches_the_lp_oracle(iiwa, seed, k, ext_seed, s0):
+    """From an optimal top-level solve at scale s0, the sweep along a_d ends
+    at the LP's largest feasible scale to 1e-9 when the task must scale, and
+    at or beyond s = 1, or at no limit, when it need not."""
+    dyn, realized, tau_ext, lr = golden_state(iiwa, seed, k, ext_seed)
+    task = realized[0]
+    fixed, rhs0, tau, acc = top_level(iiwa, dyn, task, tau_ext, lr)
+    problem = fixed.with_beq(s0 * task.a_d + rhs0)
+    sol = qpcore.solve(problem)
+    assume(sol.status == qpcore.OPTIMAL)
+    limit = qpcore.sweep(problem, sol, task.a_d)
+    s_max = oracles.lp_max_scale(task.J, task.a_d, rhs0, dyn.M, *tau, *acc)
+    if s_max < 1.0:
+        assert limit is not None and abs(s0 + limit - s_max) <= 1e-9
+    else:
+        assert limit is None or s0 + limit >= 1.0 - 1e-9
+
+
+POSTURE_A_D = np.array([90.0, -60.0, 120.0, -90.0, 180.0])
+
+
+@given(*GOLDEN_DRAWS, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@example(seed=12, k=6, ext_seed=1, s_top=0.28125, s0=0.0)
+@settings(max_examples=200, deadline=None)
+def test_the_sweep_limit_on_a_lower_level_matches_the_lp_oracle(iiwa, seed, k, ext_seed,
+                                                               s_top, s0):
+    """The same on a second level, whose torque and acceleration rows pass
+    through its projector: a five-joint posture task below the golden
+    stack's top level, with the top level solved at scale s_top frozen. The
+    reference is an LP over the level QP's own rows and sides. The bound is
+    1e-8 here: frozen on a corner of the limits, a level can start on more
+    tight rows than it has free variables, and an exchange there may leave
+    nearly parallel active rows (x moving at 1e9 per unit t); on one such
+    draw the limit was 2e-9 past the LP's."""
+    dyn, realized, tau_ext, lr = golden_state(iiwa, seed, k, ext_seed)
+    fixed, rhs0, tau, acc = top_level(iiwa, dyn, realized[0], tau_ext, lr)
+    top = qpcore.solve(fixed.with_beq(s_top * realized[0].a_d + rhs0))
+    assume(top.status == qpcore.OPTIMAL)
+    posture = tasks.TaskInstance(J=np.eye(7)[:5], jdot_qd=np.zeros(5), a_d=POSTURE_A_D,
+                                 priority=2)
+    projector = solvers._nullspace_stack([realized[0], posture], dyn)[1]
+    level = solvers._level_qp(dyn, posture.J, POSTURE_A_D, np.zeros(5), projector, top.x,
+                              *tau, *acc, maximize_s=False)
+    problem = level.with_beq(s0 * POSTURE_A_D)
+    sol = qpcore.solve(problem)
+    assume(sol.status == qpcore.OPTIMAL)
+    limit = qpcore.sweep(problem, sol, POSTURE_A_D)
+    t_max = oracles.lp_max_step(problem, POSTURE_A_D, 1.0 - s0)
+    if t_max < 1.0 - s0 - 1e-8:
+        assert limit is not None and abs(limit - t_max) <= 1e-8
+    else:
+        assert limit is None or limit >= t_max - 1e-8
 
 
 def test_lazy_duals_equal_the_eager_build_on_every_stage(iiwa, monkeypatch):
