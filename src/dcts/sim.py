@@ -565,8 +565,8 @@ def _int(value, low: float = -math.inf, high: float = math.inf) -> int:
 
 
 def _whole(ratio: float) -> bool:
-    """Whether ``ratio`` is an integer within a relative 1e-9."""
-    return abs(ratio - round(ratio)) <= 1e-9 * ratio
+    """Whether ``ratio`` is finite and an integer within a relative 1e-9."""
+    return math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * ratio
 
 
 def _only(d: dict, keys: tuple, prefix: str = "") -> None:

@@ -201,6 +201,10 @@ MALFORMED = {
         "events[0]: frame: must be an integer"),
     "duration_not_whole_ticks": (("duration_s",), 0.0015,
                                  "duration_s must be a whole number of control_dt_s"),
+    "duration_ticks_overflow": (("duration_s",), 1e308,
+                                "duration_s must be a whole number of control_dt_s"),
+    "integrator_dt_ratio_overflow": (("integrator_dt_s",), 1e-320,
+                                     "integrator_dt_s must divide control_dt_s"),
     "unknown_top_level_key": (("duraton_s",), 1.0, "unknown key 'duraton_s'"),
     "unknown_limits_key": (("limits", "tau_mx_nm"), 50.0, "limits: unknown key 'tau_mx_nm'"),
     "removed_limits_dt": (("limits", "dt_s"), 0.5, "limits: unknown key 'dt_s'"),
