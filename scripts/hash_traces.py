@@ -15,11 +15,16 @@ any output is checked with
 from __future__ import annotations
 
 import hashlib
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
-from dcts import sim, solvers
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src")]
+
+from dcts import sim, solvers  # noqa: E402
 
 SECONDS = 0.4
 EVENT_START = 0.05

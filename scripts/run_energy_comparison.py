@@ -10,11 +10,15 @@ comparison. Traces land in --out for plotting.
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from dcts import sim
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src")]
+
+from dcts import sim  # noqa: E402
 
 
 def main() -> None:

@@ -9,11 +9,15 @@ projector controller with naive torque saturation.
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from dcts import cli, sim
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src")]
+
+from dcts import cli, sim  # noqa: E402
 
 
 def main() -> None:

@@ -1,0 +1,39 @@
+"""Every script under ``scripts/`` imports from a source checkout.
+
+Each script is imported by path in a fresh interpreter with ``PYTHONPATH``
+unset and a working directory outside the checkout, so only the script's
+own ``sys.path`` entry can find ``dcts``. Importing runs nothing: each
+script's ``main`` sits behind its ``__main__`` guard.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_imports_from_the_checkout(script, tmp_path):
+    code = ("import importlib.util, sys\n"
+            f"spec = importlib.util.spec_from_file_location('script', {str(script)!r})\n"
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+            "print(getattr(sys.modules.get('dcts'), '__file__', ''))\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    if "from dcts import" in script.read_text():
+        assert Path(run.stdout.strip()).is_relative_to(ROOT / "src")
+
+
+def test_every_script_is_checked():
+    assert {p.name for p in SCRIPTS} >= {
+        "hash_traces.py", "hash_controller.py", "ab_controller.py",
+        "run_energy_comparison.py", "run_limit_push_ablation.py", "run_star_comparison.py"}
