@@ -409,8 +409,8 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
                 break
             mid = 0.5 * (s_lo + s_hi)
             if s_max is None or abs(mid - s_max) <= SWEEP_BAND:
-                problem = fixed.with_beq(mid * a_d + rhs0)
-                solved = solve(problem), problem
+                trial = fixed.with_beq(mid * a_d + rhs0)
+                solved = solve(trial), trial
                 feasible = solved[0].status == qpcore.OPTIMAL
             else:
                 feasible, solved = mid < s_max, None
