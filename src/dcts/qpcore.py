@@ -46,6 +46,8 @@ from scipy.linalg import LinAlgError
 from .rbd import spd_factor, spd_solve
 
 OPTIMAL, INFEASIBLE, MAX_ITER = "optimal", "infeasible", "max_iter"
+SWEEP_STEPS = 50        # a sweep that finds no limit in this many steps returns none
+SWEEP_CHECK = 1e-7      # the most a sweep's point at its limit may miss a row by
 
 
 class QpError(ValueError):
@@ -139,8 +141,7 @@ class QpProblem:
         problem = object.__new__(type(self))
         problem.__dict__.update(self.__dict__)
         problem.beq = beq
-        problem._rows = _Rows(rows.C, b, rows.kind, rows.ref, rows.n_eq, rows.eq_index,
-                              rows.eq_norm)
+        problem._rows = rows._replace(b=b)
         return problem
 
     @property
@@ -465,25 +466,23 @@ def _dual_vectors(p, kind, ref, active, duals) -> list[np.ndarray]:
     return [out[a:b] for a, b in zip(start, (*start[1:], len(out)))]
 
 
-def sweep(p: QpProblem, sol: QpSolution, delta: np.ndarray, max_steps: int = 50,
-          check: float = 1e-7) -> float | None:
+def sweep(p: QpProblem, sol: QpSolution, delta: np.ndarray) -> float | None:
     """The largest t at which ``p``'s family member with equality right side
     ``p.beq + t delta`` is feasible; None when an equality row is not
-    active, no row ever blocks, ``max_steps`` run out or x at the limit
-    misses a row by more than ``check``.
+    active, no row ever blocks, SWEEP_STEPS steps run out or x at the limit
+    misses a row by more than SWEEP_CHECK.
 
     From the active set and multipliers of ``sol``, an optimal solve of
     ``p``, it follows the optimum x(t), piecewise affine in t (parametric
     active set, as in qpOASES). Each step solves the active set's KKT system
     for the rates of x and the multipliers and goes until an inactive row's
     slack (primal ratio test) or an active inequality multiplier (dual
-    ratio test) reaches zero: that row leaves, or the blocking row c enters.
+    ratio test) reaches zero: the row c enters, or the multiplier's row leaves.
     A c in the span of the active rows is c = sum_j r_j c_j by its
     direction. If an inequality r_j is positive (relative to the largest),
     c replaces the row whose u_j - sigma r_j first reaches zero; if none is,
     every feasible x has c x <= sum_j r_j b_j(t), which the path meets here
-    and which falls below c's side beyond: t is the limit.
-    """
+    and which falls below c's side beyond: t is the limit."""
     rows = p._rows
     C, b, flips = sol._table
     _, kind, ref, active, duals = sol._pending
@@ -495,7 +494,7 @@ def sweep(p: QpProblem, sol: QpSolution, delta: np.ndarray, max_steps: int = 50,
     db = np.zeros(len(b))
     db[:n_eq] = np.asarray(delta, dtype=float)[rows.eq_index] / [nrm for _, nrm in ref[:n_eq]]
     x, t = sol.x, 0.0
-    for _ in range(max_steps):
+    for _ in range(SWEEP_STEPS):
         rhs = np.zeros(d + len(active))
         rhs[d:] = db[active]
         y = _kkt_solve(p._factor[1], C[active].T, rhs)
@@ -528,7 +527,7 @@ def sweep(p: QpProblem, sol: QpSolution, delta: np.ndarray, max_steps: int = 50,
         if not swap:
             res = C @ x - b - t * db
             res[:n_eq] = -np.abs(res[:n_eq])
-            return t if res.min(initial=0.0) >= -check else None
+            return t if res.min(initial=0.0) >= -SWEEP_CHECK else None
         sigma, pos = min((duals[pos] / r[pos], pos) for pos in swap)
         duals = [u - sigma * v for u, v in zip(duals, r)]
         del active[pos], duals[pos]

@@ -397,27 +397,35 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
         last_qp = problem
         return sol
 
-    def bisect(fixed, a_d, rhs0, s_lo: float, s_max: float | None):
-        """Bisect the s-pinned family ``fixed`` for a level's largest
-        feasible scale above s_lo. A trial more than SWEEP_BAND from the
-        limit s_max is decided by it, any other trial is solved. Returns the
-        kept scale, the (solution, problem) of its solve or None, and the
-        last trial's scale or None."""
-        s_hi, kept, mid = 1.0, None, None
-        for _ in range(10):
-            if s_hi - s_lo <= 1e-3:
-                break
+    def trial(s: float):
+        """Solve the s-pinned stage of the level at hand at scale s."""
+        problem = fixed.with_beq(s * t.a_d + rhs0)
+        return solve(problem), problem
+
+    def bisect(s_lo: float, s_max: float | None):
+        """Bisect the level's s-pinned family for its largest feasible scale
+        above s_lo. A trial more than SWEEP_BAND from the limit s_max is
+        decided by it, any other trial is solved, and so are the trial kept
+        and the lowest trial decided infeasible. Returns the kept scale, the
+        (solution, problem) of its solve or None, and the last trial's scale
+        or None; None if either solve contradicts s_max."""
+        start, s_hi, kept, mid, unsolved = s_lo, 1.0, None, None, False
+        while s_hi - s_lo > 1e-3:       # at most 10 trials
             mid = 0.5 * (s_lo + s_hi)
             if s_max is None or abs(mid - s_max) <= SWEEP_BAND:
-                trial = fixed.with_beq(mid * a_d + rhs0)
-                solved = solve(trial), trial
+                solved = trial(mid)
                 feasible = solved[0].status == qpcore.OPTIMAL
             else:
                 feasible, solved = mid < s_max, None
             if feasible:
                 s_lo, kept = mid, solved
             else:
-                s_hi = mid
+                s_hi, unsolved = mid, solved is None
+        if kept is None and s_lo != start:
+            kept = trial(s_lo)
+        if (kept is not None and kept[0].status != qpcore.OPTIMAL
+                or unsolved and trial(s_hi)[0].status == qpcore.OPTIMAL):
+            return None
         return s_lo, kept, mid
 
     for i, t in enumerate(tasks):
@@ -442,8 +450,7 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
             # back off by the solver tolerance so the pinned-scale re-solve
             # stays strictly feasible
             s_lo = float(np.clip(sol.x[n] - 1e-8, 0.0, 1.0))
-            problem = fixed.with_beq(s_lo * t.a_d + rhs0)
-            sol_lo = solve(problem)
+            sol_lo, problem = trial(s_lo)
             if sol_lo.status != qpcore.OPTIMAL:
                 return _brake_fallback(
                     dyn, k, INFEASIBLE,
@@ -451,16 +458,11 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
                      "blocking": sol_lo.infeasible_constraint, "last_qp": last_qp})
             # the penalty stage's s is exact when a constraint pins it but
             # biased low when its conditioning term does: bisect the true
-            # boundary, deciding trials from the level's exact limit, and
-            # again solving every trial if the trial kept does not solve
+            # boundary from the level's exact limit, solving every trial
+            # again if a solve contradicts the limit
             limit = qpcore.sweep(problem, sol_lo, t.a_d)
-            for s_max in (None,) if limit is None else (s_lo + limit, None):
-                s, kept, last = bisect(fixed, t.a_d, rhs0, s_lo, s_max)
-                if kept is None and s != s_lo:
-                    problem_s = fixed.with_beq(s * t.a_d + rhs0)
-                    kept = solve(problem_s), problem_s
-                if kept is None or kept[0].status == qpcore.OPTIMAL:
-                    break
+            decided = None if limit is None else bisect(s_lo, s_lo + limit)
+            s, kept, last = decided or bisect(s_lo, None)
             if kept is not None:
                 sol_lo, problem = kept
             if last is not None:

@@ -100,7 +100,7 @@ def test_sweep_finds_the_feasibility_limit(sign):
     assert qpcore.sweep(p, s, np.array([sign])) == pytest.approx(1.5, abs=1e-12)
 
 
-def test_sweep_exchanges_a_dependent_row():
+def test_sweep_exchanges_a_dependent_row(monkeypatch):
     """min 1/2 |x|^2 with x1 + x2 = beq, -0.25 <= x1 <= 1 and x2 <= -0.6 is
     feasible for beq <= 0.4. From beq = -1 (x = (-0.25, -0.75)) along +1,
     x2 <= -0.6 blocks at t = 0.15 in the span of the active rows with a
@@ -115,7 +115,35 @@ def test_sweep_exchanges_a_dependent_row():
     np.testing.assert_allclose(s.x, [-0.25, -0.75], atol=1e-12)
     assert qpcore.sweep(p, s, np.array([1.0])) == pytest.approx(1.4, abs=1e-12)
     assert qpcore.sweep(p, s, np.array([-1.0])) is None
-    assert qpcore.sweep(p, s, np.array([1.0]), max_steps=1) is None
+    monkeypatch.setattr(qpcore, "SWEEP_STEPS", 1)
+    assert qpcore.sweep(p, s, np.array([1.0])) is None
+
+
+def test_sweep_drops_a_row_whose_multiplier_reaches_zero(monkeypatch):
+    """min 1/2 |x|^2 + 10 x2 with x1 = beq, x1 + x2 >= 0 and x1 <= 20. From
+    beq = 0 along +1 the optimum is x = (t, -t), the inequality row holding
+    multiplier 10 - t; at t = 10 the row leaves and x2 stays at -10 until
+    x1 <= 20 ends the path at t = 20. The sweep's steps solve the KKT
+    systems of both active sets in turn: a path that kept the row reaches
+    the same limit in one step, off the optimum."""
+    p = qpcore.QpProblem(H=np.eye(2), f=np.array([0.0, 10.0]), Aeq=np.array([[1.0, 0.0]]),
+                         beq=np.zeros(1), Ain=np.array([[1.0, 1.0]]),
+                         lower=np.zeros(1), upper=np.array([np.inf]),
+                         lb=np.full(2, -np.inf), ub=np.array([20.0, np.inf]))
+    s = qpcore.solve(p)
+    np.testing.assert_allclose(s.x, [0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(s.ineq_duals_lower, [10.0])
+    steps = []
+    kkt_solve = qpcore._kkt_solve
+
+    def recording(Hs, N, rhs):
+        if not rhs[:len(Hs)].any():     # a step's system; a direction's has c on top
+            steps.append(N.shape[1])
+        return kkt_solve(Hs, N, rhs)
+
+    monkeypatch.setattr(qpcore, "_kkt_solve", recording)
+    assert qpcore.sweep(p, s, np.array([1.0])) == pytest.approx(20.0, abs=1e-12)
+    assert steps == [2, 1]
 
 
 def test_kkt_residual_grows_linearly_with_perturbation():
