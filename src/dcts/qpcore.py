@@ -46,7 +46,7 @@ from scipy.linalg import LinAlgError
 from .rbd import spd_factor, spd_solve
 
 OPTIMAL, INFEASIBLE, MAX_ITER = "optimal", "infeasible", "max_iter"
-SWEEP_STEPS = 50        # a sweep that finds no limit in this many steps returns none
+SWEEP_STEPS = 50        # a sweep that has not ended after this many steps returns no limit
 SWEEP_CHECK = 1e-7      # the most a sweep's point at its limit may miss a row by
 
 
