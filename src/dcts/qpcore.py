@@ -192,7 +192,7 @@ _DUALS = ("eq_duals", "ineq_duals_lower", "ineq_duals_upper", "bound_duals_lower
 @dataclass
 class QpSolution:
     """One solve's result. ``solve`` leaves the five dual vectors unbuilt and
-    builds them on first read (most DCTS stages never read them); a solution
+    builds them on first read (the controllers never read them); a solution
     built with explicit duals holds them as given. A solution of ``solve``
     keeps the active set and multipliers its loop ended with, which ``sweep``
     starts from."""
@@ -539,8 +539,8 @@ def sweep(p: QpProblem, sol: QpSolution, delta: np.ndarray) -> float | None:
 def kkt_residual(p: QpProblem, s: QpSolution) -> tuple[float, float, float]:
     """(stationarity, primal feasibility, complementarity) of ``s`` for ``p``.
 
-    ``solve`` does not compute it: a caller asks for it for the solution it
-    reports, not for every stage it tries."""
+    ``solve`` does not compute it; a caller that checks a solution asks for
+    it, and reading the duals builds them."""
     x = s.x
     grad = p.H @ x + p.f
     if len(s.eq_duals):

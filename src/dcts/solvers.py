@@ -56,7 +56,6 @@ QP_MT_WEIGHT = 1e-3
 QP_MD_WEIGHT = 1e-3
 QP_MD_DAMPING = 10.0       # [1/s]
 BRAKE_DAMPING = 10.0       # [1/s] infeasible-fallback braking
-SWEEP_BAND = 1e-6          # scale trials this close to a level's limit are solved
 
 
 @dataclass
@@ -185,9 +184,7 @@ def solve_osc_saturated(model: rbd.RobotModel, state: rbd.JointState,
     if minv_tau_ext is not None:
         qdd = qdd + minv_tau_ext
     return ControlOutput(tau=tau_clamped, qdd=qdd, s=np.ones(1), status=status,
-                         diagnostics={"saturated": saturated,
-                                      "pinned": dict(pinned),
-                                      "tau_unclamped": tau})
+                         diagnostics={"saturated": saturated})
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +207,7 @@ def _solve_qp_baseline(dyn: rbd.ChainDynamics, task: TaskInstance,
     qdd = sol.x
     tau = dyn.M @ qdd + comp
     return ControlOutput(tau=tau, qdd=qdd, s=np.ones(1), status=OPTIMAL,
-                         diagnostics={"qp_iterations": sol.iterations,
-                                      "kkt": qpcore.kkt_residual(problem, sol)})
+                         diagnostics={"qp_iterations": sol.iterations})
 
 
 def solve_qp_mt(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance,
@@ -382,7 +378,6 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
         acc_lo, acc_hi = limit_real.bounds.acc_min, limit_real.bounds.acc_max
 
     frozen = np.zeros(n)
-    qdd_blocks = []
     s_out = np.ones(k)
     stages = 0
     iterations = 0
@@ -397,34 +392,34 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
         last_qp = problem
         return sol
 
-    def trial(s: float):
+    def trial(s: float) -> qpcore.QpSolution:
         """Solve the s-pinned stage of the level at hand at scale s."""
-        problem = fixed.with_beq(s * t.a_d + rhs0)
-        return solve(problem), problem
+        return solve(fixed.with_beq(s * t.a_d + rhs0))
 
     def bisect(s_lo: float, s_max: float | None):
         """Bisect the level's s-pinned family for its largest feasible scale
-        above s_lo. A trial more than SWEEP_BAND from the limit s_max is
-        decided by it, any other trial is solved, and so are the trial kept
-        and the lowest trial decided infeasible. Returns the kept scale, the
-        (solution, problem) of its solve or None, and the last trial's scale
-        or None; None if either solve contradicts s_max."""
-        start, s_hi, kept, mid, unsolved = s_lo, 1.0, None, None, False
+        above s_lo. With no limit s_max every trial is solved; otherwise the
+        limit decides every trial, and only the trial kept and the lowest
+        trial decided infeasible are solved. Returns the kept scale, the
+        solution of its solve or None, and the last trial's scale or None;
+        None if either solve contradicts s_max."""
+        start, s_hi, kept, mid = s_lo, 1.0, None, None
         while s_hi - s_lo > 1e-3:       # at most 10 trials
             mid = 0.5 * (s_lo + s_hi)
-            if s_max is None or abs(mid - s_max) <= SWEEP_BAND:
+            if s_max is None:
                 solved = trial(mid)
-                feasible = solved[0].status == qpcore.OPTIMAL
+                feasible = solved.status == qpcore.OPTIMAL
             else:
                 feasible, solved = mid < s_max, None
             if feasible:
                 s_lo, kept = mid, solved
             else:
-                s_hi, unsolved = mid, solved is None
-        if kept is None and s_lo != start:
-            kept = trial(s_lo)
-        if (kept is not None and kept[0].status != qpcore.OPTIMAL
-                or unsolved and trial(s_hi)[0].status == qpcore.OPTIMAL):
+                s_hi = mid
+        if s_max is None:
+            return s_lo, kept, mid
+        kept = trial(s_lo) if s_lo != start else None
+        if (kept is not None and kept.status != qpcore.OPTIMAL
+                or s_hi < 1.0 and trial(s_hi).status == qpcore.OPTIMAL):
             return None
         return s_lo, kept, mid
 
@@ -435,8 +430,8 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
         args = (dyn, t.J, t.a_d, rhs0, projectors[i], frozen,
                 tau_lo, tau_hi, acc_lo, acc_hi)
         # the s-pinned stages differ only in beq = s a_d + rhs0
-        problem = fixed = _level_qp(*args, maximize_s=False)
-        sol = solve(problem)
+        fixed = _level_qp(*args, maximize_s=False)
+        sol = solve(fixed)
         if sol.status != qpcore.OPTIMAL:
             if sol.status == qpcore.MAX_ITER:
                 return _brake_fallback(dyn, k, MAX_ITER,
@@ -450,42 +445,29 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
             # back off by the solver tolerance so the pinned-scale re-solve
             # stays strictly feasible
             s_lo = float(np.clip(sol.x[n] - 1e-8, 0.0, 1.0))
-            sol_lo, problem = trial(s_lo)
-            if sol_lo.status != qpcore.OPTIMAL:
+            sol = trial(s_lo)
+            if sol.status != qpcore.OPTIMAL:
                 return _brake_fallback(
                     dyn, k, INFEASIBLE,
-                    {"qp": sol_lo.status, "stage": f"level-{i + 1}-energy",
-                     "blocking": sol_lo.infeasible_constraint, "last_qp": last_qp})
+                    {"qp": sol.status, "stage": f"level-{i + 1}-energy",
+                     "blocking": sol.infeasible_constraint, "last_qp": last_qp})
             # the penalty stage's s is exact when a constraint pins it but
             # biased low when its conditioning term does: bisect the true
-            # boundary from the level's exact limit, solving every trial
-            # again if a solve contradicts the limit
-            limit = qpcore.sweep(problem, sol_lo, t.a_d)
+            # boundary from the level's exact limit (swept from the stage
+            # just solved, last_qp), solving every trial again if a solve
+            # contradicts the limit
+            limit = qpcore.sweep(last_qp, sol, t.a_d)
             decided = None if limit is None else bisect(s_lo, s_lo + limit)
             s, kept, last = decided or bisect(s_lo, None)
             if kept is not None:
-                sol_lo, problem = kept
+                sol = kept
             if last is not None:
                 last_qp = fixed.with_beq(last * t.a_d + rhs0)
             s_out[i] = s
-            sol = sol_lo
-        qdd_i = sol.x[:n]
-        qdd_blocks.append(qdd_i)
-        frozen = frozen + projectors[i] @ qdd_i
+        frozen = frozen + projectors[i] @ sol.x[:n]
 
-    # sol and problem are now the last level's reported stage
     tau = dyn.M @ frozen + comp
-    active = {
-        "torque": [int(j) for j in np.nonzero(
-            (sol.ineq_duals_lower[:n] > 1e-9)
-            | (sol.ineq_duals_upper[:n] > 1e-9))[0]],
-        "limited_space": [int(j) for j in np.nonzero(
-            (sol.ineq_duals_lower[n:] > 1e-9)
-            | (sol.ineq_duals_upper[n:] > 1e-9))[0]],
-    }
     return ControlOutput(tau=tau, qdd=frozen, s=s_out, status=OPTIMAL,
                          diagnostics={"stages": stages, "qp_iterations": iterations,
-                                      "active": active, "kkt": qpcore.kkt_residual(problem, sol),
-                                      "qdd_aug": np.concatenate(qdd_blocks),
                                       "last_qp": last_qp})
 

@@ -305,7 +305,6 @@ def dcts_every_trial(model, state, tasks, limit_real=None, tau_ext=None, cfg=Non
         acc_lo, acc_hi = limit_real.bounds.acc_min, limit_real.bounds.acc_max
 
     frozen = np.zeros(n)
-    qdd_blocks = []
     s_out = np.ones(k)
     stages = iterations = 0
     last_qp = None
@@ -323,8 +322,8 @@ def dcts_every_trial(model, state, tasks, limit_real=None, tau_ext=None, cfg=Non
         if minv_tau_ext is not None:
             rhs0 = rhs0 - t.J @ minv_tau_ext
         args = (dyn, t.J, t.a_d, rhs0, projectors[i], frozen, tau_lo, tau_hi, acc_lo, acc_hi)
-        problem = fixed = solvers._level_qp(*args, maximize_s=False)
-        sol = solve(problem)
+        fixed = solvers._level_qp(*args, maximize_s=False)
+        sol = solve(fixed)
         if sol.status != qpcore.OPTIMAL:
             if sol.status == qpcore.MAX_ITER:
                 return solvers._brake_fallback(
@@ -336,8 +335,7 @@ def dcts_every_trial(model, state, tasks, limit_real=None, tau_ext=None, cfg=Non
                     {"qp": sol.status, "stage": f"level-{i + 1}-scale",
                      "blocking": sol.infeasible_constraint, "last_qp": last_qp})
             s_lo = float(np.clip(sol.x[n] - 1e-8, 0.0, 1.0))
-            problem = fixed.with_beq(s_lo * t.a_d + rhs0)
-            sol_lo = solve(problem)
+            sol_lo = solve(fixed.with_beq(s_lo * t.a_d + rhs0))
             if sol_lo.status != qpcore.OPTIMAL:
                 return solvers._brake_fallback(
                     dyn, k, solvers.INFEASIBLE,
@@ -348,27 +346,16 @@ def dcts_every_trial(model, state, tasks, limit_real=None, tau_ext=None, cfg=Non
                 if s_hi - s_lo <= 1e-3:
                     break
                 mid = 0.5 * (s_lo + s_hi)
-                trial_problem = fixed.with_beq(mid * t.a_d + rhs0)
-                trial = solve(trial_problem)
+                trial = solve(fixed.with_beq(mid * t.a_d + rhs0))
                 if trial.status == qpcore.OPTIMAL:
-                    s_lo, sol_lo, problem = mid, trial, trial_problem
+                    s_lo, sol_lo = mid, trial
                 else:
                     s_hi = mid
             s_out[i] = s_lo
             sol = sol_lo
-        qdd_i = sol.x[:n]
-        qdd_blocks.append(qdd_i)
-        frozen = frozen + projectors[i] @ qdd_i
+        frozen = frozen + projectors[i] @ sol.x[:n]
 
     tau = dyn.M @ frozen + comp
-    active = {
-        "torque": [int(j) for j in np.nonzero(
-            (sol.ineq_duals_lower[:n] > 1e-9) | (sol.ineq_duals_upper[:n] > 1e-9))[0]],
-        "limited_space": [int(j) for j in np.nonzero(
-            (sol.ineq_duals_lower[n:] > 1e-9) | (sol.ineq_duals_upper[n:] > 1e-9))[0]],
-    }
     return solvers.ControlOutput(
         tau=tau, qdd=frozen, s=s_out, status=solvers.OPTIMAL,
-        diagnostics={"stages": stages, "qp_iterations": iterations, "active": active,
-                     "kkt": qpcore.kkt_residual(problem, sol),
-                     "qdd_aug": np.concatenate(qdd_blocks), "last_qp": last_qp})
+        diagnostics={"stages": stages, "qp_iterations": iterations, "last_qp": last_qp})

@@ -5,9 +5,9 @@ No bundled scenario has two tasks, so the closed-loop golden windows in
 test realizes ``tool_pos`` (priority 1) and ``tool_rot_xy`` (priority 2) on
 seeded states around an interior posture, with position targets far enough
 away that the acceleration limits force the top level to scale on most
-states, and joint-torque pulses on every other state. It hashes everything
-``solve_dcts_multi`` returns per state: ``tau``, ``s``, ``qdd_aug``, the stage
-and QP iteration counts, the KKT residuals and the status.
+states, and joint-torque pulses on every other state. It hashes what
+``solve_dcts_multi`` returns per state: ``tau``, ``qdd``, ``s``, the status
+and the stage and QP iteration counts.
 
 A change that alters these bytes on purpose must say why and record the new
 hash here.
@@ -64,7 +64,7 @@ def outputs_hash(outs) -> str:
     h = hashlib.sha256()
     for out in outs:
         d = out.diagnostics
-        for arr in (out.tau, out.s, d["qdd_aug"], np.asarray(d["kkt"], dtype=float)):
+        for arr in (out.tau, out.qdd, out.s):
             h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
         h.update(f"{out.status} {d['stages']} {d['qp_iterations']}".encode())
     return h.hexdigest()
