@@ -33,6 +33,7 @@ from . import qpcore, rbd, solvers as solvers_mod, tasks as tasks_mod
 
 STATUS_CODE = {solvers_mod.OPTIMAL: 0, solvers_mod.DEGRADED: 1,
                solvers_mod.INFEASIBLE: 2, solvers_mod.MAX_ITER: 3}
+MAX_TICKS = 10**7   # control ticks a scenario may run; a trace takes ~400 B a tick
 
 
 class ConfigError(ValueError):
@@ -739,8 +740,13 @@ def _parse(data, source: str,
     integrator_dt = read(data, "integrator_dt_s", _positive, 1e-4)
     if control_dt and integrator_dt and not _whole(control_dt / integrator_dt):
         err(f"{source}: integrator_dt_s must divide control_dt_s")
-    if duration and control_dt and not _whole(duration / control_dt):
-        err(f"{source}: duration_s must be a whole number of control_dt_s")
+    if duration and control_dt:
+        ticks = duration / control_dt
+        if not _whole(ticks):
+            err(f"{source}: duration_s must be a whole number of control_dt_s")
+        elif round(ticks) > MAX_TICKS:
+            err(f"{source}: duration_s must be at most {MAX_TICKS:g} control ticks, "
+                f"got {ticks:.3g}")
     cfg = read(data, "solver_config", _solver_config, {})
     seed = read(data, "seed", partial(_int, low=0), 0)
     noise = read(data, "tau_ext_noise_std", _nonneg, 0.0)

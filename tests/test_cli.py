@@ -203,6 +203,8 @@ MALFORMED = {
                                  "duration_s must be a whole number of control_dt_s"),
     "duration_ticks_overflow": (("duration_s",), 1e308,
                                 "duration_s must be a whole number of control_dt_s"),
+    "duration_ticks_beyond_max": (("duration_s",), 1e300,
+                                  "duration_s must be at most 1e+07 control ticks"),
     "integrator_dt_ratio_overflow": (("integrator_dt_s",), 1e-320,
                                      "integrator_dt_s must divide control_dt_s"),
     "unknown_top_level_key": (("duraton_s",), 1.0, "unknown key 'duraton_s'"),
