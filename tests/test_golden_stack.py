@@ -25,7 +25,7 @@ Q_NOMINAL = np.array([0.0, 0.3, 0.0, -1.5, 0.0, 1.0, 0.0])
 ACC_LIMIT = np.array([30.0, 25.0, 60.0, 70.0, 400.0, 400.0, 600.0])
 N_STATES = 12
 
-GOLDEN = "980f38c8ce30d52a3969ae4a36e25ffc9f81021c6dae5059185971ab36e76dc5"
+GOLDEN = "cf65ad347b0ef78ead0c117379a9cce2b64cedfa95ffe4e8f10bb63fe5fa2b03"
 
 
 def stack_cases(model, seed: int = 5):

@@ -24,10 +24,10 @@ from test_golden_stack import ACC_LIMIT, N_STATES, Q_NOMINAL
 
 GOLDEN_TASKS = "c8cc0327bed22c6c2caa1e1d8b9d420b2b4dfb408048a72e232fcbdbac064dda"
 GOLDEN_SOLVERS = {
-    "dcts": "6995e8dc5d87c30bce465ffc088bbabc482a1715b411a1a3c06ba428f43c2438",
-    "osc": "3015fa00b78cdb4ea6d89387baa48817a3a71a8f3c22a124d305b16980737540",
-    "qp-mt": "0691c70a1fefb524999715cfb6a5262b3925b1df72f63e268a80649e402bacb3",
-    "qp-md": "59b6c56b038135a0ab94a165fb8e890606a12ffa2fbee5ee7bc1a8d38db73f4c",
+    "dcts": "e103ff6dec4e9052b32ca56c3e94c8175a82e042623e267cf7a93832d2e7ff7d",
+    "osc": "eb354efeeafbecf39df1fb34249b20bdffad991bbb8925ca652bc80081fe225f",
+    "qp-mt": "1d9d12f664292f75b199b22e35cecd5b3392740bed0715b221325aec7f282df9",
+    "qp-md": "123f31f7107bba35bbc6efd7a5964a0357d626d30d33883394e9edfb6c097e4d",
 }
 
 
