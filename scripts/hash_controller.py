@@ -76,13 +76,11 @@ def controller_hashes(dcts, seed: int) -> tuple[dict, workloads.Tally]:
         def call(*args, **kwargs):
             out = originals[name](*args, **kwargs)
             rest = {k: v for k, v in out.diagnostics.items() if k not in SOLVE_COUNTS}
+            commands = [np.asarray(arr) for arr in (out.tau, out.qdd, out.s)] + [out.status]
             for h, diagnostics in zip(hashes[SOLVER_FUNCTIONS[name]],
-                                      (out.diagnostics, rest, None)):
-                for arr in (out.tau, out.qdd, out.s):
-                    _feed(h, np.asarray(arr))
-                _feed(h, out.status)
-                if diagnostics is not None:
-                    _feed(h, diagnostics)
+                                      ([out.diagnostics], [rest], [])):
+                for value in commands + diagnostics:
+                    _feed(h, value)
             return out
         return call
 
