@@ -30,7 +30,8 @@ def main() -> None:
     scenario = sim.load_bundled_scenario("limit_push")
     lset = scenario.limits
     for offsets in (True, False):
-        tr = sim.run_scenario(scenario, solver="dcts", ext_force_in_bounds=offsets)
+        scenario.solver_config.ext_force_in_bounds = offsets
+        [tr] = sim.run_scenario(scenario, ["dcts"])
         tag = "with_offsets" if offsets else "without_offsets"
         tr.to_csv(out / f"limit_push__{tag}.trace.csv")
         v_over = 100.0 * (np.abs(tr.qd) - lset.v_max) / lset.v_max

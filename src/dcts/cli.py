@@ -5,9 +5,9 @@ starts; ``--validate`` runs the same checks and stops there. Exit codes: 0
 no tick fell back to braking, 1 a configuration error (nothing is run), 2 a
 tick of some run ended in the braking fallback (infeasible or out of QP
 iterations). Any other exception is a bug and propagates. Input configs are
-never modified; everything lands under --out. The solvers of one scenario run
-in lockstep in one ``sim.run_scenario`` call; ``--jobs N`` runs up to N
-scenarios in parallel.
+never modified; this module writes every output file, all under --out. The
+solvers of one scenario run in lockstep in one ``sim.run_scenario`` call;
+``--jobs N`` runs up to N scenarios in parallel.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
-from . import sim, solvers
+from . import qpcore, sim, solvers
 
 log = logging.getLogger("dcts")
 
@@ -53,19 +54,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_one(job) -> list[dict]:
     """Run one scenario with all its solvers in lockstep and write each
-    solver's trace and summary; returns the summaries in solver order."""
-    scenario, names, out_dir, no_bounds, dump_qp = job
-    stems = [Path(out_dir) / f"{scenario.name}__{name}" for name in names]
-    dumps = {name: f"{stem}.qp.json" for name, stem in zip(names, stems)} if dump_qp else None
-    traces = sim.run_scenario(scenario, names,
-                              ext_force_in_bounds=False if no_bounds else None,
-                              dump_qp_paths=dumps)
+    solver's trace and summary, and with ``dump_qp`` the last QP its run
+    solved; returns the summaries in solver order."""
+    scenario, names, out_dir, dump_qp = job
+    log.info("running %s with %s", scenario.source, ", ".join(names))
+    last_qp = {}
+
+    def keep_last_qp(solver, tick, state, dyn, realized, out):
+        last_qp[solver] = out.diagnostics.get("last_qp")
+
+    traces = sim.run_scenario(scenario, names, keep_last_qp if dump_qp else None)
     summaries = []
-    for stem, trace in zip(stems, traces):
+    for trace in traces:
+        stem = Path(out_dir) / f"{scenario.name}__{trace.solver}"
         trace.to_csv(f"{stem}.trace.csv")
         summaries.append(trace.summary())
         Path(f"{stem}.summary.json").write_text(
             json.dumps(summaries[-1], indent=2, sort_keys=True) + "\n")
+        if last_qp.get(trace.solver) is not None:
+            qpcore.dump_problem(last_qp[trace.solver], f"{stem}.qp.json")
     return summaries
 
 
@@ -102,6 +109,8 @@ def run(argv: list[str] | None = None) -> int:
         if scenario is not None:
             if args.seed is not None:
                 scenario.seed = args.seed
+            if args.no_ext_force_bounds:
+                scenario.solver_config.ext_force_in_bounds = False
             names = tuple(args.solver or [scenario.solver])
             for solver in names:
                 problem = solvers.solver_error(solver, len(scenario.tasks))
@@ -111,7 +120,7 @@ def run(argv: list[str] | None = None) -> int:
                 runs.add((scenario.name, solver))
                 if problem is not None:
                     issues.append(("error", f"{scenario.source}: {problem}"))
-            jobs.append((scenario, names, args.out, args.no_ext_force_bounds, args.dump_qp))
+            jobs.append((scenario, names, args.out, args.dump_qp))
         if args.validate and not issues:
             print(f"{ref}: ok")
         for level, msg in issues:
@@ -125,14 +134,8 @@ def run(argv: list[str] | None = None) -> int:
     except OSError as e:        # a file in the way, or no permission
         print(f"error: --out {args.out}: {e.strerror.lower()}", file=sys.stderr)
         return 1
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            per_job = list(pool.map(_run_one, jobs))
-    else:
-        per_job = []
-        for job in jobs:
-            log.info("running %s with %s", job[0].source, ", ".join(job[1]))
-            per_job.append(_run_one(job))
+    with ProcessPoolExecutor(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        per_job = list((pool.map if pool else map)(_run_one, jobs))
     summaries = [summary for job_summaries in per_job for summary in job_summaries]
 
     table = comparison_table(summaries)

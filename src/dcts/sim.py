@@ -29,11 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from . import limits as limits_mod
-from . import qpcore, rbd, solvers as solvers_mod, tasks as tasks_mod
+from . import rbd, solvers as solvers_mod, tasks as tasks_mod
 
 STATUS_CODE = {solvers_mod.OPTIMAL: 0, solvers_mod.DEGRADED: 1,
                solvers_mod.INFEASIBLE: 2, solvers_mod.MAX_ITER: 3}
 MAX_TICKS = 10**7   # control ticks a scenario may run; a trace takes ~400 B a tick
+MAX_SUBSTEPS = 1000  # plant substeps per control tick; each is a forward-dynamics solve,
+                     # so a tick here costs 100 of a bundled scenario's plant (10 substeps)
 
 
 class ConfigError(ValueError):
@@ -379,32 +381,24 @@ class _Run:
 
 
 def run_scenario(scenario: Scenario, solvers: list[str] | None = None,
-                 ext_force_in_bounds: bool | None = None,
-                 dump_qp_paths: dict[str, str] | None = None,
-                 record_hook=None, solver: str | None = None) -> list[Trace] | Trace:
+                 record_hook=None) -> list[Trace]:
     """Run one scenario with each of ``solvers`` (default: the scenario's
     own) in lockstep and return one trace per solver, in order.
 
     Every solver keeps its own plant state, trackers, noise stream and trace,
     and its tick runs its own dynamics, tasks, bounds and controller; each
     plant substep then advances all solvers' plants in one batched call. A
-    solver's trace is the same as a run of that solver alone. ``solver``
-    names one solver instead and returns its trace alone.
-
-    ``dump_qp_paths`` maps a solver to the file that receives the last QP
-    its run solved; only ``dcts`` solves one. ``record_hook(solver, tick,
-    state, dyn, realized, out)`` is called after each solver's control tick
-    when given (used by tests to replay solvers).
+    solver's trace is the same as a run of that solver alone.
+    ``record_hook(solver, tick, state, dyn, realized, out)`` is called after
+    each solver's control tick when given.
     """
     model = scenario.model
-    names = [solver] if solver is not None else list(solvers or [scenario.solver])
+    names = list(solvers or [scenario.solver])
     for name in names:
         problem = solvers_mod.solver_error(name, len(scenario.tasks))
         if problem is not None:
             raise ConfigError(f"{scenario.source}: {problem}")
-    cfg = replace(scenario.solver_config)
-    if ext_force_in_bounds is not None:
-        cfg.ext_force_in_bounds = ext_force_in_bounds
+    cfg = scenario.solver_config
     lset = scenario.limits
     noise = scenario.tau_ext_noise_std
 
@@ -505,12 +499,7 @@ def run_scenario(scenario: Scenario, solvers: list[str] | None = None,
                 lead.J @ qdd_first[b] + lead.jdot_qd - lead.a_d))
             run.state = rbd.JointState(sub.q[b], sub.qd[b])
             run.qdd_prev = qdd_first[b]
-    for run in runs:
-        path = (dump_qp_paths or {}).get(run.solver)
-        if path is not None and "last_qp" in run.out.diagnostics:
-            qpcore.dump_problem(run.out.diagnostics["last_qp"], path)
-    traces = [run.trace for run in runs]
-    return traces[0] if solver is not None else traces
+    return [run.trace for run in runs]
 
 
 def _position_error(spec: tasks_mod.TaskSpec, lead: tasks_mod.TaskInstance,
@@ -738,8 +727,13 @@ def _parse(data, source: str,
     duration = read(data, "duration_s", _positive)
     control_dt = read(data, "control_dt_s", _positive, 1e-3)
     integrator_dt = read(data, "integrator_dt_s", _positive, 1e-4)
-    if control_dt and integrator_dt and not _whole(control_dt / integrator_dt):
-        err(f"{source}: integrator_dt_s must divide control_dt_s")
+    if control_dt and integrator_dt:
+        substeps = control_dt / integrator_dt
+        if not _whole(substeps):
+            err(f"{source}: integrator_dt_s must divide control_dt_s")
+        elif round(substeps) > MAX_SUBSTEPS:
+            err(f"{source}: integrator_dt_s must be at least control_dt_s / {MAX_SUBSTEPS}, "
+                f"got {substeps:.3g} substeps per control tick")
     if duration and control_dt:
         ticks = duration / control_dt
         if not _whole(ticks):

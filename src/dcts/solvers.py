@@ -10,7 +10,8 @@ commanded torque with gravity/bias compensation included. Conventions:
   tau' = J^T Lambda (a_d - Jdot qd - J M^-1 tau_ext).
 - QP-MT/QP-MD minimize ||J qdd - (a_d - Jdot qd)||^2 plus a regularizer
   (torque norm about gravity, or joint damping qdd -> -D qd), subject to the
-  torque box; they ignore external torques, which is their documented flaw.
+  torque box; they take no external torque argument, which is their
+  documented flaw.
 - DCTS solves min 1/2 tau'^T M^-1 tau' + priority-ordered scaling of the
   desired task accelerations, subject to the dynamics link tau = M qdd + nu
   + g, torque bounds, shaped joint-acceleration bounds and the per-level
@@ -211,7 +212,6 @@ def _solve_qp_baseline(dyn: rbd.ChainDynamics, task: TaskInstance,
 
 
 def solve_qp_mt(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance,
-                tau_ext: np.ndarray | None = None,
                 cfg: SolverConfig | None = None,
                 dyn: rbd.ChainDynamics | None = None) -> ControlOutput:
     """QP baseline with a minimum-torque regularizer.
@@ -219,7 +219,8 @@ def solve_qp_mt(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance
     By default the regularizer is centered at the gravity torque,
     ||tau - g||^2 = ||M qdd + nu||^2, so the comparison is not dominated by
     static gravity magnitude; torque_regularizer="plain" gives the bare
-    ||tau||^2. External torques are ignored by construction.
+    ||tau||^2. The baseline takes no external torque: its task equation
+    leaves tau_ext out.
     """
     cfg = cfg or SolverConfig()
     if dyn is None:
@@ -229,10 +230,10 @@ def solve_qp_mt(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance
 
 
 def solve_qp_md(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance,
-                tau_ext: np.ndarray | None = None,
                 cfg: SolverConfig | None = None,
                 dyn: rbd.ChainDynamics | None = None) -> ControlOutput:
-    """QP baseline with a joint-space damping regularizer ||qdd + D qd||^2."""
+    """QP baseline with a joint-space damping regularizer ||qdd + D qd||^2;
+    like QP-MT it takes no external torque."""
     if dyn is None:
         dyn = rbd.compute_dynamics(model, state)
     D = QP_MD_DAMPING * np.eye(model.n)

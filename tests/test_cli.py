@@ -106,10 +106,28 @@ def test_dump_qp_produces_loadable_problem(tmp_path, monkeypatch):
         assert qpcore.solve(problem).status == qpcore.OPTIMAL
 
 
-def test_ext_force_flags_accepted(tiny_scenario, tmp_path):
-    rc = cli.run(["--scenario", str(tiny_scenario), "--solver", "dcts",
-                  "--out", str(tmp_path / "o"), "--no-ext-force-bounds"])
-    assert rc == 0
+def test_ext_force_flags_accepted(tmp_path):
+    """--no-ext-force-bounds and a solver_config setting ext_force_in_bounds
+    to false are one setting: the dcts traces have the same bytes. On a
+    limit_push window whose push starts at 10 ms the bounds bind, so both
+    differ from the default run."""
+    data = json.loads(sim.bundled_scenario_path("limit_push").read_text())
+    data["duration_s"] = 0.2
+    data["events"][0].update(start_s=0.01, ramp_s=0.0)
+    default = tmp_path / "default.json"
+    default.write_text(json.dumps(data))
+    data["solver_config"] = {"ext_force_in_bounds": False}
+    no_bounds = tmp_path / "no_bounds.json"
+    no_bounds.write_text(json.dumps(data))
+    traces = {}
+    for name, path, extra in (("default", default, []),
+                              ("flag", default, ["--no-ext-force-bounds"]),
+                              ("key", no_bounds, [])):
+        assert cli.run(["--scenario", str(path), "--solver", "dcts",
+                        "--out", str(tmp_path / name), *extra]) == 0
+        traces[name] = (tmp_path / name / "limit-push__dcts.trace.csv").read_bytes()
+    assert traces["flag"] == traces["key"]
+    assert traces["flag"] != traces["default"]
 
 
 def test_missing_file_is_config_error(capsys):
@@ -158,7 +176,7 @@ def test_multi_task_stack_rejected_by_single_task_solvers(tmp_path, capsys):
     assert "'qp-md'" in err and "2" in err
     assert not out_dir.exists()          # rejected before the dcts run started
     with pytest.raises(sim.ConfigError, match="'qp-md' takes one task"):
-        sim.run_scenario(sim.load_scenario(path), solver="qp-md")
+        sim.run_scenario(sim.load_scenario(path), ["qp-md"])
 
 
 MALFORMED = {
@@ -207,6 +225,8 @@ MALFORMED = {
                                   "duration_s must be at most 1e+07 control ticks"),
     "integrator_dt_ratio_overflow": (("integrator_dt_s",), 1e-320,
                                      "integrator_dt_s must divide control_dt_s"),
+    "integrator_substeps_beyond_max": (("integrator_dt_s",), 1e-300,
+                                       "integrator_dt_s must be at least control_dt_s / 1000"),
     "unknown_top_level_key": (("duraton_s",), 1.0, "unknown key 'duraton_s'"),
     "unknown_limits_key": (("limits", "tau_mx_nm"), 50.0, "limits: unknown key 'tau_mx_nm'"),
     "removed_limits_dt": (("limits", "dt_s"), 0.5, "limits: unknown key 'dt_s'"),

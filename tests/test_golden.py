@@ -116,8 +116,9 @@ def window_hashes(scenario: str, solver: str, variant: str,
     sc.duration = WINDOW_S
     if "early" in variant:
         sc.events[0].start = EARLY_EVENT_S
-    trace = sim.run_scenario(sc, solver=solver,
-                             ext_force_in_bounds=False if "no-bounds" in variant else None)
+    if "no-bounds" in variant:
+        sc.solver_config.ext_force_in_bounds = False
+    [trace] = sim.run_scenario(sc, [solver])
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     summary = json.dumps(trace.summary(), indent=2, sort_keys=True) + "\n"

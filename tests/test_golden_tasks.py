@@ -86,7 +86,7 @@ def solve(name, model, state, dyn, realized, tau_ext, lset):
         lr = limits.realize_joint_limits(lset, state.q, state.qd)
         return solvers.solve_osc_saturated(model, state, realized[0], lr, tau_ext, dyn=dyn)
     solve_qp = solvers.solve_qp_mt if name == "qp-mt" else solvers.solve_qp_md
-    return solve_qp(model, state, realized[0], tau_ext, dyn=dyn)
+    return solve_qp(model, state, realized[0], dyn=dyn)
 
 
 def golden_hashes(model) -> tuple[str, dict[str, str]]:

@@ -34,9 +34,10 @@ def test_golden_windows_in_lockstep(group, tmp_path):
     sc.duration = WINDOW_S
     if "early" in variant:
         sc.events[0].start = EARLY_EVENT_S
+    if "no-bounds" in variant:
+        sc.solver_config.ext_force_in_bounds = False
     names = GROUPS[group]
-    traces = sim.run_scenario(sc, names,
-                              ext_force_in_bounds=False if "no-bounds" in variant else None)
+    traces = sim.run_scenario(sc, names)
     assert [trace.solver for trace in traces] == names
     for name, trace in zip(names, traces):
         path = tmp_path / f"{name}.csv"

@@ -161,7 +161,7 @@ def test_energy_metrics_null_velocity_invisible(iiwa):
 
 def test_rotation_hold_regulates():
     sc = short_scenario(duration=0.5)
-    tr = sim.run_scenario(sc, solver="dcts")
+    [tr] = sim.run_scenario(sc, ["dcts"])
     assert tr.pos_err[-1] < tr.pos_err[0]
     assert np.all(tr.s >= 0) and np.all(tr.s <= 1)
     assert tr.e_kin_null.min() > -1e-9
@@ -170,8 +170,8 @@ def test_rotation_hold_regulates():
 def test_scenario_determinism_bytes(tmp_path):
     sc1 = short_scenario(duration=0.15)
     sc2 = short_scenario(duration=0.15)
-    t1 = sim.run_scenario(sc1, solver="dcts")
-    t2 = sim.run_scenario(sc2, solver="dcts")
+    [t1] = sim.run_scenario(sc1, ["dcts"])
+    [t2] = sim.run_scenario(sc2, ["dcts"])
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     t1.to_csv(p1)
     t2.to_csv(p2)
@@ -189,8 +189,8 @@ def two_task_dict(duration: float) -> dict:
 
 def test_trace_csv_layout(tmp_path):
     """One scale column per task sits between tau and the energies."""
-    one = sim.run_scenario(short_scenario(duration=0.05), solver="osc")
-    two = sim.run_scenario(sim.scenario_from_dict(two_task_dict(0.005)), solver="dcts")
+    [one] = sim.run_scenario(short_scenario(duration=0.05), ["osc"])
+    [two] = sim.run_scenario(sim.scenario_from_dict(two_task_dict(0.005)), ["dcts"])
     for tr, k in ((one, 1), (two, 2)):
         path = tmp_path / f"k{k}.csv"
         tr.to_csv(path)
@@ -238,14 +238,14 @@ def test_reused_scenario_gives_the_same_trace(tmp_path, iiwa):
     runs = []
     for i in range(2):
         path = tmp_path / f"run{i}.csv"
-        sim.run_scenario(sc, solver="dcts").to_csv(path)
+        sim.run_scenario(sc, ["dcts"])[0].to_csv(path)
         runs.append(path.read_bytes())
     assert runs[0] == runs[1]
 
 
 def test_summary_fields():
     sc = short_scenario(duration=0.05)
-    s = sim.run_scenario(sc, solver="qp-mt").summary()
+    s = sim.run_scenario(sc, ["qp-mt"])[0].summary()
     for key in ("mean_position_error", "max_position_error",
                 "mean_acceleration_error", "violation_pct",
                 "violation_pct_per_joint", "energy", "scaling", "status_counts"):
@@ -269,7 +269,7 @@ def test_braking_tick_records_every_task_scale_as_zero():
 def test_qp_md_null_energy_decays_after_push():
     """Damping regularizer dissipates the pushed-in null-space energy."""
     sc = sim.load_bundled_scenario("push_recovery")
-    tr = sim.run_scenario(sc, solver="qp-md")
+    [tr] = sim.run_scenario(sc, ["qp-md"])
     t_end_push = 0.5
     i0 = np.searchsorted(tr.t, t_end_push)
     i2 = np.searchsorted(tr.t, t_end_push + 2.0)
@@ -313,7 +313,7 @@ def test_one_kinematics_per_plant_substep(monkeypatch):
 def test_unknown_solver_rejected():
     sc = short_scenario(duration=0.05)
     with pytest.raises(sim.ConfigError, match="valid"):
-        sim.run_scenario(sc, solver="nope")
+        sim.run_scenario(sc, ["nope"])
 
 
 # ---------------------------------------------------------------------------

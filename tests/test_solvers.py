@@ -304,8 +304,8 @@ def test_diagnostics_hold_only_what_a_caller_reads(iiwa):
         for out, keys in (
                 (solvers.solve_osc_saturated(iiwa, state, task, lr, tau_ext, dyn=dyn),
                  {"saturated"}),
-                (solvers.solve_qp_mt(iiwa, state, task, tau_ext, dyn=dyn), {"qp_iterations"}),
-                (solvers.solve_qp_md(iiwa, state, task, tau_ext, dyn=dyn), {"qp_iterations"}),
+                (solvers.solve_qp_mt(iiwa, state, task, dyn=dyn), {"qp_iterations"}),
+                (solvers.solve_qp_md(iiwa, state, task, dyn=dyn), {"qp_iterations"}),
                 (dcts, {"stages", "qp_iterations", "last_qp"})):
             assert out.diagnostics.keys() == keys
 
