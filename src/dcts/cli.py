@@ -42,8 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-ext-force-bounds", action="store_true",
                    help="do not offset the shaped acceleration bounds by external torques")
     p.add_argument("--dump-qp", action="store_true",
-                   help="dump the last QP each dcts run solved to JSON "
-                        "(the other solvers write none)")
+                   help="dump the QP of the last stage each dcts run decided to JSON; "
+                        "it may be a bisection trial decided from its level's "
+                        "feasibility limit without a solve (the other solvers write none)")
     p.add_argument("--validate", action="store_true",
                    help="check the configs as a run would, then exit without running")
     p.add_argument("--jobs", type=int, default=1,
@@ -54,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_one(job) -> list[dict]:
     """Run one scenario with all its solvers in lockstep and write each
-    solver's trace and summary, and with ``dump_qp`` the last QP its run
-    solved; returns the summaries in solver order."""
+    solver's trace and summary, and with ``dump_qp`` the QP of the last stage
+    its run decided; returns the summaries in solver order."""
     scenario, names, out_dir, dump_qp = job
     log.info("running %s with %s", scenario.source, ", ".join(names))
     last_qp = {}

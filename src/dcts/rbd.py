@@ -12,7 +12,8 @@ World-frame formulation throughout:
   pseudoinverse Jbar = M^-1 J^T Lambda and the projector N = I - J^T Jbar^T.
 
 A RobotModel is immutable after load; every function here is a pure function
-of its arguments.
+of its arguments. The model loader's file reader and field converters serve
+the scenario parser in ``sim`` too.
 """
 
 from __future__ import annotations
@@ -31,14 +32,8 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 class ModelError(ValueError):
-    """Raised when a robot model file violates the schema or its invariants."""
-
-
-def _unit(v: np.ndarray, what: str) -> np.ndarray:
-    n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > 1e-9:
-        raise ModelError(f"{what}: axis must be unit norm, got |axis| = {n}")
-    return v
+    """Raised when a robot model file cannot be read or violates the schema or
+    its invariants."""
 
 
 def rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -568,94 +563,173 @@ def compute_dynamics(model: RobotModel, state: JointState) -> ChainDynamics:
 
 
 # ---------------------------------------------------------------------------
-# model loading
+# input files: the model and scenario parsers share one reader and one set of
+# converters. A converter raises TypeError or ValueError, ``_get`` a KeyError
+# for a missing field, and each parser reports the error naming its field.
 
 
-def _get(d: dict, key: str, where: str):
-    if key not in d:
-        raise ModelError(f"{where}: missing field '{key}'")
-    return d[key]
+_REQUIRED = object()
 
 
-def _vec(d: dict, key: str, size: int, where: str) -> np.ndarray:
-    v = np.asarray(_get(d, key, where), dtype=float)
-    if v.shape != (size,):
-        raise ModelError(f"{where}.{key}: expected {size} numbers, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ModelError(f"{where}.{key}: non-finite value")
+def _floats(value, shape: tuple = (), fill: bool = True) -> np.ndarray:
+    """``value`` as a finite float array of ``shape``; with ``fill`` a number
+    fills it."""
+    v = np.asarray(value, dtype=float)
+    if v.shape != shape:
+        if v.ndim or not fill:
+            raise ValueError(f"expected shape {shape}, got {v.shape}")
+        v = np.full(shape, v)
+    if not np.isfinite(v).all():
+        raise ValueError("must be finite")
     return v
 
 
+def _num(value, low: float = -math.inf, strict: bool = False) -> float:
+    """A finite number >= low, or > low when strict."""
+    v = float(_floats(value))
+    if v < low or (strict and v == low):
+        raise ValueError(f"must be {'>' if strict else '>='} {low:g}")
+    return v
+
+
+def _int(value, low: float = -math.inf, high: float = math.inf) -> int:
+    v = _num(value)
+    if not (v.is_integer() and low <= v <= high):
+        raise ValueError(f"must be an integer in [{low}, {high}]")
+    return int(v)
+
+
+def _only(d: dict, keys: tuple, prefix: str = "") -> None:
+    """Raise ValueError naming every key of ``d`` outside ``keys``."""
+    unknown = [k for k in d if k not in keys]
+    if unknown:
+        raise ValueError(f"{prefix}unknown key {', '.join(map(repr, unknown))}")
+
+
+def _obj(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("expected a JSON object")
+    return value
+
+
+def _list(value, nonempty: bool = False) -> list:
+    if not isinstance(value, list) or (nonempty and not value):
+        raise TypeError(f"expected a {'non-empty ' if nonempty else ''}list")
+    return value
+
+
+_positive = partial(_num, low=0.0, strict=True)
+_nonneg = partial(_num, low=0.0)
+_vec3 = partial(_floats, shape=(3,))
+
+
+def _get(d: dict, key: str, convert, default=_REQUIRED):
+    """``convert(d[key])``, or ``convert(default)`` when the key is absent
+    (None when the default is None). A missing required key raises
+    KeyError; a failed conversion raises ValueError naming the key."""
+    if key not in d:
+        if default is _REQUIRED:
+            raise KeyError(key)
+        if default is None:
+            return None
+    try:
+        return convert(d.get(key, default))
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{key}: {e}") from e
+
+
+def _input_path(ref: str | Path, folder: str = "", base: Path | None = None) -> Path:
+    """The path of an input file: ``bundled:<name>`` names the package's
+    ``data/<folder><name>.json``; any other reference is a path, taken from
+    ``base`` when it is relative."""
+    if isinstance(ref, str) and ref.startswith("bundled:"):
+        name = ref.split(":", 1)[1]
+        return Path(resources.files("dcts").joinpath(f"data/{folder}{name}.json"))
+    return Path(base or "", ref)
+
+
+def _read_json(path: Path, error: type[ValueError] = ModelError):
+    """The parsed JSON of a file. A missing or unreadable file, text that is
+    not UTF-8 and invalid JSON raise ``error`` with a message that starts
+    with the path."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as e:
+        raise error(f"{path}: {e.strerror.lower()}") from e
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+    except json.JSONDecodeError as e:
+        raise error(f"{path}:{e.lineno}: invalid JSON ({e.msg})") from e
+
+
+def _axis(value) -> np.ndarray:
+    """Three numbers of unit norm, within 1e-9."""
+    v = _floats(value, (3,), fill=False)
+    norm = float(np.linalg.norm(v))
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"must be unit norm, got |axis| = {norm}")
+    return v
+
+
+def _inertia(value) -> np.ndarray:
+    """The positive definite tensor of [ixx, iyy, izz, ixy, ixz, iyz]."""
+    i = _floats(value, (6,), fill=False)
+    I = np.array([[i[0], i[3], i[4]], [i[3], i[1], i[5]], [i[4], i[5], i[2]]])
+    if np.linalg.eigvalsh(I).min() <= 0:
+        raise ValueError("tensor is not positive definite")
+    return I
+
+
 def model_from_dict(data: dict, source: str = "<dict>") -> RobotModel:
-    """Build and validate a RobotModel from parsed JSON (see README for the schema)."""
-    joints = _get(data, "joints", source)
-    if not isinstance(joints, list) or len(joints) < 1:
-        raise ModelError(f"{source}.joints: need at least one joint")
-    n = len(joints)
+    """Build and validate a RobotModel from parsed JSON (see README for the
+    schema); a ModelError names the first bad field."""
 
-    origins = np.empty((n, 4, 4))
-    axes = np.empty((n, 3))
-    masses = np.empty(n)
-    coms = np.empty((n, 3))
-    inertias = np.empty((n, 3, 3))
-    lim = {k: np.empty(n) for k in ("q_min", "q_max", "v_min", "v_max", "tau_min", "tau_max")}
+    def read(d, key, convert, default=_REQUIRED, where=source):
+        """``_get(d, key, convert, default)``, every error a ModelError naming
+        ``where.key``, or ``where`` when ``d`` is not an object."""
+        try:
+            return _get(_obj(d), key, convert, default)
+        except KeyError as e:
+            raise ModelError(f"{where}: missing field {e}") from None
+        except TypeError as e:          # from _obj: _get reports a convert's as ValueError
+            raise ModelError(f"{where}: {e}") from None
+        except ValueError as e:
+            raise ModelError(f"{where}.{e}") from e
 
-    for i, j in enumerate(joints):
-        where = f"{source}.joints[{i}]"
-        xyz = _vec(j, "origin_xyz", 3, where)
-        rpy = _vec(j, "origin_rpy", 3, where)
-        origins[i] = _transform(rpy_matrix(*rpy), xyz)
-        axes[i] = _unit(_vec(j, "axis", 3, where), where)
-        link = _get(j, "link", where)
-        lwhere = where + ".link"
-        masses[i] = float(_get(link, "mass", lwhere))
-        if masses[i] <= 0:
-            raise ModelError(f"{lwhere}.mass: must be > 0, got {masses[i]}")
-        coms[i] = _vec(link, "com", 3, lwhere)
-        ivals = _vec(link, "inertia", 6, lwhere)     # ixx iyy izz ixy ixz iyz
-        I = np.array([
-            [ivals[0], ivals[3], ivals[4]],
-            [ivals[3], ivals[1], ivals[5]],
-            [ivals[4], ivals[5], ivals[2]],
-        ])
-        if np.linalg.eigvalsh(I).min() <= 0:
-            raise ModelError(f"{lwhere}.inertia: tensor is not positive definite")
-        inertias[i] = I
-        for k in lim:
-            lim[k][i] = float(_get(j, k, where))
-    for lo, hi in (("q_min", "q_max"), ("v_min", "v_max"), ("tau_min", "tau_max")):
-        bad = np.nonzero(lim[lo] >= lim[hi])[0]
-        if bad.size:
-            raise ModelError(f"{source}.joints[{bad[0]}]: {lo} must be < {hi}")
-
-    armature = np.zeros(n)
-    for i, j in enumerate(joints):
-        armature[i] = float(j.get("armature", 0.0))
-        if armature[i] < 0:
-            raise ModelError(f"{source}.joints[{i}].armature: must be >= 0")
-    gravity = _vec(data, "gravity", 3, source)
-    tool = data.get("tool", {"xyz": [0, 0, 0], "rpy": [0, 0, 0]})
-    tool_T = _transform(rpy_matrix(*_vec(tool, "rpy", 3, source + ".tool")),
-                        _vec(tool, "xyz", 3, source + ".tool"))
-
+    exact3 = partial(_floats, shape=(3,), fill=False)     # a number fills no model vector
+    bounds = (("q_min", "q_max"), ("v_min", "v_max"), ("tau_min", "tau_max"))
+    rows = []
+    for i, j in enumerate(read(data, "joints", partial(_list, nonempty=True))):
+        joint = partial(read, j, where=f"{source}.joints[{i}]")
+        link = partial(read, joint("link", _obj), where=f"{source}.joints[{i}].link")
+        row = {k: joint(k, _num) for pair in bounds for k in pair}
+        for lo, hi in bounds:
+            if row[lo] >= row[hi]:
+                raise ModelError(f"{source}.joints[{i}]: {lo} must be < {hi}")
+        rows.append(dict(row,
+                         origins=_transform(rpy_matrix(*joint("origin_rpy", exact3)),
+                                            joint("origin_xyz", exact3)),
+                         axes=joint("axis", _axis),
+                         masses=link("mass", _positive),
+                         coms=link("com", exact3),
+                         inertias=link("inertia", _inertia),
+                         armature=joint("armature", _nonneg, 0.0)))
+    tool = partial(read, read(data, "tool", _obj, {"xyz": [0, 0, 0], "rpy": [0, 0, 0]}),
+                   where=source + ".tool")
     return RobotModel(name=str(data.get("name", "unnamed")),
-                      origins=origins, axes=axes, masses=masses, coms=coms,
-                      inertias=inertias, gravity=gravity, tool=tool_T,
-                      armature=armature, **lim)
+                      gravity=read(data, "gravity", exact3),
+                      tool=_transform(rpy_matrix(*tool("rpy", exact3)), tool("xyz", exact3)),
+                      **{k: np.array([row[k] for row in rows]) for k in rows[0]})
 
 
 def load_model(path: str | Path) -> RobotModel:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ModelError(f"{path}:{e.lineno}: invalid JSON ({e.msg})") from e
-    return model_from_dict(data, source=str(path))
+    return model_from_dict(_read_json(path), source=str(path))
 
 
 def bundled_model_path(name: str = "iiwa14") -> Path:
     """Path of a model file shipped with the package."""
-    return Path(resources.files("dcts").joinpath(f"data/{name}.json"))
+    return _input_path(f"bundled:{name}")
 
 
 def load_bundled_model(name: str = "iiwa14") -> RobotModel:

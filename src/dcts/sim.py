@@ -20,7 +20,6 @@ inertia of the priority-1 task.
 from __future__ import annotations
 
 import copy
-import json
 import math
 from dataclasses import InitVar, dataclass, replace
 from functools import partial
@@ -30,6 +29,8 @@ import numpy as np
 
 from . import limits as limits_mod
 from . import rbd, solvers as solvers_mod, tasks as tasks_mod
+from .rbd import (_REQUIRED, _floats, _get, _input_path, _int, _list, _nonneg, _num, _obj,
+                  _only, _positive, _read_json, _vec3)
 
 STATUS_CODE = {solvers_mod.OPTIMAL: 0, solvers_mod.DEGRADED: 1,
                solvers_mod.INFEASIBLE: 2, solvers_mod.MAX_ITER: 3}
@@ -520,38 +521,9 @@ def _position_error(spec: tasks_mod.TaskSpec, lead: tasks_mod.TaskInstance,
 
 # ---------------------------------------------------------------------------
 # scenario files: one parser converts and checks every field once. The
-# converters and builders raise KeyError, TypeError or ValueError; the parser
-# records each as an issue naming its field.
-
-
-_REQUIRED = object()
-
-
-def _floats(value, shape: tuple = ()) -> np.ndarray:
-    """``value`` as a finite float array of ``shape``; a number fills it."""
-    v = np.asarray(value, dtype=float)
-    if v.shape != shape:
-        if v.ndim:
-            raise ValueError(f"expected shape {shape}, got {v.shape}")
-        v = np.full(shape, v)
-    if not np.isfinite(v).all():
-        raise ValueError("must be finite")
-    return v
-
-
-def _num(value, low: float = -math.inf, strict: bool = False) -> float:
-    """A finite number >= low, or > low when strict."""
-    v = float(_floats(value))
-    if v < low or (strict and v == low):
-        raise ValueError(f"must be {'>' if strict else '>='} {low:g}")
-    return v
-
-
-def _int(value, low: float = -math.inf, high: float = math.inf) -> int:
-    v = _num(value)
-    if not (v.is_integer() and low <= v <= high):
-        raise ValueError(f"must be an integer in [{low}, {high}]")
-    return int(v)
+# converters (shared with the model parser in rbd) and builders raise
+# KeyError, TypeError or ValueError; the parser records each as an error
+# naming its field.
 
 
 def _whole(ratio: float) -> bool:
@@ -559,50 +531,8 @@ def _whole(ratio: float) -> bool:
     return math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * ratio
 
 
-def _only(d: dict, keys: tuple, prefix: str = "") -> None:
-    """Raise ValueError naming every key of ``d`` outside ``keys``."""
-    unknown = [k for k in d if k not in keys]
-    if unknown:
-        raise ValueError(f"{prefix}unknown key {', '.join(map(repr, unknown))}")
-
-
-def _obj(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError("expected a JSON object")
-    return value
-
-
-def _list(value, nonempty: bool = False) -> list:
-    if not isinstance(value, list) or (nonempty and not value):
-        raise TypeError(f"expected a {'non-empty ' if nonempty else ''}list")
-    return value
-
-
-_positive = partial(_num, low=0.0, strict=True)
-_nonneg = partial(_num, low=0.0)
-_vec3 = partial(_floats, shape=(3,))
-
-
 def _solver_config(value) -> solvers_mod.SolverConfig:
     return solvers_mod.SolverConfig(**_obj(value))
-
-
-def _get(d: dict, key: str, convert=None, default=_REQUIRED):
-    """``convert(d[key])``, or ``convert(default)`` when the key is absent
-    (None when the default is None). A missing required key raises
-    KeyError; a failed conversion raises ValueError naming the key."""
-    if key not in d:
-        if default is _REQUIRED:
-            raise KeyError(key)
-        if default is None:
-            return None
-    value = d.get(key, default)
-    if convert is None:
-        return value
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OSError) as e:
-        raise ValueError(f"{key}: {e}") from e
 
 
 # the keys of a task by mode, besides the common ones, and of a Cartesian
@@ -828,17 +758,11 @@ def validate_scenario_dict(data: dict, source: str = "<dict>",
 
 
 def _resolve_model(ref: str, model_dir: Path | None) -> rbd.RobotModel:
-    if isinstance(ref, str) and ref.startswith("bundled:"):
-        return rbd.load_bundled_model(ref.split(":", 1)[1])
-    path = Path(ref)
-    if not path.is_absolute() and model_dir is not None:
-        path = model_dir / path
-    return rbd.load_model(path)
+    return rbd.load_model(_input_path(ref, base=model_dir))
 
 
 def bundled_scenario_path(name: str) -> Path:
-    from importlib import resources
-    return Path(resources.files("dcts").joinpath(f"data/scenarios/{name}.json"))
+    return _input_path(f"bundled:{name}", "scenarios/")
 
 
 def read_scenario(ref: str | Path) -> tuple[Scenario | None, list[tuple[str, str]]]:
@@ -847,17 +771,11 @@ def read_scenario(ref: str | Path) -> tuple[Scenario | None, list[tuple[str, str
     Returns the Scenario (None on any error) and the issues, an unreadable
     file or invalid JSON among them.
     """
-    ref = str(ref)
-    path = (bundled_scenario_path(ref.split(":", 1)[1]) if ref.startswith("bundled:")
-            else Path(ref))
+    path = _input_path(ref, "scenarios/")
     try:
-        data = json.loads(path.read_text())
-    except OSError as e:
-        return None, [("error", f"{path}: {e.strerror.lower()}")]
-    except UnicodeDecodeError as e:
-        return None, [("error", f"{path}: not UTF-8 text ({e.reason} at byte {e.start})")]
-    except json.JSONDecodeError as e:
-        return None, [("error", f"{path}:{e.lineno}: invalid JSON ({e.msg})")]
+        data = _read_json(path, ConfigError)
+    except ConfigError as e:
+        return None, [("error", str(e))]
     return _parse(data, str(path), path.parent)
 
 

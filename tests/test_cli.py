@@ -276,6 +276,60 @@ def test_malformed_input_is_a_config_error(case, tmp_path, capsys, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
+MALFORMED_MODEL = {
+    # case: (path into iiwa14.json, value set there, text the report must
+    # contain with {model} the model file); a path of None makes the file
+    # itself: latin-1 bytes, a directory, or no file at all
+    "nan_mass": (("joints", 0, "link", "mass"), float("nan"),
+                 "{model}.joints[0].link.mass: must be finite"),
+    "inf_armature": (("joints", 3, "armature"), float("inf"),
+                     "{model}.joints[3].armature: must be finite"),
+    "nan_q_min": (("joints", 2, "q_min"), float("nan"), "{model}.joints[2].q_min: must be finite"),
+    "string_gravity": (("gravity",), "down", "{model}.gravity: could not convert"),
+    "link_not_object": (("joints", 1, "link"), 3, "{model}.joints[1].link: expected a JSON object"),
+    "joints_object": (("joints",), {}, "{model}.joints: expected a non-empty list"),
+    "tool_not_object": (("tool",), 1, "{model}.tool: expected a JSON object"),
+    "not_utf8": (None, '{"name": "caf\u00e9"}'.encode("latin-1"), "{model}: not UTF-8 text"),
+    "directory": (None, "directory", "{model}: is a directory"),
+    "missing": (None, None, "{model}: no such file or directory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODEL))
+def test_malformed_model_is_a_config_error(case, tmp_path, capsys, monkeypatch):
+    """A malformed model file is a config error like a malformed scenario:
+    --validate and a run both exit 1, name the model's field or file, and
+    write nothing. The scenario's limits are empty, so every bound is the
+    model's own."""
+    monkeypatch.chdir(tmp_path)
+    keys, value, expected = MALFORMED_MODEL[case]
+    model = tmp_path / "model.json"
+    if keys is not None:
+        data = json.loads(rbd.bundled_model_path().read_text())
+        *parents, last = keys
+        node = data
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        model.write_text(json.dumps(data))
+    elif value == "directory":
+        model.mkdir()
+    elif value is not None:
+        model.write_bytes(value)
+    scenario = json.loads(sim.bundled_scenario_path("rotation_hold").read_text())
+    scenario.update(duration_s=0.01, model="model.json", limits={})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    inputs = sorted(tmp_path.iterdir())
+    expected = expected.format(model=model)
+    assert cli.run(["--scenario", str(path), "--validate"]) == 1
+    assert expected in capsys.readouterr().out
+    out_dir = tmp_path / "out"
+    assert cli.run(["--scenario", str(path), "--out", str(out_dir)]) == 1
+    assert expected in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
 def test_out_naming_a_file_is_a_config_error(tiny_scenario, tmp_path, capsys, monkeypatch):
     """An --out path taken by a file is reported as a config error, exit 1,
     before any run starts, and the file is left alone."""

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -451,6 +453,21 @@ def test_loader_reports_missing_field(iiwa_dict):
     del bad["joints"][4]["axis"]
     with pytest.raises(rbd.ModelError, match=r"joints\[4\].*axis"):
         rbd.model_from_dict(bad, source="m")
+
+
+@pytest.mark.parametrize("kind, message", [("missing", "no such file or directory"),
+                                           ("directory", "is a directory"),
+                                           ("not_utf8", "not UTF-8 text")])
+def test_load_model_reports_an_unreadable_file(kind, message, tmp_path):
+    """A model file that cannot be read is a ModelError naming its path,
+    with the message a scenario file gets."""
+    path = tmp_path / "model.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    with pytest.raises(rbd.ModelError, match=re.escape(f"{path}: {message}")):
+        rbd.load_model(path)
 
 
 def test_model_is_immutable(iiwa):
