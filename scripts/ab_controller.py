@@ -9,11 +9,14 @@ and runs one ``control_replay`` cycle of each per round, in one process,
 alternating which side runs first. The generator and tick loop are those of
 this checkout's ``dctsbench/workloads.py``, unchanged, so both sides run the
 same ticks. Prints, for solver S (``dcts`` by default), the p95 of each
-side's ticks in every round with the round's winner, then p50 and p95 of
-each side's per-tick medians over all rounds, as the benchmark takes them,
-with the mean QP solves per tick of S (``diagnostics["stages"]``, for a
-solver that reports it), and the wins per round. Times are scaled to the nominal host speed with
-``workloads.HostSpeed``, as the benchmark scales them. Host speed drifts by
+side's ticks in every round with the round's winner. Every round runs all
+four solvers, so it then prints, for each side and each solver, p50 and p95
+of the per-tick medians over all rounds, as the benchmark takes them, with
+the mean QP solves per tick of S (``diagnostics["stages"]``, for a solver
+that reports it), the B/A ratio of each solver's p95 and the wins per round
+of S. A change to code all solvers share is thus compared in one run. Times
+are scaled to the nominal host speed with ``workloads.HostSpeed``, as the
+benchmark scales them. Host speed drifts by
 tens of percent over minutes; interleaving single cycles lets both sides see
 the same drift, so an edit is compared in about a minute. On a shared 2-core
 host two runs of the same tree still read up to about 9 % apart in p95, so a
@@ -92,8 +95,8 @@ def main(argv: list[str]) -> int:
             gc.collect()            # no side inherits the other's garbage
             workloads.run_replay_cycle(dcts, workloads.setup_replay(dcts, args.seed), tally)
             # to the nominal host speed, as the benchmark scales its times
-            latency = tally.cycles[-1].latency_s[args.solver]
-            latency[:] = np.multiply(latency, tally.speed.factor()).tolist()
+            for latency in tally.cycles[-1].latency_s.values():
+                latency[:] = np.multiply(latency, tally.speed.factor()).tolist()
         p95 = [np.percentile(tally.cycles[-1].latency_s[args.solver], 95) * 1e6
                for tally in tallies]
         winner = "tie"
@@ -105,21 +108,23 @@ def main(argv: list[str]) -> int:
               f"B {p95[1]:.0f} us -> {winner}", flush=True)
 
     code = 0
-    summary = []
+    p95 = {}
     for name, tally, counts in zip(names, tallies, stages):
         _, latency = workloads.steady_times(tally)
-        p50, p95 = np.percentile(latency[args.solver] * 1e6, [50, 95])
-        summary.append(p95)
         counts = [c for c in counts if c is not None]
         solves = f"{np.mean(counts):.2f} QP solves per tick" if counts else "no stage count"
-        print(f"{name}: p50 {p50:.0f} us, p95 {p95:.0f} us "
-              f"(per-tick medians over {len(tally.cycles)} cycles), {solves}")
+        print(f"{name}: per-tick medians over {len(tally.cycles)} cycles; "
+              f"{args.solver}: {solves}")
+        for solver in workloads.SOLVERS:
+            p50, p95[name, solver] = np.percentile(latency[solver] * 1e6, [50, 95])
+            print(f"  {solver}: p50 {p50:.0f} us, p95 {p95[name, solver]:.0f} us")
         if tally.failed:
             code = 1
             print(f"{name}: {tally.failed} of {tally.ticks} ticks failed", file=sys.stderr)
             for problem in tally.problems:
                 print(f"  {problem}", file=sys.stderr)
-    print(f"B/A p95 {summary[1] / summary[0]:.3f}; wins per round: "
+    ratios = ", ".join(f"{s} {p95['B', s] / p95['A', s]:.3f}" for s in workloads.SOLVERS)
+    print(f"B/A p95: {ratios}; wins per round ({args.solver}): "
           f"A {wins[0]}, B {wins[1]} of {args.rounds}")
     return code
 

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import LinAlgError
 
-from .rbd import spd_factor, spd_solve
+from .rbd import lu_solve, spd_factor, spd_solve
 
 OPTIMAL, INFEASIBLE, MAX_ITER = "optimal", "infeasible", "max_iter"
 SWEEP_STEPS = 50        # a sweep that has not ended after this many steps returns no limit
@@ -157,14 +157,10 @@ class QpProblem:
 
     @classmethod
     def from_json(cls, text: str) -> "QpProblem":
-        d = json.loads(text)
-        arr = {k: np.asarray(v, dtype=float) for k, v in d.items()}
-        for key in ("Aeq", "Ain"):
-            if arr[key].size == 0:
-                arr[key] = None
-                arr["beq" if key == "Aeq" else "lower"] = None
-                if key == "Ain":
-                    arr["upper"] = None
+        arr = {k: np.asarray(v, dtype=float) for k, v in json.loads(text).items()}
+        for key, sides in (("Aeq", ("beq",)), ("Ain", ("lower", "upper"))):
+            if arr[key].size == 0:      # an empty block is given as None
+                arr.update(dict.fromkeys((key, *sides)))
         return cls(**arr)
 
 
@@ -194,8 +190,8 @@ class QpSolution:
     """One solve's result. ``solve`` leaves the five dual vectors unbuilt and
     builds them on first read (the controllers never read them); a solution
     built with explicit duals holds them as given. A solution of ``solve``
-    keeps the active set and multipliers its loop ended with, which ``sweep``
-    starts from."""
+    keeps the equality rows it flipped and the active set and multipliers
+    its loop ended with, which ``sweep`` starts from."""
 
     x: np.ndarray
     status: str
@@ -223,18 +219,16 @@ _EQ, _IN_LO, _IN_HI, _BD_LO, _BD_HI = range(5)
 
 
 class _Rows(NamedTuple):
-    """Normalized one-sided rows c x >= b; the first n_eq keep c x = b.
-
-    ``C`` and ``b`` are read-only: a family shares them, and ``solve`` copies
-    them before it flips an equality row."""
+    """Normalized one-sided rows c x >= b: the first n_eq keep c x = b, the
+    rest are inequalities. ``C`` and ``b`` are read-only: a family shares
+    them, and ``solve`` copies them before it flips an equality row."""
 
     C: np.ndarray
     b: np.ndarray
-    kind: list                   # _EQ, _IN_LO, ... per row
-    ref: list                    # (source index, row norm) per row
     n_eq: int
     eq_index: np.ndarray         # source row of each equality row
     eq_norm: np.ndarray
+    sources: tuple               # (in_i, in_side, in_norm, bd_j, bd_side), see _row_info
 
 
 def _build_rows(p: QpProblem) -> _Rows:
@@ -262,11 +256,17 @@ def _build_rows(p: QpProblem) -> _Rows:
                         _unit_rows(p.dim)[bd_j, bd_side]])
     b = np.concatenate([np.concatenate([p.beq[eq_index], sides[in_i, in_side]]) / scale,
                         bounds[bd_j, bd_side]])
-    kind = [_EQ] * len(eq_index) + (_IN_LO + in_side).tolist() + (_BD_LO + bd_side).tolist()
-    ref = list(zip(np.concatenate([eq_index, in_i, bd_j]).tolist(),
-                   np.concatenate([eq_norm, in_scale, np.ones(len(bd_j))]).tolist()))
     C.flags.writeable = b.flags.writeable = False
-    return _Rows(C, b, kind, ref, len(eq_index), eq_index, eq_norm)
+    return _Rows(C, b, len(eq_index), eq_index, eq_norm, (in_i, in_side, in_scale, bd_j, bd_side))
+
+
+def _row_info(rows: _Rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(kind, source index, norm) of each row, norm 1 for a bound row; built
+    only for a label or the duals."""
+    in_i, in_side, in_norm, bd_j, bd_side = rows.sources
+    return (np.concatenate([np.full(rows.n_eq, _EQ), _IN_LO + in_side, _BD_LO + bd_side]),
+            np.concatenate([rows.eq_index, in_i, bd_j]),
+            np.concatenate([rows.eq_norm, in_norm, np.ones(len(bd_j))]))
 
 
 @functools.cache
@@ -278,8 +278,8 @@ def _unit_rows(d: int) -> np.ndarray:
     return rows
 
 
-def _label(kind: int, ref) -> str:
-    i = ref[0]
+def _label(rows: _Rows, idx: int) -> str:
+    kind, i, _ = (a[idx].item() for a in _row_info(rows))
     return {_EQ: f"equality row {i}", _IN_LO: f"inequality row {i} (lower)",
             _IN_HI: f"inequality row {i} (upper)", _BD_LO: f"bound {i} (lower)",
             _BD_HI: f"bound {i} (upper)"}[kind]
@@ -310,8 +310,8 @@ def _kkt_solve(Hs: np.ndarray, N: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     K[:d, d:] = N
     K[d:, :d] = N.T
     try:
-        return np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError:
+        return lu_solve(K, rhs)
+    except LinAlgError:
         return np.linalg.lstsq(K, rhs, rcond=None)[0]
 
 
@@ -346,8 +346,7 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
     d = p.dim
     rows = p._rows
     # the family's read-only table; the first equality flip below copies it
-    C, b, ref = rows.C, rows.b, rows.ref
-    kind, n_eq = rows.kind, rows.n_eq
+    C, b, n_eq = rows.C, rows.b, rows.n_eq
     C_in, b_in = C[n_eq:], b[n_eq:]
     cache = p._directions
     flips: tuple = ()
@@ -373,7 +372,7 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
             # step length limited by active inequality duals decreasing to zero
             t1, k1 = math.inf, -1
             for pos, a_idx in enumerate(active):
-                if kind[a_idx] != _EQ and r[pos] > tol:
+                if a_idx >= n_eq and r[pos] > tol:
                     t = duals[pos] / r[pos]
                     if t < t1:
                         t1, k1 = t, pos
@@ -404,9 +403,9 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
     def finish(status: str, bad: int | None = None, violation: float = 0.0) -> QpSolution:
         sol = object.__new__(QpSolution)
         sol.__dict__.update(x=x.copy(), status=status, iterations=iterations,
-                            _pending=(p, kind, ref, active, duals), _table=(C, b, flips))
+                            _pending=(p, flips, active, duals), _table=(C, b))
         if bad is not None:
-            sol.infeasible_constraint = _label(kind[bad], ref[bad])
+            sol.infeasible_constraint = _label(rows, bad)
             sol.infeasible_violation = violation
         return sol
 
@@ -420,11 +419,10 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
             continue
         if s_val > 0:          # flip so the entering machinery reduces violation
             if not flips:
-                C, b, ref = C.copy(), b.copy(), list(ref)
+                C, b = C.copy(), b.copy()
                 C_in, b_in = C[n_eq:], b[n_eq:]
             C[e] = -C[e]
             b[e] = -b[e]
-            ref[e] = (ref[e][0], -ref[e][1])
             flips += (e,)
         if not enter(e):
             return finish(INFEASIBLE, e, abs(s_val))
@@ -451,17 +449,16 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
     return finish(MAX_ITER)
 
 
-def _dual_vectors(p, kind, ref, active, duals) -> list[np.ndarray]:
-    """The five dual vectors of a solve that ended with ``active`` and ``duals``."""
+def _dual_vectors(p, flips, active, duals) -> list[np.ndarray]:
+    """The five dual vectors of a solve that ended with ``flips``, ``active`` and ``duals``."""
+    kind, index, norm = (a.tolist() for a in _row_info(p._rows))
     m_eq, m_in, d = len(p.beq), len(p.lower), p.dim
     # where each kind's duals start in [eq, in_lo, in_hi, bd_lo, bd_hi]
     start = (0, m_eq, m_eq + m_in, m_eq + 2 * m_in, m_eq + 2 * m_in + d)
     out = [0.0] * (m_eq + 2 * (m_in + d))
     for pos, a_idx in enumerate(active):
-        i, scale = ref[a_idx]
-        u = duals[pos] / abs(scale)
-        k = kind[a_idx]
-        out[start[k] + i] += u if k != _EQ or scale > 0 else -u
+        u = duals[pos] / norm[a_idx]
+        out[start[kind[a_idx]] + index[a_idx]] += -u if a_idx in flips else u
     out = np.array(out)
     return [out[a:b] for a, b in zip(start, (*start[1:], len(out)))]
 
@@ -484,15 +481,16 @@ def sweep(p: QpProblem, sol: QpSolution, delta: np.ndarray) -> float | None:
     every feasible x has c x <= sum_j r_j b_j(t), which the path meets here
     and which falls below c's side beyond: t is the limit."""
     rows = p._rows
-    C, b, flips = sol._table
-    _, kind, ref, active, duals = sol._pending
+    C, b = sol._table
+    _, flips, active, duals = sol._pending
     n_eq, d = rows.n_eq, p.dim
     if active[:n_eq] != list(range(n_eq)):
         return None
     active, duals = list(active), list(duals)
-    # only the equality sides move with t: delta_i / signed norm
+    # only the equality sides move with t: delta_i / norm, negated if flipped
+    sign = [-1.0 if e in flips else 1.0 for e in range(n_eq)]
     db = np.zeros(len(b))
-    db[:n_eq] = np.asarray(delta, dtype=float)[rows.eq_index] / [nrm for _, nrm in ref[:n_eq]]
+    db[:n_eq] = np.asarray(delta, dtype=float)[rows.eq_index] / (sign * rows.eq_norm)
     x, t = sol.x, 0.0
     for _ in range(SWEEP_STEPS):
         rhs = np.zeros(d + len(active))
@@ -506,7 +504,7 @@ def sweep(p: QpProblem, sol: QpSolution, delta: np.ndarray) -> float | None:
         t_row, k = min(zip(steps.tolist(), blocking.tolist()), default=(math.inf, -1))
         floor = -1e-11 * max(1.0, max(map(abs, du), default=0.0))
         t_dual, drop = min(((max(u, 0.0) / -v, pos) for pos, (u, v) in enumerate(zip(duals, du))
-                            if kind[active[pos]] != _EQ and v < floor), default=(math.inf, -1))
+                            if active[pos] >= n_eq and v < floor), default=(math.inf, -1))
         step = min(t_row, t_dual)
         if step == math.inf:
             return None
@@ -521,7 +519,7 @@ def sweep(p: QpProblem, sol: QpSolution, delta: np.ndarray) -> float | None:
             active.append(k)
             duals.append(0.0)
             continue
-        ineq = [pos for pos, a_idx in enumerate(active) if kind[a_idx] != _EQ]
+        ineq = [pos for pos, a_idx in enumerate(active) if a_idx >= n_eq]
         top = max((abs(r[pos]) for pos in ineq), default=0.0)
         swap = [pos for pos in ineq if r[pos] > 1e-9 * top]
         if not swap:

@@ -27,6 +27,7 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dpotrs
 
@@ -446,6 +447,34 @@ def spd_solve(factor: tuple[np.ndarray, bool] | list[tuple[np.ndarray, bool]],
     return dpotrs(factor[0], np.asarray_chkfinite(b, dtype=float), lower=factor[1])[0]
 
 
+# numpy.linalg's solve, eigvalsh and det each make one call to a gufunc of
+# numpy's own LAPACK module; on a small float matrix the Python wrapper around
+# it costs more than the call. These make the call alone, with the same bytes.
+
+
+def lu_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(A, b)`` of a float matrix and vector (LAPACK gesv).
+    A singular A raises LinAlgError, from the check ``np.linalg.solve``
+    makes: the gufunc marks its NaN result as an invalid value."""
+    try:
+        with np.errstate(all="ignore", invalid="raise"):
+            return _umath_linalg.solve1(A, b)
+    except FloatingPointError:
+        raise LinAlgError("Singular matrix") from None
+
+
+def eigvalsh(A: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(A)`` of a float symmetric matrix, ascending
+    (LAPACK syevd on the lower triangle). Where ``np.linalg.eigvalsh``
+    raises that they did not converge, the eigenvalues read NaN."""
+    return _umath_linalg.eigvalsh_lo(A)
+
+
+def det(A: np.ndarray) -> float:
+    """``np.linalg.det(A)`` of a float matrix (LAPACK getrf)."""
+    return _umath_linalg.det(A)
+
+
 def forward_dynamics(model: RobotModel, q: np.ndarray, qd: np.ndarray,
                      tau: np.ndarray, tau_ext: np.ndarray | None = None,
                      kin: Kinematics | None = None,
@@ -479,10 +508,12 @@ def lambda_factor(J: np.ndarray, minv, epsilon: float | None = None):
         # the condition number alone is scale-invariant; a vanishing task
         # Jacobian (fully projected away) must fall through to damping too.
         # A is symmetric, so its condition number is the ratio of its extreme
-        # eigenvalues, and an eigenvalue <= 0 is as ill-conditioned as it gets
+        # eigenvalues, and an eigenvalue <= 0 is as ill-conditioned as it
+        # gets; a NaN one (no convergence) fails both tests, and so damps,
+        # as does a potrf that finds A not positive definite after all
         try:
             if np.abs(A).max() > 1e-9:
-                lam = np.linalg.eigvalsh(A)
+                lam = eigvalsh(A)
                 if lam[0] > 0.0 and lam[-1] < 1e10 * lam[0]:
                     return spd_factor(A), Minv_Jt, False
         except LinAlgError:
@@ -620,7 +651,7 @@ def _list(value, nonempty: bool = False) -> list:
 
 _positive = partial(_num, low=0.0, strict=True)
 _nonneg = partial(_num, low=0.0)
-_vec3 = partial(_floats, shape=(3,))
+_vec3 = partial(_floats, shape=(3,), fill=False)     # a number fills no 3-vector
 
 
 def _get(d: dict, key: str, convert, default=_REQUIRED):
@@ -649,9 +680,9 @@ def _input_path(ref: str | Path, folder: str = "", base: Path | None = None) -> 
 
 
 def _read_json(path: Path, error: type[ValueError] = ModelError):
-    """The parsed JSON of a file. A missing or unreadable file, text that is
-    not UTF-8 and invalid JSON raise ``error`` with a message that starts
-    with the path."""
+    """The parsed JSON of a file. A missing or unreadable file, a path with a
+    NUL byte, text that is not UTF-8 and invalid JSON raise ``error`` with a
+    message that starts with the path."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except OSError as e:
@@ -660,6 +691,8 @@ def _read_json(path: Path, error: type[ValueError] = ModelError):
         raise error(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
     except json.JSONDecodeError as e:
         raise error(f"{path}:{e.lineno}: invalid JSON ({e.msg})") from e
+    except ValueError as e:             # open() refuses a NUL byte in the path
+        raise error(f"{path}: {e}") from e
 
 
 def _axis(value) -> np.ndarray:
@@ -696,7 +729,6 @@ def model_from_dict(data: dict, source: str = "<dict>") -> RobotModel:
         except ValueError as e:
             raise ModelError(f"{where}.{e}") from e
 
-    exact3 = partial(_floats, shape=(3,), fill=False)     # a number fills no model vector
     bounds = (("q_min", "q_max"), ("v_min", "v_max"), ("tau_min", "tau_max"))
     rows = []
     for i, j in enumerate(read(data, "joints", partial(_list, nonempty=True))):
@@ -707,18 +739,18 @@ def model_from_dict(data: dict, source: str = "<dict>") -> RobotModel:
             if row[lo] >= row[hi]:
                 raise ModelError(f"{source}.joints[{i}]: {lo} must be < {hi}")
         rows.append(dict(row,
-                         origins=_transform(rpy_matrix(*joint("origin_rpy", exact3)),
-                                            joint("origin_xyz", exact3)),
+                         origins=_transform(rpy_matrix(*joint("origin_rpy", _vec3)),
+                                            joint("origin_xyz", _vec3)),
                          axes=joint("axis", _axis),
                          masses=link("mass", _positive),
-                         coms=link("com", exact3),
+                         coms=link("com", _vec3),
                          inertias=link("inertia", _inertia),
                          armature=joint("armature", _nonneg, 0.0)))
     tool = partial(read, read(data, "tool", _obj, {"xyz": [0, 0, 0], "rpy": [0, 0, 0]}),
                    where=source + ".tool")
     return RobotModel(name=str(data.get("name", "unnamed")),
-                      gravity=read(data, "gravity", exact3),
-                      tool=_transform(rpy_matrix(*tool("rpy", exact3)), tool("xyz", exact3)),
+                      gravity=read(data, "gravity", _vec3),
+                      tool=_transform(rpy_matrix(*tool("rpy", _vec3)), tool("xyz", _vec3)),
                       **{k: np.array([row[k] for row in rows]) for k in rows[0]})
 
 

@@ -568,7 +568,7 @@ def _build_task(tc, i: int, model: rbd.RobotModel, q0: np.ndarray,
     _only(target, keys[kind], "target: ")
     if selector == "joint_posture":
         q = (q0.copy() if kind == "initial"
-             else _get(target, "q_rad", partial(_floats, shape=(model.n,))))
+             else _get(target, "q_rad", partial(_floats, shape=(model.n,), fill=False)))
         return tasks_mod.TaskSpec(**common, target_q=q)
     position, rotation = T_tool[:3, 3].copy(), T_tool[:3, :3].copy()
     if kind == "initial_rotated":
@@ -618,13 +618,13 @@ def _build_event(e, n: int) -> Event:
     if kind == "cartesian_force":
         return Event(**common, force=_get(e, "force_n", _vec3),
                      frame=_get(e, "frame", partial(_int, low=0, high=n), None),
-                     point=_get(e, "point_m", _vec3, 0.0))
+                     point=_get(e, "point_m", _vec3, np.zeros(3)))
     if kind == "joint_torque":
         return Event(**common, joint=_get(e, "joint", partial(_int, low=1, high=n)) - 1,
                      amplitude=_get(e, "amplitude_nm", _num),
                      ramp=_get(e, "ramp_s", _nonneg, 0.0))
     return Event(**common, mass=_get(e, "mass_kg", _positive),
-                 com_offset=_get(e, "com_offset_m", _vec3, 0.0))
+                 com_offset=_get(e, "com_offset_m", _vec3, np.zeros(3)))
 
 
 def _parse(data, source: str,

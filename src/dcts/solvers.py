@@ -298,7 +298,7 @@ def _level_qp(dyn, J_i, a_d, rhs0, N_i, frozen, tau_lo, tau_hi,
 
     MN = dyn.M @ N_i
     Hq = N_i.T @ MN
-    if nv > n or np.abs(np.linalg.det(N_i)) < 0.5:      # singular projector
+    if nv > n or np.abs(rbd.det(N_i)) < 0.5:      # singular projector
         Hq = Hq + (1e-9 * max(np.trace(dyn.M) / n, 1.0)) * np.eye(n)
     tau_frozen = dyn.M @ frozen
     H = np.zeros((nv, nv))

@@ -266,16 +266,18 @@ def lp_max_step(p, delta, t_max: float) -> float | None:
     return float(res.x[d])
 
 
-def qp_duals_eager(p, kind, ref, active, duals) -> list[np.ndarray]:
+def qp_duals_eager(p, flips, active, duals) -> list[np.ndarray]:
     """The five dual vectors [eq, ineq lower, ineq upper, bound lower, bound
-    upper] of a solve that ended with ``active`` and ``duals``, built at once
-    in one list as an eager reference for the vectors a ``QpSolution``
-    builds on first read."""
+    upper] of a solve that flipped the equality rows ``flips`` and ended
+    with ``active`` and ``duals``, built at once in one list as an eager
+    reference for the vectors a ``QpSolution`` builds on first read."""
+    kind, index, norm = (a.tolist() for a in qpcore._row_info(p._rows))
     m_eq, m_in, d = len(p.beq), len(p.lower), p.dim
     start = (0, m_eq, m_eq + m_in, m_eq + 2 * m_in, m_eq + 2 * m_in + d)
     out = [0.0] * (m_eq + 2 * (m_in + d))
     for pos, a_idx in enumerate(active):
-        i, scale = ref[a_idx]
+        # a flipped equality row's norm carries its sign
+        i, scale = index[a_idx], -norm[a_idx] if a_idx in flips else norm[a_idx]
         u = duals[pos] / abs(scale)
         k = kind[a_idx]
         out[start[k] + i] += u if k != 0 or scale > 0 else -u

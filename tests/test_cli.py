@@ -249,6 +249,36 @@ MALFORMED = {
         "events[1]: unmodeled_mass overlaps events[0]"),
     "point_on_rotation_task": (("tasks", 0, "point_m"), [0.0, 0.0, 0.1],
                                "tasks[0]: point: only a tool_pos task has a controlled point"),
+    "nul_byte_in_model_path": (("model",), "/model\x00.json",
+                               "model: /model\x00.json: embedded null byte"),
+    # a 3-vector or a posture takes exactly its numbers; one number fills none
+    "scalar_force": (
+        ("events",), [{"kind": "cartesian_force", "start_s": 0.0, "duration_s": 0.01,
+                       "force_n": 10.0}],
+        "events[0]: force_n: expected shape (3,), got ()"),
+    "scalar_event_point": (
+        ("events",), [{"kind": "cartesian_force", "start_s": 0.0, "duration_s": 0.01,
+                       "force_n": [10.0, 0.0, 0.0], "point_m": 0.1}],
+        "events[0]: point_m: expected shape (3,), got ()"),
+    "scalar_com_offset": (
+        ("events",), [{"kind": "unmodeled_mass", "start_s": 0.0, "duration_s": 0.01,
+                       "mass_kg": 2.0, "com_offset_m": 0.05}],
+        "events[0]: com_offset_m: expected shape (3,), got ()"),
+    "scalar_task_point": (("tasks", 0, "point_m"), 0.1,
+                          "tasks[0]: point_m: expected shape (3,), got ()"),
+    "scalar_target_axis": (("tasks", 0, "target", "axis"), 1.0,
+                           "tasks[0]: axis: expected shape (3,), got ()"),
+    "scalar_posture": (
+        ("tasks", 0), {"priority": 1, "mode": "impedance", "selector": "joint_posture",
+                       "stiffness": 10.0, "damping": 6.0,
+                       "target": {"type": "posture", "q_rad": 0.3}},
+        "tasks[0]: q_rad: expected shape (7,), got ()"),
+    "scalar_tracker_center": (
+        ("tasks", 0), {"priority": 1, "mode": "waypoint_tracker", "selector": "tool_pos",
+                       "waypoints": {"type": "octagon_with_center", "center_m": 0.5,
+                                     "radius_m": 0.1},
+                       "tolerance_m": 0.01, "kp": 100.0, "kv": 20.0, "v_sat": 0.5},
+        "tasks[0]: center_m: expected shape (3,), got ()"),
 }
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,6 +148,24 @@ def test_sweep_drops_a_row_whose_multiplier_reaches_zero(monkeypatch):
     assert steps == [2, 1]
 
 
+def test_a_singular_kkt_system_takes_the_least_squares_solution():
+    """A duplicated active row makes K singular: the KKT solve returns the
+    lstsq solution, as when np.linalg.solve raised, and warns nothing."""
+    rng = np.random.default_rng(4)
+    B = rng.normal(size=(4, 4))
+    Hs = B @ B.T + np.eye(4)
+    c = rng.normal(size=4)
+    N = np.stack([c, rng.normal(size=4), c], axis=1)
+    K = np.block([[Hs, N], [N.T, np.zeros((3, 3))]])
+    rhs = rng.normal(size=7)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(K, rhs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = qpcore._kkt_solve(Hs, N, rhs)
+    assert y.tobytes() == np.linalg.lstsq(K, rhs, rcond=None)[0].tobytes()
+
+
 def test_kkt_residual_grows_linearly_with_perturbation():
     p = qpcore.QpProblem(H=np.diag([2.0, 3.0]), f=np.array([1.0, -1.0]))
     s = qpcore.solve(p)
@@ -277,11 +297,12 @@ def test_row_table_matches_per_row_reference():
     byte, so the solver's arithmetic is unchanged."""
     for p in _row_table_cases():
         rows = qpcore._build_rows(p)
+        row_kind, row_index, row_norm = qpcore._row_info(rows)
         C, b, kind, ref, n_eq = oracles.qp_rows_per_row(p)
         assert rows.C.shape == C.shape and rows.C.tobytes() == C.tobytes()
         assert rows.b.tobytes() == b.tobytes()
-        assert rows.kind == kind
-        assert rows.ref == ref
+        assert row_kind.tolist() == kind
+        assert list(zip(row_index.tolist(), row_norm.tolist())) == ref
         assert rows.n_eq == n_eq
 
 
@@ -326,12 +347,13 @@ def test_solving_leaves_the_shared_table_unchanged():
     base = qpcore.QpProblem(H=np.eye(2), f=np.zeros(2), Aeq=np.array([[1.0, 1.0]]),
                             beq=np.zeros(1), lb=np.full(2, -2.0), ub=np.ones(2))
     stage = base.with_beq([-1.0])         # its equality row is flipped in solve
-    before = [(r.C.copy(), r.b.copy(), list(r.ref)) for r in (base._rows, stage._rows)]
+    before = [(r.C.copy(), r.b.copy(), [a.tobytes() for a in qpcore._row_info(r)])
+              for r in (base._rows, stage._rows)]
     first, second = qpcore.solve(stage), qpcore.solve(stage)
     _same_solution(first, second)
-    for (C, b, ref), r in zip(before, (base._rows, stage._rows)):
+    for (C, b, info), r in zip(before, (base._rows, stage._rows)):
         assert r.C.tobytes() == C.tobytes() and r.b.tobytes() == b.tobytes()
-        assert r.ref == ref
+        assert [a.tobytes() for a in qpcore._row_info(r)] == info
     assert stage._rows.C is base._rows.C and stage._factor is base._factor
 
 

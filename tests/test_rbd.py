@@ -328,6 +328,54 @@ def test_batched_spd_calls_raise_as_unbatched(iiwa, bad):
         assert type(raised[0]) is ValueError
 
 
+def test_lapack_helpers_give_the_bytes_of_numpy_linalg():
+    """lu_solve, eigvalsh and det give the bytes of np.linalg.solve,
+    eigvalsh and det: on random KKT systems of a level's 7 accelerations,
+    with and without its scale, at every active-set size 0..d, on random
+    task matrices J J^T of every task dimension and on projectors. This pins
+    numpy's private gufuncs the helpers call against a numpy upgrade."""
+    rng = np.random.default_rng(20)
+    for d in (7, 8):
+        for na in range(d + 1):
+            for _ in range(20):
+                B = rng.normal(size=(d, d))
+                N = rng.normal(size=(d, na))
+                K = np.zeros((d + na, d + na))
+                K[:d, :d] = B @ B.T + 1e-3 * np.eye(d)
+                K[:d, d:] = N
+                K[d:, :d] = N.T
+                rhs = rng.normal(size=d + na)
+                assert rbd.lu_solve(K, rhs).tobytes() == np.linalg.solve(K, rhs).tobytes()
+    for m in range(1, 8):
+        for _ in range(20):
+            J = rng.normal(size=(m, 7))
+            A = J @ J.T
+            assert rbd.eigvalsh(A).tobytes() == np.linalg.eigvalsh(A).tobytes()
+            for X in (np.eye(7) - np.linalg.pinv(J) @ J, rng.normal(size=(7, 7))):
+                assert np.asarray(rbd.det(X)).tobytes() == np.asarray(np.linalg.det(X)).tobytes()
+
+
+def test_lu_solve_raises_on_a_singular_matrix():
+    K = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(rbd.LinAlgError, match="Singular matrix"):
+        rbd.lu_solve(K, np.ones(2))
+
+
+def test_lambda_factor_damps_when_eigvalsh_fails(iiwa, monkeypatch):
+    """Where np.linalg.eigvalsh would raise that it did not converge, the
+    helper's eigenvalues read NaN; lambda_factor then damps, as it did on
+    the raise."""
+    dyn = rbd.compute_dynamics(iiwa, rbd.JointState(Q_STAR, np.zeros(7)))
+    J = rbd.jacobian(iiwa, Q_STAR, iiwa.tool_frame, kin=dyn.kin)[:3]
+    assert not rbd.lambda_factor(J, dyn.minv)[2]
+    monkeypatch.setattr(rbd, "eigvalsh", lambda A: np.full(len(A), np.nan))
+    factor, Minv_Jt, damped = rbd.lambda_factor(J, dyn.minv)
+    assert damped
+    A = J @ Minv_Jt
+    A = 0.5 * (A + A.T)
+    assert factor[0].tobytes() == rbd.spd_factor(A + rbd.EPSILON_LAMBDA * np.eye(3))[0].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # task dynamics
 
@@ -468,6 +516,15 @@ def test_load_model_reports_an_unreadable_file(kind, message, tmp_path):
         path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
     with pytest.raises(rbd.ModelError, match=re.escape(f"{path}: {message}")):
         rbd.load_model(path)
+
+
+def test_a_nul_byte_in_a_path_is_reported_with_the_path():
+    """open() refuses a path with a NUL byte; the model loader reports it as
+    a ModelError naming the path, and the scenario reader as an issue."""
+    with pytest.raises(rbd.ModelError, match=re.escape("a\x00b.json: embedded null byte")):
+        rbd.load_model("a\x00b.json")
+    assert sim.read_scenario("a\x00b.json") == (
+        None, [("error", "a\x00b.json: embedded null byte")])
 
 
 def test_model_is_immutable(iiwa):

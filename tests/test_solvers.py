@@ -311,16 +311,17 @@ def test_diagnostics_hold_only_what_a_caller_reads(iiwa):
 
 
 def test_dcts_solves_each_kkt_system_once_per_call(iiwa, monkeypatch):
-    """On the golden-stack states no (K, rhs) reaches np.linalg.solve twice
-    within one solve_dcts_multi call: the stages of a level, and the
+    """On the golden-stack states no (K, rhs) reaches qpcore's KKT solve
+    twice within one solve_dcts_multi call: the stages of a level, and the
     dependence tests of its sweep, share the directions of their QP family.
     Solving every stage from scratch took 820 solves here."""
     per_call = []
-    linalg_solve = np.linalg.solve
+    kkt_solve = qpcore._kkt_solve
 
-    def counting_solve(K, rhs):
-        per_call[-1].append((K.tobytes(), rhs.tobytes()))
-        return linalg_solve(K, rhs)
+    def counting_solve(Hs, N, rhs):
+        # K = [Hs N; N^T 0] is fixed by Hs and N with its shape
+        per_call[-1].append((Hs.tobytes(), N.shape, N.tobytes(), rhs.tobytes()))
+        return kkt_solve(Hs, N, rhs)
 
     dcts_multi = solvers.solve_dcts_multi
 
@@ -328,7 +329,7 @@ def test_dcts_solves_each_kkt_system_once_per_call(iiwa, monkeypatch):
         per_call.append([])
         return dcts_multi(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(qpcore, "_kkt_solve", counting_solve)
     monkeypatch.setattr(solvers, "solve_dcts_multi", counting_dcts)
     stack_outputs(iiwa)
     assert len(per_call) == N_STATES
