@@ -475,7 +475,12 @@ def sweep(p: QpProblem, sol: QpSolution, delta: np.ndarray) -> float | None:
     for the rates of x and the multipliers and goes until an inactive row's
     slack (primal ratio test) or an active inequality multiplier (dual
     ratio test) reaches zero: the row c enters, or the multiplier's row leaves.
-    A c in the span of the active rows is c = sum_j r_j c_j by its
+    A step that would leave x more than 1e-10 off the active rows, as a
+    solve on nearly parallel active rows can, is taken again after one step
+    of iterative refinement of the solve. A blocking row c enters only when
+    c z, which equals z^T H z for its direction z in exact arithmetic,
+    agrees with z^T H z to within half; otherwise c z is rounding noise and
+    c lies in the span of the active rows, c = sum_j r_j c_j by its
     direction. If an inequality r_j is positive (relative to the largest),
     c replaces the row whose u_j - sigma r_j first reaches zero; if none is,
     every feasible x has c x <= sum_j r_j b_j(t), which the path meets here
@@ -491,21 +496,32 @@ def sweep(p: QpProblem, sol: QpSolution, delta: np.ndarray) -> float | None:
     sign = [-1.0 if e in flips else 1.0 for e in range(n_eq)]
     db = np.zeros(len(b))
     db[:n_eq] = np.asarray(delta, dtype=float)[rows.eq_index] / (sign * rows.eq_norm)
+    Hs = p._factor[1]
     x, t = sol.x, 0.0
     for _ in range(SWEEP_STEPS):
+        N = C[active].T
         rhs = np.zeros(d + len(active))
         rhs[d:] = db[active]
-        y = _kkt_solve(p._factor[1], C[active].T, rhs)
-        dx, du = y[:d], (-y[d:]).tolist()
-        rate = C @ dx - db
-        rate[active] = 0.0
-        blocking = np.flatnonzero(rate < -1e-11 * max(1.0, math.sqrt(dx.dot(dx))))
-        steps = np.maximum(C[blocking] @ x - (b + t * db)[blocking], 0.0) / -rate[blocking]
-        t_row, k = min(zip(steps.tolist(), blocking.tolist()), default=(math.inf, -1))
-        floor = -1e-11 * max(1.0, max(map(abs, du), default=0.0))
-        t_dual, drop = min(((max(u, 0.0) / -v, pos) for pos, (u, v) in enumerate(zip(duals, du))
-                            if active[pos] >= n_eq and v < floor), default=(math.inf, -1))
-        step = min(t_row, t_dual)
+        y = _kkt_solve(Hs, N, rhs)
+        for refined in (False, True):
+            dx, du = y[:d], (-y[d:]).tolist()
+            rate = C @ dx - db
+            miss = rate[active]
+            rate[active] = 0.0
+            blocking = np.flatnonzero(rate < -1e-11 * max(1.0, math.sqrt(dx.dot(dx))))
+            steps = np.maximum(C[blocking] @ x - (b + t * db)[blocking], 0.0) / -rate[blocking]
+            t_row, k = min(zip(steps.tolist(), blocking.tolist()), default=(math.inf, -1))
+            floor = -1e-11 * max(1.0, max(map(abs, du), default=0.0))
+            t_dual, drop = min(((max(u, 0.0) / -v, pos)
+                                for pos, (u, v) in enumerate(zip(duals, du))
+                                if active[pos] >= n_eq and v < floor), default=(math.inf, -1))
+            step = min(t_row, t_dual)
+            # the step leaves x off the active rows by step times the solve's
+            # miss of their rates, which nearly parallel rows make large:
+            # past 1e-10, one step of iterative refinement and a new step
+            if refined or step == math.inf or step * np.abs(miss).max(initial=0.0) <= 1e-10:
+                break
+            y -= _kkt_solve(Hs, N, np.concatenate([Hs @ dx + N @ y[d:], miss]))
         if step == math.inf:
             return None
         x = x + step * dx
@@ -514,8 +530,8 @@ def sweep(p: QpProblem, sol: QpSolution, delta: np.ndarray) -> float | None:
         if t_dual <= t_row:
             del active[drop], duals[drop]
             continue
-        _, r, cz, z_norm = _direction(p, C, flips, active, k)
-        if len(active) < d and cz > 1e-11 * max(1.0, z_norm):
+        z, r, cz, z_norm = _direction(p, C, flips, active, k)
+        if len(active) < d and cz > 1e-11 * max(1.0, z_norm) and abs(cz - z @ Hs @ z) <= 0.5 * cz:
             active.append(k)
             duals.append(0.0)
             continue

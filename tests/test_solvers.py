@@ -493,8 +493,43 @@ def test_the_sweep_limit_matches_the_lp_oracle(iiwa, seed, k, ext_seed, s0):
 POSTURE_A_D = np.array([90.0, -60.0, 120.0, -90.0, 180.0])
 
 
+def lower_level_sweep(dyn, realized, tau_ext, lr, s_top, s0):
+    """(sweep limit, LP limit) of a five-joint posture task below the golden
+    stack's top level, with the top level solved at scale s_top frozen and
+    the posture level solved at scale s0; None where either solve is not
+    optimal or HiGHS finds no feasible step."""
+    fixed, rhs0, tau, acc = top_level(dyn.model, dyn, realized[0], tau_ext, lr)
+    top = qpcore.solve(fixed.with_beq(s_top * realized[0].a_d + rhs0))
+    if top.status != qpcore.OPTIMAL:
+        return None
+    posture = tasks.TaskInstance(J=np.eye(7)[:5], jdot_qd=np.zeros(5), a_d=POSTURE_A_D,
+                                 priority=2)
+    projector = solvers._nullspace_stack([realized[0], posture], dyn)[1]
+    level = solvers._level_qp(dyn, posture.J, POSTURE_A_D, np.zeros(5), projector, top.x,
+                              *tau, *acc, maximize_s=False)
+    problem = level.with_beq(s0 * POSTURE_A_D)
+    sol = qpcore.solve(problem)
+    if sol.status != qpcore.OPTIMAL:
+        return None
+    # HiGHS at 1e-10 may reject the solve's 1e-8 point
+    t_max = oracles.lp_max_step(problem, POSTURE_A_D, 1.0 - s0)
+    return None if t_max is None else (qpcore.sweep(problem, sol, POSTURE_A_D), t_max)
+
+
+# (seed, k, ext_seed, s_top, s0) of lower levels where the sweep once
+# decided from rounding noise: the first steps along nearly parallel active
+# rows (x moving at 1e9 per unit t) and missed a row by 1e-7 at its limit;
+# on the others a blocking row in the span of the active rows had c z of
+# +8e-11 with |z| = 6e-10, taken as a step
+SWEEP_WITNESSES = ((12, 6, 1, 0.28125, 0.0), (8, 2, None, 0.5, 0.0),
+                   (9, 7, None, 0.0625, 0.0), (9, 7, 1254, 0.0, 0.0))
+
+
 @given(*GOLDEN_DRAWS, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 @example(seed=12, k=6, ext_seed=1, s_top=0.28125, s0=0.0)
+@example(seed=8, k=2, ext_seed=None, s_top=0.5, s0=0.0)
+@example(seed=9, k=7, ext_seed=None, s_top=0.0625, s0=0.0)
+@example(seed=9, k=7, ext_seed=1254, s_top=0.0, s0=0.0)
 @settings(max_examples=200, deadline=None)
 def test_the_sweep_limit_on_a_lower_level_matches_the_lp_oracle(iiwa, seed, k, ext_seed,
                                                                s_top, s0):
@@ -506,25 +541,31 @@ def test_the_sweep_limit_on_a_lower_level_matches_the_lp_oracle(iiwa, seed, k, e
     tight rows than it has free variables, and an exchange there may leave
     nearly parallel active rows (x moving at 1e9 per unit t); on one such
     draw the limit was 2e-9 past the LP's."""
-    dyn, realized, tau_ext, lr = golden_state(iiwa, seed, k, ext_seed)
-    fixed, rhs0, tau, acc = top_level(iiwa, dyn, realized[0], tau_ext, lr)
-    top = qpcore.solve(fixed.with_beq(s_top * realized[0].a_d + rhs0))
-    assume(top.status == qpcore.OPTIMAL)
-    posture = tasks.TaskInstance(J=np.eye(7)[:5], jdot_qd=np.zeros(5), a_d=POSTURE_A_D,
-                                 priority=2)
-    projector = solvers._nullspace_stack([realized[0], posture], dyn)[1]
-    level = solvers._level_qp(dyn, posture.J, POSTURE_A_D, np.zeros(5), projector, top.x,
-                              *tau, *acc, maximize_s=False)
-    problem = level.with_beq(s0 * POSTURE_A_D)
-    sol = qpcore.solve(problem)
-    assume(sol.status == qpcore.OPTIMAL)
-    limit = qpcore.sweep(problem, sol, POSTURE_A_D)
-    t_max = oracles.lp_max_step(problem, POSTURE_A_D, 1.0 - s0)
-    assume(t_max is not None)       # HiGHS at 1e-10 may reject the solve's 1e-8 point
+    found = lower_level_sweep(*golden_state(iiwa, seed, k, ext_seed), s_top, s0)
+    assume(found is not None)
+    limit, t_max = found
     if t_max < 1.0 - s0 - 1e-8:
         assert limit is not None and abs(limit - t_max) <= 1e-8
     else:
         assert limit is None or limit >= t_max - 1e-8
+
+
+@pytest.mark.parametrize("witness", SWEEP_WITNESSES, ids=str)
+def test_the_sweep_limit_holds_when_m_moves_by_one_ulp(iiwa, witness):
+    """On each witness level, with every entry of M moved one ulp up or
+    down (and M refactorized), the sweep still ends within 1e-8 of the LP:
+    its decisions rest on the problem, not on the last bit of the
+    dynamics."""
+    seed, k, ext_seed, s_top, s0 = witness
+    dyn, realized, tau_ext, lr = golden_state(iiwa, seed, k, ext_seed)
+    for direction in (0.0, np.inf, -np.inf):
+        M = dyn.M if direction == 0.0 else np.nextafter(dyn.M, direction)
+        nudged = replace(dyn, M=M, M_cho=rbd.spd_factor(M))
+        found = lower_level_sweep(nudged, realized, tau_ext, lr, s_top, s0)
+        assert found is not None
+        limit, t_max = found
+        assert t_max < 1.0 - s0 - 1e-8
+        assert limit is not None and abs(limit - t_max) <= 1e-8, direction
 
 
 def test_lazy_duals_equal_the_eager_build_on_every_stage(iiwa, monkeypatch):
