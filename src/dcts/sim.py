@@ -206,9 +206,11 @@ def energy_metrics(model: rbd.RobotModel, state: rbd.JointState,
     tau_prime = np.asarray(tau_cmd, float) - dyn.nu - dyn.g
     e_acc = 0.5 * float(tau_prime @ dyn.minv(tau_prime))
     e_total = 0.5 * float(dyn.qd @ dyn.M @ dyn.qd)
-    bundle = rbd.task_dynamics(model, dyn.q, J, epsilon=rbd.EPSILON_LAMBDA, minv=dyn.minv)
+    Lambda = rbd.spd_solve(rbd.lambda_factor(J, dyn.minv, rbd.EPSILON_LAMBDA)[0],
+                           np.eye(len(J)))
+    Lambda = 0.5 * (Lambda + Lambda.T)
     xd = J @ dyn.qd
-    e_task = 0.5 * float(xd @ bundle.Lambda @ xd)
+    e_task = 0.5 * float(xd @ Lambda @ xd)
     return e_acc, e_total, e_task, e_total - e_task
 
 
