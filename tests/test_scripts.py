@@ -8,6 +8,7 @@ script's ``main`` sits behind its ``__main__`` guard.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -35,5 +36,32 @@ def test_script_imports_from_the_checkout(script, tmp_path):
 
 def test_every_script_is_checked():
     assert {p.name for p in SCRIPTS} >= {
-        "hash_traces.py", "hash_controller.py", "ab_controller.py",
+        "hash_traces.py", "hash_controller.py", "ab_controller.py", "diff_traces.py",
         "run_energy_comparison.py", "run_limit_push_ablation.py", "run_star_comparison.py"}
+
+
+DIFF_SELF = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("diff", sys.argv[1])
+diff = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(diff)
+dcts = diff.import_dcts(diff.ROOT)
+run = ("push_recovery", "early")
+a, b = ({run: diff.trace_arrays(dcts, *run, seconds=0.1)} for _ in range(2))
+status = diff.deviation(diff.np.array(["optimal", "x"]), diff.np.array(["optimal", "y"]))
+print(json.dumps([len(a[run]), [row[2:] for row in diff.compare(a, b)], status[2]]))
+"""
+
+
+def test_diff_traces_reads_zero_between_two_runs_of_one_checkout():
+    """diff_traces.py's comparison of a short bundled run of this checkout
+    with a second run of it finds no deviation in any array; a changed
+    status string counts as a changed tick."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run([sys.executable, "-c", DIFF_SELF, str(ROOT / "scripts" / "diff_traces.py")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    arrays, rows, status_changed = json.loads(run.stdout)
+    assert arrays == len(rows) > 20
+    assert all(row == [0.0, 0.0, 0] for row in rows)
+    assert status_changed == 1
