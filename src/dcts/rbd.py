@@ -194,11 +194,15 @@ def link_transforms(model: RobotModel, q: np.ndarray) -> np.ndarray:
                for angle in column]
     R = np.fromiter(chain.from_iterable(entries), float, 9 * len(entries))
     R = R.reshape(n, *batch, 3, 3)
+    # each joint's transform from its parent frame: the origin with the
+    # joint's rotation folded in, all joints in one batched matmul
+    origins = model.origins.reshape(n, *(1,) * len(batch), 4, 4)
+    local = np.broadcast_to(origins, (n, *batch, 4, 4)).copy()
+    np.matmul(origins[..., :3, :3], R, out=local[..., :3, :3])
     out = np.empty((*batch, n + 1, 4, 4))
     T = _EYE4
     for i in range(n):
-        T = np.matmul(T, model.origins[i], out=out[..., i, :, :])
-        T[..., :3, :3] = T[..., :3, :3] @ R[i]
+        T = np.matmul(T, local[i], out=out[..., i, :, :])
     np.matmul(T, model.tool, out=out[..., n, :, :])
     return out
 
@@ -216,13 +220,13 @@ class Kinematics:
         self.transforms = link_transforms(model, q)
         R = self.transforms[..., :model.n, :3, :3]
         self.p = self.transforms[..., :model.n, :3, 3]
-        self.z = np.einsum("...nij,nj->...ni", R, model.axes)
+        self.z = (R @ model.axes[:, :, None])[..., 0]
         self._set_inertial(model)
 
     def _set_inertial(self, model: RobotModel) -> None:
         R = self.transforms[..., :model.n, :3, :3]
-        self.c = np.einsum("...nij,nj->...ni", R, model.coms) + self.p
-        self.Iw = np.einsum("...nij,njk,...nlk->...nil", R, model.inertias, R)
+        self.c = (R @ model.coms[:, :, None])[..., 0] + self.p
+        self.Iw = R @ model.inertias @ R.swapaxes(-1, -2)
 
     def with_inertia(self, model: RobotModel) -> "Kinematics":
         """The Kinematics of ``model`` at the same q, for a model that differs
@@ -299,8 +303,7 @@ def jacobian_dot_qd(model: RobotModel, q: np.ndarray, qd: np.ndarray, frame: int
     w, dw, a_joint = (v[..., last, :] for v in velocity)
     if x is None:
         x = kin.point(frame, point)
-    r = x - kin.p[..., last, :]
-    a_point = a_joint + _bcross(dw, r) + _bcross(w, _bcross(w, r))
+    a_point = a_joint + _rigid_acceleration(w, dw, x - kin.p[..., last, :])
     return np.concatenate([a_point, dw], axis=-1)
 
 
@@ -312,28 +315,39 @@ def mass_matrix(model: RobotModel, q: np.ndarray,
                 kin: Kinematics | None = None) -> np.ndarray:
     """Joint-space inertia M(q) = sum_i (m_i Jv_i^T Jv_i + Jw_i^T I_i Jw_i).
 
-    Built from batched per-link COM Jacobians; symmetric positive definite.
+    Built from batched per-link COM Jacobians in one matmul; symmetric
+    positive definite.
     """
     if kin is None:
         kin = Kinematics(model, q)
     n = model.n
-    # V[i, j] = z_j x (c_i - p_j) for j <= i, else 0; W[i, j] = z_j for j <= i
-    mask = _lower_mask(n)
-    lever = kin.c[..., :, None, :] - kin.p[..., None, :, :]
-    z = kin.z[..., None, :, :]
-    V = _bcross(z, lever) * mask
-    W = z * mask
-    M = np.einsum("i,...ija,...ika->...jk", model.masses, V, V)
-    M += np.einsum("...ija,...iab,...ikb->...jk", W, kin.Iw, W)
-    M = 0.5 * (M + M.swapaxes(-1, -2))
+    batch = kin.z.shape[:-2]
+    # left[j, i] = [z_j x (c_i - p_j), z_j]: joint j's column of link i's
+    # [Jv; Jw]; right[k, i] = [m_i Jv_i, I_i Jw_i] of joint k, zero unless
+    # k <= i (I_i symmetric, so (I_i z_k)^T = z_k^T I_i)
+    left = np.empty((*batch, n, n, 6))
+    z = kin.z[..., :, None, :]
+    ab = z.take(_A6, -1) * (kin.c[..., None, :, :] - kin.p[..., :, None, :]).take(_B6, -1)
+    np.subtract(ab[..., :3], ab[..., 3:], out=left[..., :3])
+    left[..., 3:] = z
+    right = np.empty_like(left)
+    mask = _upper_mask(n)
+    np.multiply(left[..., :3], model.masses[:, None] * mask, out=right[..., :3])
+    zI = kin.z @ kin.Iw.swapaxes(-3, -2).reshape(*batch, 3, 3 * n)
+    np.multiply(zI.reshape(*batch, n, n, 3), mask, out=right[..., 3:])
+    # row j, column k >= j sums over the links i >= k that both joints move;
+    # the entries below the diagonal are their mirror images
+    A = left.reshape(*batch, n, 6 * n) @ right.reshape(*batch, n, 6 * n).swapaxes(-1, -2)
+    M = np.where(mask[:, :, 0], A, A.swapaxes(-1, -2))
     M.reshape(-1, n * n)[:, ::n + 1] += model.armature     # the diagonal
     return M
 
 
 @lru_cache
-def _lower_mask(n: int) -> np.ndarray:
-    """1 on and below the diagonal of an (n, n, 1) array, 0 above."""
-    mask = np.tri(n)[:, :, None]
+def _upper_mask(n: int) -> np.ndarray:
+    """1 on and above the diagonal of an (n, n, 1) array, 0 below: row j,
+    column i is 1 where joint j moves link i."""
+    mask = np.tri(n).T[:, :, None].copy()
     mask.setflags(write=False)
     return mask
 
@@ -358,18 +372,25 @@ def _velocity_recursion(kin: Kinematics, qd: np.ndarray, qdd: np.ndarray,
     """
     z, p, c = kin.z, kin.p, kin.c
     qd, qdd = qd[..., None], qdd[..., None]
-    w = (z * qd).cumsum(-2)
-    w_prev = _shifted(w)
-    dw = (_bcross(w_prev, z) * qd + z * qdd).cumsum(-2)
-    dw_prev = _shifted(dw)
-    dp = p - _shifted(p)
-    inc = _bcross(dw_prev, dp) + _bcross(w_prev, _bcross(w_prev, dp))
+    w_inc = z * qd
+    w = w_inc.cumsum(-2)
+    # w_i x z_i = w_{i-1} x z_i, as z_i x z_i = 0
+    dw_inc = _bcross(w, z) * qd + z * qdd
+    dw = dw_inc.cumsum(-2)
+    # each link's p_i moves with the link before it
+    inc = _rigid_acceleration(w - w_inc, dw - dw_inc, p - _shifted(p))
     a_joint = inc.cumsum(-2)
     if a_base is not None:
         a_joint = a_joint + a_base[..., None, :]
-    rc = c - p
-    a_com = a_joint + _bcross(dw, rc) + _bcross(w, _bcross(w, rc))
+    a_com = a_joint + _rigid_acceleration(w, dw, c - p)
     return w, dw, a_joint, a_com
+
+
+def _rigid_acceleration(w: np.ndarray, dw: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """dw x r + w x (w x r): the acceleration of a body's point relative to
+    its point at -r, with w x (w x r) as w (w.r) - r (w.w)."""
+    return (_bcross(dw, r) + w * np.vecdot(w, r)[..., None]
+            - r * np.vecdot(w, w)[..., None])
 
 
 def _rnea(model: RobotModel, kin: Kinematics, qd: np.ndarray, qdd: np.ndarray,
@@ -395,13 +416,12 @@ def _force_sweep(model: RobotModel, kin: Kinematics, qdd: np.ndarray,
                  w: np.ndarray, dw: np.ndarray, a_com: np.ndarray) -> np.ndarray:
     """The backward half of ``_rnea``: joint torques from a velocity pass."""
     ma = model.masses[:, None] * a_com
-    Iw_w = np.einsum("...nij,...nj->...ni", kin.Iw, w)
-    K = (np.einsum("...nij,...nj->...ni", kin.Iw, dw) + _bcross(w, Iw_w)
-         + _bcross(kin.c, ma))
+    Iw_w = (kin.Iw @ w[..., None])[..., 0]
+    K = (kin.Iw @ dw[..., None])[..., 0] + _bcross(w, Iw_w) + _bcross(kin.c, ma)
     K_suffix = K[..., ::-1, :].cumsum(-2)[..., ::-1, :]
     ma_suffix = ma[..., ::-1, :].cumsum(-2)[..., ::-1, :]
     mu = K_suffix - _bcross(kin.p, ma_suffix)
-    return np.einsum("...ni,...ni->...n", kin.z, mu) + model.armature * qdd
+    return np.vecdot(kin.z, mu) + model.armature * qdd
 
 
 def inverse_dynamics(model: RobotModel, q: np.ndarray, qd: np.ndarray,

@@ -151,6 +151,25 @@ def test_mass_matrix_equals_rnea_columns(iiwa_dict):
                                    rbd.inverse_dynamics(model, q, zero, e), atol=1e-9)
 
 
+def test_mass_matrix_equals_the_sum_over_link_com_jacobians(iiwa):
+    """M = sum_i (m_i Jv_i^T Jv_i + Jw_i^T Iw_i Jw_i) + diag(armature), each
+    link's Jacobian from ``rbd.jacobian`` at its COM and Iw_i = R_i I_i R_i^T,
+    to 1e-12 of M's largest entry, unbatched and batched: an oracle that
+    does not share how ``mass_matrix`` contracts its sums."""
+    rng = np.random.default_rng(4)
+    q = rng.uniform(-2.0, 2.0, (3, 7))
+    batched = rbd.mass_matrix(iiwa, q)
+    for b in range(len(q)):
+        T = rbd.link_transforms(iiwa, q[b])
+        M = np.diag(iiwa.armature)
+        for i in range(iiwa.n):
+            J = rbd.jacobian(iiwa, q[b], i, point=iiwa.coms[i])
+            Iw = T[i, :3, :3] @ iiwa.inertias[i] @ T[i, :3, :3].T
+            M = M + iiwa.masses[i] * J[:3].T @ J[:3] + J[3:].T @ Iw @ J[3:]
+        for got in (rbd.mass_matrix(iiwa, q[b]), batched[b]):
+            assert np.abs(got - M).max() <= 1e-12 * np.abs(M).max()
+
+
 def dynamics_at(model, q, qd=None):
     """``compute_dynamics`` at (q, qd), qd = 0 by default: its ``nu`` and
     ``g`` are the two Newton-Euler passes under test."""
