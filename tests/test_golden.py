@@ -32,77 +32,77 @@ EARLY_EVENT_S = 0.01
 # criterion 8 covers the difference over the whole push.
 GOLDEN = {
     ("rotation_hold", "osc", ""): (
-        "1bf6f04ce02e0150159ebc823fae9d3db3937defacbf4320b424f9f125e2d4fe",
-        "43be4a80acf2f29eb7a52e25dd2189784bda500d94b93f31b7c2fa4a0de8724d",
-        "c74d33dbfdac4a715a6cade683d3dd83f211ed7514fd73a6866f2bab29799ebf"),
+        "287d5a1e6f39faf73f8c3c75511c61cb3540c7749a48eb21ba35992cf5a4a297",
+        "40c8a95d530aa5acc3f5c041dd6f30888b7e5884ce626025e38309b4102684d9",
+        "2999b51c46f1c239de8295d77693c93ce5386da14932547b914e57438f038f22"),
     ("rotation_hold", "dcts", ""): (
-        "4aea9501b607dbb836b45846d0cccfa7287fbb754ed8c7702d86ae854115408f",
-        "8fb1cfa55704e8fd5aa381261e95f2b6f9961727b2ec1e444b42eab172e5cccb",
-        "8fa87790e473f1a7c4a678724dc0525e23ae51bba15c0a199ed5df9ee58cf8d4"),
+        "5332e5a2c062d824d6bc1b3667b47d121f6c0942ec684f50507968ced8e70451",
+        "3daaf9c658ea88bd686f88f35388d669800b8aa8f85d3c9f996a58d1f478f8d0",
+        "6c15fbfd125828e48193756ab8e233e40b183f56f04dfbdda9aa7c080aafd3f3"),
     ("rotation_hold", "qp-mt", ""): (
-        "a669b71f41bead6780ace48a1bab0667b5a651784d925baa66ce2631068bd49d",
-        "22a1b989e5f07fb6f642f8f1f684d1d0dfaad1e2c826dcdb74ebd5de9883b1e2",
-        "abdf3745bf8ec4c2f27e80c08d5cbbc03b70f8fdb9dd431c2580c5296b27ea20"),
+        "003c47c57eb2e9ee50f3ce17fba14ddd2ec6ebae700528814e999278d74daaf9",
+        "452450b67049afe34363304bd013d01633458e3a279271af7d7016681bcb64db",
+        "b549516f2ce26c6545e21e253e3413da74887a4051227994e56468a09395fa6d"),
     ("rotation_hold", "qp-md", ""): (
-        "87f6532e88a4102d623e4a989d4c8452b92db26f2d9c103564054ee92cc69880",
-        "3420b7adc8a731d41b53739c6453ff89b893a1b0c8dc8a08c0dbb3e53d54fec2",
-        "9c61bc48b17414a9f6550c38b9bdf45283b70506a7d6849e5b93aa2e6bba0e53"),
+        "713be1258f29b575cbf272c9fc9b45bbd0727d2ac0b605dcb92d24e7ae84d734",
+        "b0b0c3be5e77c7c69e28b49d279a56a75258f59444aa2f41487b672f73ad7ec4",
+        "0b8225fce1025633d6fd1840ad543b47525ed43a1b21b522f2a448a3cf421d1f"),
     ("push_recovery", "osc", ""): (
-        "f2de1ef3c2a406ce76cc0c9400e864c16e411c59bc3b462dc68a51982ad24e8a",
+        "c3400928704f634faf41fa99a6f693b1085497bfc87eeb22d843f2f7bc19eba5",
         "983dc09956acd65b67655c491840bef4da0cd6a3eac16b5dac306ca4e3740e37",
         "1677f96c3d965a44953cb644796fd1137be5df37e38513fd5587e55751f23880"),
     ("push_recovery", "dcts", ""): (
-        "f2de1ef3c2a406ce76cc0c9400e864c16e411c59bc3b462dc68a51982ad24e8a",
+        "c3400928704f634faf41fa99a6f693b1085497bfc87eeb22d843f2f7bc19eba5",
         "9984de9b9ea11095945472b9c6a478183ddeeae12ca12cda2cce380cc14b17c2",
         "1677f96c3d965a44953cb644796fd1137be5df37e38513fd5587e55751f23880"),
     ("push_recovery", "qp-md", ""): (
-        "f2de1ef3c2a406ce76cc0c9400e864c16e411c59bc3b462dc68a51982ad24e8a",
+        "c3400928704f634faf41fa99a6f693b1085497bfc87eeb22d843f2f7bc19eba5",
         "bbe0793d186096db4937052dcfa57af53a929f9e07d99dbe637a0649c4efdf3c",
         "1677f96c3d965a44953cb644796fd1137be5df37e38513fd5587e55751f23880"),
     ("push_recovery", "osc", "early"): (
-        "bcc2b708a4cde0db4d38d5e2172caab75dde14f3cd11e5bba7807045a3d8288e",
-        "6bd08699c3022f587bcba49d03c833f6cac72beed022cc9ead365fdb2f1b62e2",
-        "42bbf7c80a428128c522e8bfeea2165c94e0841bdbd4ab8d48510e2ab9dc47fe"),
+        "c181da243a62a9f72ec2de502bb674e1f3df102c7e7c3d60a8c024121dfeeadb",
+        "f23fa1345eafe6394c1d44ea661728dcab762e06c5da552937389316efd2a016",
+        "113b799ef4c5d7b4a79a75e94103adeb59cd4254a749c3abcef1abe56f2ca681"),
     ("push_recovery", "dcts", "early"): (
-        "48702bcc7967e1bc75c305234b231bd8cba7862e5ce183b7e62a7a02628dc80f",
-        "893692243d57972ead7f7dc9f1bea814291a6a855a86189b44fa716bfd9df218",
-        "41a8acb3aed6a80f515969ba684caabf02b64adb02ce34e9d8bb2c5fee6b47e9"),
+        "cca1bb08916dd2ac5955183b51e4b18672b883b41ec1208a8f8a383f552bc78a",
+        "e32632d5e3fcf8c4e3a12865f2d9aeef74a276eb81d049c28e65c0b7099c010c",
+        "3cb79637294cdbc19776cbc2fb5907c67199d13978b6386467fd84256e401d47"),
     ("push_recovery", "qp-md", "early"): (
-        "29cc243ae74bf09e8163f2bfb7c05dd5064cfdee6999d1d80e3e843b1573cc02",
-        "3490d75b7ee1a274663d3cca28d138ff6ce80017b9debd28da77f560576d38fa",
-        "d9f1a2bb6a088b0a7503a8cf9fb6ce4a8f4662dd28452feffed31d11429ee328"),
+        "9c486914e484690e913ca0165944f5cee786ea9488ea89624001316fb826fd0a",
+        "3d96a80104fb938910cf51a648c55ce8eb032711cad9f91759387edd05cdaebd",
+        "47a17c1d4ff5739f57118d137260cff98ab4f2bfb92f6deacc46878b7dbc56e0"),
     ("star_octagon", "dcts", ""): (
-        "5ae2654f7b72f3111ac7dabccf0d15837b47f8c749ce48674bdd2c911a00b7f7",
-        "9d4021afed03f332ee0b92d18f9b0f7ef250d861f9f488f33494e245512ad95a",
-        "14b4b040cbb6b85652ed9a81925202577ae99fd7a015b82c1d2a2ff8246766e2"),
+        "9cd7ce1d11892b5eb23350ec49e5050058a8dde2368e1ffb9d96c5e5f385bebb",
+        "237ddb161db304cced5910cde1bc4a5e5fbb1b2fad7b5d4d889903db96f62be7",
+        "5fb1ffe56f6fd47b268ccbc15a21d2129dfe295ea010ee5751443418f72f7e0b"),
     ("star_octagon", "osc", ""): (
-        "27603c83e38e87773aee4e3f8acfd53aa566bd611c33a453305ddd61e59a1841",
-        "862d2e72e37458e532f06a0fd6429112cf97a2d03318d766191250185a945067",
-        "25f664de482cf66879a52a83e5dd7c69ac8752f5a415b7dcaff623408e0cb2c0"),
+        "232a7d97db94f1c446fe68b065c4b5566454652d16d6195838a07f4567997ce3",
+        "e77cf6d878b4de44811be3a983942e7dc8d29b614be56589efd866ff9a8ff1e2",
+        "11ab81c2a8dee1ead39692395e7e2e2b664db264b4ae7818d1465b36dc5e3c34"),
     ("payload_drop", "osc", ""): (
-        "f4a0d79dd032d36d8d8f3e7e2c8896966c36f02c842374618c7b2f6753428f86",
-        "d9b2865309777b52f87a3be85194eecda6848b445f572d65fe5c0857ab731470",
-        "0faddc19bc1822f97b18cfd97a2c72cf6235cf6112b118df339f6da65e567197"),
+        "f01d4204c9d267431eb4df6ce05eb8f16d1dd621a921a505e0648c0a4cd82dc2",
+        "81a527f10cbc30f5607edb09b230aeaa5376daaf2d6ff63e7aafdc8feee47f20",
+        "d820d922919bf54950b23cdd29f77b6398b4ba6c40b34f78163de439be12690a"),
     ("payload_drop", "dcts", ""): (
-        "b6dfa0156f9b614c34827622ed02342148fdf8c3640469f262bf90d1696d9c51",
-        "a34159b6234a1efe1c1993492ce7ccc333473de58ca71833104e48ce89ec72ca",
-        "767ab4b45861bf13c53c1037242c2d54af1a5c1d57e2cb62ed4b241fd7251d63"),
+        "f8014b42e26d8c67890c637e3b02de6344022be6c3b8b2c2e6f78efd32a82e60",
+        "bf0483ad13871e50d7e00fc58e2da1b84ca017973f05de65e6a2f1ecc7329e91",
+        "be6e6a506ce1622d9c142d65d4901b5f1d982de36454b5e262b9ac99e0ae6028"),
     ("payload_drop", "qp-md", ""): (
-        "020abff89655d03a07d1b8b7efe1600c4f777a76ab05ccaa8ea59a902e0e9c56",
-        "0ecdcfc0d65d84aa793dc214d18dc4ea383165595c15d3679d00ce187a6d7631",
-        "d663529dc8133e32189f07fc49e7c511f14d23c208c115ce9af23188ff29bbe6"),
+        "5d40f3560ff03ed890a780f4183f5c03a4eaac81ab8cf167b9b11dfb655871de",
+        "8d36538a57841463638c519d8f376cd02ca902914f79a64a5fd1eeb0df7755c8",
+        "b81948fff3a7ffd5f582b1bde5d5e0e323b5adab3e8b3ab521fa103cf585ae7a"),
     ("limit_push", "dcts", ""): (
-        "02449e2d143915675956770fc433152fc6ec9320a5e7d22cb181179a6cd1738d",
-        "05e0af1332d6eed1b7028960d61c8aba5ca061a5cc14f03afeebd5a254332f11",
+        "a82b7320cbdd2833553b616cdc9f13e948a21e363abc5fd212e555b4bc873489",
+        "143454646ca81eea315e504f008e64daaf934d55683d41ab9649431765a1173d",
         "1677f96c3d965a44953cb644796fd1137be5df37e38513fd5587e55751f23880"),
     ("limit_push", "dcts", "no-bounds"): (
-        "02449e2d143915675956770fc433152fc6ec9320a5e7d22cb181179a6cd1738d",
-        "05e0af1332d6eed1b7028960d61c8aba5ca061a5cc14f03afeebd5a254332f11",
+        "a82b7320cbdd2833553b616cdc9f13e948a21e363abc5fd212e555b4bc873489",
+        "143454646ca81eea315e504f008e64daaf934d55683d41ab9649431765a1173d",
         "1677f96c3d965a44953cb644796fd1137be5df37e38513fd5587e55751f23880"),
     ("limit_push", "dcts", "early"): (
-        "9154faeda0f40efa26431601483d31587b066071d871d64619118ddaf28c8f5f",
-        "b91c5aacc6f5f33bf6628c175be969efab0235cf5410f6fbf01a8307c5a74ea9",
-        "695f034f1e00b66159539094ccfffd4509760ab03aa045fbc613a9f7367db942"),
+        "444e778ef397bc90253caffd7c18a1363d6b867e9ceeaeb74e4917e8959dae11",
+        "1092f4ffcb03c2a351d09d8422b47a323ce1dd8bdb284214a8f27ef367fb96af",
+        "c4dbbdd60b91c84516684b2f50a48d67f50accae401943a5d9cf74105976d55a"),
 }
 
 

@@ -25,7 +25,7 @@ Q_NOMINAL = np.array([0.0, 0.3, 0.0, -1.5, 0.0, 1.0, 0.0])
 ACC_LIMIT = np.array([30.0, 25.0, 60.0, 70.0, 400.0, 400.0, 600.0])
 N_STATES = 12
 
-GOLDEN = "cf65ad347b0ef78ead0c117379a9cce2b64cedfa95ffe4e8f10bb63fe5fa2b03"
+GOLDEN = "5a258959f067fd4b9473ff17b3550f89bd279769330c141d5327cf3d846863f0"
 
 
 def stack_cases(model, seed: int = 5):

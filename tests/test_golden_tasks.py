@@ -22,12 +22,12 @@ import numpy as np
 from dcts import limits, rbd, solvers, tasks
 from test_golden_stack import ACC_LIMIT, N_STATES, Q_NOMINAL
 
-GOLDEN_TASKS = "c8cc0327bed22c6c2caa1e1d8b9d420b2b4dfb408048a72e232fcbdbac064dda"
+GOLDEN_TASKS = "a0f136940b0ce43b639733f54709bedac1dcd567d105d87ce0b46a570f13f1c8"
 GOLDEN_SOLVERS = {
-    "dcts": "e103ff6dec4e9052b32ca56c3e94c8175a82e042623e267cf7a93832d2e7ff7d",
-    "osc": "eb354efeeafbecf39df1fb34249b20bdffad991bbb8925ca652bc80081fe225f",
-    "qp-mt": "1d9d12f664292f75b199b22e35cecd5b3392740bed0715b221325aec7f282df9",
-    "qp-md": "123f31f7107bba35bbc6efd7a5964a0357d626d30d33883394e9edfb6c097e4d",
+    "dcts": "9ec64ae209de1e310a12c0e73288c31f2af980488720261fd80ae698af6ebf8c",
+    "osc": "b92feaec7ba5e8389fb501a76f6f4906f94fa50e860301033ea00738c903ba1d",
+    "qp-mt": "f9664ea636126430c1d997739ca95ffe0422308152a956e4099246309f3c9293",
+    "qp-md": "13120a4eb212f6b8590c330a1d7e7df30fe0bf6665b058301cb3be8f3a8a3aa7",
 }
 
 
