@@ -3,7 +3,7 @@
 World-frame formulation throughout:
 
 - forward kinematics / geometric Jacobians (linear rows stacked over angular),
-- joint-space inertia M(q) via a composite-rigid-body pass,
+- joint-space inertia M(q) from the per-link COM Jacobians in one matmul,
 - Coriolis/centrifugal vector nu(q, qd) and gravity vector g(q) via recursive
   Newton-Euler, so that inverse_dynamics(q, qd, qdd) == M qdd + nu + g holds
   to machine precision,
