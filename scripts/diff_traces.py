@@ -4,17 +4,19 @@
     python scripts/diff_traces.py CHECKOUT_A CHECKOUT_B [SEED ...]
 
 Imports ``dcts`` afresh from ``CHECKOUT_A/src`` and from ``CHECKOUT_B/src``
-and runs on both the runs ``hash_traces.py`` makes: each bundled scenario
-for 0.4 s with every solver it accepts, as shipped ("plain") and with every
-event moved to 0.05 s ("early"). Prints one line per trace array: scenario,
-variant, solver, array, the largest absolute deviation, the largest
-relative deviation |a - b| / max(|a|, |b|) and the number of ticks whose
-row differs. Then the same per solver for the controller outputs ``tau``,
-``qdd``, ``s`` and ``status`` of one ``control_replay`` cycle per seed (1
-and 2 by default), the ticks ``hash_controller.py`` hashes; a ``status``
-line gives only its count of changed ticks. The last lines give, for each
-trace array and each controller output, the largest absolute deviation
-over every run, the run it came from and the changed ticks of all runs.
+and runs on both, with ``hash_traces.trace_arrays``, the runs
+``hash_traces.py`` makes: each bundled scenario for 0.4 s with every solver
+it accepts, as shipped ("plain") and with every event moved to 0.05 s
+("early"). Prints one line per trace array: scenario, variant, solver,
+array, the largest absolute deviation, the largest relative deviation
+|a - b| / max(|a|, |b|) and the number of ticks whose row differs. Then the
+same per solver for the controller outputs ``tau``, ``qdd``, ``s`` and
+``status`` of one ``control_replay`` cycle per seed (1 and 2 by default),
+the ticks ``hash_controller.py`` hashes, run by its ``run_cycle``; a
+``status`` line gives only its count of changed ticks. The last lines give,
+for each trace array and each controller output, the largest absolute
+deviation over every run, the run it came from and the changed ticks of all
+runs.
 
 A change that moves output bytes on purpose re-records the hashes; this
 table bounds how far the outputs moved.
@@ -23,7 +25,6 @@ table bounds how far the outputs moved.
 from __future__ import annotations
 
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -33,55 +34,21 @@ sys.path[:0] = [str(ROOT / "scripts"), str(ROOT / "dctsbench")]
 
 import workloads  # noqa: E402
 from ab_controller import import_dcts  # noqa: E402
-from hash_controller import SOLVER_FUNCTIONS  # noqa: E402
-from hash_traces import EVENT_START, SECONDS  # noqa: E402
+from hash_controller import run_cycle  # noqa: E402
+from hash_traces import VARIANTS, bundled_scenarios, trace_arrays  # noqa: E402
 
-VARIANTS = ("plain", "early")
 COMMANDS = ("tau", "qdd", "s", "status")
-
-
-def bundled_scenarios(dcts) -> list[str]:
-    return sorted(p.name.removesuffix(".json")
-                  for p in resources.files(dcts).joinpath("data/scenarios").iterdir()
-                  if p.name.endswith(".json"))
-
-
-def trace_arrays(dcts, name: str, variant: str, seconds: float = SECONDS) -> dict:
-    """{(solver, array): values} of one lockstep run of every solver the
-    scenario accepts, as ``hash_traces.py`` runs it."""
-    sim, solvers = dcts.sim, dcts.solvers
-    scenario = sim.load_bundled_scenario(name)
-    scenario.duration = seconds
-    if variant == "early":
-        for ev in scenario.events:
-            ev.start = EVENT_START
-    names = [s for s in solvers.SOLVER_NAMES
-             if solvers.solver_error(s, len(scenario.tasks)) is None]
-    return {(solver, attr): getattr(trace, attr)
-            for solver, trace in zip(names, sim.run_scenario(scenario, names))
-            for attr, _, _, _ in sim._COLUMNS}
 
 
 def controller_outputs(dcts, seed: int) -> dict:
     """{(solver, output): per-tick values} over one control_replay cycle."""
     outputs = {(solver, name): [] for solver in workloads.SOLVERS for name in COMMANDS}
-    originals = {name: getattr(dcts.solvers, name) for name in SOLVER_FUNCTIONS}
 
-    def recording(name):
-        def call(*args, **kwargs):
-            out = originals[name](*args, **kwargs)
-            for output in COMMANDS:
-                outputs[SOLVER_FUNCTIONS[name], output].append(getattr(out, output))
-            return out
-        return call
+    def recording(solver, out):
+        for output in COMMANDS:
+            outputs[solver, output].append(getattr(out, output))
 
-    try:
-        for name in SOLVER_FUNCTIONS:
-            setattr(dcts.solvers, name, recording(name))
-        workloads.run_replay_cycle(dcts, workloads.setup_replay(dcts, seed), workloads.Tally())
-    finally:
-        for name, fn in originals.items():
-            setattr(dcts.solvers, name, fn)
+    run_cycle(dcts, seed, recording)
     return {key: np.array(values) for key, values in outputs.items()}
 
 

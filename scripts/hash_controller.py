@@ -18,7 +18,9 @@ so a change that must not move any controller output is checked with
     diff before.txt after.txt
 
 A change that only drops solves keeps the second column of every line, and
-one that only adds or drops diagnostics keeps the third.
+one that only adds or drops diagnostics keeps the third. ``run_cycle``
+hands each tick's output to a callback; ``diff_traces.py`` records the
+commands of two checkouts with it.
 
 Exits 1 if any tick fails the benchmark's command checks.
 """
@@ -64,34 +66,45 @@ def _feed(h, value) -> None:
 SOLVE_COUNTS = ("stages", "qp_iterations")
 
 
-def controller_hashes(dcts, seed: int) -> tuple[dict, workloads.Tally]:
-    """{solver: (sha256, sha256 without the solve counts, sha256 of the
-    commands alone)} over one control_replay cycle, and the cycle's tally."""
-    hashes = {solver: tuple(hashlib.sha256() for _ in range(3))
-              for solver in workloads.SOLVERS}
+def run_cycle(dcts, seed: int, on_output) -> workloads.Tally:
+    """Run one control_replay cycle of the package ``dcts``, handing each
+    tick's ``ControlOutput`` to ``on_output(solver, output)``, and return the
+    cycle's tally. The ``dcts.solvers`` functions are restored afterwards."""
     solvers = dcts.solvers
     originals = {name: getattr(solvers, name) for name in SOLVER_FUNCTIONS}
 
-    def hashing(name):
+    def handing(name):
         def call(*args, **kwargs):
             out = originals[name](*args, **kwargs)
-            rest = {k: v for k, v in out.diagnostics.items() if k not in SOLVE_COUNTS}
-            commands = [np.asarray(arr) for arr in (out.tau, out.qdd, out.s)] + [out.status]
-            for h, diagnostics in zip(hashes[SOLVER_FUNCTIONS[name]],
-                                      ([out.diagnostics], [rest], [])):
-                for value in commands + diagnostics:
-                    _feed(h, value)
+            on_output(SOLVER_FUNCTIONS[name], out)
             return out
         return call
 
     tally = workloads.Tally()
     try:
         for name in SOLVER_FUNCTIONS:
-            setattr(solvers, name, hashing(name))
+            setattr(solvers, name, handing(name))
         workloads.run_replay_cycle(dcts, workloads.setup_replay(dcts, seed), tally)
     finally:
         for name, fn in originals.items():
             setattr(solvers, name, fn)
+    return tally
+
+
+def controller_hashes(dcts, seed: int) -> tuple[dict, workloads.Tally]:
+    """{solver: (sha256, sha256 without the solve counts, sha256 of the
+    commands alone)} over one control_replay cycle, and the cycle's tally."""
+    hashes = {solver: tuple(hashlib.sha256() for _ in range(3))
+              for solver in workloads.SOLVERS}
+
+    def hashing(solver, out):
+        rest = {k: v for k, v in out.diagnostics.items() if k not in SOLVE_COUNTS}
+        commands = [np.asarray(arr) for arr in (out.tau, out.qdd, out.s)] + [out.status]
+        for h, diagnostics in zip(hashes[solver], ([out.diagnostics], [rest], [])):
+            for value in commands + diagnostics:
+                _feed(h, value)
+
+    tally = run_cycle(dcts, seed, hashing)
     return {solver: tuple(h.hexdigest() for h in hs) for solver, hs in hashes.items()}, tally
 
 

@@ -135,7 +135,9 @@ def run(argv: list[str] | None = None) -> int:
     except OSError as e:        # a file in the way, or no permission
         print(f"error: --out {args.out}: {e.strerror.lower()}", file=sys.stderr)
         return 1
-    with ProcessPoolExecutor(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+    # the pool starts every worker at once, so it gets no more than there are jobs
+    workers = min(args.jobs, len(jobs))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         per_job = list((pool.map if pool else map)(_run_one, jobs))
     summaries = [summary for job_summaries in per_job for summary in job_summaries]
 

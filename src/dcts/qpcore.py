@@ -123,7 +123,7 @@ class QpProblem:
         self.H = 0.5 * (self.H + self.H.T)
         self._rows = _build_rows(self)
         self._factor = _factor_psd(self.H)
-        # (flips, active, entering row) -> direction, None -> start; see solve
+        # (active, entering row) -> direction, None -> start; see solve
         self._directions = {}
 
     def with_beq(self, beq) -> "QpProblem":
@@ -190,8 +190,8 @@ class QpSolution:
     """One solve's result. ``solve`` leaves the five dual vectors unbuilt and
     builds them on first read (the controllers never read them); a solution
     built with explicit duals holds them as given. A solution of ``solve``
-    keeps the equality rows it flipped and the active set and multipliers
-    its loop ended with, which ``sweep`` starts from."""
+    keeps the active set and multipliers its loop ended with, which
+    ``sweep`` starts from."""
 
     x: np.ndarray
     status: str
@@ -221,7 +221,7 @@ _EQ, _IN_LO, _IN_HI, _BD_LO, _BD_HI = range(5)
 class _Rows(NamedTuple):
     """Normalized one-sided rows c x >= b: the first n_eq keep c x = b, the
     rest are inequalities. ``C`` and ``b`` are read-only: a family shares
-    them, and ``solve`` copies them before it flips an equality row."""
+    ``C``, and solves and sweeps only read them."""
 
     C: np.ndarray
     b: np.ndarray
@@ -315,17 +315,18 @@ def _kkt_solve(Hs: np.ndarray, N: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(K, rhs, rcond=None)[0]
 
 
-def _direction(p: QpProblem, C, flips: tuple, active: list, idx: int):
+def _direction(p: QpProblem, active: list, idx: int):
     """(z, r, c z, |z|) of [H N; N^T 0][z; r] = [c; 0] for c = C[idx] and
-    N = C[active]^T, so c = H z + sum_j r_j C[active[j]]: z primal
-    (read-only), r the dual rates as a list. It is fixed by C[active], C[idx]
-    and K's column order, so by the equality rows flipped, the active list
-    and the entering row: the key of the family's shared dict."""
+    N = C[active]^T of ``p``'s rows C, so c = H z + sum_j r_j C[active[j]]:
+    z primal (read-only), r the dual rates as a list. It is fixed by
+    C[active], C[idx] and K's column order, so by the active list and the
+    entering row: the key of the family's shared dict."""
     cache = p._directions
-    key = (flips, tuple(active), idx)
+    key = (tuple(active), idx)
     hit = cache.get(key)
     if hit is not None:
         return hit
+    C = p._rows.C
     c = C[idx]
     d = p.dim
     if not active:
@@ -345,11 +346,9 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
     """Dual active-set solve. See the module docstring for conventions."""
     d = p.dim
     rows = p._rows
-    # the family's read-only table; the first equality flip below copies it
     C, b, n_eq = rows.C, rows.b, rows.n_eq
     C_in, b_in = C[n_eq:], b[n_eq:]
     cache = p._directions
-    flips: tuple = ()
 
     x = cache.get(None)
     if x is None:
@@ -368,7 +367,7 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
         while iterations < max_iter:
             iterations += 1
             s_val = float(c @ x - b_idx)
-            z, r, cz, z_norm = _direction(p, C, flips, active, idx)
+            z, r, cz, z_norm = _direction(p, active, idx)
             # step length limited by active inequality duals decreasing to zero
             t1, k1 = math.inf, -1
             for pos, a_idx in enumerate(active):
@@ -403,27 +402,21 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
     def finish(status: str, bad: int | None = None, violation: float = 0.0) -> QpSolution:
         sol = object.__new__(QpSolution)
         sol.__dict__.update(x=x.copy(), status=status, iterations=iterations,
-                            _pending=(p, flips, active, duals), _table=(C, b))
+                            _pending=(p, active, duals))
         if bad is not None:
             sol.infeasible_constraint = _label(rows, bad)
             sol.infeasible_violation = violation
         return sol
 
-    # equalities first (forced, duals unrestricted)
+    # equalities first (forced, duals unrestricted): one above its side
+    # enters by a negative step
     for e in range(n_eq):
         s_val = float(C[e] @ x - b[e])
         if abs(s_val) <= tol:
-            if len(active) < d and _direction(p, C, flips, active, e)[2] > 1e-11:
+            if len(active) < d and _direction(p, active, e)[2] > 1e-11:
                 active.append(e)
                 duals.append(0.0)
             continue
-        if s_val > 0:          # flip so the entering machinery reduces violation
-            if not flips:
-                C, b = C.copy(), b.copy()
-                C_in, b_in = C[n_eq:], b[n_eq:]
-            C[e] = -C[e]
-            b[e] = -b[e]
-            flips += (e,)
         if not enter(e):
             return finish(INFEASIBLE, e, abs(s_val))
 
@@ -449,16 +442,15 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
     return finish(MAX_ITER)
 
 
-def _dual_vectors(p, flips, active, duals) -> list[np.ndarray]:
-    """The five dual vectors of a solve that ended with ``flips``, ``active`` and ``duals``."""
+def _dual_vectors(p, active, duals) -> list[np.ndarray]:
+    """The five dual vectors of a solve that ended with ``active`` and ``duals``."""
     kind, index, norm = (a.tolist() for a in _row_info(p._rows))
     m_eq, m_in, d = len(p.beq), len(p.lower), p.dim
     # where each kind's duals start in [eq, in_lo, in_hi, bd_lo, bd_hi]
     start = (0, m_eq, m_eq + m_in, m_eq + 2 * m_in, m_eq + 2 * m_in + d)
     out = [0.0] * (m_eq + 2 * (m_in + d))
     for pos, a_idx in enumerate(active):
-        u = duals[pos] / norm[a_idx]
-        out[start[kind[a_idx]] + index[a_idx]] += -u if a_idx in flips else u
+        out[start[kind[a_idx]] + index[a_idx]] += duals[pos] / norm[a_idx]
     out = np.array(out)
     return [out[a:b] for a, b in zip(start, (*start[1:], len(out)))]
 
@@ -486,16 +478,14 @@ def sweep(p: QpProblem, sol: QpSolution, delta: np.ndarray) -> float | None:
     every feasible x has c x <= sum_j r_j b_j(t), which the path meets here
     and which falls below c's side beyond: t is the limit."""
     rows = p._rows
-    C, b = sol._table
-    _, flips, active, duals = sol._pending
-    n_eq, d = rows.n_eq, p.dim
+    C, b, n_eq, d = rows.C, rows.b, rows.n_eq, p.dim
+    _, active, duals = sol._pending
     if active[:n_eq] != list(range(n_eq)):
         return None
     active, duals = list(active), list(duals)
-    # only the equality sides move with t: delta_i / norm, negated if flipped
-    sign = [-1.0 if e in flips else 1.0 for e in range(n_eq)]
+    # only the equality sides move with t, by delta_i / norm
     db = np.zeros(len(b))
-    db[:n_eq] = np.asarray(delta, dtype=float)[rows.eq_index] / (sign * rows.eq_norm)
+    db[:n_eq] = np.asarray(delta, dtype=float)[rows.eq_index] / rows.eq_norm
     Hs = p._factor[1]
     x, t = sol.x, 0.0
     for _ in range(SWEEP_STEPS):
@@ -530,7 +520,7 @@ def sweep(p: QpProblem, sol: QpSolution, delta: np.ndarray) -> float | None:
         if t_dual <= t_row:
             del active[drop], duals[drop]
             continue
-        z, r, cz, z_norm = _direction(p, C, flips, active, k)
+        z, r, cz, z_norm = _direction(p, active, k)
         if len(active) < d and cz > 1e-11 * max(1.0, z_norm) and abs(cz - z @ Hs @ z) <= 0.5 * cz:
             active.append(k)
             duals.append(0.0)

@@ -699,20 +699,26 @@ def _input_path(ref: str | Path, folder: str = "", base: Path | None = None) -> 
     return Path(base or "", ref)
 
 
+def _escaped(path: Path) -> str:
+    """``path`` with each C0 control character and DEL written as ``\\xNN``,
+    so that a message echoing it sends none of them to a terminal."""
+    return str(path).translate({c: f"\\x{c:02x}" for c in (*range(32), 127)})
+
+
 def _read_json(path: Path, error: type[ValueError] = ModelError):
     """The parsed JSON of a file. A missing or unreadable file, a path with a
     NUL byte, text that is not UTF-8 and invalid JSON raise ``error`` with a
-    message that starts with the path."""
+    message that starts with the path, its control characters escaped."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except OSError as e:
-        raise error(f"{path}: {e.strerror.lower()}") from e
+        raise error(f"{_escaped(path)}: {e.strerror.lower()}") from e
     except UnicodeDecodeError as e:
-        raise error(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+        raise error(f"{_escaped(path)}: not UTF-8 text ({e.reason} at byte {e.start})") from e
     except json.JSONDecodeError as e:
-        raise error(f"{path}:{e.lineno}: invalid JSON ({e.msg})") from e
+        raise error(f"{_escaped(path)}:{e.lineno}: invalid JSON ({e.msg})") from e
     except ValueError as e:             # open() refuses a NUL byte in the path
-        raise error(f"{path}: {e}") from e
+        raise error(f"{_escaped(path)}: {e}") from e
 
 
 def _axis(value) -> np.ndarray:

@@ -249,8 +249,11 @@ MALFORMED = {
         "events[1]: unmodeled_mass overlaps events[0]"),
     "point_on_rotation_task": (("tasks", 0, "point_m"), [0.0, 0.0, 0.1],
                                "tasks[0]: point: only a tool_pos task has a controlled point"),
+    # a control character in an echoed path is written as \xNN
     "nul_byte_in_model_path": (("model",), "/model\x00.json",
-                               "model: /model\x00.json: embedded null byte"),
+                               "model: /model\\x00.json: embedded null byte"),
+    "esc_in_model_path": (("model",), "/model\x1b[2J.json",
+                          "model: /model\\x1b[2J.json: no such file or directory"),
     # a 3-vector or a posture takes exactly its numbers; one number fills none
     "scalar_force": (
         ("events",), [{"kind": "cartesian_force", "start_s": 0.0, "duration_s": 0.01,
@@ -403,6 +406,36 @@ def test_parallel_jobs_write_the_same_traces(tiny_scenario, tmp_path):
     assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
     for name in names:
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_jobs_beyond_the_scenarios_start_one_worker_per_scenario(tiny_scenario, tmp_path,
+                                                                monkeypatch):
+    """--jobs 64 with two scenarios sizes the pool at two workers, and with
+    one scenario runs in-process without a pool. The pool here is a fake
+    that maps in-process, so the test starts no process."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    second = tmp_path / "second.json"
+    second.write_text(tiny_scenario.read_text().replace('"tiny"', '"second"'))
+    for scenarios, out_dir in (([tiny_scenario, second], tmp_path / "two"),
+                               ([tiny_scenario], tmp_path / "one")):
+        assert cli.run(["--scenario", *map(str, scenarios), "--solver", "osc",
+                        "--out", str(out_dir), "--jobs", "64"]) == 0
+        assert len(list(out_dir.iterdir())) == 2 * len(scenarios) + 1
+    assert sizes == [2]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

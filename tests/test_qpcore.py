@@ -90,7 +90,7 @@ def test_sweep_finds_the_feasibility_limit(sign):
     """x1 + x2 = beq under |x| <= 1 is feasible for |beq| <= 2. The sweep
     from the solve at 0.5 sign along sign ends at t = 1.5 after both bounds
     block, the second in the span of the active rows; with sign -1 the
-    equality row is flipped in the solve."""
+    equality row starts above its side and enters by a negative step."""
     base = qpcore.QpProblem(H=np.eye(2), f=np.zeros(2), Aeq=np.array([[1.0, 1.0]]),
                             beq=np.zeros(1), lb=-np.ones(2), ub=np.ones(2))
     p = base.with_beq([0.5 * sign])
@@ -316,7 +316,7 @@ def _same_solution(s1, s2):
 
 def test_with_beq_solves_like_a_fresh_problem():
     """Each family solves a sequence of right sides: feasible, infeasible and
-    with the equality rows' flips reversed. Every stage reuses the directions
+    with the equality rows' sides reversed. Every stage reuses the directions
     the stages before it stored, and still equals a fresh problem byte for
     byte."""
     rng = np.random.default_rng(21)
@@ -332,7 +332,7 @@ def test_with_beq_solves_like_a_fresh_problem():
             statuses.add(s.status)
     assert statuses == {qpcore.OPTIMAL, qpcore.INFEASIBLE}
     # x starts at 0: with beq = -1 the equality row starts above its side and
-    # is flipped; beq = 5 cannot be met with x <= 1
+    # enters by a negative step; beq = 5 cannot be met with x <= 1
     base = qpcore.QpProblem(H=np.eye(2), f=np.zeros(2), Aeq=np.array([[1.0, 1.0]]),
                             beq=np.zeros(1), ub=np.ones(2))
     for beq, status in (([-1.0], qpcore.OPTIMAL), ([5.0], qpcore.INFEASIBLE),
@@ -343,10 +343,43 @@ def test_with_beq_solves_like_a_fresh_problem():
         _same_solution(s, qpcore.solve(fresh))
 
 
+def test_a_negated_equality_side_mirrors_the_solve():
+    """With f = 0 and every side symmetric (lower = -upper, lb = -ub), the
+    problem at -beq is the one at beq mirrored through x -> -x. An equality
+    row above its side enters by a negative step, so the solve at -beq
+    takes the same steps and ends with x and eq_duals negated and each lower
+    inequality and bound dual in its upper's place."""
+    rng = np.random.default_rng(22)
+    statuses = set()
+    for _ in range(400):
+        d = int(rng.integers(1, 7))
+        r = int(rng.integers(0, 5))
+        A0 = rng.normal(size=(d, d))
+        upper = rng.uniform(0.5, 3, size=r)
+        ub = np.where(rng.random(d) < 0.5, rng.uniform(0.2, 2, d), np.inf)
+        m = int(rng.integers(1, d + 1))
+        base = qpcore.QpProblem(H=A0 @ A0.T + 0.1 * np.eye(d), f=np.zeros(d),
+                                Aeq=rng.normal(size=(m, d)), beq=np.zeros(m),
+                                Ain=rng.normal(size=(r, d)) if r else None,
+                                lower=-upper if r else None, upper=upper if r else None,
+                                lb=-ub, ub=ub)
+        beq = rng.normal(scale=3.0, size=m)
+        s, mirror = (qpcore.solve(base.with_beq(side)) for side in (beq, -beq))
+        assert (mirror.status, mirror.iterations) == (s.status, s.iterations)
+        assert np.array_equal(mirror.x, -s.x)
+        assert np.array_equal(mirror.eq_duals, -s.eq_duals)
+        for lower, upper in (("ineq_duals_lower", "ineq_duals_upper"),
+                             ("bound_duals_lower", "bound_duals_upper")):
+            assert np.array_equal(getattr(mirror, lower), getattr(s, upper))
+            assert np.array_equal(getattr(mirror, upper), getattr(s, lower))
+        statuses.add(s.status)
+    assert statuses == {qpcore.OPTIMAL, qpcore.INFEASIBLE}
+
+
 def test_solving_leaves_the_shared_table_unchanged():
     base = qpcore.QpProblem(H=np.eye(2), f=np.zeros(2), Aeq=np.array([[1.0, 1.0]]),
                             beq=np.zeros(1), lb=np.full(2, -2.0), ub=np.ones(2))
-    stage = base.with_beq([-1.0])         # its equality row is flipped in solve
+    stage = base.with_beq([-1.0])         # its equality row starts above its side
     before = [(r.C.copy(), r.b.copy(), [a.tobytes() for a in qpcore._row_info(r)])
               for r in (base._rows, stage._rows)]
     first, second = qpcore.solve(stage), qpcore.solve(stage)

@@ -539,11 +539,12 @@ def test_load_model_reports_an_unreadable_file(kind, message, tmp_path):
 
 def test_a_nul_byte_in_a_path_is_reported_with_the_path():
     """open() refuses a path with a NUL byte; the model loader reports it as
-    a ModelError naming the path, and the scenario reader as an issue."""
-    with pytest.raises(rbd.ModelError, match=re.escape("a\x00b.json: embedded null byte")):
+    a ModelError naming the path, and the scenario reader as an issue, with
+    the NUL byte written as \\x00."""
+    with pytest.raises(rbd.ModelError, match=re.escape("a\\x00b.json: embedded null byte")):
         rbd.load_model("a\x00b.json")
     assert sim.read_scenario("a\x00b.json") == (
-        None, [("error", "a\x00b.json: embedded null byte")])
+        None, [("error", "a\\x00b.json: embedded null byte")])
 
 
 def test_model_is_immutable(iiwa):
