@@ -270,13 +270,27 @@ def qp_duals_eager(p, active, duals) -> list[np.ndarray]:
     """The five dual vectors [eq, ineq lower, ineq upper, bound lower, bound
     upper] of a solve that ended with ``active`` and ``duals``, built at
     once in one list as an eager reference for the vectors a ``QpSolution``
-    builds on first read."""
-    kind, index, norm = (a.tolist() for a in qpcore._row_info(p._rows))
+    builds on first read. Each row's place and norm come from ``p``'s own
+    matrices and sides, in the order of ``qpcore``'s row table: equality
+    rows of nonzero norm, then each inequality row's finite lower and upper
+    side, then each variable's finite lower and upper bound."""
     m_eq, m_in, d = len(p.beq), len(p.lower), p.dim
     start = (0, m_eq, m_eq + m_in, m_eq + 2 * m_in, m_eq + 2 * m_in + d)
+    rows = []                                   # (place in the duals, norm)
+    for i, row in enumerate(p.Aeq):
+        norm = np.linalg.norm(row)
+        rows += [(start[0] + i, norm)] if norm > 0 else []
+    for i, row in enumerate(p.Ain):
+        norm = np.linalg.norm(row)
+        rows += [(start[k] + i, norm) for k, side in ((1, p.lower[i]), (2, p.upper[i]))
+                 if norm > 0 and np.isfinite(side)]
+    for j in range(d):
+        rows += [(start[k] + j, 1.0) for k, side in ((3, p.lb[j]), (4, p.ub[j]))
+                 if np.isfinite(side)]
     out = [0.0] * (m_eq + 2 * (m_in + d))
     for pos, a_idx in enumerate(active):
-        out[start[kind[a_idx]] + index[a_idx]] += duals[pos] / norm[a_idx]
+        place, norm = rows[a_idx]
+        out[place] += duals[pos] / norm
     out = np.array(out)
     return [out[:start[1]], out[start[1]:start[2]], out[start[2]:start[3]],
             out[start[3]:start[4]], out[start[4]:]]
