@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 
-from . import qpcore, sim, solvers
+from . import qpcore, rbd, sim, solvers
 
 log = logging.getLogger("dcts")
 
@@ -122,10 +122,12 @@ def run(argv: list[str] | None = None) -> int:
                 if problem is not None:
                     issues.append(("error", f"{scenario.source}: {problem}"))
             jobs.append((scenario, names, args.out, args.dump_qp))
+        # a path's control characters reach the terminal escaped
         if args.validate and not issues:
-            print(f"{ref}: ok")
+            print(rbd._escaped(f"{ref}: ok"))
         for level, msg in issues:
-            print(f"{level}: {msg}", file=sys.stdout if args.validate else sys.stderr)
+            print(rbd._escaped(f"{level}: {msg}"),
+                  file=sys.stdout if args.validate else sys.stderr)
         clean = clean and all(level != "error" for level, _ in issues)
     if args.validate or not clean:
         return 0 if clean else 1

@@ -367,6 +367,8 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
         while iterations < max_iter:
             iterations += 1
             s_val = float(c @ x - b_idx)
+            if not math.isfinite(s_val):    # a step overflowed x: no finite point
+                return False
             z, r, cz, z_norm = _direction(p, active, idx)
             # step length limited by active inequality duals decreasing to zero
             t1, k1 = math.inf, -1

@@ -699,10 +699,10 @@ def _input_path(ref: str | Path, folder: str = "", base: Path | None = None) -> 
     return Path(base or "", ref)
 
 
-def _escaped(path: Path) -> str:
-    """``path`` with each C0 control character and DEL written as ``\\xNN``,
+def _escaped(text: str | Path) -> str:
+    """``text`` with each C0 control character and DEL written as ``\\xNN``,
     so that a message echoing it sends none of them to a terminal."""
-    return str(path).translate({c: f"\\x{c:02x}" for c in (*range(32), 127)})
+    return str(text).translate({c: f"\\x{c:02x}" for c in (*range(32), 127)})
 
 
 def _read_json(path: Path, error: type[ValueError] = ModelError):

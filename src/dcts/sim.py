@@ -578,6 +578,7 @@ def _build_task(tc, i: int, model: rbd.RobotModel, q0: np.ndarray,
         if not axis.any():
             raise ValueError("axis: must be nonzero")
         angle = math.radians(_get(target, "angle_deg", _num))
+        axis = axis / np.abs(axis).max()        # so that a tiny axis has a nonzero norm
         rotation = rbd.axis_rotation(axis / np.linalg.norm(axis), angle) @ T_tool[:3, :3]
     return tasks_mod.TaskSpec(**common, target_position=position, target_rotation=rotation)
 
@@ -683,6 +684,10 @@ def _parse(data, source: str,
     problem = solvers_mod.solver_error(solver, len(task_configs or ()))
     if problem is not None:
         err(f"{source}.solver: {problem}")
+    # the outputs are <out>/<name>__<solver>.*, so the name must stay one file name
+    name = str(data.get("name", Path(source).stem))
+    if name in ("", ".", "..") or "/" in name or "\\" in name or not name.isprintable():
+        err(f"{source}.name: must name an output file, got {name!r}")
     model = read(data, "model", partial(_resolve_model, model_dir=model_dir))
     if model is None:
         return None, issues
@@ -731,7 +736,7 @@ def _parse(data, source: str,
     if lset is None:
         return None, issues
     model = replace(model, tau_min=b["tau_min_nm"], tau_max=b["tau_max_nm"])
-    return Scenario(name=str(data.get("name", Path(source).stem)), model=model, q0=q0,
+    return Scenario(name=name, model=model, q0=q0,
                     qd0=qd0, duration=duration, control_dt=control_dt,
                     integrator_dt=integrator_dt, solver=solver, solver_config=cfg,
                     tasks=sorted(specs, key=lambda spec: spec.priority), limits=lset,

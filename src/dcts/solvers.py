@@ -86,9 +86,42 @@ class ControlOutput:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _minv_tau_ext(dyn: rbd.ChainDynamics, tau_ext: np.ndarray | None) -> np.ndarray | None:
+    """M^-1 tau_ext, or None when there is no external torque."""
+    if tau_ext is None or not np.any(tau_ext):
+        return None
+    return dyn.minv(np.asarray(tau_ext, float))
+
+
+def _osc_torque(dyn: rbd.ChainDynamics, task: TaskInstance, minv_tau_ext: np.ndarray | None,
+                pinned: dict[int, float]) -> tuple[np.ndarray, bool]:
+    """The OSC law of both OSC controllers: tau' and whether it damped a task
+    inertia. ``pinned`` joints hold their accelerations at top priority."""
+    J = task.J
+    rhs = task.a_d - task.jdot_qd
+    damped = False
+    if pinned:
+        n = dyn.model.n
+        idx = sorted(pinned)
+        Js = np.eye(n)[idx]
+        a_s = np.array([pinned[j] for j in idx])
+        fac_s, Minv_Jst, damped = rbd.lambda_factor(Js, dyn.minv)
+        tau_s = Js.T @ rbd.spd_solve(fac_s, a_s)
+        # acceleration-space projector of the pinned rows: Js @ Ns = 0
+        Ns = np.eye(n) - Minv_Jst @ rbd.spd_solve(fac_s, Js)
+        J = task.J @ Ns
+        rhs = rhs - task.J @ dyn.minv(tau_s)
+    if minv_tau_ext is not None:
+        rhs = rhs - task.J @ minv_tau_ext
+    factor, _, damped_task = rbd.lambda_factor(J, dyn.minv)
+    tau_prime = J.T @ rbd.spd_solve(factor, rhs)
+    if pinned:
+        tau_prime = tau_s + tau_prime
+    return tau_prime, damped or damped_task
+
+
 def solve_osc(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance,
-              tau_ext: np.ndarray | None = None,
-              cfg: SolverConfig | None = None,
+              tau_ext: np.ndarray | None = None, cfg: SolverConfig | None = None,
               dyn: rbd.ChainDynamics | None = None) -> ControlOutput:
     """Projector-based operational space control for a single task.
 
@@ -98,28 +131,18 @@ def solve_osc(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance,
     """
     if dyn is None:
         dyn = rbd.compute_dynamics(model, state)
-    J = task.J
-    rhs = task.a_d - task.jdot_qd
-    minv_tau_ext = None
-    if tau_ext is not None and np.any(tau_ext):
-        minv_tau_ext = dyn.minv(np.asarray(tau_ext, float))
-        rhs = rhs - J @ minv_tau_ext
-    factor, _, degraded = rbd.lambda_factor(J, dyn.minv)
-    lam = rbd.spd_solve(factor, rhs)
-    tau_prime = J.T @ lam
+    minv_tau_ext = _minv_tau_ext(dyn, tau_ext)
+    tau_prime, damped = _osc_torque(dyn, task, minv_tau_ext, {})
     qdd = dyn.minv(tau_prime)
     if minv_tau_ext is not None:
         qdd = qdd + minv_tau_ext
     return ControlOutput(tau=tau_prime + dyn.nu + dyn.g, qdd=qdd, s=np.ones(1),
-                         status=DEGRADED if degraded else OPTIMAL,
-                         diagnostics={"tau_prime": tau_prime})
+                         status=DEGRADED if damped else OPTIMAL)
 
 
 def solve_osc_saturated(model: rbd.RobotModel, state: rbd.JointState,
-                        task: TaskInstance,
-                        limit_real: LimitRealization | None,
-                        tau_ext: np.ndarray | None = None,
-                        cfg: SolverConfig | None = None,
+                        task: TaskInstance, limit_real: LimitRealization,
+                        tau_ext: np.ndarray | None = None, cfg: SolverConfig | None = None,
                         dyn: rbd.ChainDynamics | None = None) -> ControlOutput:
     """Projector baseline: OSC + joint-saturation level + naive torque clamp.
 
@@ -128,47 +151,21 @@ def solve_osc_saturated(model: rbd.RobotModel, state: rbd.JointState,
     dynamically consistent null-space projector of the pinned rows. The final
     command torque is clamped elementwise (no re-solve), which is exactly the
     failure mode this baseline is known for: when the clamp bites, neither the
-    pinned accelerations nor the task acceleration are realized.
+    pinned accelerations nor the task acceleration are realized. Any pass
+    that damps a task inertia makes the status ``degraded``.
     """
     if dyn is None:
         dyn = rbd.compute_dynamics(model, state)
-    n = model.n
-    minv_tau_ext = None
-    if tau_ext is not None and np.any(tau_ext):
-        minv_tau_ext = dyn.minv(np.asarray(tau_ext, float))
-
+    minv_tau_ext = _minv_tau_ext(dyn, tau_ext)
+    lo, hi = limit_real.bounds.acc_min, limit_real.bounds.acc_max
     pinned: dict[int, float] = {}
-    tau_prime = np.zeros(n)
-    status = OPTIMAL
-    for _ in range(n + 1):
-        if pinned:
-            idx = sorted(pinned)
-            Js = np.zeros((len(idx), n))
-            for r, j in enumerate(idx):
-                Js[r, j] = 1.0
-            a_s = np.array([pinned[j] for j in idx])
-            fac_s, Minv_Jst, deg1 = rbd.lambda_factor(Js, dyn.minv)
-            tau_s = Js.T @ rbd.spd_solve(fac_s, a_s)
-            # acceleration-space projector of the pinned rows: Js @ Ns = 0
-            Ns = np.eye(n) - Minv_Jst @ rbd.spd_solve(fac_s, Js)
-            Jp = task.J @ Ns
-            rhs = task.a_d - task.jdot_qd - task.J @ dyn.minv(tau_s)
-            if minv_tau_ext is not None:
-                rhs = rhs - task.J @ minv_tau_ext
-            fac_t, _, deg2 = rbd.lambda_factor(Jp, dyn.minv)
-            tau_prime = tau_s + Jp.T @ rbd.spd_solve(fac_t, rhs)
-            if deg1 or deg2:
-                status = DEGRADED
-        else:
-            out = solve_osc(model, state, task, tau_ext, cfg, dyn)
-            tau_prime = out.diagnostics["tau_prime"]
-            status = out.status
-        if limit_real is None:
-            break
+    degraded = False
+    for _ in range(model.n + 1):
+        tau_prime, damped = _osc_torque(dyn, task, minv_tau_ext, pinned)
+        degraded = degraded or damped
         qdd_pred = dyn.minv(tau_prime)
         if minv_tau_ext is not None:
             qdd_pred = qdd_pred + minv_tau_ext
-        lo, hi = limit_real.bounds.acc_min, limit_real.bounds.acc_max
         below = lo - qdd_pred
         above = qdd_pred - hi
         margin = np.maximum(below, above)
@@ -184,7 +181,8 @@ def solve_osc_saturated(model: rbd.RobotModel, state: rbd.JointState,
     qdd = dyn.minv(tau_clamped - dyn.nu - dyn.g)
     if minv_tau_ext is not None:
         qdd = qdd + minv_tau_ext
-    return ControlOutput(tau=tau_clamped, qdd=qdd, s=np.ones(1), status=status,
+    return ControlOutput(tau=tau_clamped, qdd=qdd, s=np.ones(1),
+                         status=DEGRADED if degraded else OPTIMAL,
                          diagnostics={"saturated": saturated})
 
 
@@ -322,25 +320,19 @@ def _level_qp(dyn, J_i, a_d, rhs0, N_i, frozen, tau_lo, tau_hi,
         beq = a_d + rhs0
 
     # torque rows on M N_i, then the shaped acceleration rows on N_i
-    Ain = np.zeros((n if acc_lo is None else 2 * n, nv))
+    Ain = np.zeros((2 * n, nv))
     Ain[:n, :n] = MN
-    lower = [tau_lo - tau_frozen]
-    upper = [tau_hi - tau_frozen]
-    if acc_lo is not None:
-        Ain[n:, :n] = N_i
-        lower.append(acc_lo - frozen)
-        upper.append(acc_hi - frozen)
-
+    Ain[n:, :n] = N_i
+    lower = np.concatenate([tau_lo - tau_frozen, acc_lo - frozen])
+    upper = np.concatenate([tau_hi - tau_frozen, acc_hi - frozen])
     return qpcore.QpProblem(H=H, f=f, Aeq=Aeq, beq=beq, Ain=Ain,
-                            lower=np.concatenate(lower), upper=np.concatenate(upper),
-                            lb=lb, ub=ub)
+                            lower=lower, upper=upper, lb=lb, ub=ub)
 
 
 def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
                      tasks: list[TaskInstance],
-                     limit_real: LimitRealization | None = None,
-                     tau_ext: np.ndarray | None = None,
-                     cfg: SolverConfig | None = None,
+                     limit_real: LimitRealization,
+                     tau_ext: np.ndarray | None = None, cfg: SolverConfig | None = None,
                      dyn: rbd.ChainDynamics | None = None) -> ControlOutput:
     """Dynamically consistent constrained task hierarchy solve, k >= 1 tasks.
 
@@ -367,21 +359,15 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
     n = model.n
     k = len(tasks)
     projectors = _nullspace_stack(tasks, dyn)
-    minv_tau_ext = None
-    if tau_ext is not None and np.any(tau_ext):
-        minv_tau_ext = dyn.minv(np.asarray(tau_ext, float))
-
+    minv_tau_ext = _minv_tau_ext(dyn, tau_ext)
     comp = dyn.nu + dyn.g
     tau_lo = model.tau_min - comp
     tau_hi = model.tau_max - comp
-    acc_lo = acc_hi = None
-    if limit_real is not None:
-        acc_lo, acc_hi = limit_real.bounds.acc_min, limit_real.bounds.acc_max
+    acc_lo, acc_hi = limit_real.bounds.acc_min, limit_real.bounds.acc_max
 
     frozen = np.zeros(n)
     s_out = np.ones(k)
-    stages = 0
-    iterations = 0
+    stages = iterations = 0
     last_qp = None
 
     def solve(problem: qpcore.QpProblem) -> qpcore.QpSolution:
@@ -424,6 +410,13 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
             return None
         return s_lo, kept, mid
 
+    def brake(stage: str, sol: qpcore.QpSolution) -> ControlOutput:
+        """Brake after ``stage`` of the level at hand failed to solve."""
+        diagnostics = {"stage": f"level-{i + 1}-{stage}", "last_qp": last_qp}
+        if stage != "full":
+            diagnostics.update(qp=sol.status, blocking=sol.infeasible_constraint)
+        return _brake_fallback(dyn, k, MAX_ITER if stage == "full" else INFEASIBLE, diagnostics)
+
     for i, t in enumerate(tasks):
         rhs0 = -t.jdot_qd
         if minv_tau_ext is not None:
@@ -433,25 +426,18 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
         # the s-pinned stages differ only in beq = s a_d + rhs0
         fixed = _level_qp(*args, maximize_s=False)
         sol = solve(fixed)
+        if sol.status == qpcore.MAX_ITER:
+            return brake("full", sol)
         if sol.status != qpcore.OPTIMAL:
-            if sol.status == qpcore.MAX_ITER:
-                return _brake_fallback(dyn, k, MAX_ITER,
-                                       {"stage": f"level-{i + 1}-full", "last_qp": last_qp})
             sol = solve(_level_qp(*args, maximize_s=True))
             if sol.status != qpcore.OPTIMAL:
-                return _brake_fallback(
-                    dyn, k, INFEASIBLE,
-                    {"qp": sol.status, "stage": f"level-{i + 1}-scale",
-                     "blocking": sol.infeasible_constraint, "last_qp": last_qp})
+                return brake("scale", sol)
             # back off by the solver tolerance so the pinned-scale re-solve
             # stays strictly feasible
             s_lo = float(np.clip(sol.x[n] - 1e-8, 0.0, 1.0))
             sol = trial(s_lo)
             if sol.status != qpcore.OPTIMAL:
-                return _brake_fallback(
-                    dyn, k, INFEASIBLE,
-                    {"qp": sol.status, "stage": f"level-{i + 1}-energy",
-                     "blocking": sol.infeasible_constraint, "last_qp": last_qp})
+                return brake("energy", sol)
             # the penalty stage's s is exact when a constraint pins it but
             # biased low when its conditioning term does: bisect the true
             # boundary from the level's exact limit (swept from the stage
@@ -471,4 +457,3 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
     return ControlOutput(tau=tau, qdd=frozen, s=s_out, status=OPTIMAL,
                          diagnostics={"stages": stages, "qp_iterations": iterations,
                                       "last_qp": last_qp})
-

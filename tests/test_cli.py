@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -22,11 +23,16 @@ def tiny_scenario(tmp_path):
 
 
 def test_validate_bundled_clean(capsys):
-    rc = cli.run(["--scenario", "bundled:rotation_hold", "bundled:star_octagon",
-                  "--validate"])
-    out = capsys.readouterr().out
+    """Every bundled scenario validates with one ok line and no warning,
+    numpy's included."""
+    refs = [f"bundled:{path.stem}"
+            for path in sorted(sim.bundled_scenario_path("rotation_hold").parent.glob("*.json"))]
+    assert len(refs) == 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.run(["--scenario", *refs, "--validate"])
     assert rc == 0
-    assert "ok" in out
+    assert capsys.readouterr().out == "".join(f"{ref}: ok\n" for ref in refs)
 
 
 def test_validate_reports_named_field(tmp_path, capsys):
@@ -254,6 +260,16 @@ MALFORMED = {
                                "model: /model\\x00.json: embedded null byte"),
     "esc_in_model_path": (("model",), "/model\x1b[2J.json",
                           "model: /model\\x1b[2J.json: no such file or directory"),
+    # the name is the stem of every output file, which must stay in --out
+    "name_leaves_out": (("name",), "../escaped",
+                        "name: must name an output file, got '../escaped'"),
+    "name_in_subdirectory": (("name",), "sub/dir",
+                             "name: must name an output file, got 'sub/dir'"),
+    "name_with_backslash": (("name",), "sub\\dir",
+                            "name: must name an output file, got 'sub\\\\dir'"),
+    "name_parent_dir": (("name",), "..", "name: must name an output file, got '..'"),
+    "name_empty": (("name",), "", "name: must name an output file, got ''"),
+    "name_with_esc": (("name",), "a\x1bb", "name: must name an output file, got 'a\\x1bb'"),
     # a 3-vector or a posture takes exactly its numbers; one number fills none
     "scalar_force": (
         ("events",), [{"kind": "cartesian_force", "start_s": 0.0, "duration_s": 0.01,
@@ -483,3 +499,57 @@ def test_readme_flags_paragraph_names_every_option_and_setting():
     assert set(re.findall(r"`(--[a-z-]+)", paragraph)) == options
     for f in fields(solvers.SolverConfig):
         assert f"`{f.name}`" in paragraph, f.name
+
+
+def _rotation_hold_copy(path: Path, **changes) -> Path:
+    """A 20 ms copy of rotation_hold at ``path``; ``changes`` replace the
+    entries of its task."""
+    data = json.loads(sim.bundled_scenario_path("rotation_hold").read_text())
+    data["duration_s"] = 0.02
+    data["tasks"][0].update(changes)
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_a_scenario_path_reaches_the_terminal_escaped(tmp_path, capsys):
+    """The ok line and an error line that echo a scenario path holding ESC
+    write it as \\x1b and send no control character but the newline."""
+    path = _rotation_hold_copy(tmp_path / "a\x1bb.json")
+    assert cli.run(["--scenario", str(path), "--validate"]) == 0
+    ok = capsys.readouterr().out
+    data = json.loads(path.read_text())
+    data["limits"]["acc_min_rad_s2"] = [50.0] * 7       # min above max
+    path.write_text(json.dumps(data))
+    assert cli.run(["--scenario", str(path), "--validate"]) == 1
+    error = capsys.readouterr().out
+    assert ok == f"{tmp_path}/a\\x1bb.json: ok\n"
+    assert error.startswith(f"error: {tmp_path}/a\\x1bb.json.limits: acc_min_rad_s2")
+    for text in (ok, error):
+        assert not [c for c in text if ord(c) < 0x20 and c != "\n"]
+
+
+def test_a_step_that_overflows_the_qp_brakes_instead_of_raising(tmp_path, capsys):
+    """A task damping of 1e300 passes --validate. Its level QPs have an
+    equality right side near 1e298, and a step of the dual active-set solve
+    overflows x; the solve ends infeasible, so the run brakes and exits 2
+    (numpy still warns about the overflow)."""
+    path = _rotation_hold_copy(tmp_path / "damped.json", damping=1e300)
+    assert cli.run(["--scenario", str(path), "--validate"]) == 0
+    assert cli.run(["--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "dcts" in capsys.readouterr().out
+
+
+def test_a_tiny_rotation_axis_is_the_unit_axis(tmp_path, capsys):
+    """An initial_rotated axis is divided by its largest component before it
+    is normalized, so [1e-300, 0, 0], whose norm underflows to 0, validates
+    with no warning and gives the target rotation of [1, 0, 0] byte for
+    byte."""
+    target = {"type": "initial_rotated", "axis": [1e-300, 0, 0], "angle_deg": 15.0}
+    path = _rotation_hold_copy(tmp_path / "tiny_axis.json", target=target)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(["--scenario", str(path), "--validate"]) == 0
+        tiny = sim.load_scenario(path).tasks[0].target_rotation
+    assert capsys.readouterr().out == f"{path}: ok\n"
+    bundled = sim.load_bundled_scenario("rotation_hold")
+    assert bundled.tasks[0].target_rotation.tobytes() == tiny.tobytes()

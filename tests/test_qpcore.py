@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcts import qpcore
+from dcts import qpcore, sim
 
 import oracles
 
@@ -419,3 +420,27 @@ def test_non_finite_data_is_rejected_naming_the_field(name, value):
         p = qpcore.QpProblem(**_bad_value_case("beq", 0.0))
         with pytest.raises(qpcore.QpError, match="^beq "):
             p.with_beq([value])
+
+
+def test_a_step_that_overflows_x_ends_the_solve_not_in_an_exception(monkeypatch):
+    """rotation_hold with task damping 1e300 builds level QPs with an
+    equality right side near 1e298, which QpProblem accepts. A step of the
+    dual active-set solve then overflows x; the solve must end non-optimal
+    and name the row it was entering, not raise (numpy warns about the
+    overflow)."""
+    data = json.loads(sim.bundled_scenario_path("rotation_hold").read_text())
+    data["tasks"][0]["damping"] = 1e300
+    scenario = sim.scenario_from_dict(data, source="s")
+    scenario.duration = 2 * scenario.control_dt     # the second tick overflows
+    solved = []
+    solve = qpcore.solve
+
+    def recording(p, *args, **kwargs):
+        solved.append(solve(p, *args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(qpcore, "solve", recording)
+    [trace] = sim.run_scenario(scenario, ["dcts"])
+    failed = [sol for sol in solved if sol.status != qpcore.OPTIMAL]
+    assert failed and all(sol.infeasible_constraint for sol in failed)
+    assert trace.summary()["status_counts"]["infeasible"] == 1

@@ -66,7 +66,7 @@ def test_osc_gauss_principle_optimality(scene):
     model, state, dyn = scene
     task = rotation_task(model, dyn)
     out = solvers.solve_osc(model, state, task, None, dyn=dyn)
-    tau_prime = out.diagnostics["tau_prime"]
+    tau_prime = out.tau - dyn.nu - dyn.g
     base = 0.5 * tau_prime @ dyn.minv(tau_prime)
     bundle = rbd.task_dynamics(model, state.q, task.J, epsilon=0.0, minv=dyn.minv)
     rng = np.random.default_rng(4)
@@ -104,7 +104,7 @@ def test_osc_saturated_inert_when_limits_loose(scene):
     lr = limits.realize_joint_limits(wide_limits(model), state.q, state.qd)
     out_plain = solvers.solve_osc(model, state, task, None, dyn=dyn)
     out_sat = solvers.solve_osc_saturated(model, state, task, lr, None, dyn=dyn)
-    np.testing.assert_allclose(out_sat.tau, out_plain.tau, atol=1e-9)
+    assert out_sat.tau.tobytes() == out_plain.tau.tobytes()
     assert not out_sat.diagnostics["saturated"].any()
 
 
@@ -294,14 +294,15 @@ def test_dcts_infeasible_falls_back_to_braking(scene):
 
 def test_diagnostics_hold_only_what_a_caller_reads(iiwa):
     """On the golden-stack states, scaled or not, each controller returns
-    only the diagnostics a caller reads: the clamp flags for osc, the QP
-    iterations for the QP baselines, the solve counts and the last QP for
-    dcts (its braking fallback adds its own keys)."""
+    only the diagnostics a caller reads: none for plain OSC, the clamp flags
+    for osc, the QP iterations for the QP baselines, the solve counts and the
+    last QP for dcts (its braking fallback adds its own keys)."""
     for state, dyn, realized, tau_ext, lr in stack_cases(iiwa):
         task = realized[0]
         dcts = solvers.solve_dcts_multi(iiwa, state, realized, lr, tau_ext, dyn=dyn)
         assert dcts.status == solvers.OPTIMAL
         for out, keys in (
+                (solvers.solve_osc(iiwa, state, task, tau_ext, dyn=dyn), set()),
                 (solvers.solve_osc_saturated(iiwa, state, task, lr, tau_ext, dyn=dyn),
                  {"saturated"}),
                 (solvers.solve_qp_mt(iiwa, state, task, dyn=dyn), {"qp_iterations"}),
