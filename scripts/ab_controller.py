@@ -8,13 +8,14 @@ Imports ``dcts`` afresh from ``CHECKOUT_A/src`` and from ``CHECKOUT_B/src``
 and runs one ``control_replay`` cycle of each per round, in one process,
 alternating which side runs first. The generator and tick loop are those of
 this checkout's ``dctsbench/workloads.py``, unchanged, so both sides run the
-same ticks. Prints, for solver S (``dcts`` by default), the p95 of each
-side's ticks in every round with the round's winner. Every round runs all
-four solvers, so it then prints, for each side and each solver, p50 and p95
-of the per-tick medians over all rounds, as the benchmark takes them, with
-the mean QP solves per tick of S (``diagnostics["stages"]``, for a solver
-that reports it), the B/A ratio of each solver's p95 and the wins per round
-of S. A change to code all solvers share is thus compared in one run. Times
+same ticks. Prints, for solver S (``dcts`` by default), the p50 and the p95
+of each side's ticks in every round, each with the round's winner. Every
+round runs all four solvers, so it then prints, for each side and each
+solver, p50 and p95 of the per-tick medians over all rounds, as the
+benchmark takes them, with the mean QP solves per tick of S
+(``diagnostics["stages"]``, for a solver that reports it), the B/A ratio of
+each solver's p95 and the wins per round of S in p50 and in p95. A change
+to code all solvers share is thus compared in one run. Times
 are scaled to the nominal host speed with ``workloads.HostSpeed``, as the
 benchmark scales them. Host speed drifts by
 tens of percent over minutes; interleaving single cycles lets both sides see
@@ -82,7 +83,7 @@ def main(argv: list[str]) -> int:
     tallies = [workloads.Tally(), workloads.Tally()]
     stages = [[], []]
     names = ("A", "B")
-    wins = [0, 0]
+    wins = {"p50": [0, 0], "p95": [0, 0]}
     print(f"seed {args.seed}, solver {args.solver}, {args.rounds} rounds; "
           f"A = {args.checkouts[0]}, B = {args.checkouts[1]}")
     for r in range(args.rounds):
@@ -97,15 +98,17 @@ def main(argv: list[str]) -> int:
             # to the nominal host speed, as the benchmark scales its times
             for latency in tally.cycles[-1].latency_s.values():
                 latency[:] = np.multiply(latency, tally.speed.factor()).tolist()
-        p95 = [np.percentile(tally.cycles[-1].latency_s[args.solver], 95) * 1e6
-               for tally in tallies]
-        winner = "tie"
-        if p95[0] != p95[1]:
-            k = int(p95[1] < p95[0])
-            wins[k] += 1
-            winner = names[k]
-        print(f"round {r + 1} ({names[order[0]]} first): p95 A {p95[0]:.0f} us, "
-              f"B {p95[1]:.0f} us -> {winner}", flush=True)
+        line = []
+        for stat, q in (("p50", 50), ("p95", 95)):
+            a, b = (np.percentile(tally.cycles[-1].latency_s[args.solver], q) * 1e6
+                    for tally in tallies)
+            winner = "tie"
+            if a != b:
+                k = int(b < a)
+                wins[stat][k] += 1
+                winner = names[k]
+            line.append(f"{stat} A {a:.0f} us, B {b:.0f} us -> {winner}")
+        print(f"round {r + 1} ({names[order[0]]} first): {'; '.join(line)}", flush=True)
 
     code = 0
     p95 = {}
@@ -124,8 +127,8 @@ def main(argv: list[str]) -> int:
             for problem in tally.problems:
                 print(f"  {problem}", file=sys.stderr)
     ratios = ", ".join(f"{s} {p95['B', s] / p95['A', s]:.3f}" for s in workloads.SOLVERS)
-    print(f"B/A p95: {ratios}; wins per round ({args.solver}): "
-          f"A {wins[0]}, B {wins[1]} of {args.rounds}")
+    won = "; ".join(f"{stat} A {a}, B {b}" for stat, (a, b) in wins.items())
+    print(f"B/A p95: {ratios}; wins per round ({args.solver}): {won} of {args.rounds}")
     return code
 
 

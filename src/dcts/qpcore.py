@@ -6,18 +6,30 @@ Problem shape:
     lower <= Ain x <= upper          (two-sided rows, +-inf allowed per side)
     lb <= x <= ub                    (box, +-inf allowed)
 
-The solver is a dual active-set method (Goldfarb/Idnani): start at the
-unconstrained optimum, force the equalities in, then repeatedly add the most
-violated inequality, taking partial dual steps that drop blocking constraints.
-No feasible starting point is needed and primal infeasibility surfaces as an
-unbounded dual step, which yields a certificate-quality diagnostic (the
-constraint that cannot be satisfied and its violation).
+The solver is a dual active-set method (Goldfarb/Idnani). It starts at the
+equality-constrained optimum: one KKT solve over the independent equality
+rows gives the point and their multipliers, free in sign, and counts as one
+iteration (a point that misses those rows by more than 1e-12 takes one step
+of iterative refinement). Every equality row, kept or dependent, must hold
+there to the tolerance, or the solve ends infeasible naming that row; a
+start with no finite point ends so too. Then it repeatedly
+adds the most violated inequality, taking partial dual steps that drop
+blocking constraints. No feasible starting point is needed and primal
+infeasibility surfaces as an unbounded dual step, which yields a
+certificate-quality diagnostic (the constraint that cannot be satisfied and
+its violation).
+
+Which equality rows are independent is decided once per problem family from
+the normalized rows alone: in table order, a row is kept when the diagonal
+of R in the QR factorization of it and the kept rows before it exceeds
+EQ_RANK_FLOOR, that is, when its distance from their span does.
 
 Iteration work is one dense KKT solve; problems here are tiny (tens of
 variables), so no factorization updating is attempted. A step direction
 depends on the active set and the entering row, never on ``beq``, so the
 problems ``with_beq`` derives from one constructed problem (a *family*) share
-every direction they solve, and the unconstrained start, in one dict; a hit
+every direction they solve, and the unconstrained start of a problem
+without equality rows, in one dict; a hit
 returns the bytes the solve would have produced. Determinism: constraint
 entry picks the most violated row, ties broken by lowest index in the fixed
 enumeration order (equalities, then Ain lower/upper per row, then bound
@@ -42,12 +54,15 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgeqrf
 
 from .rbd import lu_solve, spd_factor, spd_solve
 
 OPTIMAL, INFEASIBLE, MAX_ITER = "optimal", "infeasible", "max_iter"
 SWEEP_STEPS = 50        # a sweep that has not ended after this many steps returns no limit
 SWEEP_CHECK = 1e-7      # the most a sweep's point at its limit may miss a row by
+EQ_RANK_FLOOR = 1e-9    # the distance of a unit equality row from the span of the kept rows
+                        # before it at or below which it is dependent, and left out
 
 
 class QpError(ValueError):
@@ -228,6 +243,7 @@ class _Rows(NamedTuple):
     n_eq: int
     eq_index: np.ndarray         # source row of each equality row
     eq_norm: np.ndarray
+    eq_keep: tuple               # the independent equality rows, see _independent_rows
     sources: tuple               # (in_i, in_side, in_norm, bd_j, bd_side), see _row_info
 
 
@@ -257,7 +273,27 @@ def _build_rows(p: QpProblem) -> _Rows:
     b = np.concatenate([np.concatenate([p.beq[eq_index], sides[in_i, in_side]]) / scale,
                         bounds[bd_j, bd_side]])
     C.flags.writeable = b.flags.writeable = False
-    return _Rows(C, b, len(eq_index), eq_index, eq_norm, (in_i, in_side, in_scale, bd_j, bd_side))
+    return _Rows(C, b, len(eq_index), eq_index, eq_norm, _independent_rows(C[:len(eq_index)]),
+                 (in_i, in_side, in_scale, bd_j, bd_side))
+
+
+def _independent_rows(C_eq: np.ndarray) -> tuple:
+    """The rows of ``C_eq`` kept in table order: each whose R diagonal in the
+    QR factorization (LAPACK geqrf) of it and the kept rows before it exceeds
+    EQ_RANK_FLOOR. R of a prefix does not depend on the rows after it, so
+    one factorization decides every row up to the first one left out, which
+    is dropped before the rest are decided; past as many rows as variables
+    every row is dependent."""
+    keep = list(range(len(C_eq)))
+    first = 0
+    while keep:
+        r = np.abs(np.diagonal(dgeqrf(C_eq[keep].T)[0]))
+        low = np.flatnonzero(r[first:] <= EQ_RANK_FLOOR)
+        if not len(low):
+            break
+        first += int(low[0])
+        del keep[first]
+    return tuple(keep[:C_eq.shape[1]])
 
 
 def _row_info(rows: _Rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -350,13 +386,23 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
     C_in, b_in = C[n_eq:], b[n_eq:]
     cache = p._directions
 
-    x = cache.get(None)
-    if x is None:
-        x = cache[None] = spd_solve(p._factor[0], -p.f)
-        x.flags.writeable = False
-    active: list[int] = []
-    duals: list[float] = []
-    iterations = 0
+    active = list(rows.eq_keep)
+    if active:
+        # the equality-constrained optimum, with multipliers u = -y[d:]; a
+        # point off its rows by more than rounding, as nearly parallel rows
+        # leave it, takes one step of iterative refinement
+        Hs, N = p._factor[1], C[active].T
+        y = _kkt_solve(Hs, N, np.concatenate([-p.f, b[active]]))
+        off = N.T @ y[:d] - b[active]
+        if np.abs(off).max() > 1e-12:
+            y -= _kkt_solve(Hs, N, np.concatenate([Hs @ y[:d] + N @ y[d:] + p.f, off]))
+        x, duals, iterations = y[:d], (-y[d:]).tolist(), 1
+    else:
+        x = cache.get(None)
+        if x is None:
+            x = cache[None] = spd_solve(p._factor[0], -p.f)
+            x.flags.writeable = False
+        duals, iterations = [], 0
     exhausted = False
 
     def enter(idx: int) -> bool:
@@ -410,17 +456,12 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
             sol.infeasible_violation = violation
         return sol
 
-    # equalities first (forced, duals unrestricted): one above its side
-    # enters by a negative step
-    for e in range(n_eq):
-        s_val = float(C[e] @ x - b[e])
-        if abs(s_val) <= tol:
-            if len(active) < d and _direction(p, active, e)[2] > 1e-11:
-                active.append(e)
-                duals.append(0.0)
-            continue
-        if not enter(e):
-            return finish(INFEASIBLE, e, abs(s_val))
+    if n_eq:
+        # every equality row, kept or dependent, holds at the start, or none can
+        miss = np.abs(C[:n_eq] @ x - b[:n_eq])
+        bad = np.flatnonzero(~(miss <= tol))
+        if len(bad):
+            return finish(INFEASIBLE, int(bad[0]), float(miss[bad[0]]))
 
     while iterations < max_iter and not exhausted:
         slack = C_in @ x - b_in

@@ -4,7 +4,9 @@ Everything here is deliberately written on a different code path than the
 library: forward kinematics through scipy Rotation composition, planar
 two-link dynamics from the textbook closed forms, Jacobians by central
 differences, a classical Runge-Kutta integrator for conservation studies, a
-brute-force active-set enumeration for small QPs, HiGHS linear programs
+brute-force active-set enumeration for small QPs whose candidates, and
+QPs with equality rows only, are solved on the null space in least squares,
+HiGHS linear programs
 for the largest feasible task scale and the largest feasible step of a QP's
 equality right side, the DCTS cascade that solves every bisection trial and
 the dual vectors of a solve built eagerly.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.linalg import null_space
 from scipy.optimize import linprog
 from scipy.spatial.transform import Rotation
 
@@ -121,8 +124,9 @@ def qp_brute_force(p, feas_tol: float = 1e-8):
 
     Returns (objective, x) or None when no feasible candidate exists. Every
     subset of the one-sided constraints (sized so the KKT system stays
-    square-ish) is solved as equalities and feasibility-checked; the best
-    feasible stationary point over all subsets is the optimum.
+    square-ish) is solved as equalities (``equality_qp_min``) and
+    feasibility-checked; the best feasible stationary point over all
+    subsets is the optimum.
     """
     d = p.dim
     rows = []
@@ -150,10 +154,7 @@ def qp_brute_force(p, feas_tol: float = 1e-8):
                 A = np.zeros((0, d))
                 b = np.zeros(0)
             na = len(b)
-            K = np.block([[p.H, A.T], [A, np.zeros((na, na))]])
-            rhs = np.concatenate([-p.f, b])
-            sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-            x = sol[:d]
+            x = equality_qp_min(p.H, p.f, A, b)
             if na and np.abs(A @ x - b).max() > 1e-7:
                 continue
             if any(c @ x - bb < -feas_tol for c, bb in rows):
@@ -164,6 +165,32 @@ def qp_brute_force(p, feas_tol: float = 1e-8):
             if best is None or val < best[0] - 1e-12:
                 best = (val, x)
     return best
+
+
+def equality_qp_min(H, f, A, b) -> np.ndarray:
+    """A minimizer of 1/2 x^T H x + f^T x on A x = b, from its KKT conditions
+    solved on A's null space in least squares: the least-norm point x_p of
+    A x = b (``np.linalg.lstsq``, dependent rows included), then the step
+    Z w along an orthonormal basis Z of A's null space
+    (``scipy.linalg.null_space``) that solves Z^T H Z w = -Z^T (H x_p + f).
+    Unlike the full KKT matrix, neither system couples H with A, so nearly
+    parallel rows cost only the conditioning of A. Inconsistent rows give
+    their least-squares point."""
+    d = len(f)
+    x, Z = np.zeros(d), np.eye(d)
+    if len(b):
+        x, Z = np.linalg.lstsq(A, b, rcond=None)[0], null_space(A)
+    if Z.shape[1]:
+        x = x + Z @ np.linalg.lstsq(Z.T @ H @ Z, -Z.T @ (H @ x + f), rcond=None)[0]
+    return x
+
+
+def qp_equality_kkt(p, feas_tol: float = 1e-7):
+    """The minimizer of a QP with equality rows only (``equality_qp_min``
+    over every row), or None when it misses a row by more than
+    ``feas_tol``: the rows are inconsistent."""
+    x = equality_qp_min(p.H, p.f, p.Aeq, p.beq)
+    return x if np.abs(p.Aeq @ x - p.beq).max(initial=0.0) <= feas_tol else None
 
 
 def random_qp(rng: np.random.Generator):

@@ -265,6 +265,107 @@ def test_max_iter_status():
     assert s.status in (qpcore.MAX_ITER, qpcore.OPTIMAL)
 
 
+@st.composite
+def _equality_start_cases(draw):
+    """(problem, index of its inconsistent equality row or None, the problem
+    with its independent equality rows alone).
+
+    Every row but the inconsistent one holds at a drawn point x0, which also
+    lies strictly inside any inequality rows and bounds, so the problem is
+    feasible exactly when no row is inconsistent. After the independent
+    rows come, in drawn order, duplicated rows (scaled by either sign),
+    combinations of two rows (a rank-deficient Aeq), near-parallel rows and
+    at most one inconsistent dependent row; together they may outnumber the
+    variables. A near-parallel row is an earlier row moved by 1e-5..1e-2 of
+    its length: off the span of the independent rows while they span fewer
+    than d dimensions, so that the independent rows stay conditioned well
+    enough for the tolerances below, and anywhere once they span all d. H
+    is positive definite on a drawn subset of the variables and zero on the
+    rest, where its Cholesky factorization meets a zero pivot, so a proper
+    subset makes the solver regularize it; f lies in H's range."""
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    curved = rng.permutation(d)[:draw(st.integers(1, d))]
+    A = rng.normal(size=(len(curved), len(curved)))
+    H = np.zeros((d, d))
+    H[np.ix_(curved, curved)] = A @ A.T + 0.1 * np.eye(len(curved))
+    f = H @ rng.normal(size=d)
+    x0 = rng.normal(size=d)
+    rows = list(rng.normal(size=(draw(st.integers(1, d)), d)))
+    independent = list(range(len(rows)))
+    kinds = draw(st.lists(st.sampled_from(["duplicate", "combination", "near-parallel"]),
+                          max_size=4))
+    bad = None
+    if draw(st.booleans()):
+        kinds.insert(draw(st.integers(0, len(kinds))), "inconsistent")
+    for kind in kinds:
+        i, j = rng.integers(len(rows), size=2)
+        if kind == "duplicate":
+            row = rng.choice([-2.0, 0.5, 1.0]) * rows[i]
+        elif kind == "near-parallel":
+            v = rng.normal(size=d)
+            if len(independent) < d:
+                Q = np.linalg.qr(np.array([rows[k] for k in independent]).T)[0]
+                v -= Q @ (Q.T @ v)
+                independent.append(len(rows))
+            row = rows[i] + 10.0 ** rng.uniform(-5, -2) * np.linalg.norm(rows[i]) * (
+                v / np.linalg.norm(v))
+        else:
+            row = rng.normal() * rows[i] + rng.normal() * rows[j]
+            bad = len(rows) if kind == "inconsistent" else bad
+        rows.append(row)
+    Aeq = np.array(rows)
+    beq = Aeq @ x0
+    if bad is not None:
+        beq[bad] += rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 1.0) * np.linalg.norm(Aeq[bad])
+    sides = {}
+    if draw(st.booleans()):
+        r = int(rng.integers(0, 4))
+        Ain = rng.normal(size=(r, d))
+        upper = np.where(rng.random(r) < 0.3, np.inf, rng.uniform(0.1, 2.0, r))
+        sides = dict(Ain=Ain if r else None,
+                     lower=Ain @ x0 - rng.uniform(0.1, 2.0, r) if r else None,
+                     upper=Ain @ x0 + upper if r else None,
+                     lb=np.where(rng.random(d) < 0.5, x0 - rng.uniform(0.1, 2.0, d), -np.inf),
+                     ub=np.where(rng.random(d) < 0.5, x0 + rng.uniform(0.1, 2.0, d), np.inf))
+    problem = qpcore.QpProblem(H=H, f=f, Aeq=Aeq, beq=beq, **sides)
+    return problem, bad, qpcore.QpProblem(H=H, f=f, Aeq=Aeq[independent],
+                                          beq=beq[independent], **sides)
+
+
+@given(_equality_start_cases())
+@settings(max_examples=300, deadline=None)
+def test_the_equality_start_meets_every_row_or_names_the_one_it_cannot(case):
+    """The solve starts at the equality-constrained optimum of the
+    independent rows. An inconsistent dependent row ends it infeasible,
+    named as that equality row; otherwise it ends optimal and every
+    equality row holds to 1e-9 on its normalized row. Its objective matches
+    an oracle to 1e-6 relative, beyond the first-order change that this
+    residual allows (the multipliers times the equality misses, large where
+    rows are nearly parallel): the least-squares null-space solve over
+    every row when there are no inequality rows or bounds, else the
+    brute-force active-set enumeration over the independent rows, which
+    have the same feasible set."""
+    p, bad, independent = case
+    sol = qpcore.solve(p)
+    if bad is not None:
+        assert sol.status == qpcore.INFEASIBLE
+        assert sol.infeasible_constraint == f"equality row {bad}"
+        return
+    assert sol.status == qpcore.OPTIMAL
+    assert (np.abs(p.Aeq @ sol.x - p.beq) / np.linalg.norm(p.Aeq, axis=1)).max() <= 1e-9
+    if len(p.lower) == 0 and np.isinf(p.lb).all() and np.isinf(p.ub).all():
+        x = oracles.qp_equality_kkt(p)
+        assert x is not None
+        best = p.objective(x)
+    else:
+        best = oracles.qp_brute_force(independent)[0]
+    # near-parallel rows make the multipliers large, and the objective moves
+    # by their product with the residual it is allowed
+    allowed = np.abs(sol.eq_duals) @ np.abs(p.Aeq @ sol.x - p.beq)
+    assert abs(p.objective(sol.x) - best) <= 1e-6 * (1.0 + abs(best)) + allowed
+
+
 def _with_equalities(p, Aeq, beq):
     return qpcore.QpProblem(H=p.H, f=p.f, Aeq=Aeq, beq=beq, Ain=p.Ain, lower=p.lower,
                             upper=p.upper, lb=p.lb, ub=p.ub)

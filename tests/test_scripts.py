@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -66,3 +67,19 @@ def test_diff_traces_reads_zero_between_two_runs_of_one_checkout():
     assert arrays == len(rows) > 20
     assert all(row == [0.0, 0.0, 0] for row in rows)
     assert status_changed == 1
+
+
+def test_ab_controller_prints_p50_and_p95_of_each_round():
+    """One round of ab_controller.py with this checkout on both sides exits
+    0, prints the round's p50 and p95 of solver S, each with its winner, and
+    ends with the wins per round in both."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab_controller.py"),
+                          str(ROOT), str(ROOT), "--rounds", "1"],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    side = r"A \d+ us, B \d+ us -> (A|B|tie)"
+    assert re.fullmatch(rf"round 1 \(A first\): p50 {side}; p95 {side}", lines[1])
+    assert re.search(r"wins per round \(dcts\): p50 A [01], B [01]; p95 A [01], B [01] of 1$",
+                     lines[-1])

@@ -315,7 +315,10 @@ def test_dcts_solves_each_kkt_system_once_per_call(iiwa, monkeypatch):
     """On the golden-stack states no (K, rhs) reaches qpcore's KKT solve
     twice within one solve_dcts_multi call: the stages of a level, and the
     dependence tests of its sweep, share the directions of their QP family.
-    Solving every stage from scratch took 820 solves here."""
+    Each stage with equality rows starts with one KKT solve of its own
+    right side, 256 solves in all (248 when the rows entered one dual step
+    at a time, their directions shared); giving each stage a direction
+    dict of its own takes 344."""
     per_call = []
     kkt_solve = qpcore._kkt_solve
 
@@ -335,7 +338,48 @@ def test_dcts_solves_each_kkt_system_once_per_call(iiwa, monkeypatch):
     stack_outputs(iiwa)
     assert len(per_call) == N_STATES
     assert all(len(set(keys)) == len(keys) for keys in per_call)
-    assert sum(map(len, per_call)) == 248
+    assert sum(map(len, per_call)) == 256
+
+
+def test_the_criterion_10_posture_level_meets_its_equality_rows():
+    """Level 2 of criterion 10's torque sweep at torque scale 0.3875 (the
+    33-point sweep's 21st point), built here stage by stage as the cascade
+    builds it: seven equality rows J = I over a Hessian that ``_level_qp``
+    regularizes for a singular projector. Its s = 1 stage is infeasible, and
+    the max-s stage and the pinned-scale stage at its scale end optimal
+    with every equality row met to 1e-12. A start from the range-space form
+    C H^-1 C^T instead of the KKT system missed an equality row by 5.7e-7
+    in the max-s stage, past the solve tolerance 1e-8, so that stage ended
+    infeasible and the level braked."""
+    data = json.loads(rbd.bundled_model_path().read_text())
+    data["gravity"] = [0.0, 0.0, 0.0]
+    m0 = rbd.model_from_dict(data)
+    scale = np.linspace(1.0, 0.02, 33)[20]
+    model = replace(m0, tau_min=m0.tau_min * scale, tau_max=m0.tau_max * scale)
+    state = rbd.JointState(np.array([-0.78, 2.05, 2.07, -1.65, -2.08, 2.03, 0.0]) * 0.9,
+                           np.zeros(7))
+    dyn = rbd.compute_dynamics(model, state)
+    J6 = rbd.jacobian(model, state.q, model.tool_frame, kin=dyn.kin)
+    t1 = tasks.TaskInstance(J=J6[:3], jdot_qd=np.zeros(3), a_d=np.array([8.0, -4.0, 4.0]),
+                            priority=1)
+    t2 = tasks.TaskInstance(J=np.eye(7), jdot_qd=np.zeros(7), a_d=np.full(7, 40.0), priority=2)
+    ls = limits.joint_space_limits(model, 1e-3, a_min=np.full(7, -1e5), a_max=np.full(7, 1e5))
+    lr = limits.realize_joint_limits(ls, state.q, state.qd)
+    projectors = solvers._nullspace_stack([t1, t2], dyn)
+    comp = dyn.nu + dyn.g
+    sides = (model.tau_min - comp, model.tau_max - comp, lr.bounds.acc_min, lr.bounds.acc_max)
+    top = qpcore.solve(solvers._level_qp(dyn, t1.J, t1.a_d, -t1.jdot_qd, projectors[0],
+                                         np.zeros(7), *sides, maximize_s=False))
+    assert top.status == qpcore.OPTIMAL
+    args = (dyn, t2.J, t2.a_d, -t2.jdot_qd, projectors[1], projectors[0] @ top.x[:7], *sides)
+    fixed = solvers._level_qp(*args, maximize_s=False)
+    assert qpcore.solve(fixed).status == qpcore.INFEASIBLE
+    scale_qp = solvers._level_qp(*args, maximize_s=True)
+    scaled = qpcore.solve(scale_qp)
+    stage = fixed.with_beq(float(np.clip(scaled.x[7] - 1e-8, 0.0, 1.0)) * t2.a_d - t2.jdot_qd)
+    for problem, sol in ((scale_qp, scaled), (stage, qpcore.solve(stage))):
+        assert sol.status == qpcore.OPTIMAL
+        assert np.abs(problem.Aeq @ sol.x - problem.beq).max() <= 1e-12
 
 
 def top_level(model, dyn, task, tau_ext, lr):
