@@ -36,9 +36,9 @@ GOLDEN = {
         "40c8a95d530aa5acc3f5c041dd6f30888b7e5884ce626025e38309b4102684d9",
         "2999b51c46f1c239de8295d77693c93ce5386da14932547b914e57438f038f22"),
     ("rotation_hold", "dcts", ""): (
-        "5332e5a2c062d824d6bc1b3667b47d121f6c0942ec684f50507968ced8e70451",
-        "3daaf9c658ea88bd686f88f35388d669800b8aa8f85d3c9f996a58d1f478f8d0",
-        "6c15fbfd125828e48193756ab8e233e40b183f56f04dfbdda9aa7c080aafd3f3"),
+        "6d049939af86a6c87645842a72123eef593ec016fdb9b045fed4b50322ed1bac",
+        "a5a6d2c4aa65f59889dfc232620954371ed5f2bdcd478583f84ae3157e690f0d",
+        "cc6d977b403a6af13f48e60307056346472e690a987f8db3aa494e0520081012"),
     ("rotation_hold", "qp-mt", ""): (
         "003c47c57eb2e9ee50f3ce17fba14ddd2ec6ebae700528814e999278d74daaf9",
         "452450b67049afe34363304bd013d01633458e3a279271af7d7016681bcb64db",
@@ -64,17 +64,17 @@ GOLDEN = {
         "f23fa1345eafe6394c1d44ea661728dcab762e06c5da552937389316efd2a016",
         "113b799ef4c5d7b4a79a75e94103adeb59cd4254a749c3abcef1abe56f2ca681"),
     ("push_recovery", "dcts", "early"): (
-        "cca1bb08916dd2ac5955183b51e4b18672b883b41ec1208a8f8a383f552bc78a",
-        "e32632d5e3fcf8c4e3a12865f2d9aeef74a276eb81d049c28e65c0b7099c010c",
-        "3cb79637294cdbc19776cbc2fb5907c67199d13978b6386467fd84256e401d47"),
+        "58911f08a0c27957e7fd241ea7810d667a19146e8b624fe0c70d15e26328cb81",
+        "50c1e85c45ddfed2de829745e55824dbf8b2dfe2a8dcbe23cc2e5fdd9ea6631d",
+        "3786248cb85d9beb0f0dfa252beacd7eae2fa99755aa96755d4e8ffcb03af828"),
     ("push_recovery", "qp-md", "early"): (
         "9c486914e484690e913ca0165944f5cee786ea9488ea89624001316fb826fd0a",
         "3d96a80104fb938910cf51a648c55ce8eb032711cad9f91759387edd05cdaebd",
         "47a17c1d4ff5739f57118d137260cff98ab4f2bfb92f6deacc46878b7dbc56e0"),
     ("star_octagon", "dcts", ""): (
-        "9cd7ce1d11892b5eb23350ec49e5050058a8dde2368e1ffb9d96c5e5f385bebb",
-        "237ddb161db304cced5910cde1bc4a5e5fbb1b2fad7b5d4d889903db96f62be7",
-        "5fb1ffe56f6fd47b268ccbc15a21d2129dfe295ea010ee5751443418f72f7e0b"),
+        "35325d97df6eafd56cc5552dcb284fa1bd924a14bf7228011b25e5b3dd1f6dce",
+        "60079f31373b706f7c8dba979e7e63e6f41f9b315a73b6a22e8facf435ad0c2c",
+        "aac681a54a039e1ce812f12335302a242465c9eb4739f3ae97f191ceb17f8778"),
     ("star_octagon", "osc", ""): (
         "232a7d97db94f1c446fe68b065c4b5566454652d16d6195838a07f4567997ce3",
         "e77cf6d878b4de44811be3a983942e7dc8d29b614be56589efd866ff9a8ff1e2",
@@ -84,9 +84,9 @@ GOLDEN = {
         "81a527f10cbc30f5607edb09b230aeaa5376daaf2d6ff63e7aafdc8feee47f20",
         "d820d922919bf54950b23cdd29f77b6398b4ba6c40b34f78163de439be12690a"),
     ("payload_drop", "dcts", ""): (
-        "f8014b42e26d8c67890c637e3b02de6344022be6c3b8b2c2e6f78efd32a82e60",
-        "bf0483ad13871e50d7e00fc58e2da1b84ca017973f05de65e6a2f1ecc7329e91",
-        "be6e6a506ce1622d9c142d65d4901b5f1d982de36454b5e262b9ac99e0ae6028"),
+        "ed4f7587e2717ab9a5c57a5c560e9df6cde1a968e88ea06e5c93154a4eb15401",
+        "b8af0120388d8efa8732f4366d1a8343f02384b7781410ebbd8b3693f992d684",
+        "07ea56984ceb0824a0f62c5ca420660a4aff42cbdb56cacf99d69a3ff0e9d102"),
     ("payload_drop", "qp-md", ""): (
         "5d40f3560ff03ed890a780f4183f5c03a4eaac81ab8cf167b9b11dfb655871de",
         "8d36538a57841463638c519d8f376cd02ca902914f79a64a5fd1eeb0df7755c8",
@@ -100,9 +100,9 @@ GOLDEN = {
         "143454646ca81eea315e504f008e64daaf934d55683d41ab9649431765a1173d",
         "1677f96c3d965a44953cb644796fd1137be5df37e38513fd5587e55751f23880"),
     ("limit_push", "dcts", "early"): (
-        "444e778ef397bc90253caffd7c18a1363d6b867e9ceeaeb74e4917e8959dae11",
-        "1092f4ffcb03c2a351d09d8422b47a323ce1dd8bdb284214a8f27ef367fb96af",
-        "c4dbbdd60b91c84516684b2f50a48d67f50accae401943a5d9cf74105976d55a"),
+        "8f70347acf3673bc944eede17f95e9ab81f63e46ee617d98bba932522ac33c23",
+        "7045d39e35939b07f739c1867bde312637368396761b5f0704f4d86d9eb9c582",
+        "15520adadea7a0b582277440578c5c77154b224b108742a8abeb89e1070ec70d"),
 }
 
 

@@ -25,7 +25,7 @@ Q_NOMINAL = np.array([0.0, 0.3, 0.0, -1.5, 0.0, 1.0, 0.0])
 ACC_LIMIT = np.array([30.0, 25.0, 60.0, 70.0, 400.0, 400.0, 600.0])
 N_STATES = 12
 
-GOLDEN = "5a258959f067fd4b9473ff17b3550f89bd279769330c141d5327cf3d846863f0"
+GOLDEN = "642a0a46f01be782bab480084d8e23c5cd6b5b8163d5a6e4a5ebb80d3e8f9062"
 
 
 def stack_cases(model, seed: int = 5):

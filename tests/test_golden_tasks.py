@@ -24,7 +24,7 @@ from test_golden_stack import ACC_LIMIT, N_STATES, Q_NOMINAL
 
 GOLDEN_TASKS = "a0f136940b0ce43b639733f54709bedac1dcd567d105d87ce0b46a570f13f1c8"
 GOLDEN_SOLVERS = {
-    "dcts": "9ec64ae209de1e310a12c0e73288c31f2af980488720261fd80ae698af6ebf8c",
+    "dcts": "c65231e02d4a95f17db3d8eaf307bc5e5c1c527471247fb5e43480f8ab7dc2c3",
     "osc": "b92feaec7ba5e8389fb501a76f6f4906f94fa50e860301033ea00738c903ba1d",
     "qp-mt": "f9664ea636126430c1d997739ca95ffe0422308152a956e4099246309f3c9293",
     "qp-md": "13120a4eb212f6b8590c330a1d7e7df30fe0bf6665b058301cb3be8f3a8a3aa7",
