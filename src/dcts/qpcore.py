@@ -6,34 +6,25 @@ Problem shape:
     lower <= Ain x <= upper          (two-sided rows, +-inf allowed per side)
     lb <= x <= ub                    (box, +-inf allowed)
 
-The solver is a dual active-set method (Goldfarb/Idnani). It starts at the
-equality-constrained optimum: one KKT solve over the independent equality
-rows gives the point and their multipliers, free in sign, and counts as one
-iteration (a point that misses those rows by more than 1e-12 takes one step
-of iterative refinement). Every equality row, kept or dependent, must hold
-there to the tolerance, or the solve ends infeasible naming that row; a
-start with no finite point ends so too. Then it repeatedly
-adds the most violated inequality, taking partial dual steps that drop
-blocking constraints. No feasible starting point is needed and primal
-infeasibility surfaces as an unbounded dual step, which yields a
+The solver is a dual active-set method (Goldfarb/Idnani): start at the
+equality-constrained optimum, one KKT solve over the independent equality
+rows (``_independent_rows``) that counts as one iteration, then repeatedly
+add the most violated inequality, taking partial dual steps that drop
+blocking constraints. Every equality row must hold at the start, or the
+solve ends infeasible naming it. No feasible starting point is needed and
+primal infeasibility surfaces as an unbounded dual step, which yields a
 certificate-quality diagnostic (the constraint that cannot be satisfied and
 its violation).
-
-Which equality rows are independent is decided once per problem family from
-the normalized rows alone: in table order, a row is kept when the diagonal
-of R in the QR factorization of it and the kept rows before it exceeds
-EQ_RANK_FLOOR, that is, when its distance from their span does.
 
 Iteration work is one dense KKT solve; problems here are tiny (tens of
 variables), so no factorization updating is attempted. A step direction
 depends on the active set and the entering row, never on ``beq``, so the
 problems ``with_beq`` derives from one constructed problem (a *family*) share
-every direction they solve, and the unconstrained start of a problem
-without equality rows, in one dict; a hit
-returns the bytes the solve would have produced. Determinism: constraint
-entry picks the most violated row, ties broken by lowest index in the fixed
-enumeration order (equalities, then Ain lower/upper per row, then bound
-lower/upper per variable).
+every direction they solve, and the unconstrained start of a problem without
+equality rows, in one dict; a hit returns the bytes the solve would have
+produced. Determinism: constraint entry picks the most violated row, ties
+broken by lowest index in the fixed enumeration order (equalities, then Ain
+lower/upper per row, then bound lower/upper per variable).
 
 Sign convention for duals: at optimality
 
@@ -61,8 +52,7 @@ from .rbd import lu_solve, spd_factor, spd_solve
 OPTIMAL, INFEASIBLE, MAX_ITER = "optimal", "infeasible", "max_iter"
 SWEEP_STEPS = 50        # a sweep that has not ended after this many steps returns no limit
 SWEEP_CHECK = 1e-7      # the most a sweep's point at its limit may miss a row by
-EQ_RANK_FLOOR = 1e-9    # the distance of a unit equality row from the span of the kept rows
-                        # before it at or below which it is dependent, and left out
+EQ_RANK_FLOOR = 1e-9    # a unit equality row this close to the span of the kept rows is dependent
 
 
 class QpError(ValueError):
@@ -278,12 +268,12 @@ def _build_rows(p: QpProblem) -> _Rows:
 
 
 def _independent_rows(C_eq: np.ndarray) -> tuple:
-    """The rows of ``C_eq`` kept in table order: each whose R diagonal in the
-    QR factorization (LAPACK geqrf) of it and the kept rows before it exceeds
-    EQ_RANK_FLOOR. R of a prefix does not depend on the rows after it, so
-    one factorization decides every row up to the first one left out, which
-    is dropped before the rest are decided; past as many rows as variables
-    every row is dependent."""
+    """The rows of ``C_eq`` kept in table order: each whose R diagonal, its
+    distance from the span of the kept rows before it, exceeds EQ_RANK_FLOOR
+    in the QR factorization (LAPACK geqrf) of the kept rows. R of a prefix
+    does not depend on the rows after it, so each factorization decides the
+    rows up to the first one left out; at most as many rows as variables
+    are kept."""
     keep = list(range(len(C_eq)))
     first = 0
     while keep:

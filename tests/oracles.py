@@ -4,12 +4,11 @@ Everything here is deliberately written on a different code path than the
 library: forward kinematics through scipy Rotation composition, planar
 two-link dynamics from the textbook closed forms, Jacobians by central
 differences, a classical Runge-Kutta integrator for conservation studies, a
-brute-force active-set enumeration for small QPs whose candidates, and
-QPs with equality rows only, are solved on the null space in least squares,
-HiGHS linear programs
-for the largest feasible task scale and the largest feasible step of a QP's
-equality right side, the DCTS cascade that solves every bisection trial and
-the dual vectors of a solve built eagerly.
+brute-force active-set enumeration for small QPs, a least-squares
+null-space solve for its candidates and for QPs with equality rows only,
+HiGHS linear programs for the largest feasible task scale and the largest
+feasible step of a QP's equality right side, the DCTS cascade that solves
+every bisection trial and the dual vectors of a solve built eagerly.
 """
 
 from __future__ import annotations
@@ -183,14 +182,6 @@ def equality_qp_min(H, f, A, b) -> np.ndarray:
     if Z.shape[1]:
         x = x + Z @ np.linalg.lstsq(Z.T @ H @ Z, -Z.T @ (H @ x + f), rcond=None)[0]
     return x
-
-
-def qp_equality_kkt(p, feas_tol: float = 1e-7):
-    """The minimizer of a QP with equality rows only (``equality_qp_min``
-    over every row), or None when it misses a row by more than
-    ``feas_tol``: the rows are inconsistent."""
-    x = equality_qp_min(p.H, p.f, p.Aeq, p.beq)
-    return x if np.abs(p.Aeq @ x - p.beq).max(initial=0.0) <= feas_tol else None
 
 
 def random_qp(rng: np.random.Generator):
