@@ -172,8 +172,9 @@ class TaskDynamicsBundle:
 # ---------------------------------------------------------------------------
 # kinematics
 #
-# The plant path takes a configuration q of shape (n,) or a batch of them,
-# shape (B, n), and returns every result with the same leading batch axis.
+# The plant path takes the Kinematics of a configuration q of shape (n,) or
+# of a batch of them, shape (B, n), and returns every result with the same
+# leading batch axis.
 # Each batch row is computed with the arithmetic of an unbatched call, so it
 # equals that call byte for byte.
 
@@ -254,22 +255,18 @@ class Kinematics:
                 else T[..., :3, :3] @ np.asarray(point, float) + T[..., :3, 3])
 
 
-def jacobian(model: RobotModel, q: np.ndarray, frame: int,
+def jacobian(model: RobotModel, kin: Kinematics, frame: int,
              point: np.ndarray | None = None,
-             kin: Kinematics | None = None,
              x: np.ndarray | None = None) -> np.ndarray:
-    """Geometric Jacobian (3 linear rows over 3 angular rows) of a frame point.
+    """Geometric Jacobian (3 linear rows over 3 angular rows) of a frame point
+    at the configuration of ``kin``.
 
     ``point`` is an offset expressed in the frame's own coordinates (default:
     the frame origin). Row sub-selection for tasks is the caller's job.
-    ``kin`` is the ``Kinematics`` of q when the caller has it; the same holds
-    for every ``kin`` parameter below. ``x`` is the point's world position,
-    ``kin.point(frame, point)``, when the caller has it; the same holds in
-    ``jacobian_dot_qd``.
+    ``x`` is the point's world position, ``kin.point(frame, point)``, when
+    the caller has it; the same holds in ``jacobian_dot_qd``.
     """
     frame = model.check_frame(frame)
-    if kin is None:
-        kin = Kinematics(model, q)
     if x is None:
         x = kin.point(frame, point)
     J = np.zeros((*kin.z.shape[:-2], 6, model.n))
@@ -280,30 +277,23 @@ def jacobian(model: RobotModel, q: np.ndarray, frame: int,
     return J
 
 
-def jacobian_dot_qd(model: RobotModel, q: np.ndarray, qd: np.ndarray, frame: int,
+def jacobian_dot_qd(model: RobotModel, dyn: ChainDynamics, frame: int,
                     point: np.ndarray | None = None,
-                    kin: Kinematics | None = None,
-                    velocity: tuple | None = None,
                     x: np.ndarray | None = None) -> np.ndarray:
-    """The drift acceleration Jdot qd of a frame point, via velocity recursion.
+    """The drift acceleration Jdot qd of a frame point at the state of ``dyn``.
 
     Equals the classical acceleration [a; alpha] of the point when qdd = 0 and
-    gravity is off; no finite differences and no explicit Jdot. ``velocity``
-    is the (w, dw, a_joint) of that recursion at (q, qd) when the caller has
-    it (``ChainDynamics.velocity``); the point reads only links up to its
-    frame's, which later joint rates do not reach.
+    gravity is off; no finite differences and no explicit Jdot. It is read
+    from ``dyn.velocity``, the (w, dw, a_joint) of that velocity recursion;
+    the point reads only links up to its frame's, which later joint rates do
+    not reach.
     """
     frame = model.check_frame(frame)
-    if kin is None:
-        kin = Kinematics(model, q)
-    if velocity is None:
-        velocity = _velocity_recursion(kin, np.asarray(qd, dtype=float),
-                                       np.zeros(model.n), None)[:3]
     last = model.n - 1 if frame == model.n else frame
-    w, dw, a_joint = (v[..., last, :] for v in velocity)
+    w, dw, a_joint = (v[..., last, :] for v in dyn.velocity)
     if x is None:
-        x = kin.point(frame, point)
-    a_point = a_joint + _rigid_acceleration(w, dw, x - kin.p[..., last, :])
+        x = dyn.kin.point(frame, point)
+    a_point = a_joint + _rigid_acceleration(w, dw, x - dyn.kin.p[..., last, :])
     return np.concatenate([a_point, dw], axis=-1)
 
 
@@ -311,15 +301,13 @@ def jacobian_dot_qd(model: RobotModel, q: np.ndarray, qd: np.ndarray, frame: int
 # dynamics
 
 
-def mass_matrix(model: RobotModel, q: np.ndarray,
-                kin: Kinematics | None = None) -> np.ndarray:
-    """Joint-space inertia M(q) = sum_i (m_i Jv_i^T Jv_i + Jw_i^T I_i Jw_i).
+def mass_matrix(model: RobotModel, kin: Kinematics) -> np.ndarray:
+    """Joint-space inertia M(q) = sum_i (m_i Jv_i^T Jv_i + Jw_i^T I_i Jw_i)
+    at the configuration of ``kin``.
 
     Built from batched per-link COM Jacobians in one matmul; symmetric
     positive definite.
     """
-    if kin is None:
-        kin = Kinematics(model, q)
     n = model.n
     batch = kin.z.shape[:-2]
     # left[j, i] = [z_j x (c_i - p_j), z_j]: joint j's column of link i's
@@ -361,14 +349,13 @@ def _shifted(x: np.ndarray) -> np.ndarray:
 
 
 def _velocity_recursion(kin: Kinematics, qd: np.ndarray, qdd: np.ndarray,
-                        a_base: np.ndarray | None):
+                        a_base: np.ndarray):
     """Batched forward pass: per-link w, dw, joint-origin and COM accelerations.
 
     All recursions are prefix sums of locally computable increments, so the
     whole pass is a handful of vectorized operations, and link i's values
     depend on the joint rates up to i only. ``qd``, ``qdd`` and ``a_base``
-    may carry a leading batch axis, which broadcasts against ``kin``'s;
-    ``a_base`` None is a base at rest.
+    may carry a leading batch axis, which broadcasts against ``kin``'s.
     """
     z, p, c = kin.z, kin.p, kin.c
     qd, qdd = qd[..., None], qdd[..., None]
@@ -379,9 +366,7 @@ def _velocity_recursion(kin: Kinematics, qd: np.ndarray, qdd: np.ndarray,
     dw = dw_inc.cumsum(-2)
     # each link's p_i moves with the link before it
     inc = _rigid_acceleration(w - w_inc, dw - dw_inc, p - _shifted(p))
-    a_joint = inc.cumsum(-2)
-    if a_base is not None:
-        a_joint = a_joint + a_base[..., None, :]
+    a_joint = inc.cumsum(-2) + a_base[..., None, :]
     a_com = a_joint + _rigid_acceleration(w, dw, c - p)
     return w, dw, a_joint, a_com
 
@@ -424,19 +409,14 @@ def _force_sweep(model: RobotModel, kin: Kinematics, qdd: np.ndarray,
     return np.vecdot(kin.z, mu) + model.armature * qdd
 
 
-def inverse_dynamics(model: RobotModel, q: np.ndarray, qd: np.ndarray,
-                     qdd: np.ndarray, kin: Kinematics | None = None) -> np.ndarray:
+def inverse_dynamics(model: RobotModel, kin: Kinematics, qd: np.ndarray,
+                     qdd: np.ndarray) -> np.ndarray:
     """Joint torques for a prescribed motion: tau = M qdd + nu + g."""
-    if kin is None:
-        kin = Kinematics(model, q)
     return _rnea(model, kin, qd, qdd, model.gravity)
 
 
-def bias_and_gravity(model: RobotModel, q: np.ndarray, qd: np.ndarray,
-                     kin: Kinematics | None = None) -> np.ndarray:
+def bias_and_gravity(model: RobotModel, kin: Kinematics, qd: np.ndarray) -> np.ndarray:
     """nu(q, qd) + g(q) in a single Newton-Euler pass."""
-    if kin is None:
-        kin = Kinematics(model, q)
     return _rnea(model, kin, qd, np.zeros(model.n), model.gravity)
 
 
@@ -495,21 +475,18 @@ def det(A: np.ndarray) -> float:
     return _umath_linalg.det(A)
 
 
-def forward_dynamics(model: RobotModel, q: np.ndarray, qd: np.ndarray,
+def forward_dynamics(model: RobotModel, kin: Kinematics, qd: np.ndarray,
                      tau: np.ndarray, tau_ext: np.ndarray | None = None,
-                     kin: Kinematics | None = None,
                      M_cho=None, nu_g: np.ndarray | None = None) -> np.ndarray:
     """qdd = M^-1 (tau + tau_ext - nu - g); ``M_cho`` and ``nu_g`` are the
     factor of M and nu + g at (q, qd) when the caller has them."""
-    if kin is None:
-        kin = Kinematics(model, q)
     if nu_g is None:
-        nu_g = bias_and_gravity(model, q, qd, kin)
+        nu_g = bias_and_gravity(model, kin, qd)
     rhs = np.asarray(tau, float) - nu_g
     if tau_ext is not None:
         rhs = rhs + tau_ext
     if M_cho is None:
-        M_cho = spd_factor(mass_matrix(model, q, kin))
+        M_cho = spd_factor(mass_matrix(model, kin))
     return spd_solve(M_cho, rhs)
 
 
@@ -542,16 +519,13 @@ def lambda_factor(J: np.ndarray, minv, epsilon: float | None = None):
     return spd_factor(A + epsilon * np.eye(A.shape[0])), Minv_Jt, True
 
 
-def task_dynamics(model: RobotModel, q: np.ndarray, J: np.ndarray,
-                  epsilon: float = EPSILON_LAMBDA,
-                  minv=None) -> TaskDynamicsBundle:
+def task_dynamics(J: np.ndarray, minv, epsilon: float = EPSILON_LAMBDA) -> TaskDynamicsBundle:
     """Task-space inertia, dynamically consistent pseudoinverse and projector.
 
     Lambda = (J M^-1 J^T + epsilon I)^-1 from ``lambda_factor`` (no explicit
     inversion of an ill-conditioned matrix), Jbar = M^-1 J^T Lambda and
     N = I - J^T Jbar^T. ``minv`` maps B to M^-1 B with an existing
-    factorization (``ChainDynamics.minv``); without it M(q) is built and
-    factorized here.
+    factorization (``ChainDynamics.minv``).
     """
     J = np.atleast_2d(np.asarray(J, dtype=float))
     m, n = J.shape
@@ -561,8 +535,6 @@ def task_dynamics(model: RobotModel, q: np.ndarray, J: np.ndarray,
         raise ValueError("epsilon must be >= 0")
     if not np.all(np.isfinite(J)):
         raise ValueError("task Jacobian has non-finite entries")
-    if minv is None:
-        minv = partial(spd_solve, spd_factor(mass_matrix(model, q)))
     factor, Minv_Jt, _ = lambda_factor(J, minv, epsilon)
     Lambda = spd_solve(factor, np.eye(m))
     Lambda = 0.5 * (Lambda + Lambda.T)
@@ -580,13 +552,13 @@ class ChainDynamics:
     qd: np.ndarray
     kin: Kinematics
     M: np.ndarray
-    M_cho: tuple = field(repr=False, default=None)
-    nu: np.ndarray = None
-    g: np.ndarray = None
-    nu_g: np.ndarray = None
+    M_cho: tuple = field(repr=False)
+    nu: np.ndarray
+    g: np.ndarray
+    nu_g: np.ndarray
     # (w, dw, a_joint) per link of nu's velocity pass (qdd = 0, no gravity),
     # from which every task's drift Jdot qd is read
-    velocity: tuple = field(repr=False, default=None)
+    velocity: tuple = field(repr=False)
 
     @property
     def transforms(self) -> np.ndarray:
@@ -601,7 +573,7 @@ def compute_dynamics(model: RobotModel, state: JointState) -> ChainDynamics:
     g = RNEA(qd = 0, qdd = 0, gravity) and nu + g at one state, the three
     Newton-Euler passes as one call over three rows, and nu's velocity pass."""
     kin = Kinematics(model, state.q)
-    M = mass_matrix(model, state.q, kin)
+    M = mass_matrix(model, kin)
     zero = np.zeros(model.n)
     gravity = model.gravity
     w, dw, a_joint, a_com = _velocity_recursion(

@@ -103,23 +103,22 @@ def _shift(d: np.ndarray) -> np.ndarray:
 
 
 def scripted_tau_ext(events: list[Event], t: float, model: rbd.RobotModel,
-                     q: np.ndarray,
-                     kin: rbd.Kinematics | None = None) -> np.ndarray:
+                     kin: rbd.Kinematics) -> np.ndarray:
     """Joint torques of the active scripted forces and torques at time t, at
-    one configuration q or a batch of them.
+    the configuration of ``kin``, the ``rbd.Kinematics`` of ``model`` at one
+    q or at a batch of them.
 
     An unmodeled mass contributes nothing here: the plant feels it through
     its augmented model, and the controller measures it through
-    ``payload_observer``. ``kin`` is the ``rbd.Kinematics`` of ``model`` at
-    q when the caller has it.
+    ``payload_observer``.
     """
-    tau = np.zeros(np.shape(q))
+    tau = np.zeros(kin.p.shape[:-1])
     for ev in events:
         if not ev.active(t):
             continue
         if ev.kind == "cartesian_force":
             frame = model.tool_frame if ev.frame is None else ev.frame
-            J = rbd.jacobian(model, q, frame, point=ev.point, kin=kin)
+            J = rbd.jacobian(model, kin, frame, point=ev.point)
             tau += J[..., :3, :].swapaxes(-1, -2) @ (ev.profile(t) * ev.force)
         elif ev.kind == "joint_torque":
             tau[..., ev.joint] += ev.profile(t) * ev.amplitude
@@ -128,8 +127,7 @@ def scripted_tau_ext(events: list[Event], t: float, model: rbd.RobotModel,
 
 def payload_observer(nominal: rbd.RobotModel, plant: rbd.RobotModel,
                      state: rbd.JointState, qdd_prev: np.ndarray,
-                     kin: rbd.Kinematics | None = None,
-                     plant_kin: rbd.Kinematics | None = None) -> np.ndarray:
+                     kin: rbd.Kinematics, plant_kin: rbd.Kinematics) -> np.ndarray:
     """Torque-sensor view of an unmodeled mass: the generalized force that,
     added to the nominal model, reproduces the plant's motion.
 
@@ -137,31 +135,26 @@ def payload_observer(nominal: rbd.RobotModel, plant: rbd.RobotModel,
     momentum observer on hardware): tau_ext = ID_nominal - ID_plant at
     (q, qd, qdd_prev). At rest this is exactly the payload gravity wrench.
     ``kin`` and ``plant_kin`` are the ``rbd.Kinematics`` of the two models
-    at ``state.q`` when the caller has them.
+    at ``state.q``.
     """
-    return (rbd.inverse_dynamics(nominal, state.q, state.qd, qdd_prev, kin)
-            - rbd.inverse_dynamics(plant, state.q, state.qd, qdd_prev, plant_kin))
+    return (rbd.inverse_dynamics(nominal, kin, state.qd, qdd_prev)
+            - rbd.inverse_dynamics(plant, plant_kin, state.qd, qdd_prev))
 
 
 def apply_events(scenario: "Scenario", t: float, model: rbd.RobotModel,
-                 state: rbd.JointState,
-                 qdd_prev: np.ndarray | None = None,
-                 kin: rbd.Kinematics | None = None,
-                 plant_kin: rbd.Kinematics | None = None) -> np.ndarray:
+                 state: rbd.JointState, qdd_prev: np.ndarray,
+                 kin: rbd.Kinematics, plant_kin: rbd.Kinematics) -> np.ndarray:
     """Controller-side (measured) tau_ext at time t.
 
     Scripted forces and torques are measured directly; an active unmodeled
-    mass is measured through the observer (quasi-static at rest when no
-    previous acceleration is available). ``kin`` and ``plant_kin`` are the
-    ``rbd.Kinematics`` of ``model`` and of the plant model at ``state.q``
-    when the caller has them.
+    mass is measured through the observer at the last acceleration
+    ``qdd_prev``. ``kin`` and ``plant_kin`` are the ``rbd.Kinematics`` of
+    ``model`` and of the plant model at ``state.q``.
     """
-    tau = scripted_tau_ext(scenario.events, t, model, state.q, kin)
+    tau = scripted_tau_ext(scenario.events, t, model, kin)
     plant = scenario.plant_model(t)
     if plant is not model:
-        tau = tau + payload_observer(
-            model, plant, state,
-            np.zeros(model.n) if qdd_prev is None else qdd_prev, kin, plant_kin)
+        tau = tau + payload_observer(model, plant, state, qdd_prev, kin, plant_kin)
     return tau
 
 
@@ -170,21 +163,20 @@ def apply_events(scenario: "Scenario", t: float, model: rbd.RobotModel,
 
 
 def step(model: rbd.RobotModel, state: rbd.JointState, tau: np.ndarray,
-         tau_ext: np.ndarray | None, dt: float,
-         kin: rbd.Kinematics | None = None,
+         tau_ext: np.ndarray | None, dt: float, kin: rbd.Kinematics,
          M_cho=None, nu_g: np.ndarray | None = None) -> tuple[rbd.JointState, np.ndarray]:
     """One semi-implicit Euler step of the forward dynamics, of one state or
-    of a batch of them.
+    of a batch of them, from ``kin``, the ``rbd.Kinematics`` at ``state.q``.
 
-    Returns the new state and the acceleration qdd the step used; the
-    ``rbd.Kinematics``, the factor ``M_cho`` of M and nu + g at the state
-    are reused when the caller has them. ``run_scenario`` integrates the
-    plant with this step; a non-finite result raises ValueError from the new
-    ``JointState``.
+    Returns the new state and the acceleration qdd the step used; the factor
+    ``M_cho`` of M and nu + g at the state are reused when the caller has
+    them. ``run_scenario`` integrates the plant with this step. A diverging
+    plant raises ValueError from the finiteness check of ``rbd.spd_solve``
+    inside ``rbd.forward_dynamics``, before any new ``JointState`` is built.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    qdd = rbd.forward_dynamics(model, state.q, state.qd, tau, tau_ext, kin, M_cho, nu_g)
+    qdd = rbd.forward_dynamics(model, kin, state.qd, tau, tau_ext, M_cho, nu_g)
     qd = state.qd + qdd * dt
     return rbd.JointState(state.q + qd * dt, qd), qdd
 
@@ -193,16 +185,13 @@ def step(model: rbd.RobotModel, state: rbd.JointState, tau: np.ndarray,
 # energies
 
 
-def energy_metrics(model: rbd.RobotModel, state: rbd.JointState,
-                   tau_cmd: np.ndarray, J: np.ndarray,
-                   dyn: rbd.ChainDynamics | None = None) -> tuple[float, float, float, float]:
-    """(E_acc, E_kin_total, E_kin_task, E_kin_null) at the current state.
+def energy_metrics(dyn: rbd.ChainDynamics, tau_cmd: np.ndarray,
+                   J: np.ndarray) -> tuple[float, float, float, float]:
+    """(E_acc, E_kin_total, E_kin_task, E_kin_null) at the state of ``dyn``.
 
     E_acc uses tau' = tau_cmd - nu - g; the task split uses the task-space
     inertia of the task Jacobian J, damped by ``rbd.EPSILON_LAMBDA``.
     """
-    if dyn is None:
-        dyn = rbd.compute_dynamics(model, state)
     tau_prime = np.asarray(tau_cmd, float) - dyn.nu - dyn.g
     e_acc = 0.5 * float(tau_prime @ dyn.minv(tau_prime))
     e_total = 0.5 * float(dyn.qd @ dyn.M @ dyn.qd)
@@ -450,8 +439,7 @@ def run_scenario(scenario: Scenario, solvers: list[str] | None = None,
 
             tau_cmd = out.tau
             lead = realized[0]
-            e_acc, e_tot, e_task, e_null = energy_metrics(
-                model, state, tau_cmd, J=lead.J, dyn=dyn)
+            e_acc, e_tot, e_task, e_null = energy_metrics(dyn, tau_cmd, lead.J)
             trace.t[tick] = t
             trace.q[tick] = state.q
             trace.qd[tick] = state.qd
@@ -491,7 +479,7 @@ def run_scenario(scenario: Scenario, solvers: list[str] | None = None,
             if j > 0:
                 kin = rbd.Kinematics(plant, sub.q)
                 M_cho = nu_g = None
-            tau_ext_plant = scripted_tau_ext(scenario.events, t, plant, sub.q, kin)
+            tau_ext_plant = scripted_tau_ext(scenario.events, t, plant, kin)
             sub, qdd = step(plant, sub, tau, tau_ext_plant, h, kin, M_cho, nu_g)
             if j == 0:
                 qdd_first = qdd
@@ -626,8 +614,13 @@ def _build_event(e, n: int) -> Event:
         return Event(**common, joint=_get(e, "joint", partial(_int, low=1, high=n)) - 1,
                      amplitude=_get(e, "amplitude_nm", _num),
                      ramp=_get(e, "ramp_s", _nonneg, 0.0))
-    return Event(**common, mass=_get(e, "mass_kg", _positive),
-                 com_offset=_get(e, "com_offset_m", _vec3, np.zeros(3)))
+    mass = _get(e, "mass_kg", _positive)
+    com_offset = _get(e, "com_offset_m", _vec3, np.zeros(3))
+    if mass > 1000.0:
+        raise ValueError("mass_kg: must be in (0, 1000] kg")
+    if np.abs(com_offset).max() > 10.0:
+        raise ValueError("com_offset_m: each component must lie within +-10 m")
+    return Event(**common, mass=mass, com_offset=com_offset)
 
 
 def _parse(data, source: str,

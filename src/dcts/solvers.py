@@ -121,16 +121,14 @@ def _osc_torque(dyn: rbd.ChainDynamics, task: TaskInstance, minv_tau_ext: np.nda
 
 
 def solve_osc(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance,
-              tau_ext: np.ndarray | None = None, cfg: SolverConfig | None = None,
-              dyn: rbd.ChainDynamics | None = None) -> ControlOutput:
+              tau_ext: np.ndarray | None, cfg: SolverConfig,
+              dyn: rbd.ChainDynamics) -> ControlOutput:
     """Projector-based operational space control for a single task.
 
     The command achieves J M^-1 (tau - nu - g + tau_ext) = a_d - Jdot qd
     exactly (up to the linear solve) and minimizes the acceleration energy
     1/2 tau'^T M^-1 tau' over the task-consistent set.
     """
-    if dyn is None:
-        dyn = rbd.compute_dynamics(model, state)
     minv_tau_ext = _minv_tau_ext(dyn, tau_ext)
     tau_prime, damped = _osc_torque(dyn, task, minv_tau_ext, {})
     qdd = dyn.minv(tau_prime)
@@ -142,8 +140,8 @@ def solve_osc(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance,
 
 def solve_osc_saturated(model: rbd.RobotModel, state: rbd.JointState,
                         task: TaskInstance, limit_real: LimitRealization,
-                        tau_ext: np.ndarray | None = None, cfg: SolverConfig | None = None,
-                        dyn: rbd.ChainDynamics | None = None) -> ControlOutput:
+                        tau_ext: np.ndarray | None, cfg: SolverConfig,
+                        dyn: rbd.ChainDynamics) -> ControlOutput:
     """Projector baseline: OSC + joint-saturation level + naive torque clamp.
 
     Joint accelerations that the shaped bounds forbid are pinned at the bound
@@ -154,8 +152,6 @@ def solve_osc_saturated(model: rbd.RobotModel, state: rbd.JointState,
     pinned accelerations nor the task acceleration are realized. Any pass
     that damps a task inertia makes the status ``degraded``.
     """
-    if dyn is None:
-        dyn = rbd.compute_dynamics(model, state)
     minv_tau_ext = _minv_tau_ext(dyn, tau_ext)
     lo, hi = limit_real.bounds.acc_min, limit_real.bounds.acc_max
     pinned: dict[int, float] = {}
@@ -210,8 +206,7 @@ def _solve_qp_baseline(dyn: rbd.ChainDynamics, task: TaskInstance,
 
 
 def solve_qp_mt(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance,
-                cfg: SolverConfig | None = None,
-                dyn: rbd.ChainDynamics | None = None) -> ControlOutput:
+                cfg: SolverConfig, dyn: rbd.ChainDynamics) -> ControlOutput:
     """QP baseline with a minimum-torque regularizer.
 
     By default the regularizer is centered at the gravity torque,
@@ -220,20 +215,14 @@ def solve_qp_mt(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance
     ||tau||^2. The baseline takes no external torque: its task equation
     leaves tau_ext out.
     """
-    cfg = cfg or SolverConfig()
-    if dyn is None:
-        dyn = rbd.compute_dynamics(model, state)
     y = -dyn.nu if cfg.torque_regularizer == "about_gravity" else -(dyn.nu + dyn.g)
     return _solve_qp_baseline(dyn, task, dyn.M, y, QP_MT_WEIGHT)
 
 
 def solve_qp_md(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance,
-                cfg: SolverConfig | None = None,
-                dyn: rbd.ChainDynamics | None = None) -> ControlOutput:
+                cfg: SolverConfig, dyn: rbd.ChainDynamics) -> ControlOutput:
     """QP baseline with a joint-space damping regularizer ||qdd + D qd||^2;
     like QP-MT it takes no external torque."""
-    if dyn is None:
-        dyn = rbd.compute_dynamics(model, state)
     D = QP_MD_DAMPING * np.eye(model.n)
     return _solve_qp_baseline(dyn, task, np.eye(model.n), -(D @ state.qd),
                               QP_MD_WEIGHT)
@@ -332,8 +321,8 @@ def _level_qp(dyn, J_i, a_d, rhs0, N_i, frozen, tau_lo, tau_hi,
 def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
                      tasks: list[TaskInstance],
                      limit_real: LimitRealization,
-                     tau_ext: np.ndarray | None = None, cfg: SolverConfig | None = None,
-                     dyn: rbd.ChainDynamics | None = None) -> ControlOutput:
+                     tau_ext: np.ndarray | None, cfg: SolverConfig,
+                     dyn: rbd.ChainDynamics) -> ControlOutput:
     """Dynamically consistent constrained task hierarchy solve, k >= 1 tasks.
 
     The hierarchy is resolved level by level: each
@@ -350,8 +339,6 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
     decided from the level's limit (``qpcore.sweep``). ``stages`` and
     ``qp_iterations`` count the solves that ran.
     """
-    if dyn is None:
-        dyn = rbd.compute_dynamics(model, state)
     if not tasks:
         raise ValueError("need at least one task")
     if any(a.priority > b.priority for a, b in zip(tasks, tasks[1:])):

@@ -195,9 +195,8 @@ def realize_task(spec: TaskSpec, dyn: rbd.ChainDynamics) -> TaskInstance:
         dxd = -dyn.qd
     else:
         x = dyn.kin.point(tool, spec.point)
-        J6 = rbd.jacobian(model, dyn.q, tool, kin=dyn.kin, x=x)
-        jdq6 = rbd.jacobian_dot_qd(model, dyn.q, dyn.qd, tool, kin=dyn.kin,
-                                   velocity=dyn.velocity, x=x)
+        J6 = rbd.jacobian(model, dyn.kin, tool, x=x)
+        jdq6 = rbd.jacobian_dot_qd(model, dyn, tool, x=x)
         if spec.selector == "tool_pos":
             J, jdq = J6[:3], jdq6[:3]
             xd = J @ dyn.qd

@@ -103,7 +103,7 @@ def rk4_step(model, state, tau, tau_ext, dt: float):
     library integrates semi-implicitly, this fourth-order step checks energy
     conservation."""
     def f(q, qd):
-        return qd, rbd.forward_dynamics(model, q, qd, tau, tau_ext)
+        return qd, rbd.forward_dynamics(model, rbd.Kinematics(model, q), qd, tau, tau_ext)
 
     k1q, k1v = f(state.q, state.qd)
     k2q, k2v = f(state.q + 0.5 * dt * k1q, state.qd + 0.5 * dt * k1v)
@@ -314,13 +314,10 @@ def qp_duals_eager(p, active, duals) -> list[np.ndarray]:
             out[start[3]:start[4]], out[start[4]:]]
 
 
-def dcts_every_trial(model, state, tasks, limit_real=None, tau_ext=None, cfg=None,
-                     dyn=None):
+def dcts_every_trial(model, state, tasks, limit_real, tau_ext, cfg, dyn):
     """``solvers.solve_dcts_multi`` with every bisection trial solved. Its
     outputs are the reference the cascade, which decides most trials from
     the level's feasibility limit, must reproduce byte for byte."""
-    if dyn is None:
-        dyn = rbd.compute_dynamics(model, state)
     n = model.n
     k = len(tasks)
     projectors = solvers._nullspace_stack(tasks, dyn)

@@ -100,8 +100,8 @@ def test_criterion_1_dynamics_oracles(iiwa):
         q = rng.uniform(iiwa.q_min, iiwa.q_max)
         qd = rng.uniform(-1.5, 1.5, 7)
         qdd = rng.uniform(-3, 3, 7)
-        tau = rbd.inverse_dynamics(iiwa, q, qd, qdd)
         dyn = rbd.compute_dynamics(iiwa, rbd.JointState(q, qd))
+        tau = rbd.inverse_dynamics(iiwa, dyn.kin, qd, qdd)
         rebuilt = dyn.M @ qdd + dyn.nu + dyn.g
         assert np.abs(tau - rebuilt).max() < 1e-9
 
@@ -112,20 +112,20 @@ def test_criterion_1_dynamics_oracles(iiwa):
         q = rng.uniform(-2, 2, 2)
         qd = rng.uniform(-2, 2, 2)
         qdd = rng.uniform(-2, 2, 2)
-        assert np.abs(rbd.inverse_dynamics(planar, q, qd, qdd)
+        assert np.abs(rbd.inverse_dynamics(planar, rbd.Kinematics(planar, q), qd, qdd)
                       - oracles.twolink_inverse_dynamics(q, qd, qdd)).max() < 1e-8
 
     # Jacobian vs central differences within 1e-5
     for _ in range(10):
         q = rng.uniform(-1.5, 1.5, 7)
-        J = rbd.jacobian(iiwa, q, iiwa.tool_frame)
+        J = rbd.jacobian(iiwa, rbd.Kinematics(iiwa, q), iiwa.tool_frame)
         Jfd = oracles.jacobian_fd(lambda qq: frame_pose(iiwa, qq, iiwa.tool_frame), q)
         assert np.abs(J - Jfd).max() < 1e-5
 
     # mass matrix SPD over 1e4 random draws
     for _ in range(10_000):
         q = rng.uniform(iiwa.q_min, iiwa.q_max)
-        M = rbd.mass_matrix(iiwa, q)
+        M = rbd.mass_matrix(iiwa, rbd.Kinematics(iiwa, q))
         assert np.abs(M - M.T).max() < 1e-10
         np.linalg.cholesky(M)
 
@@ -133,11 +133,11 @@ def test_criterion_1_dynamics_oracles(iiwa):
     model = rbd.model_from_dict(dict(
         json.loads(rbd.bundled_model_path().read_text()), gravity=[0.0, 0.0, 0.0]))
     state = rbd.JointState(rng.uniform(-1, 1, 7), rng.uniform(-0.5, 0.5, 7))
-    e0 = 0.5 * state.qd @ rbd.mass_matrix(model, state.q) @ state.qd
+    e0 = 0.5 * state.qd @ rbd.mass_matrix(model, rbd.Kinematics(model, state.q)) @ state.qd
     worst = 0.0
     for _ in range(20_000):
         state = oracles.rk4_step(model, state, np.zeros(7), None, 1e-4)
-        e = 0.5 * state.qd @ rbd.mass_matrix(model, state.q) @ state.qd
+        e = 0.5 * state.qd @ rbd.mass_matrix(model, rbd.Kinematics(model, state.q)) @ state.qd
         worst = max(worst, abs(e - e0) / e0)
     assert worst < 1e-3
     report(1, f"dynamics oracles: RNEA/analytic/FD consistent, M SPD on 1e4 draws, "
@@ -199,11 +199,11 @@ def test_criterion_4_energy_figures(rotation_runs):
 
 def _translational_deviation(iiwa, tr, i, f):
     q, qd, qdd = tr.q[i], tr.qd[i], tr.qdd[i]
-    kin = rbd.Kinematics(iiwa, q)
-    J6 = rbd.jacobian(iiwa, q, iiwa.tool_frame, kin=kin)
-    jd6 = rbd.jacobian_dot_qd(iiwa, q, qd, iiwa.tool_frame, kin=kin)
+    dyn = rbd.compute_dynamics(iiwa, rbd.JointState(q, qd))
+    J6 = rbd.jacobian(iiwa, dyn.kin, iiwa.tool_frame)
+    jd6 = rbd.jacobian_dot_qd(iiwa, dyn, iiwa.tool_frame)
     xdd = J6[:3] @ qdd + jd6[:3]
-    newton = (J6[:3] @ np.linalg.solve(rbd.mass_matrix(iiwa, q, kin), J6[:3].T)) @ f
+    newton = (J6[:3] @ np.linalg.solve(dyn.M, J6[:3].T)) @ f
     return float(np.linalg.norm(xdd - newton) / np.linalg.norm(newton))
 
 
@@ -230,10 +230,11 @@ def test_criterion_6_gauss_principle(dcts_rotation_states, iiwa):
     picks = rng.choice(len(rec), size=100, replace=False)
     for idx in picks:
         state, J, tau, nu, g = rec[idx]
-        M = rbd.mass_matrix(iiwa, state.q)
+        dyn = rbd.compute_dynamics(iiwa, state)
+        M = dyn.M
         tau_prime = tau - nu - g
         base = 0.5 * tau_prime @ np.linalg.solve(M, tau_prime)
-        bundle = rbd.task_dynamics(iiwa, state.q, J, epsilon=0.0)
+        bundle = rbd.task_dynamics(J, dyn.minv, epsilon=0.0)
         Z = bundle.N @ rng.normal(size=(7, 1000))
         norms = np.linalg.norm(Z, axis=0)
         scale = 0.1 * max(np.linalg.norm(tau_prime), 1e-6)
@@ -309,7 +310,7 @@ def test_criterion_9_payload_drop(payload_runs, iiwa):
     cos_first = {}
     cos_disp = {}
     for name, tr in payload_runs.items():
-        J0 = rbd.jacobian(iiwa, tr.q[0], iiwa.tool_frame)
+        J0 = rbd.jacobian(iiwa, rbd.Kinematics(iiwa, tr.q[0]), iiwa.tool_frame)
         xdd0 = J0[:3] @ tr.qdd[0]
         cos_first[name] = -xdd0[2] / np.linalg.norm(xdd0)
         x0 = frame_pose(iiwa, tr.q[0], iiwa.tool_frame)[0]
@@ -342,7 +343,7 @@ def test_criterion_10_hierarchy_sweep():
     for scale in scales:
         model = replace(m0, tau_min=m0.tau_min * scale, tau_max=m0.tau_max * scale)
         dyn = rbd.compute_dynamics(model, state)
-        J6 = rbd.jacobian(model, state.q, model.tool_frame, kin=dyn.kin)
+        J6 = rbd.jacobian(model, dyn.kin, model.tool_frame)
         t1 = tasks.TaskInstance(J=J6[:3], jdot_qd=np.zeros(3),
                                 a_d=np.array([8.0, -4.0, 4.0]), priority=1)
         t2 = tasks.TaskInstance(J=np.eye(7), jdot_qd=np.zeros(7),
@@ -350,7 +351,8 @@ def test_criterion_10_hierarchy_sweep():
         ls = limits.joint_space_limits(model, 1e-3, a_min=np.full(7, -1e5),
                                        a_max=np.full(7, 1e5))
         lr = limits.realize_joint_limits(ls, state.q, state.qd)
-        out = solvers.solve_dcts_multi(model, state, [t1, t2], lr, None, dyn=dyn)
+        out = solvers.solve_dcts_multi(model, state, [t1, t2], lr, None,
+                                       solvers.SolverConfig(), dyn)
         if out.status != solvers.OPTIMAL:
             break
         s1_hist.append(out.s[0])

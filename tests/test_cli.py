@@ -253,6 +253,14 @@ MALFORMED = {
                       {"kind": "unmodeled_mass", "start_s": 0.005, "duration_s": 0.01,
                        "mass_kg": 5.0}],
         "events[1]: unmodeled_mass overlaps events[0]"),
+    "payload_mass_beyond_range": (
+        ("events",), [{"kind": "unmodeled_mass", "start_s": 0.0, "duration_s": 0.01,
+                       "mass_kg": 1e300}],
+        "events[0]: mass_kg: must be in (0, 1000] kg"),
+    "payload_offset_beyond_range": (
+        ("events",), [{"kind": "unmodeled_mass", "start_s": 0.0, "duration_s": 0.01,
+                       "mass_kg": 4.1, "com_offset_m": [1e300, 0.0, 0.0]}],
+        "events[0]: com_offset_m: each component must lie within +-10 m"),
     "point_on_rotation_task": (("tasks", 0, "point_m"), [0.0, 0.0, 0.1],
                                "tasks[0]: point: only a tool_pos task has a controlled point"),
     # a control character in an echoed path is written as \xNN
@@ -537,6 +545,21 @@ def test_a_step_that_overflows_the_qp_brakes_instead_of_raising(tmp_path, capsys
     assert cli.run(["--scenario", str(path), "--validate"]) == 0
     assert cli.run(["--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "dcts" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("solver", solvers.SOLVER_NAMES)
+def test_a_payload_at_the_edge_of_its_range_runs_without_a_traceback(solver, tmp_path):
+    """A 1000 kg payload at [10, -10, 10] m, the edge of the ranges
+    --validate accepts, runs 20 ms with every solver and ends in an exit
+    code, 0 or 2 (a braking fallback), not in an exception."""
+    data = json.loads(sim.bundled_scenario_path("payload_drop").read_text())
+    data["duration_s"] = 0.02
+    data["events"][0].update(mass_kg=1000.0, com_offset_m=[10.0, -10.0, 10.0])
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(data))
+    assert cli.run(["--scenario", str(path), "--validate"]) == 0
+    argv = ["--scenario", str(path), "--solver", solver, "--out", str(tmp_path / "o")]
+    assert cli.run(argv) in (0, 2)
 
 
 def test_a_tiny_rotation_axis_is_the_unit_axis(tmp_path, capsys):

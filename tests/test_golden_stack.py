@@ -56,7 +56,8 @@ def stack_cases(model, seed: int = 5):
 
 def stack_outputs(model, seed: int = 5):
     """solve_dcts_multi on N_STATES seeded states, in order."""
-    return [solvers.solve_dcts_multi(model, state, realized, lr, tau_ext, dyn=dyn)
+    return [solvers.solve_dcts_multi(model, state, realized, lr, tau_ext,
+                                     solvers.SolverConfig(), dyn)
             for state, dyn, realized, tau_ext, lr in stack_cases(model, seed)]
 
 

@@ -29,6 +29,7 @@ GOLDEN_SOLVERS = {
     "qp-mt": "f9664ea636126430c1d997739ca95ffe0422308152a956e4099246309f3c9293",
     "qp-md": "13120a4eb212f6b8590c330a1d7e7df30fe0bf6665b058301cb3be8f3a8a3aa7",
 }
+CFG = solvers.SolverConfig()       # a scenario's settings when its file sets none
 
 
 def seeded_cases(model, seed: int = 5):
@@ -81,12 +82,12 @@ def solve(name, model, state, dyn, realized, tau_ext, lset):
     if name == "dcts":
         offset = None if tau_ext is None else dyn.minv(tau_ext)
         lr = limits.realize_joint_limits(lset, state.q, state.qd, offset)
-        return solvers.solve_dcts_multi(model, state, realized, lr, tau_ext, dyn=dyn)
+        return solvers.solve_dcts_multi(model, state, realized, lr, tau_ext, CFG, dyn)
     if name == "osc":
         lr = limits.realize_joint_limits(lset, state.q, state.qd)
-        return solvers.solve_osc_saturated(model, state, realized[0], lr, tau_ext, dyn=dyn)
+        return solvers.solve_osc_saturated(model, state, realized[0], lr, tau_ext, CFG, dyn)
     solve_qp = solvers.solve_qp_mt if name == "qp-mt" else solvers.solve_qp_md
-    return solve_qp(model, state, realized[0], dyn=dyn)
+    return solve_qp(model, state, realized[0], CFG, dyn)
 
 
 def golden_hashes(model) -> tuple[str, dict[str, str]]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -63,13 +64,13 @@ def test_fk_rejects_bad_frame(iiwa):
 
 
 def test_jacobian_single_link(planar1):
-    J = rbd.jacobian(planar1, np.zeros(1), planar1.tool_frame)
+    J = rbd.jacobian(planar1, rbd.Kinematics(planar1, np.zeros(1)), planar1.tool_frame)
     np.testing.assert_allclose(J[:3, 0], [0.0, 1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(J[3:, 0], [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_jacobian_two_link_stretched_x_row(planar2):
-    J = rbd.jacobian(planar2, np.zeros(2), planar2.tool_frame)
+    J = rbd.jacobian(planar2, rbd.Kinematics(planar2, np.zeros(2)), planar2.tool_frame)
     np.testing.assert_allclose(J[0], 0.0, atol=1e-12)
 
 
@@ -77,7 +78,7 @@ def test_jacobian_matches_finite_differences(iiwa):
     rng = np.random.default_rng(7)
     for _ in range(5):
         q, _ = rand_state(iiwa, rng)
-        J = rbd.jacobian(iiwa, q, iiwa.tool_frame)
+        J = rbd.jacobian(iiwa, rbd.Kinematics(iiwa, q), iiwa.tool_frame)
         Jfd = oracles.jacobian_fd(lambda qq: frame_pose(iiwa, qq, iiwa.tool_frame), q)
         assert np.abs(J - Jfd).max() < 1e-5
 
@@ -85,7 +86,7 @@ def test_jacobian_matches_finite_differences(iiwa):
 def test_jacobian_point_offset(iiwa):
     q = Q_STAR
     point = np.array([0.0, 0.0, 0.1])
-    J = rbd.jacobian(iiwa, q, iiwa.tool_frame, point=point)
+    J = rbd.jacobian(iiwa, rbd.Kinematics(iiwa, q), iiwa.tool_frame, point=point)
     T = rbd.link_transforms(iiwa, q)[iiwa.tool_frame]
 
     def fk(qq):
@@ -97,13 +98,14 @@ def test_jacobian_point_offset(iiwa):
 
 
 def test_jacobian_dot_qd_zero_velocity(iiwa):
-    out = rbd.jacobian_dot_qd(iiwa, Q_STAR, np.zeros(7), iiwa.tool_frame)
+    out = rbd.jacobian_dot_qd(iiwa, dynamics_at(iiwa, Q_STAR), iiwa.tool_frame)
     np.testing.assert_allclose(out, 0.0, atol=1e-14)
 
 
 def test_jacobian_dot_qd_centripetal(planar1):
     omega = 2.0
-    out = rbd.jacobian_dot_qd(planar1, np.zeros(1), np.array([omega]), planar1.tool_frame)
+    dyn = dynamics_at(planar1, np.zeros(1), np.array([omega]))
+    out = rbd.jacobian_dot_qd(planar1, dyn, planar1.tool_frame)
     np.testing.assert_allclose(out[:3], [-omega**2, 0.0, 0.0], atol=1e-12)
 
 
@@ -111,10 +113,10 @@ def test_jacobian_dot_qd_matches_finite_differences(iiwa):
     rng = np.random.default_rng(11)
     for _ in range(5):
         q, qd = rand_state(iiwa, rng)
-        out = rbd.jacobian_dot_qd(iiwa, q, qd, iiwa.tool_frame)
+        out = rbd.jacobian_dot_qd(iiwa, dynamics_at(iiwa, q, qd), iiwa.tool_frame)
         h = 1e-7
-        Jp = rbd.jacobian(iiwa, q + qd * h, iiwa.tool_frame)
-        Jm = rbd.jacobian(iiwa, q - qd * h, iiwa.tool_frame)
+        Jp = rbd.jacobian(iiwa, rbd.Kinematics(iiwa, q + qd * h), iiwa.tool_frame)
+        Jm = rbd.jacobian(iiwa, rbd.Kinematics(iiwa, q - qd * h), iiwa.tool_frame)
         fd = (Jp - Jm) / (2 * h) @ qd
         assert np.abs(out - fd).max() < 1e-4
 
@@ -124,17 +126,17 @@ def test_jacobian_dot_qd_matches_finite_differences(iiwa):
 
 
 def test_mass_matrix_point_mass(planar1):
-    M = rbd.mass_matrix(planar1, np.zeros(1))
+    M = rbd.mass_matrix(planar1, rbd.Kinematics(planar1, np.zeros(1)))
     np.testing.assert_allclose(M, [[1.0]], atol=1e-9)
 
 
 def test_mass_matrix_two_link_analytic(planar2):
     q = np.array([0.3, 0.0])
-    M = rbd.mass_matrix(planar2, q)
+    M = rbd.mass_matrix(planar2, rbd.Kinematics(planar2, q))
     np.testing.assert_allclose(M, [[5.0, 2.0], [2.0, 1.0]], atol=1e-8)
     q = np.array([0.4, 1.1])
-    np.testing.assert_allclose(rbd.mass_matrix(planar2, q), oracles.twolink_mass(q),
-                               atol=1e-8)
+    np.testing.assert_allclose(rbd.mass_matrix(planar2, rbd.Kinematics(planar2, q)),
+                               oracles.twolink_mass(q), atol=1e-8)
 
 
 def test_mass_matrix_equals_rnea_columns(iiwa_dict):
@@ -142,13 +144,14 @@ def test_mass_matrix_equals_rnea_columns(iiwa_dict):
     model = rbd.model_from_dict(grav_free)
     rng = np.random.default_rng(2)
     q = rng.uniform(-1.5, 1.5, 7)
-    M = rbd.mass_matrix(model, q)
+    kin = rbd.Kinematics(model, q)
+    M = rbd.mass_matrix(model, kin)
     zero = np.zeros(7)
     for j in range(7):
         e = np.zeros(7)
         e[j] = 1.0
         np.testing.assert_allclose(M[:, j],
-                                   rbd.inverse_dynamics(model, q, zero, e), atol=1e-9)
+                                   rbd.inverse_dynamics(model, kin, zero, e), atol=1e-9)
 
 
 def test_mass_matrix_equals_the_sum_over_link_com_jacobians(iiwa):
@@ -158,15 +161,16 @@ def test_mass_matrix_equals_the_sum_over_link_com_jacobians(iiwa):
     does not share how ``mass_matrix`` contracts its sums."""
     rng = np.random.default_rng(4)
     q = rng.uniform(-2.0, 2.0, (3, 7))
-    batched = rbd.mass_matrix(iiwa, q)
+    batched = rbd.mass_matrix(iiwa, rbd.Kinematics(iiwa, q))
     for b in range(len(q)):
-        T = rbd.link_transforms(iiwa, q[b])
+        kin = rbd.Kinematics(iiwa, q[b])
+        T = kin.transforms
         M = np.diag(iiwa.armature)
         for i in range(iiwa.n):
-            J = rbd.jacobian(iiwa, q[b], i, point=iiwa.coms[i])
+            J = rbd.jacobian(iiwa, kin, i, point=iiwa.coms[i])
             Iw = T[i, :3, :3] @ iiwa.inertias[i] @ T[i, :3, :3].T
             M = M + iiwa.masses[i] * J[:3].T @ J[:3] + J[3:].T @ Iw @ J[3:]
-        for got in (rbd.mass_matrix(iiwa, q[b]), batched[b]):
+        for got in (rbd.mass_matrix(iiwa, kin), batched[b]):
             assert np.abs(got - M).max() <= 1e-12 * np.abs(M).max()
 
 
@@ -196,8 +200,9 @@ def test_pendulum_gravity_torque(pendulum):
 
 def test_inverse_dynamics_static_is_gravity(iiwa):
     zero = np.zeros(7)
-    np.testing.assert_allclose(rbd.inverse_dynamics(iiwa, Q_STAR, zero, zero),
-                               dynamics_at(iiwa, Q_STAR).g, atol=1e-10)
+    dyn = dynamics_at(iiwa, Q_STAR)
+    np.testing.assert_allclose(rbd.inverse_dynamics(iiwa, dyn.kin, zero, zero), dyn.g,
+                               atol=1e-10)
 
 
 def test_inverse_dynamics_identity(iiwa):
@@ -205,8 +210,8 @@ def test_inverse_dynamics_identity(iiwa):
     for _ in range(10):
         q, qd = rand_state(iiwa, rng)
         qdd = rng.uniform(-2, 2, 7)
-        tau = rbd.inverse_dynamics(iiwa, q, qd, qdd)
         dyn = dynamics_at(iiwa, q, qd)
+        tau = rbd.inverse_dynamics(iiwa, dyn.kin, qd, qdd)
         rebuilt = dyn.M @ qdd + dyn.nu + dyn.g
         assert np.abs(tau - rebuilt).max() < 1e-9
 
@@ -217,7 +222,7 @@ def test_inverse_dynamics_two_link_lagrangian(planar2):
         q = rng.uniform(-1, 1, 2)
         qd = rng.uniform(-1, 1, 2)
         qdd = rng.uniform(-1, 1, 2)
-        ours = rbd.inverse_dynamics(planar2, q, qd, qdd)
+        ours = rbd.inverse_dynamics(planar2, rbd.Kinematics(planar2, q), qd, qdd)
         assert np.abs(ours - oracles.twolink_inverse_dynamics(q, qd, qdd)).max() < 1e-8
 
 
@@ -233,7 +238,7 @@ def test_compute_dynamics_rows_equal_separate_passes(iiwa):
         for row, qd_row, gravity in ((dyn.nu, qd, np.zeros(3)), (dyn.g, zero, iiwa.gravity),
                                      (dyn.nu_g, qd, iiwa.gravity)):
             assert row.tobytes() == rbd._rnea(iiwa, kin, qd_row, zero, gravity).tobytes()
-        assert dyn.nu_g.tobytes() == rbd.bias_and_gravity(iiwa, q, qd, kin).tobytes()
+        assert dyn.nu_g.tobytes() == rbd.bias_and_gravity(iiwa, kin, qd).tobytes()
 
 
 _states = st.floats(-3.0, 3.0, allow_subnormal=False)
@@ -242,17 +247,21 @@ _states = st.floats(-3.0, 3.0, allow_subnormal=False)
 @given(st.data(), st.booleans())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_drift_from_the_dynamics_pass_equals_its_own_pass(iiwa, data, at_rest):
-    """Every frame's drift read from compute_dynamics' velocity pass equals
-    the drift from jacobian_dot_qd's own pass byte for byte, at rest too."""
+    """Every frame's drift read from compute_dynamics' velocity pass, one
+    row of its pass over three, equals the drift read from a velocity pass
+    of its own at a base at rest byte for byte, at rest too."""
     q = data.draw(arrays(float, 7, elements=_states))
     qd = np.zeros(7) if at_rest else data.draw(arrays(float, 7, elements=_states))
     point = data.draw(arrays(float, 3, elements=st.floats(-0.2, 0.2)))
     dyn = dynamics_at(iiwa, q, qd)
+    # a base acceleration of -0.0 adds nothing, signed zeros included
+    velocity = rbd._velocity_recursion(dyn.kin, qd, np.zeros(7), -np.zeros(3))[:3]
+    own = dataclasses.replace(dyn, velocity=velocity)
     for frame in range(iiwa.n + 1):
         for p in (None, point):
-            own = rbd.jacobian_dot_qd(iiwa, q, qd, frame, p)
-            shared = rbd.jacobian_dot_qd(iiwa, q, qd, frame, p, dyn.kin, dyn.velocity)
-            assert shared.tobytes() == own.tobytes(), (frame, p)
+            want = rbd.jacobian_dot_qd(iiwa, own, frame, p)
+            shared = rbd.jacobian_dot_qd(iiwa, dyn, frame, p)
+            assert shared.tobytes() == want.tobytes(), (frame, p)
 
 
 @given(st.data(), st.integers(1, 4), st.booleans())
@@ -268,13 +277,11 @@ def test_batched_rows_equal_unbatched_calls(iiwa, data, B, payload):
     point = data.draw(arrays(float, 3, elements=st.floats(-0.2, 0.2)))
     kin = rbd.Kinematics(model, q)
     batched = {
-        "mass_matrix": rbd.mass_matrix(model, q, kin),
-        "bias_and_gravity": rbd.bias_and_gravity(model, q, qd, kin),
-        "forward_dynamics": rbd.forward_dynamics(model, q, qd, tau, tau_ext, kin),
-        "jacobian": rbd.jacobian(model, q, model.tool_frame, point, kin),
-        "jacobian_link_3": rbd.jacobian(model, q, 3, kin=kin),
-        "jacobian_dot_qd": rbd.jacobian_dot_qd(model, q, qd, model.tool_frame, point, kin),
-        "jacobian_dot_qd_link_0": rbd.jacobian_dot_qd(model, q, qd, 0, kin=kin),
+        "mass_matrix": rbd.mass_matrix(model, kin),
+        "bias_and_gravity": rbd.bias_and_gravity(model, kin, qd),
+        "forward_dynamics": rbd.forward_dynamics(model, kin, qd, tau, tau_ext),
+        "jacobian": rbd.jacobian(model, kin, model.tool_frame, point),
+        "jacobian_link_3": rbd.jacobian(model, kin, 3),
     }
     shared = rbd.Kinematics(iiwa, q).with_inertia(model)
     for b in range(B):
@@ -283,14 +290,11 @@ def test_batched_rows_equal_unbatched_calls(iiwa, data, B, payload):
             assert getattr(kin, name)[b].tobytes() == getattr(one, name).tobytes(), name
             assert getattr(shared, name)[b].tobytes() == getattr(one, name).tobytes(), name
         single = {
-            "mass_matrix": rbd.mass_matrix(model, q[b], one),
-            "bias_and_gravity": rbd.bias_and_gravity(model, q[b], qd[b], one),
-            "forward_dynamics": rbd.forward_dynamics(model, q[b], qd[b], tau[b], tau_ext[b]),
-            "jacobian": rbd.jacobian(model, q[b], model.tool_frame, point, one),
-            "jacobian_link_3": rbd.jacobian(model, q[b], 3, kin=one),
-            "jacobian_dot_qd": rbd.jacobian_dot_qd(model, q[b], qd[b], model.tool_frame,
-                                                   point, one),
-            "jacobian_dot_qd_link_0": rbd.jacobian_dot_qd(model, q[b], qd[b], 0, kin=one),
+            "mass_matrix": rbd.mass_matrix(model, one),
+            "bias_and_gravity": rbd.bias_and_gravity(model, one, qd[b]),
+            "forward_dynamics": rbd.forward_dynamics(model, one, qd[b], tau[b], tau_ext[b]),
+            "jacobian": rbd.jacobian(model, one, model.tool_frame, point),
+            "jacobian_link_3": rbd.jacobian(model, one, 3),
         }
         for name, value in single.items():
             assert batched[name][b].tobytes() == value.tobytes(), name
@@ -320,7 +324,8 @@ def test_batched_spd_calls_raise_as_unbatched(iiwa, bad):
     """A batch whose second row is non-finite or not positive definite
     raises the error of the unbatched call on that row: ValueError for a
     non-finite entry, LinAlgError naming the leading minor otherwise."""
-    M = rbd.mass_matrix(iiwa, np.stack([Q_STAR, Q_STAR + 0.1, Q_STAR - 0.1]))
+    kin = rbd.Kinematics(iiwa, np.stack([Q_STAR, Q_STAR + 0.1, Q_STAR - 0.1]))
+    M = rbd.mass_matrix(iiwa, kin)
     rhs = np.ones((3, iiwa.n))
     if bad == "indefinite":
         M[1, 3, 3] = -1.0
@@ -385,7 +390,7 @@ def test_lambda_factor_damps_when_eigvalsh_fails(iiwa, monkeypatch):
     helper's eigenvalues read NaN; lambda_factor then damps, as it did on
     the raise."""
     dyn = rbd.compute_dynamics(iiwa, rbd.JointState(Q_STAR, np.zeros(7)))
-    J = rbd.jacobian(iiwa, Q_STAR, iiwa.tool_frame, kin=dyn.kin)[:3]
+    J = rbd.jacobian(iiwa, dyn.kin, iiwa.tool_frame)[:3]
     assert not rbd.lambda_factor(J, dyn.minv)[2]
     monkeypatch.setattr(rbd, "eigvalsh", lambda A: np.full(len(A), np.nan))
     factor, Minv_Jt, damped = rbd.lambda_factor(J, dyn.minv)
@@ -403,7 +408,7 @@ def test_task_dynamics_square_full_rank(iiwa):
     rng = np.random.default_rng(9)
     q = rng.uniform(-1, 1, 7)
     J = rng.normal(size=(7, 7))
-    bundle = rbd.task_dynamics(iiwa, q, J, epsilon=0.0)
+    bundle = rbd.task_dynamics(J, dynamics_at(iiwa, q).minv, epsilon=0.0)
     np.testing.assert_allclose(bundle.Jbar, np.linalg.inv(J), atol=1e-8)
     np.testing.assert_allclose(bundle.N, 0.0, atol=1e-8)
 
@@ -412,7 +417,7 @@ def test_task_dynamics_right_inverse(iiwa):
     rng = np.random.default_rng(10)
     q = rng.uniform(-1, 1, 7)
     J = rng.normal(size=(3, 7))
-    bundle = rbd.task_dynamics(iiwa, q, J, epsilon=0.0)
+    bundle = rbd.task_dynamics(J, dynamics_at(iiwa, q).minv, epsilon=0.0)
     np.testing.assert_allclose(J @ bundle.Jbar, np.eye(3), atol=1e-8)
 
 
@@ -422,7 +427,7 @@ def test_task_dynamics_rank_deficient_bounded(iiwa):
     row = rng.normal(size=(1, 7))
     J = np.vstack([row, row])          # duplicate rows: rank 1
     eps = 1e-6
-    bundle = rbd.task_dynamics(iiwa, q, J, epsilon=eps)
+    bundle = rbd.task_dynamics(J, dynamics_at(iiwa, q).minv, epsilon=eps)
     assert np.all(np.isfinite(bundle.Lambda))
     assert np.abs(bundle.Lambda).max() <= 1.0 / eps + 1e-6
 
@@ -431,12 +436,13 @@ def test_task_dynamics_projector_properties(iiwa):
     rng = np.random.default_rng(13)
     for _ in range(5):
         q = rng.uniform(-1.5, 1.5, 7)
-        J = rbd.jacobian(iiwa, q, iiwa.tool_frame)[:3]
-        bundle = rbd.task_dynamics(iiwa, q, J, epsilon=0.0)
+        dyn = dynamics_at(iiwa, q)
+        J = rbd.jacobian(iiwa, dyn.kin, iiwa.tool_frame)[:3]
+        bundle = rbd.task_dynamics(J, dyn.minv, epsilon=0.0)
         # idempotent
         assert np.abs(bundle.N @ bundle.N - bundle.N).max() < 1e-8
         # null-space torques produce zero task acceleration
-        M = rbd.mass_matrix(iiwa, q)
+        M = dyn.M
         for _ in range(5):
             tau = rng.normal(size=7) * 30
             acc = J @ np.linalg.solve(M, bundle.N @ tau)
@@ -444,10 +450,11 @@ def test_task_dynamics_projector_properties(iiwa):
 
 
 def test_task_dynamics_rejects_bad_inputs(iiwa):
+    minv = dynamics_at(iiwa, np.zeros(7)).minv
     with pytest.raises(ValueError):
-        rbd.task_dynamics(iiwa, np.zeros(7), np.zeros((8, 7)))
+        rbd.task_dynamics(np.zeros((8, 7)), minv)
     with pytest.raises(ValueError):
-        rbd.task_dynamics(iiwa, np.zeros(7), np.full((2, 7), np.nan))
+        rbd.task_dynamics(np.full((2, 7), np.nan), minv)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +465,7 @@ def test_mass_matrix_spd_random_draws(iiwa):
     rng = np.random.default_rng(42)
     for _ in range(300):
         q = rng.uniform(iiwa.q_min, iiwa.q_max)
-        M = rbd.mass_matrix(iiwa, q)
+        M = rbd.mass_matrix(iiwa, rbd.Kinematics(iiwa, q))
         assert np.abs(M - M.T).max() < 1e-10
         np.linalg.cholesky(M)
 
@@ -469,10 +476,10 @@ def test_passivity_short(iiwa_dict):
     rng = np.random.default_rng(21)
     state = rbd.JointState(rng.uniform(-1, 1, 7), rng.uniform(-0.5, 0.5, 7))
     zero = np.zeros(7)
-    e0 = 0.5 * state.qd @ rbd.mass_matrix(model, state.q) @ state.qd
+    e0 = 0.5 * state.qd @ rbd.mass_matrix(model, rbd.Kinematics(model, state.q)) @ state.qd
     for _ in range(2000):
         state = oracles.rk4_step(model, state, zero, None, 1e-4)
-    e1 = 0.5 * state.qd @ rbd.mass_matrix(model, state.q) @ state.qd
+    e1 = 0.5 * state.qd @ rbd.mass_matrix(model, rbd.Kinematics(model, state.q)) @ state.qd
     assert abs(e1 - e0) / e0 < 1e-3
 
 
@@ -481,7 +488,7 @@ def test_passivity_short(iiwa_dict):
 def test_planar_fk_jacobian_consistency(q1, q2):
     model = rbd.model_from_dict(planar_dict(2))
     q = np.array([q1, q2])
-    J = rbd.jacobian(model, q, model.tool_frame)
+    J = rbd.jacobian(model, rbd.Kinematics(model, q), model.tool_frame)
 
     def fk(qq):
         return frame_pose(model, qq, model.tool_frame)

@@ -26,7 +26,7 @@ def short_scenario(name="rotation_hold", duration=0.2):
 def test_step_holds_equilibrium(iiwa):
     state = rbd.JointState(Q_STAR, np.zeros(7))
     tau = rbd.compute_dynamics(iiwa, state).g
-    out, qdd = sim.step(iiwa, state, tau, None, 1e-4)
+    out, qdd = sim.step(iiwa, state, tau, None, 1e-4, rbd.Kinematics(iiwa, state.q))
     np.testing.assert_allclose(qdd, 0.0, atol=1e-8)
     np.testing.assert_allclose(out.q, state.q, atol=1e-12)
     np.testing.assert_allclose(out.qd, 0.0, atol=1e-12)
@@ -35,7 +35,7 @@ def test_step_holds_equilibrium(iiwa):
 def test_step_rejects_bad_dt(iiwa):
     state = rbd.JointState(Q_STAR, np.zeros(7))
     with pytest.raises(ValueError):
-        sim.step(iiwa, state, np.zeros(7), None, 0.0)
+        sim.step(iiwa, state, np.zeros(7), None, 0.0, rbd.Kinematics(iiwa, state.q))
 
 
 def test_pendulum_energy_drift(pendulum):
@@ -49,7 +49,8 @@ def test_pendulum_energy_drift(pendulum):
     e0 = energy(state)
     drift = 0.0
     for _ in range(10000):
-        state, _ = sim.step(pendulum, state, np.zeros(1), None, 1e-4)
+        kin = rbd.Kinematics(pendulum, state.q)
+        state, _ = sim.step(pendulum, state, np.zeros(1), None, 1e-4, kin)
         drift = max(drift, abs(energy(state) - e0))
     # energy scale of the swing is m g l = 9.81 J
     assert drift / 9.81 < 0.005
@@ -60,7 +61,8 @@ def test_step_first_order_convergence(pendulum):
     def final_q(dt, t_end=0.5):
         state = rbd.JointState(np.zeros(1), np.zeros(1))
         for _ in range(int(round(t_end / dt))):
-            state, _ = sim.step(pendulum, state, np.zeros(1), None, dt)
+            kin = rbd.Kinematics(pendulum, state.q)
+            state, _ = sim.step(pendulum, state, np.zeros(1), None, dt, kin)
         return state.q[0]
 
     ref = final_q(1e-5)
@@ -74,20 +76,28 @@ def test_step_first_order_convergence(pendulum):
 # events
 
 
+def measured(sc, t, state):
+    """``sim.apply_events`` at ``state`` from rest (no last acceleration),
+    given the kinematics of the nominal and the plant model as a tick does."""
+    kin = rbd.Kinematics(sc.model, state.q)
+    plant_kin = rbd.Kinematics(sc.plant_model(t), state.q)
+    return sim.apply_events(sc, t, sc.model, state, np.zeros(sc.model.n), kin, plant_kin)
+
+
 def test_apply_events_none_active():
     sc = short_scenario()
     state = rbd.JointState(sc.q0, np.zeros(7))
-    np.testing.assert_allclose(sim.apply_events(sc, 0.0, sc.model, state), 0.0)
+    np.testing.assert_allclose(measured(sc, 0.0, state), 0.0)
 
 
 def test_cartesian_force_maps_through_jacobian():
     sc = short_scenario("push_recovery")
     model = sc.model
     state = rbd.JointState(sc.q0, np.zeros(7))
-    tau = sim.apply_events(sc, 0.2, model, state)     # push active in [0.1, 0.5)
-    J = rbd.jacobian(model, state.q, model.tool_frame)
+    tau = measured(sc, 0.2, state)     # push active in [0.1, 0.5)
+    J = rbd.jacobian(model, rbd.Kinematics(model, state.q), model.tool_frame)
     np.testing.assert_allclose(tau, J[:3].T @ np.array([10.0, 0.0, 0.0]), atol=1e-12)
-    np.testing.assert_allclose(sim.apply_events(sc, 0.6, model, state), 0.0)
+    np.testing.assert_allclose(measured(sc, 0.6, state), 0.0)
 
 
 def test_joint_torque_profile_trapezoid():
@@ -106,12 +116,13 @@ def test_unmodeled_mass_gravity_difference(iiwa):
     model = sc.model
     state = rbd.JointState(sc.q0, np.zeros(7))
     plant = sc.plant_model(0.0)
-    tau = sim.apply_events(sc, 0.0, model, state)
+    tau = measured(sc, 0.0, state)
     g_diff = rbd.compute_dynamics(model, state).g - rbd.compute_dynamics(plant, state).g
     np.testing.assert_allclose(tau, g_diff, atol=1e-10)
     # and it is the payload wrench mapped through the point Jacobian
     ev = sc.events[0]
-    J = rbd.jacobian(plant, state.q, plant.tool_frame, point=ev.com_offset)
+    J = rbd.jacobian(plant, rbd.Kinematics(plant, state.q), plant.tool_frame,
+                     point=ev.com_offset)
     np.testing.assert_allclose(g_diff, J[:3].T @ (ev.mass * model.gravity), atol=1e-9)
 
 
@@ -133,9 +144,9 @@ def test_augment_with_point_mass_parallel_axis(iiwa):
 
 def test_energy_metrics_at_rest(iiwa):
     state = rbd.JointState(Q_STAR, np.zeros(7))
-    g = rbd.compute_dynamics(iiwa, state).g
+    dyn = rbd.compute_dynamics(iiwa, state)
     e_acc, e_tot, e_task, e_null = sim.energy_metrics(
-        iiwa, state, g, J=rbd.jacobian(iiwa, Q_STAR, iiwa.tool_frame)[:3])
+        dyn, dyn.g, rbd.jacobian(iiwa, dyn.kin, iiwa.tool_frame)[:3])
     assert e_acc == pytest.approx(0.0, abs=1e-12)
     assert e_tot == e_task == e_null == 0.0
 
@@ -143,14 +154,13 @@ def test_energy_metrics_at_rest(iiwa):
 def test_energy_metrics_null_velocity_invisible(iiwa):
     rng = np.random.default_rng(2)
     q = rng.uniform(-1, 1, 7)
-    J = rbd.jacobian(iiwa, q, iiwa.tool_frame)[:3]
-    bundle = rbd.task_dynamics(iiwa, q, J, epsilon=0.0)
-    M = rbd.mass_matrix(iiwa, q)
+    rest = rbd.compute_dynamics(iiwa, rbd.JointState(q, np.zeros(7)))
+    J = rbd.jacobian(iiwa, rest.kin, iiwa.tool_frame)[:3]
+    bundle = rbd.task_dynamics(J, rest.minv, epsilon=0.0)
     # velocity produced by a null-space torque impulse from rest: J qd = 0
-    qd = np.linalg.solve(M, bundle.N @ rng.normal(size=7))
-    state = rbd.JointState(q, qd)
-    g = rbd.compute_dynamics(iiwa, state).g
-    _, e_tot, e_task, e_null = sim.energy_metrics(iiwa, state, g, J=J)
+    qd = np.linalg.solve(rest.M, bundle.N @ rng.normal(size=7))
+    dyn = rbd.compute_dynamics(iiwa, rbd.JointState(q, qd))
+    _, e_tot, e_task, e_null = sim.energy_metrics(dyn, dyn.g, J)
     assert e_task < 1e-10
     assert e_null == pytest.approx(e_tot, rel=1e-9)
 
@@ -308,6 +318,27 @@ def test_one_kinematics_per_plant_substep(monkeypatch):
         for tr in traces:
             assert not tr.tau_ext[:10].any()
             assert tr.tau_ext[10:].any(axis=1).all() == bool(sc.events)
+
+
+@pytest.mark.parametrize("payload", [True, False])
+def test_link_transforms_calls_per_tick(monkeypatch, payload):
+    """The per-tick kinematics cost of a two-solver lockstep run:
+    ``rbd.link_transforms`` runs once per solver at its tick's state, whose
+    Kinematics the first plant substep reuses, and once per later substep
+    for both solvers' plants in one batch; an active payload adds none."""
+    sc = short_scenario("payload_drop", duration=0.01)
+    if not payload:
+        sc.events = []
+    calls = []
+    transforms = rbd.link_transforms
+    monkeypatch.setattr(rbd, "link_transforms",
+                        lambda model, q: calls.append(q.shape) or transforms(model, q))
+    names = ["osc", "dcts"]
+    [trace, _] = sim.run_scenario(sc, names)
+    ticks = len(trace.t)
+    substeps = round(sc.control_dt / sc.integrator_dt)
+    assert all((sc.plant_model(t) is not sc.model) == payload for t in trace.t)
+    assert len(calls) == len(names) * ticks + (substeps - 1) * ticks
 
 
 def test_unknown_solver_rejected():

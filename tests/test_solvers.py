@@ -16,10 +16,12 @@ import oracles
 from conftest import Q_STAR
 from test_golden_stack import ACC_LIMIT, N_STATES, Q_NOMINAL, stack_cases, stack_outputs
 
+CFG = solvers.SolverConfig()
+
 
 def rotation_task(model, dyn, a_d=(2.0, -1.0)):
-    J6 = rbd.jacobian(model, dyn.q, model.tool_frame, kin=dyn.kin)
-    jd6 = rbd.jacobian_dot_qd(model, dyn.q, dyn.qd, model.tool_frame, kin=dyn.kin)
+    J6 = rbd.jacobian(model, dyn.kin, model.tool_frame)
+    jd6 = rbd.jacobian_dot_qd(model, dyn, model.tool_frame)
     return tasks.TaskInstance(J=J6[3:5], jdot_qd=jd6[3:5],
                               a_d=np.asarray(a_d, float), priority=1)
 
@@ -46,7 +48,7 @@ def test_osc_pure_gravity_compensation(iiwa):
     state = rbd.JointState(Q_STAR, np.zeros(7))
     dyn = rbd.compute_dynamics(iiwa, state)
     task = rotation_task(iiwa, dyn, a_d=(0.0, 0.0))
-    out = solvers.solve_osc(iiwa, state, task, None, dyn=dyn)
+    out = solvers.solve_osc(iiwa, state, task, None, CFG, dyn)
     np.testing.assert_allclose(out.tau, dyn.g, atol=1e-9)
 
 
@@ -55,7 +57,7 @@ def test_osc_achieves_task_exactly(scene):
     rng = np.random.default_rng(3)
     task = rotation_task(model, dyn)
     tau_ext = rng.normal(0, 3, 7)
-    out = solvers.solve_osc(model, state, task, tau_ext, dyn=dyn)
+    out = solvers.solve_osc(model, state, task, tau_ext, CFG, dyn)
     resid = task.J @ dyn.minv(out.tau - dyn.nu - dyn.g + tau_ext) \
         - (task.a_d - task.jdot_qd)
     assert np.abs(resid).max() < 1e-9
@@ -65,10 +67,10 @@ def test_osc_gauss_principle_optimality(scene):
     """No task-consistent torque perturbation lowers the acceleration energy."""
     model, state, dyn = scene
     task = rotation_task(model, dyn)
-    out = solvers.solve_osc(model, state, task, None, dyn=dyn)
+    out = solvers.solve_osc(model, state, task, None, CFG, dyn)
     tau_prime = out.tau - dyn.nu - dyn.g
     base = 0.5 * tau_prime @ dyn.minv(tau_prime)
-    bundle = rbd.task_dynamics(model, state.q, task.J, epsilon=0.0, minv=dyn.minv)
+    bundle = rbd.task_dynamics(task.J, dyn.minv, epsilon=0.0)
     rng = np.random.default_rng(4)
     scale = 0.1 * np.linalg.norm(tau_prime)
     for _ in range(1000):
@@ -91,7 +93,7 @@ def test_osc_degraded_at_singular_rotation_rows(iiwa):
     task = rotation_task(iiwa, dyn)
     np.testing.assert_allclose(task.J[0], 0.0, atol=1e-12)
     assert rbd.lambda_factor(task.J, dyn.minv)[2]
-    out = solvers.solve_osc(iiwa, state, task, None, dyn=dyn)
+    out = solvers.solve_osc(iiwa, state, task, None, CFG, dyn)
     assert out.status == solvers.DEGRADED
     assert np.isfinite(out.tau).all()
     nominal = rbd.compute_dynamics(iiwa, rbd.JointState(Q_NOMINAL, np.zeros(7)))
@@ -102,8 +104,8 @@ def test_osc_saturated_inert_when_limits_loose(scene):
     model, state, dyn = scene
     task = rotation_task(model, dyn)
     lr = limits.realize_joint_limits(wide_limits(model), state.q, state.qd)
-    out_plain = solvers.solve_osc(model, state, task, None, dyn=dyn)
-    out_sat = solvers.solve_osc_saturated(model, state, task, lr, None, dyn=dyn)
+    out_plain = solvers.solve_osc(model, state, task, None, CFG, dyn)
+    out_sat = solvers.solve_osc_saturated(model, state, task, lr, None, CFG, dyn)
     assert out_sat.tau.tobytes() == out_plain.tau.tobytes()
     assert not out_sat.diagnostics["saturated"].any()
 
@@ -117,9 +119,9 @@ def test_osc_saturated_pins_violating_joint(scene):
                                    a_max=np.full(7, 3.0))
     lr = limits.realize_joint_limits(ls, state.q, state.qd)
     lo, hi = lr.bounds.acc_min, lr.bounds.acc_max
-    plain = solvers.solve_osc(model, state, task, None, dyn=dyn)
+    plain = solvers.solve_osc(model, state, task, None, CFG, dyn)
     assert np.any(plain.qdd > hi + 1e-6) or np.any(plain.qdd < lo - 1e-6)
-    out = solvers.solve_osc_saturated(model, state, task, lr, None, dyn=dyn)
+    out = solvers.solve_osc_saturated(model, state, task, lr, None, CFG, dyn)
     qdd = dyn.minv(out.tau - dyn.nu - dyn.g)
     assert np.all(qdd <= hi + 1e-6)
     assert np.all(qdd >= lo - 1e-6)
@@ -133,7 +135,7 @@ def test_qp_mt_static_equilibrium(iiwa):
     state = rbd.JointState(Q_STAR, np.zeros(7))
     dyn = rbd.compute_dynamics(iiwa, state)
     task = rotation_task(iiwa, dyn, a_d=(0.0, 0.0))
-    out = solvers.solve_qp_mt(iiwa, state, task, dyn=dyn)
+    out = solvers.solve_qp_mt(iiwa, state, task, CFG, dyn)
     assert out.status == solvers.OPTIMAL
     np.testing.assert_allclose(out.tau, dyn.g, atol=1e-6)
 
@@ -142,7 +144,7 @@ def test_qp_mt_small_regularizer_tracks_task(scene, monkeypatch):
     model, state, dyn = scene
     task = rotation_task(model, dyn)
     monkeypatch.setattr(solvers, "QP_MT_WEIGHT", 1e-9)
-    out = solvers.solve_qp_mt(model, state, task, dyn=dyn)
+    out = solvers.solve_qp_mt(model, state, task, CFG, dyn)
     err = task.J @ out.qdd - (task.a_d - task.jdot_qd)
     assert np.linalg.norm(err) < 1e-4
 
@@ -151,7 +153,7 @@ def test_qp_md_static_equilibrium(iiwa):
     state = rbd.JointState(Q_STAR, np.zeros(7))
     dyn = rbd.compute_dynamics(iiwa, state)
     task = rotation_task(iiwa, dyn, a_d=(0.0, 0.0))
-    out = solvers.solve_qp_md(iiwa, state, task, dyn=dyn)
+    out = solvers.solve_qp_md(iiwa, state, task, CFG, dyn)
     np.testing.assert_allclose(out.tau, dyn.g, atol=1e-6)
 
 
@@ -159,7 +161,7 @@ def test_qp_baselines_respect_torque_box(scene):
     model, state, dyn = scene
     task = rotation_task(model, dyn, a_d=(400.0, -300.0))
     for solver in (solvers.solve_qp_mt, solvers.solve_qp_md):
-        out = solver(model, state, task, dyn=dyn)
+        out = solver(model, state, task, CFG, dyn)
         assert out.status == solvers.OPTIMAL
         assert np.all(out.tau <= model.tau_max + 1e-6)
         assert np.all(out.tau >= model.tau_min - 1e-6)
@@ -177,8 +179,8 @@ def test_dcts_equals_osc_unconstrained(scene):
     tau_ext = rng.normal(0, 2, 7)
     lr = limits.realize_joint_limits(wide_limits(model), state.q, state.qd,
                                      dyn.minv(tau_ext))
-    out_osc = solvers.solve_osc(model, state, task, tau_ext, dyn=dyn)
-    out = solvers.solve_dcts_multi(model, state, [task], lr, tau_ext, dyn=dyn)
+    out_osc = solvers.solve_osc(model, state, task, tau_ext, CFG, dyn)
+    out = solvers.solve_dcts_multi(model, state, [task], lr, tau_ext, CFG, dyn)
     assert out.status == solvers.OPTIMAL
     np.testing.assert_allclose(out.s, [1.0])
     assert np.abs(out.tau - out_osc.tau).max() < 1e-6
@@ -197,7 +199,8 @@ def test_dcts_scalar_analytic_scaling():
                               a_d=np.array([100.0]), priority=1)
     ls = limits.limit_set([-10], [10], [-100], [100], [-1e6], [1e6], 1e-3)
     lr = limits.realize_joint_limits(ls, state.q, state.qd)
-    out = solvers.solve_dcts_multi(model, state, [task], lr, None)
+    dyn = rbd.compute_dynamics(model, state)
+    out = solvers.solve_dcts_multi(model, state, [task], lr, None, CFG, dyn)
     np.testing.assert_allclose(out.qdd, [50.0], atol=1e-6)
     np.testing.assert_allclose(out.s, [0.5], atol=1e-6)
     np.testing.assert_allclose(out.tau, [100.0], atol=1e-6)
@@ -209,14 +212,14 @@ def test_dcts_multi_k1_matches_single(scene):
     model, state, dyn = scene
     task = rotation_task(model, dyn)
     lr = limits.realize_joint_limits(wide_limits(model), state.q, state.qd)
-    out = solvers.solve_dcts_multi(model, state, [task], lr, None, dyn=dyn)
+    out = solvers.solve_dcts_multi(model, state, [task], lr, None, CFG, dyn)
     assert out.status == solvers.OPTIMAL
     np.testing.assert_array_equal(out.s, [1.0])
 
 
 def two_task_set(model, dyn, a2=60.0):
-    J6 = rbd.jacobian(model, dyn.q, model.tool_frame, kin=dyn.kin)
-    jd6 = rbd.jacobian_dot_qd(model, dyn.q, dyn.qd, model.tool_frame, kin=dyn.kin)
+    J6 = rbd.jacobian(model, dyn.kin, model.tool_frame)
+    jd6 = rbd.jacobian_dot_qd(model, dyn, model.tool_frame)
     t1 = tasks.TaskInstance(J=J6[:3], jdot_qd=jd6[:3],
                             a_d=np.array([1.0, -0.5, 0.5]), priority=1)
     # a full-rank posture task cannot be achieved inside the 4-dim null
@@ -230,7 +233,7 @@ def test_dcts_multi_hierarchy_scales_lower_priority_first(scene):
     model, state, dyn = scene
     tk = two_task_set(model, dyn)
     lr = limits.realize_joint_limits(wide_limits(model), state.q, state.qd)
-    out = solvers.solve_dcts_multi(model, state, tk, lr, None, dyn=dyn)
+    out = solvers.solve_dcts_multi(model, state, tk, lr, None, CFG, dyn)
     assert out.status == solvers.OPTIMAL
     assert out.s[0] == pytest.approx(1.0, abs=1e-9)
     assert out.s[1] < 1.0
@@ -241,7 +244,7 @@ def test_dcts_multi_achieves_priority_one_exactly(scene):
     model, state, dyn = scene
     tk = two_task_set(model, dyn, a2=2.0)
     lr = limits.realize_joint_limits(wide_limits(model), state.q, state.qd)
-    out = solvers.solve_dcts_multi(model, state, tk, lr, None, dyn=dyn)
+    out = solvers.solve_dcts_multi(model, state, tk, lr, None, CFG, dyn)
     assert out.status == solvers.OPTIMAL
     resid = tk[0].J @ out.qdd + tk[0].jdot_qd - out.s[0] * tk[0].a_d
     assert np.linalg.norm(resid) < 1e-6
@@ -253,8 +256,8 @@ def test_dcts_multi_null_space_consistency(scene):
     model, state, dyn = scene
     tk = two_task_set(model, dyn, a2=2.0)
     lr = limits.realize_joint_limits(wide_limits(model), state.q, state.qd)
-    out = solvers.solve_dcts_multi(model, state, tk, lr, None, dyn=dyn)
-    top = solvers.solve_dcts_multi(model, state, tk[:1], lr, None, dyn=dyn)
+    out = solvers.solve_dcts_multi(model, state, tk, lr, None, CFG, dyn)
+    top = solvers.solve_dcts_multi(model, state, tk[:1], lr, None, CFG, dyn)
     assert out.status == top.status == solvers.OPTIMAL
     np.testing.assert_allclose(tk[0].J @ out.qdd, tk[0].J @ top.qdd, rtol=0, atol=1e-6)
 
@@ -265,7 +268,7 @@ def test_dcts_scaling_in_unit_interval(scene):
     ls = limits.joint_space_limits(model, 1e-3, a_min=np.full(7, -5.0),
                                    a_max=np.full(7, 5.0))
     lr = limits.realize_joint_limits(ls, state.q, state.qd)
-    out = solvers.solve_dcts_multi(model, state, [task], lr, None, dyn=dyn)
+    out = solvers.solve_dcts_multi(model, state, [task], lr, None, CFG, dyn)
     assert np.all(out.s >= 0.0) and np.all(out.s <= 1.0)
     if out.status == solvers.OPTIMAL:
         assert np.all(out.tau <= model.tau_max + 1e-6)
@@ -284,7 +287,7 @@ def test_dcts_infeasible_falls_back_to_braking(scene):
     bounds.acc_max[:] = 1.9e4
     lr = limits.LimitRealization(bounds=bounds)
     for stack in ([rotation_task(model, dyn)], two_task_set(model, dyn)):
-        out = solvers.solve_dcts_multi(model, state, stack, lr, None, dyn=dyn)
+        out = solvers.solve_dcts_multi(model, state, stack, lr, None, CFG, dyn)
         assert out.status == solvers.INFEASIBLE
         assert out.diagnostics.get("fallback") == "braking"
         assert out.s.tolist() == [0.0] * len(stack)
@@ -299,14 +302,14 @@ def test_diagnostics_hold_only_what_a_caller_reads(iiwa):
     last QP for dcts (its braking fallback adds its own keys)."""
     for state, dyn, realized, tau_ext, lr in stack_cases(iiwa):
         task = realized[0]
-        dcts = solvers.solve_dcts_multi(iiwa, state, realized, lr, tau_ext, dyn=dyn)
+        dcts = solvers.solve_dcts_multi(iiwa, state, realized, lr, tau_ext, CFG, dyn)
         assert dcts.status == solvers.OPTIMAL
         for out, keys in (
-                (solvers.solve_osc(iiwa, state, task, tau_ext, dyn=dyn), set()),
-                (solvers.solve_osc_saturated(iiwa, state, task, lr, tau_ext, dyn=dyn),
+                (solvers.solve_osc(iiwa, state, task, tau_ext, CFG, dyn), set()),
+                (solvers.solve_osc_saturated(iiwa, state, task, lr, tau_ext, CFG, dyn),
                  {"saturated"}),
-                (solvers.solve_qp_mt(iiwa, state, task, dyn=dyn), {"qp_iterations"}),
-                (solvers.solve_qp_md(iiwa, state, task, dyn=dyn), {"qp_iterations"}),
+                (solvers.solve_qp_mt(iiwa, state, task, CFG, dyn), {"qp_iterations"}),
+                (solvers.solve_qp_md(iiwa, state, task, CFG, dyn), {"qp_iterations"}),
                 (dcts, {"stages", "qp_iterations", "last_qp"})):
             assert out.diagnostics.keys() == keys
 
@@ -359,7 +362,7 @@ def test_the_criterion_10_posture_level_meets_its_equality_rows():
     state = rbd.JointState(np.array([-0.78, 2.05, 2.07, -1.65, -2.08, 2.03, 0.0]) * 0.9,
                            np.zeros(7))
     dyn = rbd.compute_dynamics(model, state)
-    J6 = rbd.jacobian(model, state.q, model.tool_frame, kin=dyn.kin)
+    J6 = rbd.jacobian(model, dyn.kin, model.tool_frame)
     t1 = tasks.TaskInstance(J=J6[:3], jdot_qd=np.zeros(3), a_d=np.array([8.0, -4.0, 4.0]),
                             priority=1)
     t2 = tasks.TaskInstance(J=np.eye(7), jdot_qd=np.zeros(7), a_d=np.full(7, 40.0), priority=2)
@@ -454,8 +457,8 @@ def test_sweep_decided_bisection_matches_solving_every_trial(iiwa):
     tau_ext."""
     runs = fewer = 0
     for state, dyn, realized, tau_ext, lr in golden_variants(iiwa):
-        out = solvers.solve_dcts_multi(iiwa, state, realized, lr, tau_ext, dyn=dyn)
-        ref = oracles.dcts_every_trial(iiwa, state, realized, lr, tau_ext, dyn=dyn)
+        out = solvers.solve_dcts_multi(iiwa, state, realized, lr, tau_ext, CFG, dyn)
+        ref = oracles.dcts_every_trial(iiwa, state, realized, lr, tau_ext, CFG, dyn)
         for name in ("tau", "qdd", "s"):
             assert _encoded(getattr(out, name)) == _encoded(getattr(ref, name)), name
         assert out.status == ref.status == solvers.OPTIMAL
@@ -484,8 +487,8 @@ def test_a_wrong_or_missing_limit_still_gives_every_trial_bytes(iiwa, monkeypatc
                         else sweep(*args) + shift)
     reruns = 0
     for state, dyn, realized, tau_ext, lr in golden_variants(iiwa, seeds=(5, 8)):
-        out = solvers.solve_dcts_multi(iiwa, state, realized, lr, tau_ext, dyn=dyn)
-        ref = oracles.dcts_every_trial(iiwa, state, realized, lr, tau_ext, dyn=dyn)
+        out = solvers.solve_dcts_multi(iiwa, state, realized, lr, tau_ext, CFG, dyn)
+        ref = oracles.dcts_every_trial(iiwa, state, realized, lr, tau_ext, CFG, dyn)
         for name in ("tau", "qdd", "s"):
             assert _encoded(getattr(out, name)) == _encoded(getattr(ref, name)), name
         assert _encoded(out.diagnostics["last_qp"]) == _encoded(ref.diagnostics["last_qp"])
@@ -648,7 +651,7 @@ def test_top_level_scale_matches_the_lp_oracle(iiwa):
     for scale in np.linspace(1.0, 0.02, 33)[[28, 30, 32]]:     # 0.143, 0.081, 0.020
         model = replace(m0, tau_min=m0.tau_min * scale, tau_max=m0.tau_max * scale)
         dyn = rbd.compute_dynamics(model, state)
-        J6 = rbd.jacobian(model, state.q, model.tool_frame, kin=dyn.kin)
+        J6 = rbd.jacobian(model, dyn.kin, model.tool_frame)
         stack = [tasks.TaskInstance(J=J6[:3], jdot_qd=np.zeros(3),
                                     a_d=np.array([8.0, -4.0, 4.0]), priority=1),
                  tasks.TaskInstance(J=np.eye(7), jdot_qd=np.zeros(7),
@@ -659,7 +662,7 @@ def test_top_level_scale_matches_the_lp_oracle(iiwa):
             ls, state.q, state.qd)))
     scaled = 0
     for model, state, dyn, stack, tau_ext, lr in cases:
-        out = solvers.solve_dcts_multi(model, state, stack, lr, tau_ext, dyn=dyn)
+        out = solvers.solve_dcts_multi(model, state, stack, lr, tau_ext, CFG, dyn)
         assert out.status == solvers.OPTIMAL
         _, rhs0, tau, acc = top_level(model, dyn, stack[0], tau_ext, lr)
         s_max = oracles.lp_max_scale(stack[0].J, stack[0].a_d, rhs0, dyn.M, *tau, *acc)
@@ -672,7 +675,7 @@ def test_dcts_requires_sorted_tasks(scene):
     model, state, dyn = scene
     tk = two_task_set(model, dyn)
     with pytest.raises(ValueError, match="sorted"):
-        solvers.solve_dcts_multi(model, state, tk[::-1], None, None, dyn=dyn)
+        solvers.solve_dcts_multi(model, state, tk[::-1], None, None, CFG, dyn)
 
 
 def test_readme_library_example_solves_its_task():

@@ -52,10 +52,11 @@ def test_force_impedance_scalar_case():
 def test_force_impedance_equals_lambda_inverse(iiwa):
     rng = np.random.default_rng(1)
     q = rng.uniform(-1, 1, 7)
-    J = rbd.jacobian(iiwa, q, iiwa.tool_frame)[:3]
-    bundle = rbd.task_dynamics(iiwa, q, J, epsilon=0.0)
+    dyn = rbd.compute_dynamics(iiwa, rbd.JointState(q, np.zeros(7)))
+    J = rbd.jacobian(iiwa, dyn.kin, iiwa.tool_frame)[:3]
+    bundle = rbd.task_dynamics(J, dyn.minv, epsilon=0.0)
     f = rng.normal(size=3)
-    M = rbd.mass_matrix(iiwa, q)
+    M = dyn.M
     out = tasks.force_impedance_accel(J, lambda b: np.linalg.solve(M, b), f)
     np.testing.assert_allclose(out, np.linalg.solve(bundle.Lambda, f), atol=1e-9)
 
