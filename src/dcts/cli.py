@@ -14,16 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 
 from . import qpcore, rbd, sim, solvers
-
-log = logging.getLogger("dcts")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +54,6 @@ def _run_one(job) -> list[dict]:
     solver's trace and summary, and with ``dump_qp`` the QP of the last stage
     its run decided; returns the summaries in solver order."""
     scenario, names, out_dir, dump_qp = job
-    log.info("running %s with %s", scenario.source, ", ".join(names))
     last_qp = {}
 
     def keep_last_qp(solver, tick, state, dyn, realized, out):
@@ -96,8 +91,6 @@ def comparison_table(summaries: list[dict]) -> str:
 
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=os.environ.get("DCTS_LOG_LEVEL", "WARNING").upper())
-
     if args.seed is not None and args.seed < 0:
         print("error: --seed must be >= 0", file=sys.stderr)
         return 1

@@ -20,11 +20,10 @@ Iteration work is one dense KKT solve; problems here are tiny (tens of
 variables), so no factorization updating is attempted. A step direction
 depends on the active set and the entering row, never on ``beq``, so the
 problems ``with_beq`` derives from one constructed problem (a *family*) share
-every direction they solve, and the unconstrained start of a problem without
-equality rows, in one dict; a hit returns the bytes the solve would have
-produced. Determinism: constraint entry picks the most violated row, ties
-broken by lowest index in the fixed enumeration order (equalities, then Ain
-lower/upper per row, then bound lower/upper per variable).
+every direction they solve, in one dict; a hit returns the bytes the solve
+would have produced. Determinism: constraint entry picks the most violated
+row, ties broken by lowest index in the fixed enumeration order (equalities,
+then Ain lower/upper per row, then bound lower/upper per variable).
 
 Sign convention for duals: at optimality
 
@@ -128,7 +127,7 @@ class QpProblem:
         self.H = 0.5 * (self.H + self.H.T)
         self._rows = _build_rows(self)
         self._factor = _factor_psd(self.H)
-        # (active, entering row) -> direction, None -> start; see solve
+        # (active, entering row) -> direction; see _direction
         self._directions = {}
 
     def with_beq(self, beq) -> "QpProblem":
@@ -374,7 +373,6 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
     rows = p._rows
     C, b, n_eq = rows.C, rows.b, rows.n_eq
     C_in, b_in = C[n_eq:], b[n_eq:]
-    cache = p._directions
 
     active = list(rows.eq_keep)
     if active:
@@ -388,10 +386,7 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
             y -= _kkt_solve(Hs, N, np.concatenate([Hs @ y[:d] + N @ y[d:] + p.f, off]))
         x, duals, iterations = y[:d], (-y[d:]).tolist(), 1
     else:
-        x = cache.get(None)
-        if x is None:
-            x = cache[None] = spd_solve(p._factor[0], -p.f)
-            x.flags.writeable = False
+        x = spd_solve(p._factor[0], -p.f)
         duals, iterations = [], 0
     exhausted = False
 

@@ -470,11 +470,6 @@ def eigvalsh(A: np.ndarray) -> np.ndarray:
     return _umath_linalg.eigvalsh_lo(A)
 
 
-def det(A: np.ndarray) -> float:
-    """``np.linalg.det(A)`` of a float matrix (LAPACK getrf)."""
-    return _umath_linalg.det(A)
-
-
 def forward_dynamics(model: RobotModel, kin: Kinematics, qd: np.ndarray,
                      tau: np.ndarray, tau_ext: np.ndarray | None = None,
                      M_cho=None, nu_g: np.ndarray | None = None) -> np.ndarray:

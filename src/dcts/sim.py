@@ -141,23 +141,6 @@ def payload_observer(nominal: rbd.RobotModel, plant: rbd.RobotModel,
             - rbd.inverse_dynamics(plant, plant_kin, state.qd, qdd_prev))
 
 
-def apply_events(scenario: "Scenario", t: float, model: rbd.RobotModel,
-                 state: rbd.JointState, qdd_prev: np.ndarray,
-                 kin: rbd.Kinematics, plant_kin: rbd.Kinematics) -> np.ndarray:
-    """Controller-side (measured) tau_ext at time t.
-
-    Scripted forces and torques are measured directly; an active unmodeled
-    mass is measured through the observer at the last acceleration
-    ``qdd_prev``. ``kin`` and ``plant_kin`` are the ``rbd.Kinematics`` of
-    ``model`` and of the plant model at ``state.q``.
-    """
-    tau = scripted_tau_ext(scenario.events, t, model, kin)
-    plant = scenario.plant_model(t)
-    if plant is not model:
-        tau = tau + payload_observer(model, plant, state, qdd_prev, kin, plant_kin)
-    return tau
-
-
 # ---------------------------------------------------------------------------
 # integrator
 
@@ -336,10 +319,11 @@ class Trace:
                    header=",".join(self.header()), comments="")
 
 
-def _violation_side(value: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                    rel_tol: float = 1e-6) -> np.ndarray:
-    span_tol = rel_tol * np.maximum(np.abs(lo), np.abs(hi))
-    side = np.zeros(len(value), dtype=np.int8)
+def _violation_side(value: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """-1, 0 or +1 per entry of ``value``, one row or a (ticks, n) array:
+    which side of [lo, hi] it violates beyond a relative 1e-6."""
+    span_tol = 1e-6 * np.maximum(np.abs(lo), np.abs(hi))
+    side = np.zeros(value.shape, dtype=np.int8)
     side[value > hi + span_tol] = 1
     side[value < lo - span_tol] = -1
     return side
@@ -409,12 +393,18 @@ def run_scenario(scenario: Scenario, solvers: list[str] | None = None,
     for tick in range(n_ticks):
         t = tick * scenario.control_dt
         plant = scenario.plant_model(t)
-        dyns, plant_kins, leads = [], [], []
+        dyns, plant_kins, scripted, leads = [], [], [], []
         for run in runs:
             state, trace = run.state, run.trace
             dyn = rbd.compute_dynamics(model, state)
             plant_kin = dyn.kin if plant is model else dyn.kin.with_inertia(plant)
-            tau_ext = apply_events(scenario, t, model, state, run.qdd_prev, dyn.kin, plant_kin)
+            # measured: the scripted torques, which the first plant substep
+            # integrates too, plus an active payload's observer, plus noise
+            tau_ext = scripted_tau_ext(scenario.events, t, model, dyn.kin)
+            scripted.append(tau_ext)
+            if plant is not model:
+                tau_ext = tau_ext + payload_observer(model, plant, state, run.qdd_prev,
+                                                     dyn.kin, plant_kin)
             if noise > 0:
                 tau_ext = tau_ext + run.rng.normal(0.0, noise, model.n)
             realized = [tasks_mod.realize_task(sp, dyn) for sp in run.specs]
@@ -440,7 +430,6 @@ def run_scenario(scenario: Scenario, solvers: list[str] | None = None,
             tau_cmd = out.tau
             lead = realized[0]
             e_acc, e_tot, e_task, e_null = energy_metrics(dyn, tau_cmd, lead.J)
-            trace.t[tick] = t
             trace.q[tick] = state.q
             trace.qd[tick] = state.qd
             trace.tau[tick] = tau_cmd
@@ -451,9 +440,6 @@ def run_scenario(scenario: Scenario, solvers: list[str] | None = None,
             trace.e_kin_total[tick] = e_tot
             trace.e_kin_task[tick] = e_task
             trace.e_kin_null[tick] = e_null
-            trace.viol_q[tick] = _violation_side(state.q, lset.c_min, lset.c_max)
-            trace.viol_v[tick] = _violation_side(state.qd, lset.v_min, lset.v_max)
-            trace.viol_tau[tick] = _violation_side(tau_cmd, model.tau_min, model.tau_max)
             trace.saturated[tick] = out.diagnostics.get("saturated", False)
             trace.pos_err[tick] = _position_error(run.specs[0], lead, dyn.kin, model.tool_frame)
             trace.status[tick] = STATUS_CODE.get(out.status, 3)
@@ -466,11 +452,12 @@ def run_scenario(scenario: Scenario, solvers: list[str] | None = None,
 
         # integrate every run's plant, one batched step per substep; the
         # first substep starts from each run's own q and reuses what its
-        # tick computed there
+        # tick computed there, its scripted torques included
         sub = rbd.JointState(np.stack([run.state.q for run in runs]),
                              np.stack([run.state.qd for run in runs]))
         tau = np.stack([run.out.tau for run in runs])
         kin = rbd.Kinematics.stack(plant_kins)
+        tau_ext_plant = np.stack(scripted)
         M_cho = nu_g = None
         if plant is model:
             M_cho = [dyn.M_cho for dyn in dyns]
@@ -479,7 +466,7 @@ def run_scenario(scenario: Scenario, solvers: list[str] | None = None,
             if j > 0:
                 kin = rbd.Kinematics(plant, sub.q)
                 M_cho = nu_g = None
-            tau_ext_plant = scripted_tau_ext(scenario.events, t, plant, kin)
+                tau_ext_plant = scripted_tau_ext(scenario.events, t, plant, kin)
             sub, qdd = step(plant, sub, tau, tau_ext_plant, h, kin, M_cho, nu_g)
             if j == 0:
                 qdd_first = qdd
@@ -490,6 +477,13 @@ def run_scenario(scenario: Scenario, solvers: list[str] | None = None,
                 lead.J @ qdd_first[b] + lead.jdot_qd - lead.a_d))
             run.state = rbd.JointState(sub.q[b], sub.qd[b])
             run.qdd_prev = qdd_first[b]
+
+    for run in runs:
+        trace = run.trace
+        trace.t[:] = np.arange(n_ticks) * scenario.control_dt
+        trace.viol_q[:] = _violation_side(trace.q, lset.c_min, lset.c_max)
+        trace.viol_v[:] = _violation_side(trace.qd, lset.v_min, lset.v_max)
+        trace.viol_tau[:] = _violation_side(trace.tau, model.tau_min, model.tau_max)
     return [run.trace for run in runs]
 
 

@@ -268,7 +268,7 @@ def _nullspace_stack(tasks: list[TaskInstance], dyn: rbd.ChainDynamics) -> list[
 
 
 def _level_qp(dyn, J_i, a_d, rhs0, N_i, frozen, tau_lo, tau_hi,
-              acc_lo, acc_hi, maximize_s):
+              acc_lo, acc_hi, top, maximize_s):
     """The QP of one level of the per-level cascade.
 
     Variables are the level's own acceleration qdd_i (plus its scale when
@@ -277,7 +277,9 @@ def _level_qp(dyn, J_i, a_d, rhs0, N_i, frozen, tau_lo, tau_hi,
     bound the total. With ``maximize_s`` the objective is (1 - s)^2 plus a small energy
     term for conditioning. Otherwise the objective is the total acceleration
     energy and the task equality is J_i qdd_i = s a_d + rhs0, built at s = 1;
-    the other stages set their s through ``with_beq``.
+    the other stages set their s through ``with_beq``. Below the ``top``
+    level N_i is a singular projector; there, and with ``maximize_s``, the
+    energy Hessian is regularized.
     """
     n = N_i.shape[0]
     m = J_i.shape[0]
@@ -285,7 +287,7 @@ def _level_qp(dyn, J_i, a_d, rhs0, N_i, frozen, tau_lo, tau_hi,
 
     MN = dyn.M @ N_i
     Hq = N_i.T @ MN
-    if nv > n or np.abs(rbd.det(N_i)) < 0.5:      # singular projector
+    if maximize_s or not top:
         Hq = Hq + (1e-9 * max(np.trace(dyn.M) / n, 1.0)) * np.eye(n)
     tau_frozen = dyn.M @ frozen
     H = np.zeros((nv, nv))
@@ -409,7 +411,7 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
         if minv_tau_ext is not None:
             rhs0 = rhs0 - t.J @ minv_tau_ext
         args = (dyn, t.J, t.a_d, rhs0, projectors[i], frozen,
-                tau_lo, tau_hi, acc_lo, acc_hi)
+                tau_lo, tau_hi, acc_lo, acc_hi, i == 0)
         # the s-pinned stages differ only in beq = s a_d + rhs0
         fixed = _level_qp(*args, maximize_s=False)
         sol = solve(fixed)

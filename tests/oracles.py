@@ -348,7 +348,8 @@ def dcts_every_trial(model, state, tasks, limit_real, tau_ext, cfg, dyn):
         rhs0 = -t.jdot_qd
         if minv_tau_ext is not None:
             rhs0 = rhs0 - t.J @ minv_tau_ext
-        args = (dyn, t.J, t.a_d, rhs0, projectors[i], frozen, tau_lo, tau_hi, acc_lo, acc_hi)
+        args = (dyn, t.J, t.a_d, rhs0, projectors[i], frozen, tau_lo, tau_hi, acc_lo, acc_hi,
+                i == 0)
         fixed = solvers._level_qp(*args, maximize_s=False)
         sol = solve(fixed)
         if sol.status != qpcore.OPTIMAL:

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -33,6 +36,19 @@ def test_validate_bundled_clean(capsys):
         rc = cli.run(["--scenario", *refs, "--validate"])
     assert rc == 0
     assert capsys.readouterr().out == "".join(f"{ref}: ok\n" for ref in refs)
+
+
+def test_validate_ignores_a_log_level_variable():
+    """The CLI reads no logging variable: with DCTS_LOG_LEVEL set to a
+    level that logging does not know, ``dcts --validate`` in a fresh
+    interpreter (where logging has no handler yet) still prints its ok line
+    and exits 0, with no traceback."""
+    env = dict(os.environ, DCTS_LOG_LEVEL="loud",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-m", "dcts.cli", "--scenario",
+                          "bundled:rotation_hold", "--validate"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "bundled:rotation_hold: ok\n", "")
 
 
 def test_validate_reports_named_field(tmp_path, capsys):

@@ -77,14 +77,19 @@ def test_step_first_order_convergence(pendulum):
 
 
 def measured(sc, t, state):
-    """``sim.apply_events`` at ``state`` from rest (no last acceleration),
-    given the kinematics of the nominal and the plant model as a tick does."""
+    """The noise-free tau_ext a tick measures at ``state`` from rest (no last
+    acceleration): the scripted torques at the nominal model's kinematics,
+    plus the payload observer while the plant is not the model."""
     kin = rbd.Kinematics(sc.model, state.q)
-    plant_kin = rbd.Kinematics(sc.plant_model(t), state.q)
-    return sim.apply_events(sc, t, sc.model, state, np.zeros(sc.model.n), kin, plant_kin)
+    tau = sim.scripted_tau_ext(sc.events, t, sc.model, kin)
+    plant = sc.plant_model(t)
+    if plant is not sc.model:
+        tau = tau + sim.payload_observer(sc.model, plant, state, np.zeros(sc.model.n),
+                                         kin, rbd.Kinematics(plant, state.q))
+    return tau
 
 
-def test_apply_events_none_active():
+def test_measured_tau_ext_none_active():
     sc = short_scenario()
     state = rbd.JointState(sc.q0, np.zeros(7))
     np.testing.assert_allclose(measured(sc, 0.0, state), 0.0)
@@ -318,6 +323,67 @@ def test_one_kinematics_per_plant_substep(monkeypatch):
         for tr in traces:
             assert not tr.tau_ext[:10].any()
             assert tr.tau_ext[10:].any(axis=1).all() == bool(sc.events)
+
+
+def test_jacobian_calls_of_a_push_window(monkeypatch):
+    """On a 10-tick osc + dcts push_recovery window with the push active,
+    each run's tick calls ``rbd.jacobian`` twice at its own state: once for
+    its tool task and once for the measured push, which the first plant
+    substep integrates too. Substeps 2-10 each take one batched call for
+    both runs."""
+    sc = short_scenario("push_recovery", duration=0.01)
+    for ev in sc.events:
+        ev.start = 0.0
+    shapes = []
+    jacobian = rbd.jacobian
+    monkeypatch.setattr(rbd, "jacobian", lambda model, kin, *args, **kwargs:
+                        shapes.append(kin.p.ndim) or jacobian(model, kin, *args, **kwargs))
+    [trace, _] = sim.run_scenario(sc, ["osc", "dcts"])
+    assert len(trace.t) == 10 and trace.tau_ext.any(axis=1).all()
+    assert (shapes.count(2), shapes.count(3)) == (40, 90)
+
+
+@pytest.mark.parametrize("name", ["push_recovery", "payload_drop"])
+def test_the_plant_integrates_the_scripted_torques_alone(monkeypatch, name):
+    """With noise on the measurement and the event active, the tau_ext that
+    the first plant substep of each tick hands to ``rbd.forward_dynamics``
+    is ``scripted_tau_ext`` at the tick's state, byte for byte, and not the
+    measured tau_ext of the trace: the plant never integrates the noise or
+    the payload observer."""
+    sc = short_scenario(name, duration=0.005)
+    sc.tau_ext_noise_std = 0.5
+    for ev in sc.events:
+        ev.start = 0.0
+    handed = []
+    forward = rbd.forward_dynamics
+    monkeypatch.setattr(rbd, "forward_dynamics", lambda model, kin, qd, tau, tau_ext, *rest:
+                        handed.append(tau_ext.copy()) or forward(model, kin, qd, tau,
+                                                                 tau_ext, *rest))
+    traces = sim.run_scenario(sc, ["osc", "dcts"])
+    substeps = round(sc.control_dt / sc.integrator_dt)
+    assert len(handed) == substeps * len(traces[0].t)
+    for tick, first in enumerate(handed[::substeps]):
+        for b, trace in enumerate(traces):
+            kin = rbd.Kinematics(sc.model, trace.q[tick])
+            scripted = sim.scripted_tau_ext(sc.events, trace.t[tick], sc.model, kin)
+            assert first[b].tobytes() == scripted.tobytes()
+            assert not np.array_equal(first[b], trace.tau_ext[tick])
+    assert all(ev.active(t) for ev in sc.events for t in traces[0].t)
+
+
+def test_violation_side_of_a_trace_gives_the_bytes_of_its_rows():
+    """``_violation_side`` on a (ticks, n) array gives the bytes of its calls
+    on each row, with values on, just inside and just outside the relative
+    1e-6 band around each bound."""
+    rng = np.random.default_rng(4)
+    lo, hi = -rng.uniform(0.5, 2.0, 7), rng.uniform(0.5, 2.0, 7)
+    values = rng.uniform(1.5 * lo, 1.5 * hi, (60, 7))
+    for factor in (1.0, 1.0 + 5e-7, 1.0 + 2e-6):
+        values = np.vstack([values, lo * factor, hi * factor])
+    rows = np.stack([sim._violation_side(row, lo, hi) for row in values])
+    whole = sim._violation_side(values, lo, hi)
+    assert whole.dtype == np.int8 and whole.tobytes() == rows.tobytes()
+    assert set(np.unique(whole)) == {-1, 0, 1}
 
 
 @pytest.mark.parametrize("payload", [True, False])

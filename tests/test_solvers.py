@@ -372,12 +372,12 @@ def test_the_criterion_10_posture_level_meets_its_equality_rows():
     comp = dyn.nu + dyn.g
     sides = (model.tau_min - comp, model.tau_max - comp, lr.bounds.acc_min, lr.bounds.acc_max)
     top = qpcore.solve(solvers._level_qp(dyn, t1.J, t1.a_d, -t1.jdot_qd, projectors[0],
-                                         np.zeros(7), *sides, maximize_s=False))
+                                         np.zeros(7), *sides, top=True, maximize_s=False))
     assert top.status == qpcore.OPTIMAL
     args = (dyn, t2.J, t2.a_d, -t2.jdot_qd, projectors[1], projectors[0] @ top.x[:7], *sides)
-    fixed = solvers._level_qp(*args, maximize_s=False)
+    fixed = solvers._level_qp(*args, top=False, maximize_s=False)
     assert qpcore.solve(fixed).status == qpcore.INFEASIBLE
-    scale_qp = solvers._level_qp(*args, maximize_s=True)
+    scale_qp = solvers._level_qp(*args, top=False, maximize_s=True)
     scaled = qpcore.solve(scale_qp)
     stage = fixed.with_beq(float(np.clip(scaled.x[7] - 1e-8, 0.0, 1.0)) * t2.a_d - t2.jdot_qd)
     for problem, sol in ((scale_qp, scaled), (stage, qpcore.solve(stage))):
@@ -396,7 +396,7 @@ def top_level(model, dyn, task, tau_ext, lr):
     tau = (model.tau_min - comp, model.tau_max - comp)
     acc = (lr.bounds.acc_min, lr.bounds.acc_max)
     problem = solvers._level_qp(dyn, task.J, task.a_d, rhs0, np.eye(n), np.zeros(n),
-                                *tau, *acc, maximize_s=False)
+                                *tau, *acc, top=True, maximize_s=False)
     return problem, rhs0, tau, acc
 
 
@@ -554,7 +554,7 @@ def lower_level_sweep(dyn, realized, tau_ext, lr, s_top, s0):
                                  priority=2)
     projector = solvers._nullspace_stack([realized[0], posture], dyn)[1]
     level = solvers._level_qp(dyn, posture.J, POSTURE_A_D, np.zeros(5), projector, top.x,
-                              *tau, *acc, maximize_s=False)
+                              *tau, *acc, top=False, maximize_s=False)
     problem = level.with_beq(s0 * POSTURE_A_D)
     sol = qpcore.solve(problem)
     if sol.status != qpcore.OPTIMAL:
