@@ -28,6 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# the signs of the upper and the lower side, and the position term's factor
+_SIDES = np.array([[1.0], [-1.0]])
+_TWO_SIDES = 2.0 * _SIDES
+
 
 def _viability_upper(margin: np.ndarray, cd: np.ndarray, brake: np.ndarray,
                      dt: float) -> np.ndarray:
@@ -79,6 +83,12 @@ class LimitSet:
     c_max_tight: np.ndarray = field(init=False, repr=False, compare=False)
     v_min_tight: np.ndarray = field(init=False, repr=False, compare=False)
     v_max_tight: np.ndarray = field(init=False, repr=False, compare=False)
+    # bound shaping's (2, n) stacks: row 0 the upper side, row 1 the lower
+    # side with its bound negated, so that one minimum takes both bounds
+    c_tight: np.ndarray = field(init=False, repr=False, compare=False)
+    v_tight: np.ndarray = field(init=False, repr=False, compare=False)
+    a_sides: np.ndarray = field(init=False, repr=False, compare=False)
+    brake_sides: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for lo, hi in (("c_min", "c_max"), ("v_min", "v_max"), ("a_min", "a_max")):
@@ -103,10 +113,20 @@ class LimitSet:
             raise ValueError("viability brake magnitudes must be > 0")
         margin_c = 1e-4 * (self.c_max - self.c_min)
         margin_v = 1e-4 * (self.v_max - self.v_min)
-        object.__setattr__(self, "c_max_tight", self.c_max - margin_c)
-        object.__setattr__(self, "c_min_tight", self.c_min + margin_c)
-        object.__setattr__(self, "v_max_tight", self.v_max - margin_v)
-        object.__setattr__(self, "v_min_tight", self.v_min + margin_v)
+        sides = {
+            "c_tight": (self.c_max - margin_c, self.c_min + margin_c),
+            "v_tight": (self.v_max - margin_v, self.v_min + margin_v),
+            "a_sides": (self.a_max, -self.a_min),
+            "brake_sides": (self.viability_brake_max, self.viability_brake_min),
+        }
+        for name, (upper, lower) in sides.items():
+            stack = np.empty((2, self.size))
+            stack[0], stack[1] = upper, lower
+            object.__setattr__(self, name, stack)
+        object.__setattr__(self, "c_max_tight", self.c_tight[0])
+        object.__setattr__(self, "c_min_tight", self.c_tight[1])
+        object.__setattr__(self, "v_max_tight", self.v_tight[0])
+        object.__setattr__(self, "v_min_tight", self.v_tight[1])
 
     @property
     def size(self) -> int:
@@ -142,32 +162,36 @@ class ShapedBounds:
 
 
 def shape_acceleration_bounds(limits: LimitSet, c: np.ndarray, cd: np.ndarray) -> ShapedBounds:
-    """Tightest per-direction acceleration interval honouring all three limit levels."""
+    """Tightest per-direction acceleration interval honouring all three limit levels.
+
+    Both sides are shaped in one pass over (2, n) stacks, row 0 the upper
+    bound and row 1 the lower bound negated, each term with the arithmetic of
+    its own side: a negated divisor or factor negates a rounded result
+    exactly, and the lower viability term is the negative of a viability
+    bound, so the minimum of the stacked terms holds both bounds, the lower
+    one negated, with the bytes of a maximum over the lower terms.
+    """
     c = np.asarray(c, dtype=float)
     cd = np.asarray(cd, dtype=float)
     if c.shape != (limits.size,) or cd.shape != (limits.size,):
         raise ValueError(f"c/cd must have shape ({limits.size},)")
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(cd))):
+    if not (np.isfinite(c).all() and np.isfinite(cd).all()):
         raise ValueError("c/cd must be finite")
     dt = limits.dt
-    # enforced against the slightly tightened position/velocity limits
-    c_max, c_min = limits.c_max_tight, limits.c_min_tight
-    v_max, v_min = limits.v_max_tight, limits.v_min_tight
-
-    upper = np.stack([
-        limits.a_max,
-        (v_max - cd) / dt,
-        2.0 * (c_max - c - cd * dt) / dt**2,
-        _viability_upper(c_max - c - cd * dt, cd, limits.viability_brake_max, dt),
-    ])
-    lower = np.stack([
-        limits.a_min,
-        (v_min - cd) / dt,
-        2.0 * (c_min - c - cd * dt) / dt**2,
-        -_viability_upper(c + cd * dt - c_min, -cd, limits.viability_brake_min, dt),
-    ])
-    acc_max = upper.min(axis=0)
-    acc_min = lower.max(axis=0)
+    step = cd * dt
+    # enforced against the slightly tightened position/velocity limits:
+    # c_max - c - cd dt over c_min - c - cd dt
+    room = limits.c_tight - c
+    room -= step
+    position = _TWO_SIDES * room
+    position /= dt**2
+    velocity = limits.v_tight - cd
+    velocity /= dt * _SIDES
+    # the lower side stops toward c_min from c + cd dt at velocity -cd
+    margin = np.array((room[0], c + step - limits.c_tight[1]))
+    viability = _viability_upper(margin, cd * _SIDES, limits.brake_sides, dt)
+    bound = np.minimum(np.minimum(np.minimum(limits.a_sides, velocity), position), viability)
+    acc_max, acc_min = bound[0], -bound[1]
 
     repaired = acc_min > acc_max
     if repaired.any():

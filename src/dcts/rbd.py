@@ -21,9 +21,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from importlib import resources
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -51,16 +50,33 @@ def rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
 
 def axis_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rodrigues rotation about a unit axis."""
-    return np.array(_rodrigues(*axis, angle)).reshape(3, 3)
+    outer, cross = _axis_products(np.asarray(axis, dtype=float))
+    return _rotations(outer, cross, math.cos(angle), math.sin(angle))
 
 
-def _rodrigues(x: float, y: float, z: float, angle: float) -> tuple:
-    """The entries of ``axis_rotation``, row by row, as Python floats."""
-    c, s = math.cos(angle), math.sin(angle)
-    C = 1.0 - c
-    return (x * x * C + c, x * y * C - z * s, x * z * C + y * s,
-            y * x * C + z * s, y * y * C + c, y * z * C - x * s,
-            z * x * C - y * s, z * y * C + x * s, z * z * C + c)
+# [a]x row by row, (0, -z, y; z, 0, -x; -y, x, 0), as signed components of a;
+# its diagonal is +-0, which only ever adds to a_j^2 (1 - c) >= +0
+_CROSS_AXIS = np.array([0, 2, 1, 2, 1, 0, 1, 0, 2])
+_CROSS_SIGN = np.array([0.0, -1.0, 1.0, 1.0, 0.0, -1.0, -1.0, 1.0, 0.0])
+_DIAGONAL = np.eye(3, dtype=bool)
+
+
+def _axis_products(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a a^T, [a]x) of each unit axis a along the last dimension: the
+    constants of its rotations."""
+    cross = axes[..., _CROSS_AXIS] * _CROSS_SIGN
+    return axes[..., :, None] * axes[..., None, :], cross.reshape(*axes.shape, 3)
+
+
+def _rotations(outer: np.ndarray, cross: np.ndarray, c, s) -> np.ndarray:
+    """outer (1 - c) + cross s + I c: the Rodrigues rotations about the axes
+    of ``_axis_products`` by angles of cosine c and sine s. Entry by entry it
+    is the scalar formula's a_j a_k (1 - c) + (+-a_l s), and a_j^2 (1 - c) + c
+    on the diagonal."""
+    R = outer * (1.0 - c)
+    R += s * cross
+    np.add(R, c, out=R, where=_DIAGONAL)
+    return R
 
 
 def _transform(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
@@ -110,10 +126,23 @@ class RobotModel:
     tool: np.ndarray         # (4, 4)
     armature: np.ndarray     # (n,) [kg m^2] reflected drive inertia, may be zero
 
+    # constants of the kernels: each joint's ``_axis_products``, the joints
+    # moving each link (``moves[j, i]``: joint j moves link i) and the masses
+    # of the links they move (``moved_mass[j, i, 0]``: m_i, or 0)
+    axis_outer: np.ndarray = field(init=False, repr=False, compare=False)
+    axis_cross: np.ndarray = field(init=False, repr=False, compare=False)
+    moves: np.ndarray = field(init=False, repr=False, compare=False)
+    moved_mass: np.ndarray = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
+        moves = np.tri(self.n, dtype=bool).T
+        constants = {"moves": moves, "moved_mass": self.masses[:, None] * moves[:, :, None]}
+        constants["axis_outer"], constants["axis_cross"] = _axis_products(self.axes)
+        for name, value in constants.items():
+            object.__setattr__(self, name, value)
         for name in ("origins", "axes", "masses", "coms", "inertias", "q_min",
                      "q_max", "v_min", "v_max", "tau_min", "tau_max",
-                     "gravity", "tool", "armature"):
+                     "gravity", "tool", "armature", *constants):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -189,16 +218,17 @@ def link_transforms(model: RobotModel, q: np.ndarray) -> np.ndarray:
     q = model.check_q(q)
     batch = q.shape[:-1]
     n = model.n
-    # every joint's rotation in one array, its entries Python floats
-    entries = [_rodrigues(x, y, z, angle)
-               for (x, y, z), column in zip(model.axes.tolist(), q.reshape(-1, n).T.tolist())
-               for angle in column]
-    R = np.fromiter(chain.from_iterable(entries), float, 9 * len(entries))
-    R = R.reshape(n, *batch, 3, 3)
+    ones = (1,) * len(batch)
+    # every joint's rotation in one array, cos and sin from math
+    angles = q.T.ravel().tolist()
+    c, s = np.array([*map(math.cos, angles), *map(math.sin, angles)]).reshape(2, n, *batch, 1, 1)
+    R = _rotations(model.axis_outer.reshape(n, *ones, 3, 3),
+                   model.axis_cross.reshape(n, *ones, 3, 3), c, s)
     # each joint's transform from its parent frame: the origin with the
     # joint's rotation folded in, all joints in one batched matmul
-    origins = model.origins.reshape(n, *(1,) * len(batch), 4, 4)
-    local = np.broadcast_to(origins, (n, *batch, 4, 4)).copy()
+    origins = model.origins.reshape(n, *ones, 4, 4)
+    local = np.empty((n, *batch, 4, 4))
+    local[...] = origins
     np.matmul(origins[..., :3, :3], R, out=local[..., :3, :3])
     out = np.empty((*batch, n + 1, 4, 4))
     T = _EYE4
@@ -319,25 +349,15 @@ def mass_matrix(model: RobotModel, kin: Kinematics) -> np.ndarray:
     np.subtract(ab[..., :3], ab[..., 3:], out=left[..., :3])
     left[..., 3:] = z
     right = np.empty_like(left)
-    mask = _upper_mask(n)
-    np.multiply(left[..., :3], model.masses[:, None] * mask, out=right[..., :3])
+    np.multiply(left[..., :3], model.moved_mass, out=right[..., :3])
     zI = kin.z @ kin.Iw.swapaxes(-3, -2).reshape(*batch, 3, 3 * n)
-    np.multiply(zI.reshape(*batch, n, n, 3), mask, out=right[..., 3:])
+    np.multiply(zI.reshape(*batch, n, n, 3), model.moves[:, :, None], out=right[..., 3:])
     # row j, column k >= j sums over the links i >= k that both joints move;
     # the entries below the diagonal are their mirror images
     A = left.reshape(*batch, n, 6 * n) @ right.reshape(*batch, n, 6 * n).swapaxes(-1, -2)
-    M = np.where(mask[:, :, 0], A, A.swapaxes(-1, -2))
+    M = np.where(model.moves, A, A.swapaxes(-1, -2))
     M.reshape(-1, n * n)[:, ::n + 1] += model.armature     # the diagonal
     return M
-
-
-@lru_cache
-def _upper_mask(n: int) -> np.ndarray:
-    """1 on and above the diagonal of an (n, n, 1) array, 0 below: row j,
-    column i is 1 where joint j moves link i."""
-    mask = np.tri(n).T[:, :, None].copy()
-    mask.setflags(write=False)
-    return mask
 
 
 def _shifted(x: np.ndarray) -> np.ndarray:
@@ -554,10 +574,27 @@ class ChainDynamics:
     # (w, dw, a_joint) per link of nu's velocity pass (qdd = 0, no gravity),
     # from which every task's drift Jdot qd is read
     velocity: tuple = field(repr=False)
+    # point_rows' results by (frame, point bytes); a replace starts afresh
+    points: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @property
     def transforms(self) -> np.ndarray:
         return self.kin.transforms
+
+    def point_rows(self, frame: int, point: np.ndarray | None = None) -> tuple:
+        """(x, J, jdot_qd) of a frame point at this state: its world position,
+        ``jacobian`` and ``jacobian_dot_qd`` at x, computed on the first call
+        for the point and read-only, so that every task at it shares them."""
+        key = (frame, None if point is None else np.asarray(point, float).tobytes())
+        rows = self.points.get(key)
+        if rows is None:
+            x = self.kin.point(frame, point)
+            rows = (x, jacobian(self.model, self.kin, frame, x=x),
+                    jacobian_dot_qd(self.model, self, frame, x=x))
+            for row in rows:
+                row.setflags(write=False)
+            self.points[key] = rows
+        return rows
 
     def minv(self, rhs: np.ndarray) -> np.ndarray:
         return spd_solve(self.M_cho, rhs)

@@ -257,7 +257,8 @@ _COLUMNS = (
 @dataclass
 class Trace:
     """Per-tick record of one run: one array of ``ticks`` rows per entry of
-    ``_COLUMNS``, zero-filled at construction and filled in by
+    ``_COLUMNS``, zero-filled at construction apart from the tick times
+    ``t`` (multiples of the control period ``dt``) and filled in by
     ``run_scenario``."""
 
     scenario: str
@@ -265,11 +266,13 @@ class Trace:
     n: int
     k: int
     ticks: InitVar[int]
+    dt: float = math.nan            # control period [s]; without it no times
 
     def __post_init__(self, ticks: int):
         for attr, _, width, dtype in _COLUMNS:
             shape = (ticks,) if width is None else (ticks, getattr(self, width))
             setattr(self, attr, np.zeros(shape, dtype))
+        self.t[:] = np.arange(ticks) * self.dt
 
     def summary(self) -> dict:
         ticks = len(self.t)
@@ -278,7 +281,7 @@ class Trace:
             "scenario": self.scenario,
             "solver": self.solver,
             "ticks": ticks,
-            "duration_s": float(self.t[-1] + (self.t[1] - self.t[0])) if ticks > 1 else 0.0,
+            "duration_s": float(self.t[-1] + self.dt) if ticks else 0.0,
             "mean_position_error": float(np.mean(self.pos_err)),
             "max_position_error": float(np.max(self.pos_err)),
             "mean_acceleration_error": float(np.mean(self.acc_err)),
@@ -386,7 +389,7 @@ def run_scenario(scenario: Scenario, solvers: list[str] | None = None,
                  specs=copy.deepcopy(scenario.tasks),       # trackers are stateful
                  rng=np.random.default_rng(scenario.seed),
                  trace=Trace(scenario=scenario.name, solver=name, n=model.n,
-                             k=len(scenario.tasks), ticks=n_ticks),
+                             k=len(scenario.tasks), ticks=n_ticks, dt=scenario.control_dt),
                  qdd_prev=np.zeros(model.n))
             for name in names]
 
@@ -480,7 +483,6 @@ def run_scenario(scenario: Scenario, solvers: list[str] | None = None,
 
     for run in runs:
         trace = run.trace
-        trace.t[:] = np.arange(n_ticks) * scenario.control_dt
         trace.viol_q[:] = _violation_side(trace.q, lset.c_min, lset.c_max)
         trace.viol_v[:] = _violation_side(trace.qd, lset.v_min, lset.v_max)
         trace.viol_tau[:] = _violation_side(trace.tau, model.tau_min, model.tau_max)

@@ -194,9 +194,7 @@ def realize_task(spec: TaskSpec, dyn: rbd.ChainDynamics) -> TaskInstance:
         dx = spec.target_q - dyn.q
         dxd = -dyn.qd
     else:
-        x = dyn.kin.point(tool, spec.point)
-        J6 = rbd.jacobian(model, dyn.kin, tool, x=x)
-        jdq6 = rbd.jacobian_dot_qd(model, dyn, tool, x=x)
+        x, J6, jdq6 = dyn.point_rows(tool, spec.point)
         if spec.selector == "tool_pos":
             J, jdq = J6[:3], jdq6[:3]
             xd = J @ dyn.qd

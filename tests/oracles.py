@@ -8,19 +8,23 @@ brute-force active-set enumeration for small QPs, a least-squares
 null-space solve for its candidates and for QPs with equality rows only,
 HiGHS linear programs for the largest feasible task scale and the largest
 feasible step of a QP's equality right side, the DCTS cascade that solves
-every bisection trial and the dual vectors of a solve built eagerly.
+every bisection trial and the dual vectors of a solve built eagerly. The
+scalar Rodrigues rotation and the four-row bound shaping are the earlier
+forms of library kernels that now take fewer numpy calls; the kernels must
+give their bytes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 from scipy.spatial.transform import Rotation
 
-from dcts import qpcore, rbd, solvers
+from dcts import limits, qpcore, rbd, solvers
 
 
 def fk_chain(model_dict: dict, q, frame: int | None = None):
@@ -92,6 +96,70 @@ def twolink_inverse_dynamics(q, qd, qdd, **kw) -> np.ndarray:
     return (twolink_mass(q, **{k: v for k, v in kw.items() if k != "g"}) @ qdd
             + twolink_bias(q, qd, **{k: v for k, v in kw.items() if k != "g"})
             + twolink_gravity(q, **kw))
+
+
+# ---------------------------------------------------------------------------
+# byte references of rewritten kernels
+
+
+def rodrigues(x: float, y: float, z: float, angle: float) -> tuple:
+    """The entries of the rotation by ``angle`` about the unit axis (x, y, z),
+    row by row, as Python floats."""
+    c, s = math.cos(angle), math.sin(angle)
+    C = 1.0 - c
+    return (x * x * C + c, x * y * C - z * s, x * z * C + y * s,
+            y * x * C + z * s, y * y * C + c, y * z * C - x * s,
+            z * x * C - y * s, z * y * C + x * s, z * z * C + c)
+
+
+def link_transforms_rodrigues(model, q: np.ndarray) -> np.ndarray:
+    """``rbd.link_transforms`` with every joint rotation from ``rodrigues``:
+    world transforms of the link frames and the tool frame, (n+1, 4, 4), or
+    (B, n+1, 4, 4) for a batch of configurations."""
+    batch = q.shape[:-1]
+    n = model.n
+    entries = [rodrigues(x, y, z, angle)
+               for (x, y, z), column in zip(model.axes.tolist(), q.reshape(-1, n).T.tolist())
+               for angle in column]
+    R = np.array(entries, dtype=float).reshape(n, *batch, 3, 3)
+    origins = model.origins.reshape(n, *(1,) * len(batch), 4, 4)
+    local = np.broadcast_to(origins, (n, *batch, 4, 4)).copy()
+    np.matmul(origins[..., :3, :3], R, out=local[..., :3, :3])
+    out = np.empty((*batch, n + 1, 4, 4))
+    T = np.eye(4)
+    for i in range(n):
+        T = np.matmul(T, local[i], out=out[..., i, :, :])
+    np.matmul(T, model.tool, out=out[..., n, :, :])
+    return out
+
+
+def shape_bounds_four_rows(lset, c: np.ndarray, cd: np.ndarray) -> limits.ShapedBounds:
+    """Bound shaping as four rows per side: the acceleration, velocity,
+    one-step position and viability bounds stacked, then the least upper and
+    the greatest lower bound taken, and an empty interval repaired."""
+    dt = lset.dt
+    c_max, c_min = lset.c_max_tight, lset.c_min_tight
+    v_max, v_min = lset.v_max_tight, lset.v_min_tight
+    upper = np.stack([
+        lset.a_max,
+        (v_max - cd) / dt,
+        2.0 * (c_max - c - cd * dt) / dt**2,
+        limits._viability_upper(c_max - c - cd * dt, cd, lset.viability_brake_max, dt),
+    ])
+    lower = np.stack([
+        lset.a_min,
+        (v_min - cd) / dt,
+        2.0 * (c_min - c - cd * dt) / dt**2,
+        -limits._viability_upper(c + cd * dt - c_min, -cd, lset.viability_brake_min, dt),
+    ])
+    acc_max = upper.min(axis=0)
+    acc_min = lower.max(axis=0)
+    repaired = acc_min > acc_max
+    if repaired.any():
+        mid = np.clip(0.5 * (acc_min + acc_max), lset.a_min, lset.a_max)
+        acc_min = np.where(repaired, mid, acc_min)
+        acc_max = np.where(repaired, mid, acc_max)
+    return limits.ShapedBounds(acc_min=acc_min, acc_max=acc_max, repaired=repaired)
 
 
 # ---------------------------------------------------------------------------

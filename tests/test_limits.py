@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dcts import limits
+
+import oracles
 
 
 def simple_set(dt=1e-3, a=10.0):
@@ -102,6 +105,63 @@ def test_shaped_interval_keeps_one_exact_step_inside(case):
         cd_next = cd + a * ls.dt
         assert np.all(((ls.c_min <= c_next) & (c_next <= ls.c_max))[ok])
         assert np.all(((ls.v_min <= cd_next) & (cd_next <= ls.v_max))[ok])
+
+
+@st.composite
+def shaping_anywhere(draw):
+    """A random LimitSet of 1-3 directions, with or without its own
+    viability brake, and a state up to half a range outside its limits; an
+    entry may sit on a tightened limit or be a signed zero instead."""
+    n = draw(st.integers(1, 3))
+    vec = lambda lo, hi: draw(arrays(float, n, elements=st.floats(lo, hi)))
+    c_min = vec(-3.0, 0.0)
+    c_max = c_min + vec(0.05, 6.0)
+    v_min, v_max = -vec(0.01, 5.0), vec(0.01, 5.0)
+    a_min, a_max = -vec(0.5, 1000.0), vec(0.5, 1000.0)
+    brake = vec(0.1, 1000.0) if draw(st.booleans()) else None
+    ls = limits.limit_set(c_min, c_max, v_min, v_max, a_min, a_max, draw(st.floats(1e-4, 1e-2)),
+                          draw(st.floats(0.05, 1.0)), brake)
+
+    def around(lo, hi, tight_lo, tight_hi):
+        x = lo + vec(-0.5, 1.5) * (hi - lo)
+        pick = draw(arrays(int, n, elements=st.integers(0, 4)))
+        for k, value in enumerate((tight_lo, tight_hi, 0.0, -0.0), 1):
+            x = np.where(pick == k, value, x)
+        return x
+
+    return (ls, around(c_min, c_max, ls.c_min_tight, ls.c_max_tight),
+            around(v_min, v_max, ls.v_min_tight, ls.v_max_tight))
+
+
+def assert_four_row_bytes(ls, c, cd):
+    got = limits.shape_acceleration_bounds(ls, c, cd)
+    want = oracles.shape_bounds_four_rows(ls, c, cd)
+    for name in ("acc_min", "acc_max", "repaired"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    return got
+
+
+@given(shaping_anywhere())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_one_pass_shaping_gives_the_bytes_of_four_rows(case):
+    """Shaping both sides in one pass over (2, n) stacks gives the bytes of
+    stacking four rows per side, inside and outside the limits."""
+    assert_four_row_bytes(*case)
+
+
+def test_one_pass_shaping_repairs_with_the_bytes_of_four_rows():
+    """The repair branch gives the bytes of the four-row shaping, on the
+    default brake and on a brake of its own, and repairs some states."""
+    rng = np.random.default_rng(3)
+    repaired = 0
+    for brake in (None, [30.0, 0.5]):
+        ls = limits.limit_set([-1.0, -2.0], [1.0, 2.0], [-3.0, -1.5], [3.0, 1.5],
+                              [-10.0, -10.0], [10.0, 10.0], 1e-3, 0.4, brake)
+        for _ in range(200):
+            c = rng.uniform(-2.5, 2.5, 2)
+            cd = rng.uniform(-4.0, 4.0, 2)
+            repaired += assert_four_row_bytes(ls, c, cd).any_repaired
+    assert repaired > 50
 
 
 def test_viability_brakes_before_the_wall():

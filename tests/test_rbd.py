@@ -319,6 +319,33 @@ def test_bcross_equals_np_cross_byte_for_byte(data, shape):
         assert got.tobytes() == want.tobytes()
 
 
+# whole and half turns, signed zeros and large angles
+_angles = st.one_of(st.sampled_from([0.0, -0.0, np.pi, -np.pi, 1e3, -1e3]),
+                    st.floats(-1e3, 1e3, allow_nan=False))
+# coordinate axes with signed zero components
+_AXES = np.array([[0.0, -0.0, 1.0], [-0.0, 1.0, 0.0], [1.0, 0.0, -0.0], [0.0, -0.0, -1.0]])
+
+
+@given(st.data(), st.integers(0, 4))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_rotations_give_the_bytes_of_the_scalar_formula(iiwa, data, B):
+    """On a chain of random unit axes, some of them coordinate axes with
+    signed zeros, link_transforms and axis_rotation give the bytes of the
+    scalar Rodrigues formula, unbatched (B = 0) and for a batch of B."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    axes = rng.normal(size=(iiwa.n, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    coordinate = data.draw(arrays(bool, iiwa.n))
+    axes[coordinate] = _AXES[rng.integers(0, len(_AXES), coordinate.sum())]
+    model = dataclasses.replace(iiwa, axes=axes)
+    q = data.draw(arrays(float, (B, iiwa.n) if B else iiwa.n, elements=_angles))
+    got = rbd.link_transforms(model, q)
+    assert got.tobytes() == oracles.link_transforms_rodrigues(model, q).tobytes()
+    for axis, angle in zip(axes.tolist(), q.reshape(-1, iiwa.n)[0].tolist()):
+        want = np.array(oracles.rodrigues(*axis, angle)).reshape(3, 3)
+        assert rbd.axis_rotation(np.array(axis), angle).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "indefinite"])
 def test_batched_spd_calls_raise_as_unbatched(iiwa, bad):
     """A batch whose second row is non-finite or not positive definite

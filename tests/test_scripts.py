@@ -83,3 +83,27 @@ def test_ab_controller_prints_p50_and_p95_of_each_round():
     assert re.fullmatch(rf"round 1 \(A first\): p50 {side}; p95 {side}", lines[1])
     assert re.search(r"wins per round \(dcts\): p50 A [01], B [01]; p95 A [01], B [01] of 1$",
                      lines[-1])
+
+
+def test_ab_controller_layers_prints_self_time_and_calls_per_layer():
+    """One --layers round of ab_controller.py with this checkout on both
+    sides exits 0, prints the round's traced self time per tick of each
+    side, and one row per traced layer with both sides' self time and calls
+    per tick; both sides make the same calls."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab_controller.py"),
+                          str(ROOT), str(ROOT), "--layers", "--rounds", "1"],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert re.fullmatch(r"round 1 \(A first\): traced self time per tick A \d+ us, B \d+ us",
+                        lines[1])
+    assert lines[2].split() == ["layer", "A", "us/tick", "B", "us/tick", "B/A",
+                                "A", "calls/tick", "B", "calls/tick"]
+    rows = {line.split()[0]: line.split()[1:] for line in lines[3:]}
+    assert {"rbd.compute_dynamics", "rbd.jacobian", "limits.realize_joint_limits",
+            "tasks.realize_task", "qpcore.solve"} <= set(rows)
+    for a_us, b_us, _, a_calls, b_calls in rows.values():
+        assert float(a_us) > 0 and float(b_us) > 0
+        assert a_calls == b_calls
+    assert rows["rbd.compute_dynamics"][3] == "1.000"

@@ -268,6 +268,17 @@ def test_summary_fields():
     assert set(s["violation_pct"]) == {"q", "v", "tau"}
 
 
+def test_one_tick_summary_lasts_one_control_period():
+    """A run of one tick lasts one control period, as a longer run lasts
+    its ticks times the period."""
+    sc = sim.load_bundled_scenario("rotation_hold")
+    for ticks in (1, 3):
+        sc.duration = ticks * sc.control_dt
+        summary = sim.run_scenario(sc, ["osc"])[0].summary()
+        assert summary["ticks"] == ticks
+        assert summary["duration_s"] == (ticks - 1) * sc.control_dt + sc.control_dt
+
+
 def test_braking_tick_records_every_task_scale_as_zero():
     """A two-task run that brakes on every tick (1 N m torque limits cannot
     hold the arm) records s = 0 for both tasks, so the summary counts no

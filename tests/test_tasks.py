@@ -225,8 +225,9 @@ def test_two_task_tick_runs_one_velocity_pass(iiwa, monkeypatch):
 
 
 def test_each_tool_task_evaluates_its_point_once(iiwa, monkeypatch):
-    """A tool_pos + tool_rot_xy tick evaluates each task's tool point once
-    and hands it to both the Jacobian and the drift."""
+    """A tool_pos + tool_rot_xy tick evaluates their shared tool point once
+    and hands it to both the Jacobian and the drift, whose rows both tasks
+    read from ``ChainDynamics.point_rows``."""
     calls = []
     point = rbd.Kinematics.point
     monkeypatch.setattr(rbd.Kinematics, "point",
@@ -235,4 +236,4 @@ def test_each_tool_task_evaluates_its_point_once(iiwa, monkeypatch):
     assert [spec.selector for spec in specs] == ["tool_pos", "tool_rot_xy"]
     for spec in specs:
         tasks.realize_task(spec, dyn)
-    assert len(calls) == 2
+    assert len(calls) == 1
