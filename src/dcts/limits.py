@@ -33,22 +33,28 @@ _SIDES = np.array([[1.0], [-1.0]])
 _TWO_SIDES = 2.0 * _SIDES
 
 
-def _viability_upper(margin: np.ndarray, cd: np.ndarray, brake: np.ndarray,
-                     dt: float) -> np.ndarray:
+def _brake_terms(brake: np.ndarray, dt: float) -> tuple:
+    """The brake-only terms of ``_viability_upper``, each by the expression it replaces, and dt."""
+    return (0.5 * brake * dt * dt, (brake * dt) ** 2, 8.0 * brake, 4.0 * brake * dt,
+            -brake * dt, dt)
+
+
+def _viability_upper(margin: np.ndarray, cd: np.ndarray, brake: tuple) -> np.ndarray:
     """Largest post-step velocity u that can still stop within ``margin``.
 
-    Solves u^2 + brake dt u - (2 brake margin + brake dt cd) <= 0 for the
-    velocity after one step; the acceleration bound is (u - cd)/dt. A negative
-    discriminant means the wall cannot be avoided even from zero velocity;
-    the bound then demands moving away (u <= 0).
+    Solves u^2 + b dt u - (2 b margin + b dt cd) <= 0 for the velocity after
+    one step, for ``brake = _brake_terms(b, dt)``; the bound is (u - cd)/dt.
+    A negative discriminant means the wall cannot be avoided even from zero
+    velocity; the bound then demands moving away (u <= 0).
     """
+    half_dt2, dt_squared, eight, four_dt, neg_dt, dt = brake
     # half-step buffer absorbs the sampled-time loss of the continuous
     # stopping argument; without it, riding the bound creeps past the limit
     # by O(brake dt^2) per approach
-    margin = margin - 0.5 * brake * dt * dt
-    disc = (brake * dt) ** 2 + 8.0 * brake * margin + 4.0 * brake * dt * cd
+    margin = margin - half_dt2
+    disc = dt_squared + eight * margin + four_dt * cd
     u = np.where(disc >= 0.0,
-                 0.5 * (-brake * dt + np.sqrt(np.maximum(disc, 0.0))),
+                 0.5 * (neg_dt + np.sqrt(np.maximum(disc, 0.0))),
                  0.0)
     return (u - cd) / dt
 
@@ -88,7 +94,7 @@ class LimitSet:
     c_tight: np.ndarray = field(init=False, repr=False, compare=False)
     v_tight: np.ndarray = field(init=False, repr=False, compare=False)
     a_sides: np.ndarray = field(init=False, repr=False, compare=False)
-    brake_sides: np.ndarray = field(init=False, repr=False, compare=False)
+    brake_terms: tuple = field(init=False, repr=False, compare=False)   # of both sides' brakes
 
     def __post_init__(self):
         for lo, hi in (("c_min", "c_max"), ("v_min", "v_max"), ("a_min", "a_max")):
@@ -117,7 +123,6 @@ class LimitSet:
             "c_tight": (self.c_max - margin_c, self.c_min + margin_c),
             "v_tight": (self.v_max - margin_v, self.v_min + margin_v),
             "a_sides": (self.a_max, -self.a_min),
-            "brake_sides": (self.viability_brake_max, self.viability_brake_min),
         }
         for name, (upper, lower) in sides.items():
             stack = np.empty((2, self.size))
@@ -127,6 +132,8 @@ class LimitSet:
         object.__setattr__(self, "c_min_tight", self.c_tight[1])
         object.__setattr__(self, "v_max_tight", self.v_tight[0])
         object.__setattr__(self, "v_min_tight", self.v_tight[1])
+        brake = np.array((self.viability_brake_max, self.viability_brake_min))
+        object.__setattr__(self, "brake_terms", _brake_terms(brake, self.dt))
 
     @property
     def size(self) -> int:
@@ -189,7 +196,7 @@ def shape_acceleration_bounds(limits: LimitSet, c: np.ndarray, cd: np.ndarray) -
     velocity /= dt * _SIDES
     # the lower side stops toward c_min from c + cd dt at velocity -cd
     margin = np.array((room[0], c + step - limits.c_tight[1]))
-    viability = _viability_upper(margin, cd * _SIDES, limits.brake_sides, dt)
+    viability = _viability_upper(margin, cd * _SIDES, limits.brake_terms)
     bound = np.minimum(np.minimum(np.minimum(limits.a_sides, velocity), position), viability)
     acc_max, acc_min = bound[0], -bound[1]
 

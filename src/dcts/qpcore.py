@@ -107,13 +107,13 @@ class QpProblem:
             self.upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
             if self.Ain.shape != (len(self.lower), d) or len(self.lower) != len(self.upper):
                 raise QpError("Ain/lower/upper dimensions inconsistent")
-            if np.any(self.lower > self.upper):
+            if (self.lower > self.upper).any():
                 raise QpError("lower > upper on an inequality row")
         self.lb = np.full(d, -np.inf) if self.lb is None else np.asarray(self.lb, dtype=float)
         self.ub = np.full(d, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float)
         if self.lb.shape != (d,) or self.ub.shape != (d,):
             raise QpError("lb/ub must match the variable dimension")
-        if np.any(self.lb > self.ub):
+        if (self.lb > self.ub).any():
             raise QpError("lb > ub on a variable")
         # the usual case in two tests: a finite sum has no NaN or inf term,
         # and the sides may hold inf but no NaN; otherwise find the field
@@ -241,26 +241,29 @@ def _build_rows(p: QpProblem) -> _Rows:
 
     Order: equalities, then each Ain row's lower and upper side, then each
     variable's lower and upper bound. Rows with zero norm or an infinite side
-    are left out. Each norm is one ``np.vecdot`` (the bytes of ``r.dot(r)``)
-    and a square root, rounded as ``np.linalg.norm`` rounds it. The equality
-    and Ain rows take one division: an upper side divides by the negated
-    norm, which gives the bytes of negating the quotient. Bound rows are unit
-    rows.
+    are left out. The norms of [Aeq; Ain] are one ``np.vecdot`` (``r.dot(r)``
+    per row) and a square root, rounded as ``np.linalg.norm`` rounds them. The
+    kept rows are gathered once and take one division: an upper side divides
+    by the negated norm, the bytes of negating the quotient. Unit bound rows
+    are appended when some bound is finite.
     """
-    eq_norm = np.sqrt(np.vecdot(p.Aeq, p.Aeq))
-    in_norm = np.sqrt(np.vecdot(p.Ain, p.Ain))
-    eq_index = np.flatnonzero(eq_norm > 0.0)
-    eq_norm = eq_norm[eq_index]
+    A = np.concatenate([p.Aeq, p.Ain])
+    norm = np.sqrt(np.vecdot(A, A))
+    m_eq = len(p.beq)
+    eq_index = (norm[:m_eq] > 0.0).nonzero()[0]
+    eq_norm = norm[eq_index]
+    in_norm = norm[m_eq:]
     sides = np.array([p.lower, p.upper]).T
-    in_i, in_side = np.nonzero(np.isfinite(sides) & (in_norm > 0.0)[:, None])
+    in_i, in_side = (np.isfinite(sides) & (in_norm > 0.0)[:, None]).nonzero()
     in_scale = in_norm[in_i]
     scale = np.concatenate([eq_norm, np.where(in_side, -in_scale, in_scale)])
+    C = A.take(np.concatenate([eq_index, m_eq + in_i]), axis=0) / scale[:, None]
+    b = np.concatenate([p.beq[eq_index], sides[in_i, in_side]]) / scale
     bounds = np.array([p.lb, -p.ub]).T
-    bd_j, bd_side = np.nonzero(np.isfinite(bounds))
-    C = np.concatenate([np.concatenate([p.Aeq[eq_index], p.Ain[in_i]]) / scale[:, None],
-                        _unit_rows(p.dim)[bd_j, bd_side]])
-    b = np.concatenate([np.concatenate([p.beq[eq_index], sides[in_i, in_side]]) / scale,
-                        bounds[bd_j, bd_side]])
+    bd_j, bd_side = np.isfinite(bounds).nonzero()
+    if len(bd_j):
+        C = np.concatenate([C, _unit_rows(p.dim)[bd_j, bd_side]])
+        b = np.concatenate([b, bounds[bd_j, bd_side]])
     C.flags.writeable = b.flags.writeable = False
     return _Rows(C, b, len(eq_index), eq_index, eq_norm, _independent_rows(C[:len(eq_index)]),
                  (in_i, in_side, in_scale, bd_j, bd_side))
@@ -276,8 +279,8 @@ def _independent_rows(C_eq: np.ndarray) -> tuple:
     keep = list(range(len(C_eq)))
     first = 0
     while keep:
-        r = np.abs(np.diagonal(dgeqrf(C_eq[keep].T)[0]))
-        low = np.flatnonzero(r[first:] <= EQ_RANK_FLOOR)
+        r = np.abs(dgeqrf(C_eq[keep].T)[0].diagonal())
+        low = (r[first:] <= EQ_RANK_FLOOR).nonzero()[0]
         if not len(low):
             break
         first += int(low[0])
@@ -444,7 +447,7 @@ def solve(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
     if n_eq:
         # every equality row, kept or dependent, holds at the start, or none can
         miss = np.abs(C[:n_eq] @ x - b[:n_eq])
-        bad = np.flatnonzero(~(miss <= tol))
+        bad = (~(miss <= tol)).nonzero()[0]
         if len(bad):
             return finish(INFEASIBLE, int(bad[0]), float(miss[bad[0]]))
 
@@ -526,7 +529,7 @@ def sweep(p: QpProblem, sol: QpSolution, delta: np.ndarray) -> float | None:
             rate = C @ dx - db
             miss = rate[active]
             rate[active] = 0.0
-            blocking = np.flatnonzero(rate < -1e-11 * max(1.0, math.sqrt(dx.dot(dx))))
+            blocking = (rate < -1e-11 * max(1.0, math.sqrt(dx.dot(dx)))).nonzero()[0]
             steps = np.maximum(C[blocking] @ x - (b + t * db)[blocking], 0.0) / -rate[blocking]
             t_row, k = min(zip(steps.tolist(), blocking.tolist()), default=(math.inf, -1))
             floor = -1e-11 * max(1.0, max(map(abs, du), default=0.0))

@@ -461,10 +461,12 @@ def spd_solve(factor: tuple[np.ndarray, bool] | list[tuple[np.ndarray, bool]],
               b: np.ndarray) -> np.ndarray:
     """scipy's ``cho_solve(factor, b)`` as one direct LAPACK potrs call; a
     list of factors solves one row of b each, b checked once."""
+    b = np.asarray(b, dtype=float)
+    if not np.isfinite(b).all():    # np.asarray_chkfinite's check and error
+        raise ValueError("array must not contain infs or NaNs")
     if isinstance(factor, list):
-        b = np.asarray_chkfinite(b, dtype=float)
         return np.array([dpotrs(c, row, lower=lower)[0] for (c, lower), row in zip(factor, b)])
-    return dpotrs(factor[0], np.asarray_chkfinite(b, dtype=float), lower=factor[1])[0]
+    return dpotrs(factor[0], b, lower=factor[1])[0]
 
 
 # numpy.linalg's solve, eigvalsh and det each make one call to a gufunc of
@@ -804,8 +806,8 @@ def load_bundled_model(name: str = "iiwa14") -> RobotModel:
 
 def rotation_log(R: np.ndarray) -> np.ndarray:
     """Axis-angle vector of a rotation matrix (angle in [0, pi])."""
-    tr = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
-    angle = math.acos(tr)
+    tr = (R[0, 0] + R[1, 1] + R[2, 2] - 1.0) / 2.0
+    angle = math.acos(min(max(tr, -1.0), 1.0))
     if angle < 1e-12:
         return np.zeros(3)
     w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])

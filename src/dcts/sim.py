@@ -73,7 +73,7 @@ class Event:
             return 1.0
         up = (t - self.start) / self.ramp
         down = (self.start + self.duration - t) / self.ramp
-        return float(np.clip(min(up, down), 0.0, 1.0))
+        return min(max(min(up, down), 0.0), 1.0)
 
 
 def augment_with_point_mass(model: rbd.RobotModel, mass: float,
@@ -336,9 +336,11 @@ def _segment_distance(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     ab = b - a
     denom = float(ab @ ab)
     if denom < 1e-16:
-        return float(np.linalg.norm(x - b))
-    u = float(np.clip((x - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(x - (a + u * ab)))
+        d = x - b
+    else:
+        u = min(max(float((x - a) @ ab / denom), 0.0), 1.0)
+        d = x - (a + u * ab)
+    return math.sqrt(d.dot(d))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +413,7 @@ def run_scenario(scenario: Scenario, solvers: list[str] | None = None,
             if noise > 0:
                 tau_ext = tau_ext + run.rng.normal(0.0, noise, model.n)
             realized = [tasks_mod.realize_task(sp, dyn) for sp in run.specs]
-            ext = tau_ext if np.any(tau_ext) else None
+            ext = tau_ext if tau_ext.any() else None
 
             if run.solver == "dcts":
                 offset = (dyn.minv(tau_ext) if ext is not None and cfg.ext_force_in_bounds
@@ -476,8 +478,8 @@ def run_scenario(scenario: Scenario, solvers: list[str] | None = None,
 
         for b, (run, lead) in enumerate(zip(runs, leads)):
             run.trace.qdd[tick] = qdd_first[b]
-            run.trace.acc_err[tick] = float(np.linalg.norm(
-                lead.J @ qdd_first[b] + lead.jdot_qd - lead.a_d))
+            miss = lead.J @ qdd_first[b] + lead.jdot_qd - lead.a_d
+            run.trace.acc_err[tick] = math.sqrt(miss.dot(miss))
             run.state = rbd.JointState(sub.q[b], sub.qd[b])
             run.qdd_prev = qdd_first[b]
 
@@ -494,14 +496,15 @@ def _position_error(spec: tasks_mod.TaskSpec, lead: tasks_mod.TaskInstance,
     """The lead task's position error: the distance to the tracker's current
     segment or waypoint, or the norm of the task error."""
     if spec.mode != "waypoint_tracker":
-        return float(np.linalg.norm(lead.error)) if lead.error is not None else 0.0
+        return math.sqrt(lead.error.dot(lead.error)) if lead.error is not None else 0.0
     tracker = spec.tracker
     seg = tracker.segment()
     x = kin.point(tool_frame, spec.point)
     if seg is not None:
         return _segment_distance(x, seg[0], seg[1])
     if tracker.current is not None:
-        return float(np.linalg.norm(x - tracker.current))
+        d = x - tracker.current
+        return math.sqrt(d.dot(d))
     return 0.0
 
 

@@ -31,6 +31,7 @@ constants below.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -86,11 +87,19 @@ class ControlOutput:
     diagnostics: dict = field(default_factory=dict)
 
 
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, read-only: one array per size for every tick."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _minv_tau_ext(dyn: rbd.ChainDynamics, tau_ext: np.ndarray | None) -> np.ndarray | None:
     """M^-1 tau_ext, or None when there is no external torque."""
-    if tau_ext is None or not np.any(tau_ext):
+    if tau_ext is None or not tau_ext.any():
         return None
-    return dyn.minv(np.asarray(tau_ext, float))
+    return dyn.minv(tau_ext)
 
 
 def _osc_torque(dyn: rbd.ChainDynamics, task: TaskInstance, minv_tau_ext: np.ndarray | None,
@@ -103,12 +112,12 @@ def _osc_torque(dyn: rbd.ChainDynamics, task: TaskInstance, minv_tau_ext: np.nda
     if pinned:
         n = dyn.model.n
         idx = sorted(pinned)
-        Js = np.eye(n)[idx]
+        Js = _identity(n)[idx]
         a_s = np.array([pinned[j] for j in idx])
         fac_s, Minv_Jst, damped = rbd.lambda_factor(Js, dyn.minv)
         tau_s = Js.T @ rbd.spd_solve(fac_s, a_s)
         # acceleration-space projector of the pinned rows: Js @ Ns = 0
-        Ns = np.eye(n) - Minv_Jst @ rbd.spd_solve(fac_s, Js)
+        Ns = _identity(n) - Minv_Jst @ rbd.spd_solve(fac_s, Js)
         J = task.J @ Ns
         rhs = rhs - task.J @ dyn.minv(tau_s)
     if minv_tau_ext is not None:
@@ -223,8 +232,8 @@ def solve_qp_md(model: rbd.RobotModel, state: rbd.JointState, task: TaskInstance
                 cfg: SolverConfig, dyn: rbd.ChainDynamics) -> ControlOutput:
     """QP baseline with a joint-space damping regularizer ||qdd + D qd||^2;
     like QP-MT it takes no external torque."""
-    D = QP_MD_DAMPING * np.eye(model.n)
-    return _solve_qp_baseline(dyn, task, np.eye(model.n), -(D @ state.qd),
+    D = QP_MD_DAMPING * _identity(model.n)
+    return _solve_qp_baseline(dyn, task, _identity(model.n), -(D @ state.qd),
                               QP_MD_WEIGHT)
 
 
@@ -258,12 +267,12 @@ def _nullspace_stack(tasks: list[TaskInstance], dyn: rbd.ChainDynamics) -> list[
     lands in the torque null space (J M^-1 M N_acc = J N_acc... = 0).
     """
     n = dyn.model.n
-    projectors = [np.eye(n)]
+    projectors = [_identity(n)]
     for i in range(1, len(tasks)):
         J_aug = np.vstack([t.J for t in tasks[:i]])
         factor, Minv_Jt, _ = rbd.lambda_factor(J_aug, dyn.minv)
-        jbar = Minv_Jt @ rbd.spd_solve(factor, np.eye(J_aug.shape[0]))
-        projectors.append(np.eye(n) - jbar @ J_aug)
+        jbar = Minv_Jt @ rbd.spd_solve(factor, _identity(J_aug.shape[0]))
+        projectors.append(_identity(n) - jbar @ J_aug)
     return projectors
 
 
@@ -282,42 +291,27 @@ def _level_qp(dyn, J_i, a_d, rhs0, N_i, frozen, tau_lo, tau_hi,
     energy Hessian is regularized.
     """
     n = N_i.shape[0]
-    m = J_i.shape[0]
-    nv = n + (1 if maximize_s else 0)
-
     MN = dyn.M @ N_i
     Hq = N_i.T @ MN
     if maximize_s or not top:
-        Hq = Hq + (1e-9 * max(np.trace(dyn.M) / n, 1.0)) * np.eye(n)
+        Hq = Hq + (1e-9 * max(dyn.M.trace() / n, 1.0)) * _identity(n)
     tau_frozen = dyn.M @ frozen
-    H = np.zeros((nv, nv))
-    f = np.zeros(nv)
-    Aeq = np.zeros((m, nv))
-    Aeq[:, :n] = J_i
-    lb = np.full(nv, -np.inf)
-    ub = np.full(nv, np.inf)
-    if maximize_s:
-        H[:n, :n] = 1e-4 * Hq
-        f[:n] = 1e-4 * (N_i.T @ tau_frozen)
-        H[n, n] = 2.0
-        f[n] = -2.0
-        Aeq[:, n] = -a_d
-        beq = rhs0
-        lb[n] = 0.0
-        ub[n] = 1.0
-    else:
-        H[:n, :n] = Hq
-        f[:n] = N_i.T @ tau_frozen
-        beq = a_d + rhs0
-
+    f = N_i.T @ tau_frozen
     # torque rows on M N_i, then the shaped acceleration rows on N_i
-    Ain = np.zeros((2 * n, nv))
-    Ain[:n, :n] = MN
-    Ain[n:, :n] = N_i
+    Ain = np.concatenate([MN, N_i])
     lower = np.concatenate([tau_lo - tau_frozen, acc_lo - frozen])
     upper = np.concatenate([tau_hi - tau_frozen, acc_hi - frozen])
-    return qpcore.QpProblem(H=H, f=f, Aeq=Aeq, beq=beq, Ain=Ain,
-                            lower=lower, upper=upper, lb=lb, ub=ub)
+    if not maximize_s:
+        return qpcore.QpProblem(H=Hq, f=f, Aeq=J_i, beq=a_d + rhs0, Ain=Ain,
+                                lower=lower, upper=upper)
+    # the scale is one more variable, in [0, 1], on no inequality row
+    H = np.zeros((n + 1, n + 1))
+    H[:n, :n] = 1e-4 * Hq
+    H[n, n] = 2.0
+    return qpcore.QpProblem(H=H, f=np.append(1e-4 * f, -2.0), Aeq=np.column_stack([J_i, -a_d]),
+                            beq=rhs0, Ain=np.column_stack([Ain, np.zeros(2 * n)]),
+                            lower=lower, upper=upper, lb=np.append(np.full(n, -np.inf), 0.0),
+                            ub=np.append(np.full(n, np.inf), 1.0))
 
 
 def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
@@ -423,7 +417,7 @@ def solve_dcts_multi(model: rbd.RobotModel, state: rbd.JointState,
                 return brake("scale", sol)
             # back off by the solver tolerance so the pinned-scale re-solve
             # stays strictly feasible
-            s_lo = float(np.clip(sol.x[n] - 1e-8, 0.0, 1.0))
+            s_lo = min(max(sol.x[n].item() - 1e-8, 0.0), 1.0)
             sol = trial(s_lo)
             if sol.status != qpcore.OPTIMAL:
                 return brake("energy", sol)

@@ -91,10 +91,10 @@ def waypoint_accel(tracker: WaypointTracker, x: np.ndarray,
         tracker.start = x.copy()
     dx = goal - x
     xd_d = (tracker.kp / tracker.kv) * dx
-    speed = float(np.linalg.norm(xd_d))
+    speed = math.sqrt(xd_d.dot(xd_d))
     v = 1.0 if speed < 1e-12 else min(1.0, tracker.v_sat / speed**2)
     acc = -tracker.kv * (xd_c - v * xd_d)
-    if not tracker.done and float(np.linalg.norm(dx)) < tracker.tolerance:
+    if not tracker.done and math.sqrt(dx.dot(dx)) < tracker.tolerance:
         tracker.start = goal.copy()
         tracker.index += 1
     return acc

@@ -144,13 +144,15 @@ def shape_bounds_four_rows(lset, c: np.ndarray, cd: np.ndarray) -> limits.Shaped
         lset.a_max,
         (v_max - cd) / dt,
         2.0 * (c_max - c - cd * dt) / dt**2,
-        limits._viability_upper(c_max - c - cd * dt, cd, lset.viability_brake_max, dt),
+        limits._viability_upper(c_max - c - cd * dt, cd,
+                                limits._brake_terms(lset.viability_brake_max, dt)),
     ])
     lower = np.stack([
         lset.a_min,
         (v_min - cd) / dt,
         2.0 * (c_min - c - cd * dt) / dt**2,
-        -limits._viability_upper(c + cd * dt - c_min, -cd, lset.viability_brake_min, dt),
+        -limits._viability_upper(c + cd * dt - c_min, -cd,
+                                 limits._brake_terms(lset.viability_brake_min, dt)),
     ])
     acc_max = upper.min(axis=0)
     acc_min = lower.max(axis=0)
@@ -164,6 +166,22 @@ def shape_bounds_four_rows(lset, c: np.ndarray, cd: np.ndarray) -> limits.Shaped
 
 # ---------------------------------------------------------------------------
 # classical Runge-Kutta step of the library's forward dynamics
+
+
+def rotation_log_trace_clip(R: np.ndarray) -> np.ndarray:
+    """``rbd.rotation_log`` with the trace and the clip of its angle taken
+    by ``np.trace`` and ``np.clip``."""
+    tr = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
+    angle = math.acos(tr)
+    if angle < 1e-12:
+        return np.zeros(3)
+    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    if math.pi - angle < 1e-6:
+        A = 0.5 * (R + np.eye(3))
+        axis = np.sqrt(np.clip(np.diag(A), 0.0, None))
+        axis = axis * np.sign(w + 1e-300)
+        return angle * axis / np.linalg.norm(axis)
+    return angle * w / (2.0 * math.sin(angle))
 
 
 def rk4_step(model, state, tau, tau_ext, dt: float):
@@ -380,6 +398,47 @@ def qp_duals_eager(p, active, duals) -> list[np.ndarray]:
     out = np.array(out)
     return [out[:start[1]], out[start[1]:start[2]], out[start[2]:start[3]],
             out[start[3]:start[4]], out[start[4]:]]
+
+
+def level_qp_padded(dyn, J_i, a_d, rhs0, N_i, frozen, tau_lo, tau_hi,
+                    acc_lo, acc_hi, top, maximize_s):
+    """``solvers._level_qp`` assembled as nv-variable zero arrays filled block
+    by block (nv = n, plus one for the scale with ``maximize_s``), with an
+    explicit +-inf box on every variable."""
+    n = N_i.shape[0]
+    m = J_i.shape[0]
+    nv = n + (1 if maximize_s else 0)
+    MN = dyn.M @ N_i
+    Hq = N_i.T @ MN
+    if maximize_s or not top:
+        Hq = Hq + (1e-9 * max(np.trace(dyn.M) / n, 1.0)) * np.eye(n)
+    tau_frozen = dyn.M @ frozen
+    H = np.zeros((nv, nv))
+    f = np.zeros(nv)
+    Aeq = np.zeros((m, nv))
+    Aeq[:, :n] = J_i
+    lb = np.full(nv, -np.inf)
+    ub = np.full(nv, np.inf)
+    if maximize_s:
+        H[:n, :n] = 1e-4 * Hq
+        f[:n] = 1e-4 * (N_i.T @ tau_frozen)
+        H[n, n] = 2.0
+        f[n] = -2.0
+        Aeq[:, n] = -a_d
+        beq = rhs0
+        lb[n] = 0.0
+        ub[n] = 1.0
+    else:
+        H[:n, :n] = Hq
+        f[:n] = N_i.T @ tau_frozen
+        beq = a_d + rhs0
+    Ain = np.zeros((2 * n, nv))
+    Ain[:n, :n] = MN
+    Ain[n:, :n] = N_i
+    lower = np.concatenate([tau_lo - tau_frozen, acc_lo - frozen])
+    upper = np.concatenate([tau_hi - tau_frozen, acc_hi - frozen])
+    return qpcore.QpProblem(H=H, f=f, Aeq=Aeq, beq=beq, Ain=Ain,
+                            lower=lower, upper=upper, lb=lb, ub=ub)
 
 
 def dcts_every_trial(model, state, tasks, limit_real, tau_ext, cfg, dyn):

@@ -55,10 +55,12 @@ def test_one_step_safety_randomized_sweep():
     cd = rng.uniform(-3.0, 3.0, n)
     upper = np.stack([np.full(n, 50.0), (3.0 - cd) / 1e-3,
                       2.0 * (1.0 - c - cd * 1e-3) / 1e-6,
-                      limits._viability_upper(1.0 - c - cd * 1e-3, cd, np.full(n, 50.0), 1e-3)])
+                      limits._viability_upper(1.0 - c - cd * 1e-3, cd,
+                                              limits._brake_terms(np.full(n, 50.0), 1e-3))])
     lower = np.stack([np.full(n, -50.0), (-3.0 - cd) / 1e-3,
                       2.0 * (-1.0 - c - cd * 1e-3) / 1e-6,
-                      -limits._viability_upper(c + cd * 1e-3 + 1.0, -cd, np.full(n, 50.0), 1e-3)])
+                      -limits._viability_upper(c + cd * 1e-3 + 1.0, -cd,
+                                               limits._brake_terms(np.full(n, 50.0), 1e-3))])
     lo = lower.max(axis=0)
     hi = upper.min(axis=0)
     feasible = lo <= hi

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcts import qpcore, sim
@@ -392,10 +392,54 @@ def _row_table_cases():
                            lower=np.array([-1.0]), upper=np.array([1.0]))
 
 
-def test_row_table_matches_per_row_reference():
+# a side pair of an inequality row or a variable: both finite, one or both
+# sides infinite, or both at the same infinity
+_SIDE_KINDS = ("finite", "no lower", "no upper", "neither", "both +inf", "both -inf")
+
+
+@st.composite
+def _row_table_problems(draw):
+    """A problem for every rule of the row table: d from 1 to 8, zero-norm
+    rows of +0.0 and -0.0 entries, sides and bounds infinite on one or both
+    ends, and Aeq or Ain empty (None or zero rows)."""
+    d = draw(st.integers(1, 8))
+    value = st.floats(-1e3, 1e3)
+    zero = st.sampled_from([0.0, -0.0])
+
+    def block(m):
+        rows = [draw(st.lists(zero if draw(st.integers(0, 3)) == 0 else zero | value,
+                              min_size=d, max_size=d)) for _ in range(m)]
+        return np.array(rows).reshape(m, d)
+
+    def sides(m):
+        lo, hi = np.empty(m), np.empty(m)
+        for i in range(m):
+            x, w = draw(value), draw(st.floats(0.0, 1e3))
+            kind = draw(st.sampled_from(_SIDE_KINDS))
+            lo[i] = {"no lower": -np.inf, "neither": -np.inf, "both +inf": np.inf,
+                     "both -inf": -np.inf}.get(kind, x)
+            hi[i] = {"no upper": np.inf, "neither": np.inf, "both +inf": np.inf,
+                     "both -inf": -np.inf}.get(kind, x + w)
+        return lo, hi
+
+    m_eq, m_in = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    empty = draw(st.booleans())         # an empty block as None or as zero rows
+    eq = (block(m_eq), np.array([draw(value) for _ in range(m_eq)])) if m_eq or empty \
+        else (None, None)
+    ineq = (block(m_in), *sides(m_in)) if m_in or empty else (None, None, None)
+    lb, ub = sides(d)
+    return qpcore.QpProblem(H=np.eye(d), f=np.zeros(d), Aeq=eq[0], beq=eq[1], Ain=ineq[0],
+                            lower=ineq[1], upper=ineq[2], lb=lb, ub=ub)
+
+
+@given(_row_table_problems())
+@example(None)                      # the fixed cases of _row_table_cases
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_row_table_matches_per_row_reference(drawn):
     """The array-built row table equals the one-row-at-a-time table byte for
-    byte, so the solver's arithmetic is unchanged."""
-    for p in _row_table_cases():
+    byte, signed zeros included, so the solver's arithmetic is unchanged: on
+    the fixed cases and on drawn problems."""
+    for p in _row_table_cases() if drawn is None else [drawn]:
         rows = qpcore._build_rows(p)
         row_kind, row_index, row_norm = qpcore._row_info(rows)
         C, b, kind, ref, n_eq = oracles.qp_rows_per_row(p)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -377,6 +378,42 @@ def test_batched_spd_calls_raise_as_unbatched(iiwa, bad):
         assert str(raised[0]).startswith("4-th leading minor")
     else:
         assert type(raised[0]) is ValueError
+        with pytest.raises(ValueError) as err:
+            np.asarray_chkfinite(rhs)
+        assert str(raised[0]) == str(err.value)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_rotation_log_matches_the_trace_clip_formula(data):
+    """rotation_log's scalar trace and clip give the bytes of np.trace and
+    np.clip: on rotations at any angle, at angles within 1e-12 of 0 and of
+    pi, and with diagonal entries moved by a few ulps, so that the trace
+    rounds above 3 or below -1."""
+    axis = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+    norm = np.linalg.norm(axis)
+    axis = np.array([1.0, 0.0, 0.0]) if norm < 1e-3 else axis / norm
+    near = data.draw(st.floats(0.0, 1e-12))
+    angle = data.draw(st.sampled_from([near, math.pi - near]) | st.floats(0.0, math.pi))
+    R = rbd.axis_rotation(axis, angle)
+    for k in range(3):
+        for _ in range(data.draw(st.integers(0, 2))):
+            R[k, k] = np.nextafter(R[k, k], data.draw(st.sampled_from([-np.inf, np.inf])))
+    assert rbd.rotation_log(R).tobytes() == oracles.rotation_log_trace_clip(R).tobytes()
+
+
+def test_rotation_log_clips_a_trace_that_rounds_past_its_range():
+    """A diagonal entry two ulps past 1 or -1 takes the trace past 3 or -1,
+    which gives angle 0 or pi, as with np.clip."""
+    above = np.eye(3)
+    above[0, 0] = np.nextafter(np.nextafter(1.0, 2.0), 2.0)
+    below = np.diag([1.0, -1.0, -1.0])
+    below[1, 1] = np.nextafter(np.nextafter(-1.0, -2.0), -2.0)
+    for R in (above, below):
+        assert abs((np.trace(R) - 1.0) / 2.0) > 1.0
+        assert rbd.rotation_log(R).tobytes() == oracles.rotation_log_trace_clip(R).tobytes()
+    assert not rbd.rotation_log(above).any()
+    assert np.linalg.norm(rbd.rotation_log(below)) == math.pi
 
 
 def test_lapack_helpers_give_the_bytes_of_numpy_linalg():

@@ -385,6 +385,31 @@ def test_the_criterion_10_posture_level_meets_its_equality_rows():
         assert np.abs(problem.Aeq @ sol.x - problem.beq).max() <= 1e-12
 
 
+def test_level_qp_matches_the_padded_assembly(iiwa):
+    """Both stages of both levels of the golden stack, on its 12 states,
+    give the problem and the row table of the padded assembly byte for
+    byte: the same JSON, rows and sides, and the same independent rows."""
+    for state, dyn, realized, tau_ext, lr in stack_cases(iiwa):
+        projectors = solvers._nullspace_stack(realized, dyn)
+        comp = dyn.nu + dyn.g
+        sides = (iiwa.tau_min - comp, iiwa.tau_max - comp, lr.bounds.acc_min, lr.bounds.acc_max)
+        frozen = np.zeros(iiwa.n)
+        for i, task in enumerate(realized):
+            rhs0 = -task.jdot_qd
+            if tau_ext is not None:
+                rhs0 = rhs0 - task.J @ dyn.minv(tau_ext)
+            args = (dyn, task.J, task.a_d, rhs0, projectors[i], frozen, *sides, i == 0)
+            for maximize_s in (True, False):
+                new = solvers._level_qp(*args, maximize_s=maximize_s)
+                old = oracles.level_qp_padded(*args, maximize_s=maximize_s)
+                assert new.to_json() == old.to_json()
+                assert new._rows.C.tobytes() == old._rows.C.tobytes()
+                assert new._rows.b.tobytes() == old._rows.b.tobytes()
+                assert new._rows.eq_keep == old._rows.eq_keep
+            # the next level's frozen part, from this level's s-pinned stage
+            frozen = frozen + projectors[i] @ qpcore.solve(new).x
+
+
 def top_level(model, dyn, task, tau_ext, lr):
     """(the s-pinned QP of the top level as ``solve_dcts_multi`` builds it,
     rhs0, torque sides, shaped acceleration bounds)."""
